@@ -17,7 +17,7 @@
 //	snserved -shards 8                        # 8 per-tenant sequencer shards
 //	snserved -snapshot-every 64               # compact status replays + enable checkpoints
 //	snserved -slo 5ms                         # shed load when submit p99 exceeds 5ms
-//	snserved -log requests.trace              # persist the replayable log
+//	snserved -log requests.trace              # export the replayable log at drain
 //	snserved -wal-dir wal/                    # durable WAL; acks survive kill -9, restart recovers
 //	snserved -wal-dir wal/ -sync-every 64     # group fsyncs (bounded loss window)
 //	snserved -exit-after-drain                # exit after an API drain (CI smoke)
@@ -94,7 +94,7 @@ func main() {
 	flag.Int64Var(&o.spacingMS, "spacing", 1, "virtual arrival gap between sequenced jobs (ms)")
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "advance the resumable-replay watermark every N sequenced jobs (0 = replay full history)")
 	flag.DurationVar(&o.slo, "slo", 0, "submit-latency p99 target; when exceeded the service sheds load with Retry-After (0 = off)")
-	flag.StringVar(&o.logPath, "log", "", "write the deterministic request log to this file")
+	flag.StringVar(&o.logPath, "log", "", "export the deterministic request log to this file after the drain (crash durability is -wal-dir's job)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "durable write-ahead log directory; on start the service recovers whatever the directory holds (truncating a torn tail) and resumes")
 	flag.IntVar(&o.syncEvery, "sync-every", 0, "WAL fsync policy: <=1 fsyncs before every ack, N>1 fsyncs every N records (bounded loss window)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level on stderr: debug, info, warn or error")
@@ -150,12 +150,14 @@ func run(ctx context.Context, o options, ready chan<- string, w io.Writer) error
 	}
 	var logFile *os.File
 	if o.logPath != "" {
+		// Created now so a bad path fails before serving; the merged log
+		// is exported into it once, after the drain.
 		f, err := os.Create(o.logPath)
 		if err != nil {
 			return err
 		}
+		defer f.Close() // error paths; the success path checks Close
 		logFile = f
-		cfg.RequestLog = f
 	}
 
 	svc, err := serve.New(cfg)
@@ -202,14 +204,17 @@ func run(ctx context.Context, o options, ready chan<- string, w io.Writer) error
 		return err
 	}
 	summary(w, res)
-	// Release the durability layer and the request log with real fsyncs
-	// on the signal path too (not just after an API drain): a clean exit
-	// must leave both fully on disk, and a failure must reach the exit
-	// code rather than vanish with the process.
+	// Release the durability layer and export the request log with real
+	// fsyncs on the signal path too (not just after an API drain): a
+	// clean exit must leave both fully on disk, and a failure must reach
+	// the exit code rather than vanish with the process.
 	if err := svc.Close(); err != nil {
 		return err
 	}
 	if logFile != nil {
+		if _, err := io.WriteString(logFile, svc.ReplayLog()); err != nil {
+			return fmt.Errorf("request log write: %w", err)
+		}
 		if err := logFile.Sync(); err != nil {
 			return fmt.Errorf("request log sync: %w", err)
 		}

@@ -153,11 +153,10 @@ func TestCrossJobSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRestoresIsolated: a snapshot without a plan record
-// — every snapshot taken before cross-job planning existed — restores
-// to the historical isolated admission, and non-cross-job snapshots
-// never emit the new records.
-func TestLegacySnapshotRestoresIsolated(t *testing.T) {
+// TestNonCrossJobSnapshotRestoresIsolated: a snapshot of an isolated
+// cluster carries no plan or demand record and restores to isolated
+// admission.
+func TestNonCrossJobSnapshotRestoresIsolated(t *testing.T) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
 		t.Fatal(err)

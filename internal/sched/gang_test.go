@@ -318,16 +318,48 @@ func TestGangSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Pre-gang snapshots (no topo record, no gang fields) still restore:
-// the decoder fills the zero topology and single-device placements.
-func TestPreGangSnapshotRestores(t *testing.T) {
-	legacy := "snsnap 1\npolicy packing\ndevice d 1 1024 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0 0\npending 0\nevents 0\nend\n"
-	inc, err := RestoreIncremental([]byte(legacy), nil)
+// The decoder accepts exactly the current snapshot generation: the
+// shapes older encoders wrote are refused with a line-numbered error.
+func TestOlderSnapshotGenerationsRejected(t *testing.T) {
+	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
-		t.Fatalf("legacy snapshot failed to restore: %v", err)
-	}
-	if _, err := inc.Result(); err != nil {
 		t.Fatal(err)
+	}
+	for _, j := range testJobs()[:4] {
+		if _, err := inc.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc.AdvanceTo(sim.Time(70 * sim.Millisecond))
+	snap := EncodeSnapshot(inc)
+	if _, err := RestoreIncremental(snap, nil); err != nil {
+		t.Fatalf("current snapshot rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		prefix string
+		drop   int // trailing fields dropped from each matching record; 0 drops the record
+	}{
+		{"no topo record", "topo ", 0},
+		{"state without gang tail", "state ", 9},
+		{"state without fault tail", "state ", 4},
+		{"dev without fault tail", "dev ", 4},
+	} {
+		var lines []string
+		for _, ln := range strings.Split(string(snap), "\n") {
+			if strings.HasPrefix(ln, tc.prefix) {
+				if tc.drop == 0 {
+					continue
+				}
+				f := strings.Fields(ln)
+				ln = strings.Join(f[:len(f)-tc.drop], " ")
+			}
+			lines = append(lines, ln)
+		}
+		_, err := RestoreIncremental([]byte(strings.Join(lines, "\n")), nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "sched: snapshot line ") {
+			t.Errorf("%s: err = %v, want a line-numbered snapshot error", tc.name, err)
+		}
 	}
 }
 

@@ -307,7 +307,7 @@ func FuzzRestoreIncremental(f *testing.F) {
 	finc.AdvanceTo(sim.Time(2500 * sim.Millisecond))
 	f.Add(EncodeSnapshot(finc))
 	f.Add([]byte(snapMagic + "\npolicy fifo\n"))
-	f.Add([]byte("snsnap 1\npolicy packing\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0\npending 0\nevents 0\nend\n"))
+	f.Add([]byte("snsnap 1\npolicy packing\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\ntopo 0 0 0 - 0x0 0 - 0x0 0 - 0x0 0\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0 0 0 0 0 0 0 0\npending 0\nevents 0\nend\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := RestoreIncremental(data, nil)
 		if err != nil {

@@ -816,8 +816,7 @@ func (e *exec) clone() *exec {
 // set. Planner state is a pure function of the member demand set, so
 // re-admitting the residents — in any order — reproduces the exact
 // plan: this is how clone and snapshot restore avoid serializing
-// planner internals, and why legacy snapshots (no planner state at
-// all) restore cleanly to isolated planning.
+// planner internals.
 func (e *exec) rebuildPlanners() error {
 	if !e.crossjob {
 		return nil

@@ -45,9 +45,6 @@ func EncodeSnapshot(inc *Incremental) []byte {
 		int64(d.KernelLaunch), int64(d.CudaMalloc), int64(d.CudaFree), int64(d.PoolOp),
 		fbits(d.EffScale), fbits(d.MemEffScale))
 	fmt.Fprintf(&b, "devices %d\n", e.cluster.Devices)
-	// The topo record is newer than the magic: the decoder treats it as
-	// optional so pre-gang snapshots (no record) still restore, to the
-	// zero topology they were taken under.
 	tp := e.cluster.Topology
 	fmt.Fprintf(&b, "topo %d %d %d %s %s %d %s %s %d %s %s %d\n",
 		tp.DevicesPerNode, tp.NVLinkIsland, b2i(e.cluster.Overlap),
@@ -55,18 +52,17 @@ func EncodeSnapshot(inc *Incremental) []byte {
 		qstr(tp.PCIe.Name), fbits(tp.PCIe.BytesPerSec), int64(tp.PCIe.Latency),
 		qstr(tp.Network.Name), fbits(tp.Network.BytesPerSec), int64(tp.Network.Latency))
 	// The plan record marks a CrossJob snapshot and carries the spill
-	// pool size; its absence restores the historical isolated admission,
-	// which is exactly what legacy snapshots ran under. Planner state is
+	// pool size; its absence means isolated admission. Planner state is
 	// never serialized — restore re-admits each device's residents
 	// (rebuildPlanners), and purity guarantees the identical plan.
 	if e.crossjob {
 		fmt.Fprintf(&b, "plan %d\n", e.spillCap)
 	}
 	// The faults record carries the cluster's scripted fault plan; its
-	// absence restores the historical always-healthy cluster. The
-	// undelivered fault events themselves travel in the event queue
-	// like every other event — this record only preserves the plan for
-	// reporting and re-validation.
+	// absence means an always-healthy cluster. The undelivered fault
+	// events themselves travel in the event queue like every other
+	// event — this record only preserves the plan for reporting and
+	// re-validation.
 	if n := len(e.cluster.Faults.Events); n > 0 {
 		fmt.Fprintf(&b, "faults %d", n)
 		for _, fe := range e.cluster.Faults.Events {
@@ -92,14 +88,12 @@ func EncodeSnapshot(inc *Incremental) []byte {
 		for _, t := range js.iterTimes {
 			fmt.Fprintf(&b, " %d", int64(t))
 		}
-		// Gang placement and all-reduce price, appended after the
-		// iteration times; the decoder accepts their absence (pre-gang
-		// snapshots). GradientBytes rides along so a restored gang
-		// re-prices identically after a preemption, and the estimate's
-		// floor and spill traffic (newer still — the decoder accepts
-		// their absence too) so a re-admitted job plans identically.
-		// Newest of all, the fault-recovery counters and the live
-		// completion sequence (the stale-completion guard).
+		// After the iteration times: gang placement and all-reduce price,
+		// with GradientBytes so a restored gang re-prices identically
+		// after a preemption and the estimate's floor and spill traffic
+		// so a re-admitted job plans identically; then the
+		// fault-recovery counters and the live completion sequence (the
+		// stale-completion guard).
 		fmt.Fprintf(&b, " %s %d %d %d %d", intList(js.gang), int64(js.gangAR), js.est.GradientBytes,
 			js.est.FloorBytes, js.est.SpillBytes)
 		fmt.Fprintf(&b, " %d %d %d %d", js.restores, js.shrinks, js.lostIters, js.liveDone)
@@ -126,9 +120,8 @@ func EncodeSnapshot(inc *Incremental) []byte {
 		for _, r := range d.resident {
 			fmt.Fprintf(&b, " %d", r.seq)
 		}
-		// Co-tenancy high-water marks, appended after the residents; the
-		// decoder accepts their absence (older snapshots). Newer still,
-		// the fault state (failed flag, outage stamps, failure count).
+		// After the residents: the co-tenancy high-water marks, then the
+		// fault state (failed flag, outage stamps, failure count).
 		fmt.Fprintf(&b, " %d %d", d.maxRes, d.spillPeak)
 		fmt.Fprintf(&b, " %d %d %d %d", b2i(d.failed), int64(d.downSince), int64(d.down), d.fails)
 		b.WriteByte('\n')
@@ -189,20 +182,19 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 
 	f = r.fields("devices", 2)
 	ndev := r.count(f, 1, 1<<16)
-	// Optional topo record: absent in pre-gang snapshots, which were
-	// taken under the zero topology (one flat PCIe-peer node).
-	var topo hw.Topology
-	overlap := false
-	if f := r.fieldsOpt("topo", 13); f != nil {
-		topo.DevicesPerNode = int(r.i64(f[1]))
-		topo.NVLinkIsland = int(r.i64(f[2]))
-		overlap = r.i64(f[3]) != 0
-		topo.NVLink = hw.LinkSpec{Name: r.unquote(f[4]), BytesPerSec: r.f64(f[5]), Latency: sim.Duration(r.i64(f[6]))}
-		topo.PCIe = hw.LinkSpec{Name: r.unquote(f[7]), BytesPerSec: r.f64(f[8]), Latency: sim.Duration(r.i64(f[9]))}
-		topo.Network = hw.LinkSpec{Name: r.unquote(f[10]), BytesPerSec: r.f64(f[11]), Latency: sim.Duration(r.i64(f[12]))}
+	f = r.fields("topo", 13)
+	if r.err != nil {
+		return nil, r.err
 	}
+	var topo hw.Topology
+	topo.DevicesPerNode = int(r.i64(f[1]))
+	topo.NVLinkIsland = int(r.i64(f[2]))
+	overlap := r.i64(f[3]) != 0
+	topo.NVLink = hw.LinkSpec{Name: r.unquote(f[4]), BytesPerSec: r.f64(f[5]), Latency: sim.Duration(r.i64(f[6]))}
+	topo.PCIe = hw.LinkSpec{Name: r.unquote(f[7]), BytesPerSec: r.f64(f[8]), Latency: sim.Duration(r.i64(f[9]))}
+	topo.Network = hw.LinkSpec{Name: r.unquote(f[10]), BytesPerSec: r.f64(f[11]), Latency: sim.Duration(r.i64(f[12]))}
 	// Optional plan record: present exactly when the snapshot was taken
-	// under CrossJob. Legacy snapshots restore to isolated admission.
+	// under CrossJob.
 	crossjob := false
 	var spillCap int64
 	if f := r.fieldsOpt("plan", 2); f != nil {
@@ -215,10 +207,10 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 			return nil, fmt.Errorf("sched: snapshot: plan record with spill pool %d", spillCap)
 		}
 	}
-	// Optional faults record: the scripted fault plan. Legacy snapshots
-	// (no record) restore to the always-healthy cluster. The plan is
-	// re-validated by newExec below, so a hand-crafted record cannot
-	// smuggle in an inconsistent event sequence.
+	// Optional faults record: the scripted fault plan, present exactly
+	// when the cluster has one. The plan is re-validated by newExec
+	// below, so a hand-crafted record cannot smuggle in an inconsistent
+	// event sequence.
 	var faults FaultPlan
 	if f := r.fieldsOpt("faults", 2); f != nil {
 		nfe := r.count(f, 1, 1<<16)
@@ -271,7 +263,7 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		return nil, r.err
 	}
 	for i := 0; i < njobs && r.err == nil; i++ {
-		f = r.fields("job", 10)
+		f = r.fields("job", 11)
 		if r.err != nil {
 			break
 		}
@@ -287,10 +279,7 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		js.Arrival = sim.Time(r.i64(f[7]))
 		js.Iterations = int(r.i64(f[8]))
 		js.BatchSchedule = r.ints(f[9])
-		js.GPUs = 1
-		if len(f) > 10 {
-			js.GPUs = int(r.i64(f[10]))
-		}
+		js.GPUs = int(r.i64(f[10]))
 
 		f = r.fields("state", 15)
 		if r.err != nil {
@@ -315,36 +304,26 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		if r.err != nil {
 			break
 		}
+		// The iteration times, then the gang/estimate tail (5 fields)
+		// and the fault tail (4 fields).
 		rest := r.tail(14 + 1)
-		// Pre-gang snapshots end the record at the iteration times;
-		// gang-era ones append the placement, its all-reduce price and
-		// the gradient volume; later ones also append the estimate's
-		// floor and spill traffic; current ones the fault-recovery
-		// counters and live completion sequence. A legacy job's
-		// liveDone is reconstructed from the event queue below.
-		js.liveDone = -1
-		if len(rest) != nit && len(rest) != nit+3 && len(rest) != nit+5 && len(rest) != nit+9 {
-			return nil, fmt.Errorf("sched: snapshot: job %d: %d iteration times declared, %d fields present", i, nit, len(rest))
+		if len(rest) != nit+9 {
+			r.fail("job %d: %d iteration times declared, %d fields present (want %d)", i, nit, len(rest), nit+9)
+			break
 		}
 		js.iterTimes = make([]sim.Duration, 0, nit)
 		for _, s := range rest[:nit] {
 			js.iterTimes = append(js.iterTimes, sim.Duration(r.i64(s)))
 		}
-		if len(rest) >= nit+3 {
-			js.gang = r.ints(rest[nit])
-			js.gangAR = sim.Duration(r.i64(rest[nit+1]))
-			js.est.GradientBytes = r.i64(rest[nit+2])
-		}
-		if len(rest) >= nit+5 {
-			js.est.FloorBytes = r.i64(rest[nit+3])
-			js.est.SpillBytes = r.i64(rest[nit+4])
-		}
-		if len(rest) == nit+9 {
-			js.restores = int(r.i64(rest[nit+5]))
-			js.shrinks = int(r.i64(rest[nit+6]))
-			js.lostIters = int(r.i64(rest[nit+7]))
-			js.liveDone = r.i64(rest[nit+8])
-		}
+		js.gang = r.ints(rest[nit])
+		js.gangAR = sim.Duration(r.i64(rest[nit+1]))
+		js.est.GradientBytes = r.i64(rest[nit+2])
+		js.est.FloorBytes = r.i64(rest[nit+3])
+		js.est.SpillBytes = r.i64(rest[nit+4])
+		js.restores = int(r.i64(rest[nit+5]))
+		js.shrinks = int(r.i64(rest[nit+6]))
+		js.lostIters = int(r.i64(rest[nit+7]))
+		js.liveDone = r.i64(rest[nit+8])
 		// Optional demand record: the job's planner demand under
 		// CrossJob, replayed verbatim so rebuildPlanners reproduces the
 		// paused plan bit for bit.
@@ -402,7 +381,8 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 				return nil, fmt.Errorf("sched: snapshot: job %d has negative fault counters", i)
 			}
 			// Gang members must be valid, strictly ascending device
-			// indices — the event loop indexes devices through them.
+			// indices — the event loop indexes devices through them —
+			// and a placed job's device leads its gang.
 			for k, g := range js.gang {
 				if g < 0 || g >= ndev {
 					return nil, fmt.Errorf("sched: snapshot: job %d gang member %d of %d devices", i, g, ndev)
@@ -411,10 +391,8 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 					return nil, fmt.Errorf("sched: snapshot: job %d gang not strictly ascending", i)
 				}
 			}
-			// Pre-gang snapshots carry no gang list; a placed job's
-			// placement is its single device.
-			if len(js.gang) == 0 && js.device >= 0 {
-				js.gang = []int{js.device}
+			if js.device >= 0 && (len(js.gang) == 0 || js.gang[0] != js.device) {
+				return nil, fmt.Errorf("sched: snapshot: job %d on device %d but placed on %v", i, js.device, js.gang)
 			}
 		}
 		ex.states = append(ex.states, js)
@@ -452,25 +430,21 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		if r.err != nil {
 			break
 		}
+		// The residents, then the high-water marks (2 fields) and the
+		// fault state (4 fields).
 		rest := r.tail(12)
-		// Older snapshots end at the residents; later ones append the
-		// co-tenancy and spill high-water marks; current ones the fault
-		// state too. Legacy devices restore healthy.
-		if len(rest) != nres && len(rest) != nres+2 && len(rest) != nres+6 {
-			return nil, fmt.Errorf("sched: snapshot: dev %d: %d residents declared, %d present", i, nres, len(rest))
+		if len(rest) != nres+6 {
+			r.fail("dev %d: %d residents declared, %d fields present (want %d)", i, nres, len(rest), nres+6)
+			break
 		}
-		if len(rest) >= nres+2 {
-			d.maxRes = int(r.i64(rest[nres]))
-			d.spillPeak = r.i64(rest[nres+1])
-		}
-		if len(rest) == nres+6 {
-			d.failed = r.i64(rest[nres+2]) != 0
-			d.downSince = sim.Time(r.i64(rest[nres+3]))
-			d.down = sim.Duration(r.i64(rest[nres+4]))
-			d.fails = int(r.i64(rest[nres+5]))
-			if r.err == nil && (d.fails < 0 || d.down < 0) {
-				return nil, fmt.Errorf("sched: snapshot: dev %d has negative fault counters", i)
-			}
+		d.maxRes = int(r.i64(rest[nres]))
+		d.spillPeak = r.i64(rest[nres+1])
+		d.failed = r.i64(rest[nres+2]) != 0
+		d.downSince = sim.Time(r.i64(rest[nres+3]))
+		d.down = sim.Duration(r.i64(rest[nres+4]))
+		d.fails = int(r.i64(rest[nres+5]))
+		if r.err == nil && (d.fails < 0 || d.down < 0) {
+			return nil, fmt.Errorf("sched: snapshot: dev %d has negative fault counters", i)
 		}
 		rest = rest[:nres]
 		for _, s := range rest {
@@ -497,10 +471,9 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		} else if d.rr != 0 {
 			return nil, fmt.Errorf("sched: snapshot: dev %d: round-robin cursor %d with no residents", i, d.rr)
 		}
-		// A high-water mark can never sit below the current residency
-		// (and legacy snapshots carry no mark at all).
+		// A high-water mark can never sit below the current residency.
 		if d.maxRes < len(d.resident) {
-			d.maxRes = len(d.resident)
+			return nil, fmt.Errorf("sched: snapshot: dev %d: %d residents above high-water mark %d", i, len(d.resident), d.maxRes)
 		}
 		// A failed device holds no residents and runs nothing — its
 		// victims were displaced when the failure fired.
@@ -567,17 +540,6 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	// Legacy snapshots predate the stale-completion guard and carry no
-	// liveDone field; such a snapshot holds exactly one queued
-	// completion per running job, so reconstruct the live sequence from
-	// the queue.
-	for _, ev := range ex.q {
-		if ev.class == classDone {
-			if js := ex.states[ev.job]; js.running && js.liveDone < 0 {
-				js.liveDone = ev.seq
-			}
-		}
 	}
 	if line := r.next(); line != "end" {
 		if r.err != nil {

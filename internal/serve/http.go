@@ -67,22 +67,16 @@ func errCode(err error) (int, string) {
 	}
 }
 
-// readBody drains r into buf (reusing its capacity) and returns the
-// filled slice.
-func readBody(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
+// maxSubmitBody bounds a submit request body; SubmitRequest is a small
+// flat object, so anything near this size is malformed or hostile.
+const maxSubmitBody = 1 << 20
+
+// DecodeSubmitRequest parses one JSON-encoded SubmitRequest with
+// encoding/json's stream semantics: unknown fields are skipped, keys
+// match case-insensitively, a null is a no-op, and data after the
+// first value is ignored.
+func DecodeSubmitRequest(data []byte, req *SubmitRequest) error {
+	return json.NewDecoder(bytes.NewReader(data)).Decode(req)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -115,18 +109,12 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		// The submit hot path avoids encoding/json on both sides:
-		// pooled read/render buffers, a non-allocating decoder, an
-		// append-style encoder.
-		buf := ingestBufs.Get().(*ingestBuf)
-		defer ingestBufs.Put(buf)
-		var err error
-		if buf.body, err = readBody(r.Body, buf.body[:0]); err != nil {
-			writeErr(w, fmt.Errorf("%w: body: %v", ErrBadRequest, err))
-			return
-		}
 		var req SubmitRequest
-		if err := DecodeSubmitRequest(buf.body, &req); err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+		if err == nil {
+			err = DecodeSubmitRequest(body, &req)
+		}
+		if err != nil {
 			writeErr(w, fmt.Errorf("%w: body: %v", ErrBadRequest, err))
 			return
 		}
@@ -135,17 +123,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		if st.Result != nil {
-			// A durable-synchronous submit (WAL attached) acks with the
-			// full sequenced status; the schedule projection is not a
-			// shape the zero-alloc renderer covers.
-			writeJSON(w, http.StatusAccepted, st)
-			return
-		}
-		buf.out = appendJobStatusJSON(buf.out[:0], st)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write(buf.out)
+		writeJSON(w, http.StatusAccepted, st)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

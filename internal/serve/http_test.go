@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -127,6 +130,94 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if _, err := c.Submit(small("t", "late")); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: %v, want ErrDraining", err)
 	}
+}
+
+// TestHTTPErrorPaths covers the endpoints' less-travelled answers and
+// pins the bytes of a non-WAL 202 body.
+func TestHTTPErrorPaths(t *testing.T) {
+	c, _ := startServer(t, Config{Manual: true, Shards: 2})
+	cases := []struct {
+		name, method, path, body string
+		status                   int
+		code, prefix             string // code: API error code; prefix: plain-text body
+	}{
+		{"malformed json", "POST", "/v1/jobs", `{"network":`, 400, "bad_request", ""},
+		{"leading-zero number", "POST", "/v1/jobs", `{"network":"AlexNet","batch":012}`, 400, "bad_request", ""},
+		{"no checkpoint", "GET", "/v1/checkpoint", "", 404, "no_checkpoint", ""},
+		{"sharded replay log", "GET", "/v1/replay-log?sharded=1", "", 200, "", workload.TraceHeader + "# shard 0\n# shard 1\n"},
+	}
+	for _, tc := range cases {
+		status, body := rawRequest(t, tc.method, c.BaseURL+tc.path, tc.body)
+		if status != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, status, tc.status, body)
+		}
+		if tc.code != "" {
+			var ae apiError
+			if err := json.Unmarshal(body, &ae); err != nil || ae.Code != tc.code {
+				t.Errorf("%s: body %s, want code %q", tc.name, body, tc.code)
+			}
+		}
+		if !bytes.HasPrefix(body, []byte(tc.prefix)) {
+			t.Errorf("%s: body %q, want prefix %q", tc.name, body, tc.prefix)
+		}
+	}
+	var ae *APIError
+	if _, err := c.Checkpoint(); !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != "no_checkpoint" {
+		t.Errorf("Client.Checkpoint without compaction: %v, want 404 no_checkpoint APIError", err)
+	}
+
+	// Without a WAL the 202 is the queued status, rendered exactly as
+	// json.MarshalIndent renders it.
+	status, body := rawRequest(t, "POST", c.BaseURL+"/v1/jobs", `{"tenant":"<t&>","id":"j1","network":"AlexNet","batch":16}`)
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); status != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: %d %s (%v)", status, body, err)
+	}
+	want, err := json.MarshalIndent(&st, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(body, want) {
+		t.Errorf("202 body\n%q\nwant\n%q", body, want)
+	}
+}
+
+// An oversized submit body is refused as a bad request, and the
+// service keeps answering afterwards.
+func TestSubmitBodyLimit(t *testing.T) {
+	c, _ := startServer(t, Config{})
+	body := `{"network":"AlexNet","batch":16,"pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	status, resp := rawRequest(t, "POST", c.BaseURL+"/v1/jobs", body)
+	var ae apiError
+	if status != http.StatusBadRequest || json.Unmarshal(resp, &ae) != nil || ae.Code != "bad_request" {
+		t.Fatalf("2 MiB body: %d %s, want 400 bad_request", status, resp)
+	}
+	if err := c.Healthz(); err != nil {
+		t.Fatalf("healthz after oversized body: %v", err)
+	}
+	if _, err := c.Submit(small("t", "after")); err != nil {
+		t.Fatalf("submit after oversized body: %v", err)
+	}
+}
+
+// rawRequest sends body (none when empty) and returns the status and
+// response body.
+func rawRequest(t *testing.T, method, url, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
 }
 
 // The load generator drives the full HTTP stack and its report adds up.

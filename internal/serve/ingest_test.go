@@ -4,42 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
-// decodeStd is the reference decoder: the exact encoding/json path the
-// HTTP handler used before the hand-rolled one (stream semantics —
-// trailing data after the first value is ignored).
-func decodeStd(data []byte, req *SubmitRequest) error {
-	return json.NewDecoder(bytes.NewReader(data)).Decode(req)
-}
-
+// TestDecodeSubmitRequestMatchesEncodingJSON pins the encoding/json
+// stream semantics submit bodies decode under: case-insensitive keys,
+// unknown fields skipped, null a no-op, trailing data ignored.
 func TestDecodeSubmitRequestMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		`{"tenant":"acme","id":"j1","network":"AlexNet","batch":256}`,
-		`{"network":"VGG16","batch":32,"priority":-2,"iterations":10,"manager":"vdnn"}`,
-		`{"network":"AlexNet","schedule":"16x2,32","tenant":"dyn"}`,
-		`  {  "Network" : "ResNet50" , "BATCH" : 64 }  `,
-		`{"network":"AlexNet","batch":1,"unknown":{"nested":[1,2,{"x":null}],"b":true}}`,
-		`{"network":"AlexNet","batch":1,"extra":"ignored","also":3.75}`,
-		`{"tenant":"\u00e9\u0442\u4f60","network":"AlexNet","batch":1}`,
-		`{"id":"a\\\"b\tc","network":"AlexNet","batch":1}`,
-		`{"id":"\ud83d\ude00","network":"AlexNet","batch":1}`,
-		`{"tenant":null,"network":"AlexNet","batch":2}`,
-		`{}`,
-		`null`,
-		`{"network":"AlexNet","batch":-5}`,
-		`{"network":"AlexNet","batch":1} trailing garbage`,
+	cases := map[string]SubmitRequest{
+		`{"tenant":"acme","id":"j1","network":"AlexNet","batch":256}`:                             {Tenant: "acme", ID: "j1", Network: "AlexNet", Batch: 256},
+		`{"network":"VGG16","batch":32,"priority":-2,"iterations":10,"manager":"vdnn"}`:           {Network: "VGG16", Batch: 32, Priority: -2, Iterations: 10, Manager: "vdnn"},
+		`  {  "Network" : "ResNet50" , "BATCH" : 64 }  `:                                          {Network: "ResNet50", Batch: 64},
+		`{"network":"AlexNet","batch":1,"unknown":{"nested":[1,2,{"x":null}],"b":true},"f":3.75}`: {Network: "AlexNet", Batch: 1},
+		`{"tenant":"\u00e9\u0442","id":"a\\\"b\tc","network":"AlexNet","schedule":"16x2,32"}`:     {Tenant: "éт", ID: "a\\\"b\tc", Network: "AlexNet", Schedule: "16x2,32"},
+		`{"tenant":null,"network":"AlexNet","batch":2}`:                                           {Network: "AlexNet", Batch: 2},
+		`null`: {},
+		`{"network":"AlexNet","batch":1} trailing garbage`: {Network: "AlexNet", Batch: 1},
 	}
-	for _, body := range cases {
-		var got, want SubmitRequest
-		gotErr := DecodeSubmitRequest([]byte(body), &got)
-		wantErr := decodeStd([]byte(body), &want)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("%s: error mismatch: got %v, encoding/json %v", body, gotErr, wantErr)
-			continue
-		}
-		if gotErr == nil && got != want {
+	for body, want := range cases {
+		var got SubmitRequest
+		if err := DecodeSubmitRequest([]byte(body), &got); err != nil {
+			t.Errorf("%s: %v", body, err)
+		} else if got != want {
 			t.Errorf("%s:\ngot  %+v\nwant %+v", body, got, want)
 		}
 	}
@@ -55,6 +43,7 @@ func TestDecodeSubmitRequestErrors(t *testing.T) {
 		`{"batch": 1.5, "network":"x"}`,
 		`{"batch": 1e3, "network":"x"}`,
 		`{"batch": "12", "network":"x"}`,
+		`{"batch": 012, "network":"x"}`,
 		`{"network": 42}`,
 		`{"network": "x" "batch": 1}`,
 		`{network: "x"}`,
@@ -71,58 +60,74 @@ func TestDecodeSubmitRequestErrors(t *testing.T) {
 	}
 }
 
-func TestAppendJobStatusJSONMatchesEncodingJSON(t *testing.T) {
-	cases := []*JobStatus{
-		{ID: "acme/j1", Tenant: "acme", State: StateQueued, Shard: 3, QueuePosition: 7, Seq: -1},
-		{ID: "t/j", Tenant: "t", State: StateQueued, Seq: -1},
-		{ID: `q"uote\back`, Tenant: "<tag>&amp", State: StateQueued, Seq: -1, ArrivalMS: 12345},
-		{ID: "uni/\u00e9\u4f60", Tenant: "u2028\u2028u2029\u2029", State: StateRejected, Seq: 4, Reason: "bad\nreason\ttabs"},
-		{ID: "bad/\xff\xfeutf8", Tenant: "t", State: StateQueued, Seq: -1},
-		{ID: "d/j", Tenant: "d", State: StateScheduled, Shard: 1, Seq: 9, ArrivalMS: 9, Durable: true},
-		{ID: "d/j2", Tenant: "d", State: StateQueued, Seq: -1, Deduped: true},
-		{ID: "d/j3", Tenant: "d", State: StateScheduled, Seq: 0, Durable: true, Deduped: true},
-	}
-	for _, st := range cases {
-		want, err := json.MarshalIndent(st, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, '\n')
-		got := appendJobStatusJSON(nil, st)
-		if !bytes.Equal(got, want) {
-			t.Errorf("status %+v:\ngot  %q\nwant %q", st, got, want)
-		}
-	}
+// submitCorpus seeds both submit fuzzers: escapes, case folding,
+// unknown fields, invalid UTF-8, null and integer extremes.
+var submitCorpus = []string{
+	`{"tenant":"acme","id":"j1","network":"AlexNet","batch":256,"priority":3,"iterations":4}`,
+	`{"network":"x","schedule":"16x2,32","manager":"vdnn"}`,
+	`{"network":"x","idempotency_key":"cl00-k001","IDEMPOTENCY_KEY":"shout"}`,
+	`{"NeTwOrK":"x","unknown":[{"deep":null},true,1.5e3]}`,
+	`{"id":"\ud83d\ude00 \u00e9 \\ \" \n","network":"x","batch":1}`,
+	`{"id":"\ud800 lone","network":"x"}`,
+	"{\"tenant\":\"\xff\xfe\",\"batch\":-0}",
+	`null`,
+	`{"batch":9223372036854775807}`,
 }
 
-// FuzzDecodeSubmitRequest drives the hand-rolled decoder and
-// encoding/json differentially: the fast path must never panic, and
-// whenever both decoders accept a body they must agree on every field.
+// FuzzDecodeSubmitRequest: the decoder never panics, and every request
+// it accepts survives a re-encode and decode unchanged.
 func FuzzDecodeSubmitRequest(f *testing.F) {
-	f.Add([]byte(`{"tenant":"acme","id":"j1","network":"AlexNet","batch":256,"priority":3,"iterations":4}`))
-	f.Add([]byte(`{"network":"x","schedule":"16x2,32","manager":"vdnn"}`))
-	f.Add([]byte(`{"network":"x","idempotency_key":"cl00-k001","IDEMPOTENCY_KEY":"shout"}`))
-	f.Add([]byte(`{"NeTwOrK":"x","unknown":[{"deep":null},true,1.5e3]}`))
-	f.Add([]byte(`{"id":"\ud83d\ude00 \u00e9 \\ \" \n","network":"x","batch":1}`))
-	f.Add([]byte(`{"id":"\ud800 lone","network":"x"}`))
-	f.Add([]byte("{\"tenant\":\"\xff\xfe\",\"batch\":-0}"))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"batch":9223372036854775807}`))
+	for _, s := range submitCorpus {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got SubmitRequest
-		gotErr := DecodeSubmitRequest(data, &got)
-		var want SubmitRequest
-		wantErr := decodeStd(data, &want)
-		if gotErr == nil && wantErr == nil && got != want {
-			t.Fatalf("decoders disagree on %q:\nfast %+v\nstd  %+v", data, got, want)
+		var req SubmitRequest
+		if DecodeSubmitRequest(data, &req) != nil {
+			return
 		}
-		// The fast decoder may be laxer on number syntax than the
-		// standard one (leading zeros), but must never accept what it
-		// cannot represent: any accepted body must re-encode cleanly.
-		if gotErr == nil {
-			if _, err := json.Marshal(got); err != nil {
-				t.Fatalf("accepted request fails to re-encode: %v", err)
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request fails to re-encode: %v", err)
+		}
+		var again SubmitRequest
+		if err := DecodeSubmitRequest(enc, &again); err != nil || again != req {
+			t.Fatalf("re-encoded request %s decodes to %+v (%v), want %+v", enc, again, err, req)
+		}
+	})
+}
+
+// FuzzSubmitHandler drives POST /v1/jobs with arbitrary bodies: no
+// body may cause a 5xx, every refusal is a typed API error whose
+// status matches its code, and every acceptance is a queued status.
+func FuzzSubmitHandler(f *testing.F) {
+	for _, s := range submitCorpus {
+		f.Add([]byte(s))
+	}
+	s, err := New(Config{Cluster: testCluster(), Manual: true, QueueDepth: 1 << 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code == http.StatusAccepted {
+			var st JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.State != StateQueued || st.Seq != -1 {
+				t.Fatalf("%q: 202 body %s is not a queued status (%v)", body, rec.Body, err)
 			}
+			return
+		}
+		var ae apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil {
+			t.Fatalf("%q: %d body %s is not an API error: %v", body, rec.Code, rec.Body, err)
+		}
+		sentinel := (&APIError{Code: ae.Code}).Unwrap()
+		if sentinel == nil {
+			t.Fatalf("%q: %d with unknown code %q", body, rec.Code, ae.Code)
+		}
+		if status, _ := errCode(sentinel); status != rec.Code || status >= 500 {
+			t.Fatalf("%q: status %d for code %q (want %d, never 5xx)", body, rec.Code, ae.Code, status)
 		}
 	})
 }
@@ -135,16 +140,6 @@ func BenchmarkServeIngest(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var req SubmitRequest
 			if err := DecodeSubmitRequest(body, &req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("decode-std", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var req SubmitRequest
-			if err := decodeStd(body, &req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -171,15 +166,6 @@ func BenchmarkServeIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 			s.Advance(1)
-		}
-	})
-
-	b.Run("respond", func(b *testing.B) {
-		st := &JobStatus{ID: "acme/j042", Tenant: "acme", State: StateQueued, Shard: 2, QueuePosition: 17, Seq: -1}
-		buf := make([]byte, 0, 512)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendJobStatusJSON(buf[:0], st)
 		}
 	})
 }

@@ -12,7 +12,6 @@ package serve
 import (
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // record is one sequenced-but-not-yet-merged job.
@@ -79,7 +78,6 @@ func (s *Service) mergeLocked(sh *shard, base int64) {
 		j.seq = len(s.log)
 		j.tj.ArrivalMS = int64(j.seq) * s.cfg.SpacingMS
 		s.log = append(s.log, j.tj)
-		s.logWrite(workload.FormatJob(j.tj))
 		if s.wal != nil && s.walErr == nil {
 			if err := s.wal.appendJob(j.tj, j.key); err != nil {
 				// Latch the failure: no further acks until an operator

@@ -53,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -134,11 +135,6 @@ type Config struct {
 	// exceeds the target it sheds load (ErrOverloaded) until the p99
 	// recovers below 80% of the target.
 	SLOTargetP99 time.Duration
-	// RequestLog, when non-nil, receives the deterministic request log
-	// incrementally: the workload trace header at construction, then
-	// one trace line per merged job. The accumulated bytes are at
-	// every instant a valid workload trace equal to ReplayLog().
-	RequestLog io.Writer
 	// WALDir, when non-empty, arms the durability layer: every merged
 	// job is appended to a segmented write-ahead log under this
 	// directory before submitters are acked, and New recovers whatever
@@ -335,7 +331,6 @@ type Service struct {
 	reorder recordHeap     // merged-but-not-yet-dense records
 	log     []workload.TraceJob
 	byShard []shardTally
-	logErr  error
 
 	// Durability (Config.WALDir). wal is the append handle; durable is
 	// the job-record count covered by the last fsync; walErr latches
@@ -377,9 +372,7 @@ type shardTally struct {
 }
 
 // New constructs a Service and, unless cfg.Manual is set, starts one
-// sequencer goroutine per shard. The request-log header is written
-// immediately so the log sink is a valid (empty) workload trace from
-// the start.
+// sequencer goroutine per shard.
 func New(cfg Config) (*Service, error) {
 	if cfg.Policy.Name == "" {
 		cfg.Policy = sched.Packing
@@ -431,7 +424,6 @@ func New(cfg Config) (*Service, error) {
 	for i := range s.shards {
 		s.shards[i] = newShard(i)
 	}
-	s.logWrite(workload.TraceHeader)
 	if cfg.WALDir != "" {
 		if err := s.attachWAL(); err != nil {
 			return nil, err
@@ -477,7 +469,6 @@ func (s *Service) attachWAL() error {
 		ty := &s.byShard[sh.idx]
 		ty.sequenced++
 		ty.log = append(ty.log, tj)
-		s.logWrite(workload.FormatJob(tj))
 		if s.inc != nil && s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(tj)); err != nil {
 				s.incErr = err
@@ -523,18 +514,6 @@ func (s *Service) shardOf(tenant string) *shard {
 	h := fnv.New32a()
 	_, _ = io.WriteString(h, tenant)
 	return s.shards[int(h.Sum32())%len(s.shards)]
-}
-
-// logWrite appends to the request-log sink, recording the first error.
-// Callers hold s.mu (except New).
-func (s *Service) logWrite(line string) {
-	if s.cfg.RequestLog == nil || s.logErr != nil {
-		return
-	}
-	if _, err := io.WriteString(s.cfg.RequestLog, line); err != nil {
-		s.logErr = fmt.Errorf("serve: request log: %w", err)
-		s.lg.Error("request log write failed", "err", err)
-	}
 }
 
 // Submit validates and enqueues one job on its tenant's shard. The
@@ -753,9 +732,9 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 }
 
 // checkToken refuses characters that would corrupt the
-// whitespace-separated request log.
+// whitespace-separated request log, which splits on Unicode spaces.
 func checkToken(field, v string) error {
-	if strings.ContainsAny(v, " \t\n\r#") {
+	if strings.ContainsRune(v, '#') || strings.IndexFunc(v, unicode.IsSpace) >= 0 {
 		return fmt.Errorf("%w: %s %q must not contain whitespace or '#'", ErrBadRequest, field, v)
 	}
 	return nil
@@ -982,9 +961,6 @@ func (s *Service) Drain() (*sched.Result, error) {
 	}
 	r, err := s.resultLocked()
 	if err == nil {
-		err = s.logErr
-	}
-	if err == nil {
 		err = s.walErr
 	}
 	return r, err
@@ -1037,13 +1013,6 @@ func (s *Service) ShardedReplayLog() string {
 		}
 	}
 	return b.String()
-}
-
-// LogErr reports the first request-log write error, if any.
-func (s *Service) LogErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logErr
 }
 
 // Cluster returns the configured cluster (for daemons' banners).

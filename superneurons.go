@@ -392,7 +392,7 @@ func CompareSchedulers(c Cluster, jobs []Job) ([]*ScheduleResult, error) {
 // cmd/snload for the load generator.
 type (
 	// ServeConfig parameterizes a Service (cluster, policy, bounded
-	// admission queue, per-tenant quota, request-log sink).
+	// admission queue, per-tenant quota, write-ahead log).
 	ServeConfig = serve.Config
 	// Service is the concurrent job-submission front-end.
 	Service = serve.Service
