@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +30,32 @@ func TestReplayDeterministic(t *testing.T) {
 		"scheduler policy comparison", "rejected", "per-device utilization"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+// Every scenario's `-policy all` output matches its recorded digest
+// (testdata/scenarios.sha256). Two runs of one binary cannot catch a
+// change that is deterministic but different; a golden can. Refresh a
+// digest only for a change meant to alter schedules.
+func TestScenarioGoldens(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "scenarios.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			want[f[0]] = f[1]
+		}
+	}
+	for _, sc := range scenarios {
+		var out bytes.Buffer
+		if err := run(options{scenario: sc.name, device: "k40c", policyArg: "all"}, &out); err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want[sc.name] {
+			t.Errorf("scenario %s: output sha256 %s, golden %q", sc.name, got, want[sc.name])
 		}
 	}
 }

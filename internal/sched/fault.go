@@ -170,7 +170,7 @@ func (e *exec) failVictim(js *jobState, di int, now sim.Time) {
 	js.marked = false
 	e.vacate(js, now)
 	js.device = -1
-	e.pending = append(e.pending, js)
+	e.enqueue(js)
 	e.lg.Info("job requeued after device failure", "job", js.ID, "device", di,
 		"t", int64(now), "completed", js.Iterations-js.remaining, "remaining", js.remaining)
 }

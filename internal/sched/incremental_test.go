@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -261,6 +264,81 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	}
 }
 
+// idleFitSnapshot is a snapshot the event loop never writes: job 0 is
+// pending while an idle device has room for it, so the admission pass
+// is not at rest.
+func idleFitSnapshot(t testing.TB) []byte {
+	inc, err := NewIncremental(testCluster(), FIFO, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(testJobs()[6]); err != nil {
+		t.Fatal(err)
+	}
+	snap := string(EncodeSnapshot(inc))
+	// Deliver the arrival by hand: list the job as pending and drop its
+	// queued arrival event.
+	ev := fmt.Sprintf("events 1\nev %d 0 0 0 0\n", int64(testJobs()[6].Arrival))
+	if !strings.Contains(snap, "pending 0\n"+ev) {
+		t.Fatalf("unexpected snapshot layout:\n%s", snap)
+	}
+	return []byte(strings.Replace(snap, "pending 0\n"+ev, "pending 1 0\nevents 0\n", 1))
+}
+
+// TestSnapshotRestoreRequiresRest: restore accepts only snapshots whose
+// admission pass is at rest, and builds the queue in policy order
+// whatever order the snapshot lists it in.
+func TestSnapshotRestoreRequiresRest(t *testing.T) {
+	inc, err := NewIncremental(testCluster(), FIFO, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range testJobs() {
+		if _, err := inc.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc.AdvanceTo(sim.Time(85 * sim.Millisecond))
+	sorted := EncodeSnapshot(inc)
+	var pending string
+	for _, line := range strings.Split(string(sorted), "\n") {
+		if strings.HasPrefix(line, "pending ") {
+			pending = line
+		}
+	}
+	f := strings.Fields(pending)
+	if len(f) < 4 {
+		t.Fatalf("want at least two pending jobs, got %q", pending)
+	}
+	slices.Reverse(f[2:])
+	outOfOrder := mutate(sorted, pending, strings.Join(f, " "))
+
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string // "" means accepted and re-encoded as sorted
+	}{
+		{"pending job fits an idle device", idleFitSnapshot(t), "sched: snapshot: admission pass not at rest"},
+		{"pending listed out of order", outOfOrder, ""},
+	}
+	for _, tc := range cases {
+		restored, err := RestoreIncremental(tc.data, nil)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: want error %q, got %v", tc.name, tc.wantErr, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if again := EncodeSnapshot(restored); !bytes.Equal(again, sorted) {
+			t.Errorf("%s: re-encoded snapshot is not the sorted original:\n%s", tc.name, again)
+		}
+	}
+}
+
 // mutate replaces the first occurrence of old with new in a copy.
 func mutate(b []byte, old, new string) []byte {
 	s := string(b)
@@ -306,6 +384,7 @@ func FuzzRestoreIncremental(f *testing.F) {
 	}
 	finc.AdvanceTo(sim.Time(2500 * sim.Millisecond))
 	f.Add(EncodeSnapshot(finc))
+	f.Add(idleFitSnapshot(f))
 	f.Add([]byte(snapMagic + "\npolicy fifo\n"))
 	f.Add([]byte("snsnap 1\npolicy packing\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\ntopo 0 0 0 - 0x0 0 - 0x0 0 - 0x0 0\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0 0 0 0 0 0 0 0\npending 0\nevents 0\nend\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -227,13 +227,14 @@ func bestFitGang(cands []int, js *jobState, e *exec) []int {
 	return picked
 }
 
-// schedule is the admission pass: order the queue, admit what fits
-// (honoring backfill), and let a preemptive policy evict for a
-// blocked head. Invoked at every arrival and iteration boundary.
+// schedule is the admission pass over the queue, which enqueue keeps
+// in policy order: admit what fits (honoring backfill), and let a
+// preemptive policy evict for a blocked head. Invoked only when its
+// inputs change — at an arrival, a device failure or recovery, and an
+// iteration boundary that vacates a job (see iterDone).
 func (p Policy) schedule(e *exec, now sim.Time) {
 	for {
 		q := e.pending
-		sort.SliceStable(q, func(i, j int) bool { return p.less(q[i], q[j]) })
 		i := 0
 		for i < len(q) {
 			js := q[i]
@@ -333,7 +334,7 @@ func (p Policy) preempt(head *jobState, e *exec, now sim.Time) bool {
 			v.preempts++
 			e.vacate(v, now)
 			v.device = -1
-			e.pending = append(e.pending, v)
+			e.enqueue(v)
 			freedNow = true
 			e.lg.Info("job preempted", "head", head.ID, "victim", v.ID, "device", di,
 				"gang", v.gang, "t", int64(now), "victim_priority", v.Priority,

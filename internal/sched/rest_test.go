@@ -1,0 +1,163 @@
+package sched
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/hw"
+	"repro/internal/workload"
+)
+
+// stepAtRest replays jobs one event at a time and fails at the first
+// event after which the admission pass is not at rest — the condition
+// that lets the event loop skip the pass at boundaries that vacate
+// nothing. The stepped replay must also equal the batch run, so the
+// check itself is proven observation-only.
+func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, jobs []Job) *Result {
+	t.Helper()
+	e, err := newExec(c, p, est)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, j := range jobs {
+		if _, err := e.addJob(j); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for i := range e.states {
+		e.postArrival(i)
+	}
+	e.postFaults()
+	for n := 0; len(e.q) > 0; n++ {
+		ev := e.q.pop()
+		e.step(ev)
+		if !e.atRest() {
+			t.Fatalf("%s: admission pass not at rest after event %d (t=%d class=%d job=%d dev=%d)",
+				name, n, int64(ev.at), ev.class, ev.job, ev.dev)
+		}
+	}
+	got, gotErr := e.result()
+	s, err := NewSchedulerWithEstimator(c, p, est)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, wantErr := s.Run(jobs)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: stepped replay diverges from the batch run:\ngot  %+v (%v)\nwant %+v (%v)", name, got, gotErr, want, wantErr)
+	}
+	return got
+}
+
+// TestAdmissionAtRestAfterEveryEvent steps every bundled trace under
+// every policy and asserts the pass is at rest after each event.
+func TestAdmissionAtRestAfterEveryEvent(t *testing.T) {
+	faultC, faultJobs := faultCluster(t)
+	traces := []struct {
+		name string
+		c    Cluster
+		jobs []Job
+	}{
+		{"default", testCluster(), JobsFromTrace(workload.DefaultTrace())},
+		{"dynamic", testCluster(), JobsFromTrace(workload.DefaultDynamicTrace())},
+		{"gang", gangCluster(true), JobsFromTrace(workload.GangTrace())},
+		{"cotenant", coTenantCluster(false), JobsFromTrace(workload.CoTenantTrace())},
+		{"cotenant-crossjob", coTenantCluster(true), JobsFromTrace(workload.CoTenantTrace())},
+		{"faults", faultC, faultJobs},
+	}
+	est := NewEstimator()
+	for _, tr := range traces {
+		for _, p := range Policies() {
+			stepAtRest(t, tr.name+"/"+p.Name, tr.c, p, est, tr.jobs)
+		}
+	}
+}
+
+// restShapes are the job shapes of the generated traces; AlexNet at
+// batch 1024 exceeds the device even alone and is rejected up front.
+var restShapes = []Job{
+	{Network: "ResNet50", Batch: 32, Manager: "naive"},
+	{Network: "VGG16", Batch: 32, Manager: "caffe"},
+	{Network: "AlexNet", Batch: 512, Manager: "naive"},
+	{Network: "AlexNet", Batch: 256, Manager: "superneurons"},
+	{Network: "AlexNet", Batch: 128, Manager: "naive"},
+	{Network: "AlexNet", Batch: 64, Manager: "naive"},
+	{Network: "AlexNet", Batch: 1024, Manager: "naive"},
+	{Network: "AlexNet", Batch: 512, BatchSchedule: []int{128, 512, 128}, Manager: "superneurons"},
+	{Network: "AlexNet", Batch: 256, BatchSchedule: []int{64, 256}, Manager: "naive"},
+}
+
+// genRestTrace draws a small cluster and job stream from seed
+// (xorshift64): 1–3 devices, mixed priorities so the priority policy
+// preempts, gangs up to one wider than the cluster, dynamic schedules,
+// cross-job planning on some clusters and a fail/recover cycle on
+// others.
+func genRestTrace(seed uint64) (Cluster, []Job) {
+	x := seed*0x9e3779b97f4a7c15 + 1
+	next := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	c := Cluster{Device: hw.TeslaK40c, Devices: 1 + next(3), Topology: hw.DefaultTopology(), Overlap: next(2) == 0}
+	if next(3) == 0 {
+		c.CrossJob, c.HostSpillBytes = true, int64(1+next(8))*hw.GiB
+	}
+	if next(2) == 0 {
+		dev, at := next(c.Devices), ms(int64(50+next(1500)))
+		c.Faults.Events = []FaultEvent{{At: at, Device: dev}, {At: at + ms(int64(1+next(2000))), Device: dev, Recover: true}}
+	}
+	jobs := make([]Job, 4+next(7))
+	arrival := int64(0)
+	for i := range jobs {
+		j := restShapes[next(len(restShapes))]
+		j.ID = fmt.Sprintf("g%d", i)
+		j.Priority = next(10)
+		j.Iterations = 1 + next(12)
+		j.GPUs = 1
+		if next(3) == 0 {
+			j.GPUs = 1 + next(c.Devices+1)
+		}
+		arrival += int64(next(200))
+		j.Arrival = ms(arrival)
+		jobs[i] = j
+	}
+	return c, jobs
+}
+
+// TestAdmissionAtRestGenerated is the every-event check over generated
+// traces under every policy; the generator must reach every mechanism
+// that changes what the pass reads.
+func TestAdmissionAtRestGenerated(t *testing.T) {
+	est := NewEstimator()
+	seen := map[string]int{}
+	for seed := uint64(1); seed <= 100; seed++ {
+		c, jobs := genRestTrace(seed)
+		for _, p := range Policies() {
+			res := stepAtRest(t, fmt.Sprintf("seed %d/%s", seed, p.Name), c, p, est, jobs)
+			if res == nil {
+				continue // the batch run failed the same way
+			}
+			if c.CrossJob {
+				seen["crossjob"]++
+			}
+			for _, j := range res.Jobs {
+				if len(j.Gang) > 1 {
+					seen["gang"]++
+				}
+				if j.Rejected {
+					seen["rejected"]++
+				}
+				seen["preempted"] += j.Preemptions
+				seen["restored"] += j.Restores
+				seen["shrunk"] += j.Shrinks
+			}
+		}
+	}
+	for _, k := range []string{"crossjob", "gang", "rejected", "preempted", "restored", "shrunk"} {
+		if seen[k] == 0 {
+			t.Errorf("no generated trace exercised %s (%v)", k, seen)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sort"
 
 	"repro/internal/dataparallel"
 	"repro/internal/hw"
@@ -455,24 +456,26 @@ func (e *exec) postArrival(i int) {
 // processUntil runs events with time strictly below limit in
 // (time, class, seq) order; a negative limit drains everything.
 func (e *exec) processUntil(limit sim.Time) {
-	for len(e.q) > 0 {
-		if limit >= 0 && e.q[0].at >= limit {
-			return
-		}
-		ev := e.q.pop()
-		e.now = ev.at
-		switch ev.class {
-		case classArrival:
-			e.pending = append(e.pending, e.states[ev.job])
-			e.schedule(ev.at)
-		case classDone:
-			e.iterDone(e.states[ev.job], ev.dev, ev.at, ev.seq)
-		case classFault:
-			if ev.job != 0 {
-				e.recoverDevice(ev.dev, ev.at)
-			} else {
-				e.failDevice(ev.dev, ev.at)
-			}
+	for len(e.q) > 0 && (limit < 0 || e.q[0].at < limit) {
+		e.step(e.q.pop())
+	}
+}
+
+// step processes one event. Every event leaves the admission pass at
+// rest (atRest): an event that changes what the pass reads runs it.
+func (e *exec) step(ev event) {
+	e.now = ev.at
+	switch ev.class {
+	case classArrival:
+		e.enqueue(e.states[ev.job])
+		e.schedule(ev.at)
+	case classDone:
+		e.iterDone(e.states[ev.job], ev.dev, ev.at, ev.seq)
+	case classFault:
+		if ev.job != 0 {
+			e.recoverDevice(ev.dev, ev.at)
+		} else {
+			e.failDevice(ev.dev, ev.at)
 		}
 	}
 }
@@ -483,8 +486,58 @@ func (e *exec) fail(err error) {
 	}
 }
 
+// enqueue inserts js into the pending queue at its policy position.
+// The queue is always in policy order: less is total (it ties on
+// trace order) and a job's key cannot change while it waits, so
+// insertion yields exactly the order a re-sort would.
+func (e *exec) enqueue(js *jobState) {
+	i := sort.Search(len(e.pending), func(k int) bool { return e.policy.less(js, e.pending[k]) })
+	e.pending = append(e.pending, nil)
+	copy(e.pending[i+1:], e.pending[i:])
+	e.pending[i] = js
+}
+
 func (e *exec) schedule(now sim.Time) {
 	e.policy.schedule(e, now)
+}
+
+// atRest reports whether the admission pass has nothing left to do. It
+// runs the per-boundary pass the event loop no longer runs — re-sort
+// the queue, then schedule — on a clone, so the replay is untouched,
+// and reports true only if the queue was already in policy order and
+// the pass admitted no job and marked or vacated no victim. The event
+// loop keeps this true after every event; snapshot restore checks it,
+// since a snapshot is the one input that could start the loop from a
+// state the pass has not settled.
+func (e *exec) atRest() bool {
+	q := e.pending
+	if len(q) == 0 {
+		return true // the pass has nothing to admit or preempt for
+	}
+	c := e.clone()
+	c.setLogger(nil)
+	sort.SliceStable(c.pending, func(i, j int) bool { return c.policy.less(c.pending[i], c.pending[j]) })
+	c.schedule(c.now)
+	if len(c.pending) != len(q) {
+		return false
+	}
+	for i, js := range c.pending {
+		if js.seq != q[i].seq {
+			return false
+		}
+	}
+	for di, d := range c.devs {
+		was := e.devs[di].resident
+		if len(d.resident) != len(was) {
+			return false
+		}
+		for k, r := range d.resident {
+			if r.seq != was[k].seq || r.marked != was[k].marked {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // headroom is the fit context every placement decision routes through:
@@ -698,6 +751,12 @@ func (e *exec) dispatch(d *device, di int, now sim.Time) {
 // A completion whose iteration was aborted by a device failure is
 // stale — its sequence no longer matches liveDone (the engines were
 // already rewound at the failure instant) — and is dropped.
+//
+// The admission pass runs only when the boundary vacates the job
+// (finished, or marked for preemption). Any other boundary changes
+// nothing the pass reads — the queue, reservations, residents and
+// preemption marks — so the pass, already at rest, would admit,
+// mark and vacate nothing (DESIGN.md §3).
 func (e *exec) iterDone(js *jobState, di int, now sim.Time, seq int64) {
 	if !js.running || seq != js.liveDone {
 		return
@@ -718,6 +777,7 @@ func (e *exec) iterDone(js *jobState, di int, now sim.Time, seq int64) {
 		e.sumJCT += sim.Duration(js.finish - js.Arrival)
 		e.sumWait += sim.Duration(js.start - js.Arrival)
 		e.vacate(js, now)
+		e.schedule(now)
 	case js.marked:
 		// Preempted at the iteration boundary: keep the completed
 		// iterations, release the whole gang's reservations, re-queue.
@@ -725,9 +785,9 @@ func (e *exec) iterDone(js *jobState, di int, now sim.Time, seq int64) {
 		js.preempts++
 		e.vacate(js, now)
 		js.device = -1
-		e.pending = append(e.pending, js)
+		e.enqueue(js)
+		e.schedule(now)
 	}
-	e.schedule(now)
 	for _, g := range gang {
 		e.dispatch(e.devs[g], g, now)
 	}

@@ -499,7 +499,7 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.pending = append(ex.pending, js)
+		ex.enqueue(js)
 	}
 
 	f = r.fields("events", 2)
@@ -552,6 +552,12 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 	// hand-crafted snapshot) surfaces here as an error, never a panic.
 	if err := ex.rebuildPlanners(); err != nil {
 		return nil, fmt.Errorf("sched: snapshot: %w", err)
+	}
+	// The event loop runs the admission pass only when its inputs
+	// change, so it resumes correctly only from a state the pass has
+	// settled — which is every state EncodeSnapshot writes.
+	if !ex.atRest() {
+		return nil, fmt.Errorf("sched: snapshot: admission pass not at rest (a pending job would be admitted or a victim preempted)")
 	}
 	return &Incremental{ex: ex, mark: mark}, nil
 }
