@@ -87,10 +87,9 @@ func run(o options, w io.Writer) error {
 	}
 
 	t := metrics.NewTable(fmt.Sprintf("load run: %d clients x %d jobs against %s", o.clients, o.jobs, o.addr),
-		"submitted", "deduped", "retries", "exhausted", "queue-full", "shed", "quota-denied", "failed", "elapsed", "req/s", "p50", "p90", "p99", "max")
+		"submitted", "deduped", "retries", "exhausted", "quota-denied", "failed", "elapsed", "req/s", "p50", "p90", "p99", "max")
 	t.Add(fmt.Sprint(rep.Submitted), fmt.Sprint(rep.Deduped), fmt.Sprint(rep.Retries),
-		fmt.Sprint(rep.Exhausted), fmt.Sprint(rep.QueueFull), fmt.Sprint(rep.Shed),
-		fmt.Sprint(rep.QuotaDenied),
+		fmt.Sprint(rep.Exhausted), fmt.Sprint(rep.QuotaDenied),
 		fmt.Sprint(rep.Failed), rep.Elapsed.Round(time.Millisecond).String(),
 		fmt.Sprintf("%.0f", rep.Throughput),
 		rep.P50.Round(time.Microsecond).String(), rep.P90.Round(time.Microsecond).String(),

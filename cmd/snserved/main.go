@@ -15,8 +15,7 @@
 //	snserved                                  # 2x K40c, packing policy, :8080
 //	snserved -addr 127.0.0.1:9090 -policy priority -devices 4
 //	snserved -shards 8                        # 8 per-tenant sequencer shards
-//	snserved -snapshot-every 64               # compact status replays + enable checkpoints
-//	snserved -slo 5ms                         # shed load when submit p99 exceeds 5ms
+//	snserved -snapshot-every 256              # advance the replay watermark less often
 //	snserved -log requests.trace              # export the replayable log at drain
 //	snserved -wal-dir wal/                    # durable WAL; acks survive kill -9, restart recovers
 //	snserved -wal-dir wal/ -sync-every 64     # group fsyncs (bounded loss window)
@@ -36,7 +35,7 @@
 //	GET  /v1/metrics     cluster snapshot (?wait_jobs=N&wait_ms=M long-polls)
 //	POST /v1/drain       stop admission, flush, return the final schedule
 //	GET  /v1/replay-log  the deterministic request log (?sharded=1 for per-shard sections)
-//	GET  /v1/checkpoint  resumable replay checkpoint (needs -snapshot-every)
+//	GET  /v1/checkpoint  resumable replay checkpoint
 //	GET  /v1/healthz     liveness
 package main
 
@@ -72,7 +71,6 @@ type options struct {
 	quota          int
 	spacingMS      int64
 	snapshotEvery  int
-	slo            time.Duration
 	logPath        string
 	logLevel       string
 	walDir         string
@@ -92,8 +90,7 @@ func main() {
 	flag.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "bounded admission queue depth per shard")
 	flag.IntVar(&o.quota, "tenant-quota", 0, "max jobs per tenant over the service lifetime (0 = unlimited)")
 	flag.Int64Var(&o.spacingMS, "spacing", 1, "virtual arrival gap between sequenced jobs (ms)")
-	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "advance the resumable-replay watermark every N sequenced jobs (0 = replay full history)")
-	flag.DurationVar(&o.slo, "slo", 0, "submit-latency p99 target; when exceeded the service sheds load with Retry-After (0 = off)")
+	flag.IntVar(&o.snapshotEvery, "snapshot-every", serve.DefaultSnapshotEvery, "advance the resumable-replay watermark every N sequenced jobs")
 	flag.StringVar(&o.logPath, "log", "", "export the deterministic request log to this file after the drain (crash durability is -wal-dir's job)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "durable write-ahead log directory; on start the service recovers whatever the directory holds (truncating a torn tail) and resumes")
 	flag.IntVar(&o.syncEvery, "sync-every", 0, "WAL fsync policy: <=1 fsyncs before every ack, N>1 fsyncs every N records (bounded loss window)")
@@ -143,7 +140,6 @@ func run(ctx context.Context, o options, ready chan<- string, w io.Writer) error
 		TenantQuota:   o.quota,
 		SpacingMS:     o.spacingMS,
 		SnapshotEvery: o.snapshotEvery,
-		SLOTargetP99:  o.slo,
 		WALDir:        o.walDir,
 		SyncEvery:     o.syncEvery,
 		Logger:        lg,

@@ -49,8 +49,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("load: %d submitted (%d queue-full retries, %d failed) in %v — %.0f req/s, p50 %v, p99 %v\n",
-		rep.Submitted, rep.QueueFull, rep.Failed, rep.Elapsed.Round(time.Millisecond),
+	fmt.Printf("load: %d submitted (%d retries, %d failed) in %v — %.0f req/s, p50 %v, p99 %v\n",
+		rep.Submitted, rep.Retries, rep.Failed, rep.Elapsed.Round(time.Millisecond),
 		rep.Throughput, rep.P50.Round(time.Microsecond), rep.P99.Round(time.Microsecond))
 
 	final := rep.Drained.Result

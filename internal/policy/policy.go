@@ -121,16 +121,34 @@ func Trainable(f Framework, net *nnet.Net, d hw.DeviceSpec) (bool, error) {
 }
 
 // MaxBatch returns the largest batch in [1, hi] the framework can
-// train, found by exponential probing plus binary search (capacity is
-// monotone in batch size). Returns 0 if even batch 1 fails.
+// train. Returns 0 if even batch 1 fails.
 func MaxBatch(f Framework, build nnet.BuilderFunc, d hw.DeviceSpec, hi int) (int, error) {
-	fits := func(b int) (bool, error) { return Trainable(f, build(b), d) }
+	return largestFitting(func(b int) (bool, error) { return Trainable(f, build(b), d) }, hi)
+}
+
+// MaxDepth returns the deepest Table-4 ResNet (n1=6, n2=32, n4=6,
+// varying n3 in [1, maxN3]) the framework can train at the given
+// batch, as (n3, depth). Returns (0,0) if even n3=1 fails.
+func MaxDepth(f Framework, d hw.DeviceSpec, batch, maxN3 int) (int, int, error) {
+	n3, err := largestFitting(func(n3 int) (bool, error) {
+		return Trainable(f, nnet.ResNetTable4(batch, n3), d)
+	}, maxN3)
+	if err != nil || n3 == 0 {
+		return 0, 0, err
+	}
+	return n3, nnet.ResNetDepth(6, 32, n3, 6), nil
+}
+
+// largestFitting returns the largest n in [1, hi] with fits(n), or 0
+// when fits(1) fails. Capacity is monotone (everything up to it fits,
+// nothing beyond), so exponential probing brackets it and bisection
+// narrows the bracket. Every probe is a full simulated run.
+func largestFitting(fits func(int) (bool, error), hi int) (int, error) {
 	if ok, err := fits(1); err != nil || !ok {
 		return 0, err
 	}
 	lo := 1
-	probe := 2
-	for probe <= hi {
+	for probe := 2; probe <= hi; probe *= 2 {
 		ok, err := fits(probe)
 		if err != nil {
 			return 0, err
@@ -140,15 +158,6 @@ func MaxBatch(f Framework, build nnet.BuilderFunc, d hw.DeviceSpec, hi int) (int
 			break
 		}
 		lo = probe
-		probe *= 2
-	}
-	if probe > hi && lo == probe/2 {
-		// Never failed up to hi.
-		if ok, err := fits(hi); err != nil {
-			return 0, err
-		} else if ok {
-			return hi, nil
-		}
 	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -163,43 +172,6 @@ func MaxBatch(f Framework, build nnet.BuilderFunc, d hw.DeviceSpec, hi int) (int
 		}
 	}
 	return lo, nil
-}
-
-// MaxDepth returns the deepest Table-4 ResNet (n1=6, n2=32, n4=6,
-// varying n3 in [1, maxN3]) the framework can train at the given
-// batch, as (n3, depth). Returns (0,0) if even n3=1 fails.
-func MaxDepth(f Framework, d hw.DeviceSpec, batch, maxN3 int) (int, int, error) {
-	fits := func(n3 int) (bool, error) { return Trainable(f, nnet.ResNetTable4(batch, n3), d) }
-	if ok, err := fits(1); err != nil || !ok {
-		return 0, 0, err
-	}
-	lo, hi := 1, maxN3
-	probe := 2
-	for probe <= hi {
-		ok, err := fits(probe)
-		if err != nil {
-			return 0, 0, err
-		}
-		if !ok {
-			hi = probe - 1
-			break
-		}
-		lo = probe
-		probe *= 2
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		ok, err := fits(mid)
-		if err != nil {
-			return 0, 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nnet.ResNetDepth(6, 32, lo, 6), nil
 }
 
 // Speed returns the training throughput (img/s) of the framework on

@@ -56,8 +56,6 @@ func errCode(err error) (int, string) {
 		return http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, ErrQuota):
 		return http.StatusTooManyRequests, "quota"
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests, "overloaded"
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, ErrUnknownJob):
@@ -187,10 +185,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		data, err := s.Checkpoint()
 		if err != nil {
-			if errors.Is(err, ErrNoCheckpoint) {
-				writeJSON(w, http.StatusNotFound, apiError{Error: err.Error(), Code: "no_checkpoint"})
-				return
-			}
 			writeErr(w, err)
 			return
 		}
@@ -236,8 +230,6 @@ func (e *APIError) Unwrap() error {
 		return ErrQueueFull
 	case "quota":
 		return ErrQuota
-	case "overloaded":
-		return ErrOverloaded
 	case "draining":
 		return ErrDraining
 	case "unknown_job":
@@ -354,11 +346,11 @@ func (p RetryPolicy) backoff(attempt int, hint time.Duration) time.Duration {
 	return time.Duration(rand.Int64N(int64(d))) + 1
 }
 
-// SubmitRetry submits one job with retries under pol. Backpressure
-// responses (queue full, overload shed) always retry; transport
-// failures — where the client cannot know whether the service
-// sequenced the job — retry only when the request carries an
-// IdempotencyKey, because only then is a replayed submission safe.
+// SubmitRetry submits one job with retries under pol. Queue-full
+// backpressure always retries; transport failures — where the client
+// cannot know whether the service sequenced the job — retry only when
+// the request carries an IdempotencyKey, because only then is a
+// replayed submission safe.
 // Validation, quota, duplicate-id and draining errors fail fast. It
 // returns the status, how many retries were spent, and the last error
 // when attempts or the deadline ran out.
@@ -378,7 +370,7 @@ func (c *Client) SubmitRetry(req SubmitRequest, pol RetryPolicy) (*JobStatus, in
 		var ae *APIError
 		switch {
 		case errors.As(err, &ae):
-			if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrOverloaded) {
+			if !errors.Is(err, ErrQueueFull) {
 				return nil, retries, err
 			}
 			hint = ae.RetryAfter
@@ -463,8 +455,7 @@ func (c *Client) ReplayLog() (string, error) {
 	return string(data), nil
 }
 
-// Checkpoint fetches the service's compaction checkpoint (404 when
-// SnapshotEvery is off).
+// Checkpoint fetches the service's compaction checkpoint.
 func (c *Client) Checkpoint() ([]byte, error) {
 	resp, err := c.httpClient().Get(c.BaseURL + "/v1/checkpoint")
 	if err != nil {

@@ -143,7 +143,6 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}{
 		{"malformed json", "POST", "/v1/jobs", `{"network":`, 400, "bad_request", ""},
 		{"leading-zero number", "POST", "/v1/jobs", `{"network":"AlexNet","batch":012}`, 400, "bad_request", ""},
-		{"no checkpoint", "GET", "/v1/checkpoint", "", 404, "no_checkpoint", ""},
 		{"sharded replay log", "GET", "/v1/replay-log?sharded=1", "", 200, "", workload.TraceHeader + "# shard 0\n# shard 1\n"},
 	}
 	for _, tc := range cases {
@@ -161,11 +160,6 @@ func TestHTTPErrorPaths(t *testing.T) {
 			t.Errorf("%s: body %q, want prefix %q", tc.name, body, tc.prefix)
 		}
 	}
-	var ae *APIError
-	if _, err := c.Checkpoint(); !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != "no_checkpoint" {
-		t.Errorf("Client.Checkpoint without compaction: %v, want 404 no_checkpoint APIError", err)
-	}
-
 	// Without a WAL the 202 is the queued status, rendered exactly as
 	// json.MarshalIndent renders it.
 	status, body := rawRequest(t, "POST", c.BaseURL+"/v1/jobs", `{"tenant":"<t&>","id":"j1","network":"AlexNet","batch":16}`)

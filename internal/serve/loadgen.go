@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -25,10 +24,13 @@ type LoadConfig struct {
 	// offset so tenants mix shapes; nil means the bundled static +
 	// dynamic traces.
 	Templates []workload.TraceJob
-	// SubmitRetries caps the retry attempts of one submission after
-	// backpressure (defaults 50 × 2ms RetryDelay) — backpressure, not
-	// failure. A submission that runs out of attempts counts as both
-	// Failed and Exhausted.
+	// SubmitRetries caps the retries of one submission after
+	// backpressure (default 50) — backpressure, not failure. Each
+	// submission goes through Client.SubmitRetry with
+	// RetryPolicy{MaxAttempts: SubmitRetries+1, BaseDelay: RetryDelay,
+	// MaxDelay: 50·RetryDelay} (RetryDelay defaults to 2ms, so a
+	// Retry-After hint is capped at 100ms). A submission that runs out
+	// of attempts counts as both Failed and Exhausted.
 	SubmitRetries int
 	RetryDelay    time.Duration
 	// Idempotent attaches a deterministic IdempotencyKey to every
@@ -44,11 +46,11 @@ type LoadConfig struct {
 }
 
 // LoadReport is RunLoad's outcome: counts, wall-clock throughput and
-// submission latency percentiles.
+// submission latency percentiles. A submission's latency spans its
+// whole SubmitRetry call, backoff sleeps included; without
+// backpressure that is the latency of its single attempt.
 type LoadReport struct {
 	Submitted   int // successful submissions
-	QueueFull   int // queue-full responses absorbed by retries
-	Shed        int // overload (SLO shed) responses absorbed by retries
 	QuotaDenied int // submissions refused by tenant quota
 	Failed      int // submissions lost after retries or on other errors
 	Retries     int // retry sleeps taken across all submissions
@@ -109,6 +111,11 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 2 * time.Millisecond
 	}
+	pol := RetryPolicy{
+		MaxAttempts: cfg.SubmitRetries + 1,
+		BaseDelay:   cfg.RetryDelay,
+		MaxDelay:    50 * cfg.RetryDelay,
+	}
 
 	var (
 		mu        sync.Mutex
@@ -143,27 +150,30 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					// of the same logical job carries the same key.
 					req.IdempotencyKey = fmt.Sprintf("%s-k%03d", tenant, k)
 				}
-				out := submitWithRetry(cfg, req)
+				t0 := time.Now()
+				st, retries, err := cfg.Target.SubmitRetry(req, pol)
+				lat := time.Since(t0)
+				var ae *APIError
 				mu.Lock()
-				switch out.kind {
-				case submitOK:
+				rep.Retries += retries
+				switch {
+				case err == nil:
 					rep.Submitted++
-					latencies = append(latencies, out.lat)
-					byShard[out.shard] = append(byShard[out.shard], out.lat)
-					if out.deduped {
+					latencies = append(latencies, lat)
+					byShard[st.Shard] = append(byShard[st.Shard], lat)
+					if st.Deduped {
 						rep.Deduped++
 					}
-				case submitQuota:
+				case errors.Is(err, ErrQuota):
 					rep.QuotaDenied++
-				case submitFailed:
-					rep.Failed++
-				case submitExhausted:
+				case errors.Is(err, ErrQueueFull), cfg.Idempotent && !errors.As(err, &ae):
+					// Backpressure, or a transport failure the key made
+					// safe to retry, that outlasted every attempt.
 					rep.Failed++
 					rep.Exhausted++
+				default:
+					rep.Failed++
 				}
-				rep.QueueFull += out.full
-				rep.Shed += out.shed
-				rep.Retries += out.retries
 				mu.Unlock()
 				if cfg.ThinkTime > 0 && k+1 < cfg.JobsPerClient {
 					time.Sleep(cfg.ThinkTime)
@@ -206,93 +216,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		rep.Drained = d
 	}
 	return &rep, nil
-}
-
-// Outcomes of one submission attempt sequence.
-const (
-	submitOK = iota
-	submitQuota
-	submitFailed
-	submitExhausted
-)
-
-// submitOutcome is one submission's aggregate over its attempts.
-type submitOutcome struct {
-	lat     time.Duration
-	kind    int
-	full    int // queue-full responses absorbed
-	shed    int // overload responses absorbed
-	retries int // retry sleeps taken
-	shard   int // sequencing shard of a successful submission
-	deduped bool
-}
-
-// submitWithRetry submits one job, absorbing queue-full and overload
-// backpressure up to the attempt cap. In idempotent mode transport
-// failures retry too — the key makes a replayed submission safe — which
-// is what lets a load run ride out a service crash and restart.
-func submitWithRetry(cfg LoadConfig, req SubmitRequest) submitOutcome {
-	var out submitOutcome
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		st, err := cfg.Target.Submit(req)
-		out.lat = time.Since(t0)
-		var ae *APIError
-		switch {
-		case err == nil:
-			out.kind, out.shard, out.deduped = submitOK, st.Shard, st.Deduped
-			return out
-		case errors.Is(err, ErrQuota):
-			out.kind = submitQuota
-			return out
-		case errors.Is(err, ErrQueueFull):
-			if attempt >= cfg.SubmitRetries {
-				out.kind = submitExhausted
-				return out
-			}
-			out.full++
-		case errors.Is(err, ErrOverloaded):
-			if attempt >= cfg.SubmitRetries {
-				out.kind = submitExhausted
-				return out
-			}
-			out.shed++
-		case cfg.Idempotent && !errors.As(err, &ae):
-			// Transport failure (no HTTP response): replaying the same
-			// key cannot double-sequence.
-			if attempt >= cfg.SubmitRetries {
-				out.kind = submitExhausted
-				return out
-			}
-		default:
-			out.kind = submitFailed
-			return out
-		}
-		out.retries++
-		time.Sleep(retryDelay(cfg, err))
-	}
-}
-
-// retryDelay picks the sleep before the next attempt: the server's
-// Retry-After hint when present — capped so a pathological hint cannot
-// stall the generator — or the configured delay, with full jitter over
-// (0, delay] either way so retrying clients spread out instead of
-// re-arriving in lockstep.
-func retryDelay(cfg LoadConfig, err error) time.Duration {
-	d := cfg.RetryDelay
-	max := 50 * cfg.RetryDelay
-	var re *RetryableError
-	var ae *APIError
-	switch {
-	case errors.As(err, &re) && re.RetryAfter > 0:
-		d = re.RetryAfter
-	case errors.As(err, &ae) && ae.RetryAfter > 0:
-		d = ae.RetryAfter
-	}
-	if d > max {
-		d = max
-	}
-	return time.Duration(rand.Int64N(int64(d))) + 1
 }
 
 func percentile(sorted []time.Duration, p float64) time.Duration {

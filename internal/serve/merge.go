@@ -91,7 +91,7 @@ func (s *Service) mergeLocked(sh *shard, base int64) {
 		ty := &s.byShard[j.shard]
 		ty.sequenced++
 		ty.log = append(ty.log, j.tj)
-		if s.inc != nil && s.incErr == nil {
+		if s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(j.tj)); err != nil {
 				// Cannot happen while the watermark invariant holds;
 				// degrade to full replays rather than corrupt state.
@@ -130,7 +130,7 @@ func (s *Service) mergeLocked(sh *shard, base int64) {
 // an event a later append could perturb — the compaction-safety
 // invariant.
 func (s *Service) advanceWatermarkLocked() {
-	if s.inc == nil || s.incErr != nil || len(s.log)-s.lastAdv < s.cfg.SnapshotEvery {
+	if s.incErr != nil || len(s.log)-s.lastAdv < s.cfg.SnapshotEvery {
 		return
 	}
 	w := sim.Time(int64(len(s.log))*s.cfg.SpacingMS) * sim.Time(sim.Millisecond)
@@ -142,8 +142,8 @@ func (s *Service) advanceWatermarkLocked() {
 }
 
 // resultLocked replays the current request log, memoized by log
-// length. With compaction on, the replay resumes from the watermark
-// (O(active suffix)); otherwise it replays the full history. Drain's
+// length. The replay resumes from the watermark (O(active suffix));
+// only after a latched incErr does it replay the full history. Drain's
 // idempotence relies on the memo: repeated drains return the identical
 // *Result pointer.
 func (s *Service) resultLocked() (*sched.Result, error) {
@@ -152,7 +152,7 @@ func (s *Service) resultLocked() (*sched.Result, error) {
 	}
 	var r *sched.Result
 	var err error
-	if s.inc != nil && s.incErr == nil {
+	if s.incErr == nil {
 		r, err = s.inc.Result()
 	} else {
 		r, err = s.sch.Run(sched.JobsFromTrace(s.log))
@@ -169,7 +169,7 @@ func (s *Service) sequencedStatusLocked(j *job) *JobStatus {
 	st.Durable = s.wal != nil && j.seq < s.durable
 	var jr sched.JobResult
 	done := false
-	if s.inc != nil && s.incErr == nil {
+	if s.incErr == nil {
 		jr, done = s.inc.Finalized(j.seq)
 	}
 	if !done {
@@ -181,7 +181,7 @@ func (s *Service) sequencedStatusLocked(j *job) *JobStatus {
 			if err = s.resErr; err == nil {
 				jr = s.res.Jobs[j.seq]
 			}
-		case s.inc != nil && s.incErr == nil:
+		case s.incErr == nil:
 			// Suffix replay for just this job: no O(history) result
 			// assembly on the query path.
 			jr, err = s.inc.JobResult(j.seq)

@@ -2,12 +2,14 @@ package serve
 
 // Client-side retry semantics: the capped-exponential backoff with
 // full jitter, SubmitRetry's fail-fast/retry split, and the load
-// generator riding out transport failures in idempotent mode.
+// generator riding out queue-full backpressure and, in idempotent
+// mode, transport failures.
 
 import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -88,9 +90,10 @@ func TestSubmitRetryTransport(t *testing.T) {
 		t.Fatalf("keyed transport failure: %d retries, err %v — want 2 retries then the last error", retries, err)
 	}
 	// A deadline tighter than the first backoff stops the sequence
-	// before any sleep.
+	// before any sleep. The jittered sleep is drawn from (0, 1h], so it
+	// lands inside the 10ms deadline with negligible probability.
 	if _, retries, err := c.SubmitRetry(req,
-		RetryPolicy{MaxAttempts: 100, BaseDelay: time.Second, Deadline: 10 * time.Millisecond}); err == nil || retries != 0 {
+		RetryPolicy{MaxAttempts: 100, BaseDelay: time.Hour, MaxDelay: time.Hour, Deadline: 10 * time.Millisecond}); err == nil || retries != 0 {
 		t.Fatalf("deadline ignored: %d retries, err %v", retries, err)
 	}
 }
@@ -185,21 +188,73 @@ func TestRunLoadIdempotentFlaky(t *testing.T) {
 	}
 }
 
-// retryDelay honors (and caps) the server hint, with full jitter.
-func TestLoadRetryDelay(t *testing.T) {
-	cfg := LoadConfig{RetryDelay: 2 * time.Millisecond}
-	for i := 0; i < 50; i++ {
-		if d := retryDelay(cfg, errors.New("plain")); d <= 0 || d > 2*time.Millisecond {
-			t.Fatalf("plain error delay %v outside (0, 2ms]", d)
+// The load generator absorbs real queue-full backpressure. The queue
+// is one deep and the sequencer stays still until the first 429 has
+// been written, so at least one submission must retry; after that the
+// queue drains a job at a time until the load is done.
+func TestRunLoadBackpressure(t *testing.T) {
+	s := mustNew(t, Config{Manual: true, QueueDepth: 1})
+	full := make(chan struct{})
+	var once sync.Once
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(fullSignal{w, &once, full}, r)
+	}))
+	defer ts.Close()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		select {
+		case <-full:
+		case <-done:
+			return
 		}
-		if d := retryDelay(cfg, &RetryableError{Err: ErrOverloaded, RetryAfter: 5 * time.Millisecond}); d <= 0 || d > 5*time.Millisecond {
-			t.Fatalf("hinted delay %v outside (0, 5ms]", d)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Advance(1)
+				time.Sleep(200 * time.Microsecond) // pace the sequencer
+			}
 		}
-		if d := retryDelay(cfg, &RetryableError{Err: ErrOverloaded, RetryAfter: time.Hour}); d > 100*time.Millisecond {
-			t.Fatalf("pathological hint not capped: %v", d)
-		}
-		if d := retryDelay(cfg, &APIError{Status: 429, RetryAfter: 3 * time.Millisecond}); d <= 0 || d > 3*time.Millisecond {
-			t.Fatalf("API-error hint delay %v outside (0, 3ms]", d)
-		}
+	}()
+
+	const clients, jobs = 4, 5
+	rep, err := RunLoad(LoadConfig{
+		Target: &Client{BaseURL: ts.URL}, Clients: clients, JobsPerClient: jobs,
+		Templates:     DefaultTemplates()[:2],
+		SubmitRetries: 1000,
+		RetryDelay:    time.Millisecond,
+		Drain:         true,
+	})
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rep.Submitted != clients*jobs || rep.Failed != 0 || rep.Retries == 0 {
+		t.Fatalf("report %+v, want all %d submissions through the full queue, with retries", rep, clients*jobs)
+	}
+	if rep.Drained == nil || rep.Drained.Jobs != clients*jobs {
+		t.Errorf("drain summary %+v, want %d jobs", rep.Drained, clients*jobs)
+	}
+}
+
+// fullSignal closes its channel when the first 429 is written through
+// it.
+type fullSignal struct {
+	http.ResponseWriter
+	once *sync.Once
+	full chan struct{}
+}
+
+func (w fullSignal) WriteHeader(code int) {
+	if code == http.StatusTooManyRequests {
+		w.once.Do(func() { close(w.full) })
+	}
+	w.ResponseWriter.WriteHeader(code)
 }

@@ -27,8 +27,8 @@
 //     Re-running a day of logged traffic therefore reproduces every
 //     per-job result byte-identically, whatever the shard count was.
 //
-// Replay cost does not grow with history: with SnapshotEvery set, the
-// merger feeds a resumable sched.Incremental whose watermark advances
+// Replay cost does not grow with history: the merger feeds a resumable
+// sched.Incremental whose watermark advances every SnapshotEvery jobs
 // as the log grows, so a status or metrics query only replays the
 // active suffix (and a finalized job's status is O(1)). The paused
 // replay also serializes (Checkpoint), giving crash-recoverable log
@@ -69,6 +69,11 @@ const DefaultQueueDepth = 256
 // leaves it 0: the service remembers the most recent this-many keys.
 const DefaultIdempotencyCap = 4096
 
+// DefaultSnapshotEvery is the compaction interval when Config leaves
+// SnapshotEvery 0: the replay watermark advances every this-many
+// merged jobs.
+const DefaultSnapshotEvery = 64
+
 // Sentinel errors of the submission path; the HTTP layer maps each to
 // a status code.
 var (
@@ -85,14 +90,11 @@ var (
 	ErrBadRequest = errors.New("serve: invalid request")
 	// ErrUnknownJob: no job with that id.
 	ErrUnknownJob = errors.New("serve: unknown job")
-	// ErrOverloaded: the admission governor is shedding load because
-	// measured submit latency exceeds the configured SLO.
-	ErrOverloaded = errors.New("serve: service overloaded")
 )
 
-// RetryableError wraps a backpressure sentinel (ErrQueueFull,
-// ErrOverloaded) with a retry hint; the HTTP layer surfaces it as a
-// Retry-After header. errors.Is still matches the wrapped sentinel.
+// RetryableError wraps the backpressure sentinel (ErrQueueFull) with a
+// retry hint; the HTTP layer surfaces it as a Retry-After header.
+// errors.Is still matches the wrapped sentinel.
 type RetryableError struct {
 	Err        error
 	RetryAfter time.Duration
@@ -123,18 +125,12 @@ type Config struct {
 	// merged jobs (default 1 ms): the i-th job in the request log
 	// arrives at i·SpacingMS.
 	SpacingMS int64
-	// SnapshotEvery enables log compaction: every SnapshotEvery merged
-	// jobs the service advances its resumable replay's watermark, so
-	// queries replay only the suffix since the last advance instead of
-	// the whole history, and finalized job statuses are O(1). 0
-	// disables compaction (every query replays the full log — the
-	// original behavior, linear in history).
+	// SnapshotEvery sets the log-compaction interval: every
+	// SnapshotEvery merged jobs the service advances its resumable
+	// replay's watermark, so queries replay only the suffix since the
+	// last advance instead of the whole history, and finalized job
+	// statuses are O(1). 0 means DefaultSnapshotEvery.
 	SnapshotEvery int
-	// SLOTargetP99, when positive, arms the admission governor: the
-	// service tracks its own submit latency, and when the windowed p99
-	// exceeds the target it sheds load (ErrOverloaded) until the p99
-	// recovers below 80% of the target.
-	SLOTargetP99 time.Duration
 	// WALDir, when non-empty, arms the durability layer: every merged
 	// job is appended to a segmented write-ahead log under this
 	// directory before submitters are acked, and New recovers whatever
@@ -157,7 +153,7 @@ type Config struct {
 	// is evicted first; an evicted key no longer dedupes.
 	IdempotencyCap int
 	// Logger receives structured service events (admissions, sequencing,
-	// watermark advances, shedding); nil discards them. Per-job events
+	// watermark advances); nil discards them. Per-job events
 	// log at Debug, lifecycle transitions at Info/Warn.
 	Logger *slog.Logger
 	// Manual disables the background sequencer goroutines; callers
@@ -269,11 +265,8 @@ type Metrics struct {
 	JobsSequenced int  `json:"jobs_sequenced"`
 	JobsRejected  int  `json:"jobs_rejected"`
 	Draining      bool `json:"draining"`
-	// Shedding reports whether the admission governor is currently
-	// rejecting load to protect the SLO.
-	Shedding bool `json:"shedding,omitempty"`
 	// SnapshotSeq is the log position of the replay watermark: queries
-	// replay only jobs at or after it. 0 with compaction disabled.
+	// replay only jobs at or after it.
 	SnapshotSeq int `json:"snapshot_seq,omitempty"`
 	// EstimatedShapes counts memoized dry-run shapes in the admission
 	// estimator.
@@ -312,7 +305,6 @@ type Service struct {
 	cfg    Config
 	sch    *sched.Scheduler
 	shards []*shard
-	gov    *governor
 	lg     *slog.Logger
 	lgDbg  bool // Debug level enabled (checked once; gates hot-path logging)
 
@@ -346,8 +338,9 @@ type Service struct {
 	idem      map[string]*job
 	idemOrder []string
 
-	// inc is the resumable replay (SnapshotEvery > 0); lastAdv is the
-	// log length at its last watermark advance.
+	// inc is the resumable replay; lastAdv is the log length at its
+	// last watermark advance. incErr latches an append failure, after
+	// which queries degrade to full replays through sch.
 	inc     *sched.Incremental
 	lastAdv int
 	incErr  error
@@ -386,16 +379,24 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SpacingMS <= 0 {
 		cfg.SpacingMS = 1
 	}
-	sch, err := sched.NewScheduler(cfg.Cluster, cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.SnapshotEvery <= 0 {
+		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	if cfg.IdempotencyCap <= 0 {
 		cfg.IdempotencyCap = DefaultIdempotencyCap
 	}
+	sch, err := sched.NewScheduler(cfg.Cluster, cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	inc, err := sched.NewIncremental(cfg.Cluster, cfg.Policy, sch.Estimator())
+	if err != nil {
+		return nil, err
+	}
 	s := &Service{
 		cfg:     cfg,
 		sch:     sch,
+		inc:     inc,
 		byID:    make(map[string]*job),
 		count:   make(map[string]int),
 		queued:  make(map[string]int),
@@ -410,16 +411,6 @@ func New(cfg Config) (*Service, error) {
 		s.lg = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s.lgDbg = s.lg.Enabled(context.Background(), slog.LevelDebug)
-	if cfg.SnapshotEvery > 0 {
-		inc, err := sched.NewIncremental(cfg.Cluster, cfg.Policy, sch.Estimator())
-		if err != nil {
-			return nil, err
-		}
-		s.inc = inc
-	}
-	if cfg.SLOTargetP99 > 0 {
-		s.gov = newGovernor(cfg.SLOTargetP99, s.lg)
-	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = newShard(i)
@@ -469,7 +460,7 @@ func (s *Service) attachWAL() error {
 		ty := &s.byShard[sh.idx]
 		ty.sequenced++
 		ty.log = append(ty.log, tj)
-		if s.inc != nil && s.incErr == nil {
+		if s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(tj)); err != nil {
 				s.incErr = err
 				s.lg.Error("incremental replay append failed on recovery", "id", tj.ID, "err", err)
@@ -523,15 +514,6 @@ func (s *Service) shardOf(tenant string) *shard {
 // cluster's memory admission happens deterministically after
 // sequencing and shows up in Status.
 func (s *Service) Submit(req SubmitRequest) (*JobStatus, error) {
-	var t0 time.Time
-	if s.gov != nil {
-		t0 = time.Now()
-		if s.gov.shedding() {
-			err := &RetryableError{Err: ErrOverloaded, RetryAfter: time.Second}
-			s.gov.observe(time.Since(t0))
-			return nil, err
-		}
-	}
 	st, j, err := s.submit(req)
 	if err == nil && s.wal != nil && !s.cfg.Manual {
 		// Durable-synchronous ack: with a WAL attached, an accepted job
@@ -540,10 +522,7 @@ func (s *Service) Submit(req SubmitRequest) (*JobStatus, error) {
 		// on-ack sync policy, until the fsync covering it has run —
 		// then return the sequenced status. Manual mode cannot block:
 		// the caller is the one who must step Advance.
-		st, err = s.awaitDurable(j, st.Deduped)
-	}
-	if s.gov != nil {
-		s.gov.observe(time.Since(t0))
+		return s.awaitDurable(j, st.Deduped)
 	}
 	return st, err
 }
@@ -854,7 +833,6 @@ func (s *Service) Metrics() (*Metrics, error) {
 		JobsQueued:      s.pending,
 		JobsSequenced:   len(s.log),
 		Draining:        s.draining,
-		Shedding:        s.gov != nil && s.gov.shedding(),
 		SnapshotSeq:     s.lastAdv,
 		EstimatedShapes: s.sch.Estimator().Len(),
 		Tenants:         make(map[string]TenantStat, len(s.tenants)),

@@ -150,6 +150,13 @@ func TestStatusLifecycle(t *testing.T) {
 	if st2.QueuePosition != 2 {
 		t.Errorf("second submission position = %d, want 2", st2.QueuePosition)
 	}
+	// Queries report the queue positions too, until sequencing.
+	if st, err := s.Status("t/b"); err != nil || st.State != StateQueued || st.QueuePosition != 2 {
+		t.Errorf("queued status = %+v (err %v), want queued at position 2", st, err)
+	}
+	if jobs, err := s.Jobs(); err != nil || len(jobs) != 2 || jobs[0].QueuePosition != 1 || jobs[1].QueuePosition != 2 {
+		t.Errorf("queued job list = %+v (err %v), want positions 1 and 2", jobs, err)
+	}
 	s.Advance(0)
 	st, err = s.Status("t/a")
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"log/slog"
 	"reflect"
 	"strings"
 	"sync"
@@ -232,12 +230,7 @@ func TestCheckpointResumeEqualsFullReplay(t *testing.T) {
 	}
 }
 
-func TestCheckpointDisabledAndMalformed(t *testing.T) {
-	s := mustNew(t, Config{Manual: true})
-	if _, err := s.Checkpoint(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("checkpoint without compaction: %v, want ErrNoCheckpoint", err)
-	}
-
+func TestCheckpointMalformed(t *testing.T) {
 	sc := mustNew(t, Config{Manual: true, SnapshotEvery: 1})
 	if _, err := sc.Submit(small("t", "a")); err != nil {
 		t.Fatal(err)
@@ -305,98 +298,41 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	})
 }
 
-// TestGovernorShedAndRecover drives the latency window directly
-// through both transitions.
-func TestGovernorShedAndRecover(t *testing.T) {
-	g := newGovernor(10*time.Millisecond, slog.New(slog.NewTextHandler(io.Discard, nil)))
-	for i := 0; i < governorWindow; i++ {
-		g.observe(time.Millisecond)
-	}
-	if g.shedding() {
-		t.Fatal("governor shed under a healthy p99")
-	}
-	for i := 0; i < governorWindow; i++ {
-		g.observe(100 * time.Millisecond)
-	}
-	if !g.shedding() {
-		t.Fatal("governor did not shed with p99 10x over the SLO")
-	}
-	// Fast (shed-path) samples refill the window; hysteresis clears.
-	for i := 0; i < 2*governorWindow; i++ {
-		g.observe(time.Millisecond)
-	}
-	if g.shedding() {
-		t.Fatal("governor never recovered after the window drained")
-	}
-}
-
-// TestServiceShedsUnderSLO: with an impossible SLO the service starts
-// refusing work with ErrOverloaded and a retry hint.
-func TestServiceShedsUnderSLO(t *testing.T) {
-	s := mustNew(t, Config{Manual: true, SLOTargetP99: time.Nanosecond, QueueDepth: 1 << 16})
-	var overloaded error
-	for i := 0; i < 4*governorWindow; i++ {
-		_, err := s.Submit(small("t", fmt.Sprintf("j%d", i)))
-		if err != nil {
-			overloaded = err
-			break
-		}
-	}
-	if !errors.Is(overloaded, ErrOverloaded) {
-		t.Fatalf("service never shed under a 1ns SLO: %v", overloaded)
-	}
-	var re *RetryableError
-	if !errors.As(overloaded, &re) || re.RetryAfter <= 0 {
-		t.Fatalf("shed error carries no retry hint: %v", overloaded)
-	}
-	if m, err := s.Metrics(); err != nil || !m.Shedding {
-		t.Errorf("metrics shedding = %v (err %v), want true", m != nil && m.Shedding, err)
-	}
-}
-
 // BenchmarkServeStatusAfterN measures one marginal
-// submit+sequence+status round at history length n. With compaction
-// off every status replays the whole log (linear in n); with
-// SnapshotEvery set the replay resumes from the watermark and the cost
-// stays flat. Arrivals are spaced a virtual minute apart so the
-// simulated cluster keeps up with the log — compaction can only
-// finalize work the cluster has virtually completed, so a permanently
-// backlogged trace would keep the suffix growing no matter the
-// watermark.
+// submit+sequence+status round at history length n. The replay resumes
+// from the compaction watermark, so the cost stays flat in n. Arrivals
+// are spaced a virtual minute apart so the simulated cluster keeps up
+// with the log — compaction can only finalize work the cluster has
+// virtually completed, so a permanently backlogged trace would keep
+// the suffix growing no matter the watermark.
 func BenchmarkServeStatusAfterN(b *testing.B) {
 	for _, n := range []int{512, 2048, 8192} {
-		for _, every := range []int{0, 64} {
-			mode := "off"
-			if every > 0 {
-				mode = "on"
+		b.Run(fmt.Sprintf("history=%d/snapshot=on", n), func(b *testing.B) {
+			s, err := New(Config{Cluster: testCluster(), Manual: true, QueueDepth: 1 << 20, SpacingMS: 60_000})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("history=%d/snapshot=%s", n, mode), func(b *testing.B) {
-				s, err := New(Config{Cluster: testCluster(), Manual: true, QueueDepth: 1 << 20, SnapshotEvery: every, SpacingMS: 60_000})
-				if err != nil {
+			for i := 0; i < n; i++ {
+				if _, err := s.Submit(small("t", fmt.Sprintf("h%d", i))); err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < n; i++ {
-					if _, err := s.Submit(small("t", fmt.Sprintf("h%d", i))); err != nil {
-						b.Fatal(err)
-					}
-				}
-				s.Advance(0)
-				if _, err := s.Status("t/h0"); err != nil { // warm the replay memo
+			}
+			s.Advance(0)
+			if _, err := s.Status("t/h0"); err != nil { // warm the replay memo
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := fmt.Sprintf("t/x%d", i)
+				if _, err := s.Submit(SubmitRequest{Tenant: "t", ID: fmt.Sprintf("x%d", i), Network: "AlexNet", Batch: 16}); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					id := fmt.Sprintf("t/x%d", i)
-					if _, err := s.Submit(SubmitRequest{Tenant: "t", ID: fmt.Sprintf("x%d", i), Network: "AlexNet", Batch: 16}); err != nil {
-						b.Fatal(err)
-					}
-					s.Advance(1)
-					if _, err := s.Status(id); err != nil {
-						b.Fatal(err)
-					}
+				s.Advance(1)
+				if _, err := s.Status(id); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -38,11 +38,6 @@ import (
 
 const ckptMagic = "snckpt 1"
 
-// ErrNoCheckpoint is returned by Service.Checkpoint when compaction is
-// disabled (Config.SnapshotEvery == 0): without a resumable replay
-// there is no scheduler state to capture.
-var ErrNoCheckpoint = fmt.Errorf("serve: checkpoints need SnapshotEvery > 0")
-
 // ErrBadCheckpoint is the sentinel under every RestoreCheckpoint
 // decode failure; errors.Is matches it through the per-field context.
 var ErrBadCheckpoint = errors.New("serve: bad checkpoint")
@@ -54,9 +49,6 @@ var ErrBadCheckpoint = errors.New("serve: bad checkpoint")
 func (s *Service) Checkpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.inc == nil {
-		return nil, ErrNoCheckpoint
-	}
 	if s.incErr != nil {
 		return nil, s.incErr
 	}
