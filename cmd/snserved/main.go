@@ -34,7 +34,7 @@
 //	GET  /v1/jobs/{id}   one job's status and projected schedule
 //	GET  /v1/metrics     cluster snapshot (?wait_jobs=N&wait_ms=M long-polls)
 //	POST /v1/drain       stop admission, flush, return the final schedule
-//	GET  /v1/replay-log  the deterministic request log (?sharded=1 for per-shard sections)
+//	GET  /v1/replay-log  the deterministic request log (text/plain)
 //	GET  /v1/checkpoint  resumable replay checkpoint
 //	GET  /v1/healthz     liveness
 package main

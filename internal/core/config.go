@@ -1,19 +1,19 @@
 // Package core is the SuperNeurons runtime: it executes the tensor
-// program of one training iteration on the simulated GPU. Since the
-// memmgr decomposition, core owns only the orchestration — the step
-// loop that submits kernels and drives the iteration — while every
+// program of one training iteration on the simulated GPU. core owns
+// only the orchestration — the step loop that submits kernels and
+// drives the iteration — and calls the concrete internal/memmgr
+// subsystems (residency, offload, replay, workspace tuner) for every
 // memory-management decision (tensor placement, movement, allocation,
-// deallocation, recomputation, workspace policy; §3 of the paper)
-// lives behind the pluggable subsystem interfaces of internal/memmgr.
+// deallocation, recomputation, workspace policy; §3 of the paper).
 //
-// The manager running a given configuration is selected by
-// Config.Manager: the empty name runs the flag-driven manager, which
-// interprets the technique flags literally (how the ablation studies
-// toggle individual mechanisms), while named managers ("superneurons",
-// "vdnn", "naive", the framework models) own the policy surface. The
-// competing frameworks' models (internal/policy) route through the
-// same seam, so every capacity and speed comparison in the evaluation
-// isolates exactly the policy difference.
+// Config.Manager selects the policy: the empty name interprets the
+// technique flags literally (how the ablation studies toggle
+// individual mechanisms), while named managers ("superneurons",
+// "vdnn", "naive", the framework models) replace them with a donor
+// configuration. Every run executes the same subsystems, so every
+// capacity and speed comparison in the evaluation, including the
+// competing frameworks' models (internal/policy), isolates exactly
+// the policy difference.
 package core
 
 import (

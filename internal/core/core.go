@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/gpumem"
 	"repro/internal/memmgr"
@@ -31,14 +30,12 @@ type (
 // Run simulates cfg.Iterations training iterations of net and returns
 // the profile of the last one.
 func Run(net *nnet.Net, cfg Config) (*Result, error) {
-	mgr, ok := memmgr.Lookup(cfg.Manager)
-	if !ok {
-		return nil, fmt.Errorf("core: %s batch %d: unknown memory manager %q (have %s)",
-			net.Name, net.Batch(), cfg.Manager, strings.Join(memmgr.Names(), ", "))
+	cfg, err := memmgr.Normalize(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
-	cfg = mgr.Normalize(cfg).WithDefaults()
 	p := program.BuildWith(net, program.Options{InPlaceAct: cfg.InPlaceAct})
-	e := newExec(p, cfg, mgr)
+	e := newExec(p, cfg)
 	if err := e.run(); err != nil {
 		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
@@ -46,7 +43,7 @@ func Run(net *nnet.Net, cfg Config) (*Result, error) {
 }
 
 // exec orchestrates one run: it owns the step loop and delegates every
-// memory-management decision to the manager's subsystems. The
+// memory-management decision to the memmgr subsystems. The
 // normalized configuration lives in rt.Cfg, shared with the
 // subsystems.
 type exec struct {
@@ -54,9 +51,9 @@ type exec struct {
 	mm memmgr.Components
 }
 
-func newExec(p *program.Program, cfg Config, mgr memmgr.MemoryManager) *exec {
+func newExec(p *program.Program, cfg Config) *exec {
 	rt := memmgr.NewRuntime(p, cfg)
-	return &exec{rt: rt, mm: mgr.Components(rt)}
+	return &exec{rt: rt, mm: memmgr.NewComponents(rt)}
 }
 
 func (e *exec) run() error {

@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/gpumem"
 	"repro/internal/memmgr"
@@ -94,12 +93,10 @@ type DynamicResult struct {
 // build constructs the network at a given batch size — nnet.ByName
 // provides one for every registered architecture.
 func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
-	mgr, ok := memmgr.Lookup(cfg.Manager)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown memory manager %q (have %s)",
-			cfg.Manager, strings.Join(memmgr.Names(), ", "))
+	cfg, err := memmgr.Normalize(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	cfg = mgr.Normalize(cfg).WithDefaults()
 	sched := workload.Schedule(cfg.BatchSchedule)
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("core: dynamic run: %w", err)
@@ -138,8 +135,8 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 		case rt == nil:
 			net := build(batch)
 			p := program.BuildWith(net, program.Options{InPlaceAct: knobs.InPlaceAct})
-			rt = memmgr.NewRuntime(p, knobs)
-			e = &exec{rt: rt, mm: mgr.Components(rt)}
+			e = newExec(p, knobs)
+			rt = e.rt
 			res.Network = net.Name
 			curBatch = batch
 		case batch != curBatch || rebindNeeded:
@@ -148,7 +145,9 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 			if err := rt.Rebind(p, knobs); err != nil {
 				return nil, fmt.Errorf("core: %s iteration %d: %w", res.Network, it, err)
 			}
-			e.mm = mgr.Components(rt)
+			// Fresh subsystems: the autotune cache and the replayer
+			// scratch belong to the outgoing program.
+			e.mm = memmgr.NewComponents(rt)
 			cacheBase = [2]int64{}
 			replanned = rebindNeeded
 			curBatch = batch

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/utp"
 	"repro/internal/workload"
@@ -166,5 +168,27 @@ func TestRunDynamicValidation(t *testing.T) {
 	if _, err := core.RunDynamic(resnet50, cfg); err == nil ||
 		!strings.Contains(err.Error(), "unknown memory manager") {
 		t.Errorf("unknown manager not rejected: %v", err)
+	}
+}
+
+// Every named manager runs the adaptive planner's escalated plans with
+// the full mechanism set: on the ablation's tight pool the planner
+// turns on offloading and then cost-aware recomputation, and a
+// manager must rebuild whatever that plan drops. An iteration may
+// still OOM (counted, not fatal); any other error is a wiring bug.
+func TestAdaptivePlanRunsUnderEveryManager(t *testing.T) {
+	for _, name := range memmgr.Names() {
+		t.Run(name, func(t *testing.T) {
+			cfg := core.Config{
+				Manager:       name,
+				Device:        hw.TeslaK40c,
+				PoolBytes:     2600 * hw.MiB,
+				BatchSchedule: workload.DynamicSchedules["ramp50"],
+				AdaptivePlan:  true,
+			}
+			if _, err := core.RunDynamic(resnet50, cfg); err != nil && !errors.Is(err, core.ErrOutOfMemory) {
+				t.Errorf("adaptive run failed: %v", err)
+			}
+		})
 	}
 }

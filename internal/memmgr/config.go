@@ -30,7 +30,7 @@ func RemotePool(bytes int64) ExternalPool {
 // Config selects the device and the memory/performance techniques for
 // a run.
 type Config struct {
-	// Manager names the MemoryManager policy driving the run. The
+	// Manager names the memory-manager policy driving the run. The
 	// empty string selects the flag-driven manager, which interprets
 	// the technique flags below literally (how the ablation studies
 	// toggle individual mechanisms). Named managers (see Names())

@@ -1,6 +1,6 @@
 package memmgr_test
 
-// Conformance suite for MemoryManager implementations: every named
+// Conformance suite for the memory managers: every named
 // manager must obey the executor's invariants (OOM surfacing,
 // determinism, peak bounds, offload-before-fetch ordering), and the
 // three headline policies must reproduce the seed executor's Results
@@ -20,10 +20,10 @@ import (
 	"repro/internal/utp"
 )
 
-// conformanceManagers are the implementations the suite exercises:
+// conformanceManagers are the managers the suite exercises:
 // the paper's runtime, the vDNN-style offload-everything policy and
 // the naive keep-everything baseline, plus the framework models that
-// ride on the same seam.
+// share the same subsystems.
 var conformanceManagers = []string{
 	"superneurons", "vdnn", "naive",
 	"caffe", "torch", "mxnet", "tensorflow", "tensorflow-swap",
@@ -43,13 +43,24 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("manager %q not registered (have %v)", want, names)
 		}
 	}
-	if _, ok := memmgr.Lookup(""); !ok {
-		t.Error("empty name must resolve to the flag-driven manager")
+	flags := memmgr.Config{Device: hw.TeslaK40c, Liveness: true, Recompute: recompute.MemoryCentric}
+	empty, err := memmgr.Normalize(flags)
+	if err != nil {
+		t.Fatalf("empty name must resolve to the flag-driven manager: %v", err)
 	}
-	if m, _ := memmgr.Lookup(""); m.Name() != "custom" {
-		t.Errorf("empty name resolved to %q, want custom", m.Name())
+	if !empty.Liveness || empty.Recompute != recompute.MemoryCentric {
+		t.Errorf("flag-driven manager changed the caller's flags: %+v", empty)
 	}
-	if _, ok := memmgr.Lookup("does-not-exist"); ok {
+	custom := flags
+	custom.Manager = "custom"
+	c, err := memmgr.Normalize(custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Manager = ""; !reflect.DeepEqual(empty, c) {
+		t.Errorf("empty name resolved to %+v, want custom's %+v", empty, c)
+	}
+	if _, err := memmgr.Normalize(memmgr.Config{Manager: "does-not-exist"}); err == nil {
 		t.Error("unknown manager must not resolve")
 	}
 }

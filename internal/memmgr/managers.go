@@ -1,65 +1,36 @@
 package memmgr
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/hw"
 	"repro/internal/recompute"
 	"repro/internal/utp"
 )
 
-// mgr is the common MemoryManager shape: a name, a policy resolver and
-// a component wiring.
-type mgr struct {
-	name       string
-	normalize  func(Config) Config
-	components func(*Runtime) Components
+// Components is one run's wiring of the four subsystems. The
+// references are mutual: fetches allocate through residency, reclaims
+// harvest through the offload engine, and replays use both.
+type Components struct {
+	Residency *StdResidency
+	Offload   *StdOffload
+	Replay    *StdReplayer
+	Tuner     *StdTuner
 }
 
-func (m *mgr) Name() string                      { return m.name }
-func (m *mgr) Normalize(cfg Config) Config       { return m.normalize(cfg) }
-func (m *mgr) Components(rt *Runtime) Components { return m.components(rt) }
-
-// StdComponents wires the full standard machinery: residency with
-// cache eviction, the UTP offload engine, the segment replayer and the
-// dynamic workspace tuner. Which mechanisms actually engage is decided
-// by the normalized Config flags, so this wiring serves every
-// flag-driven ablation as well as the full SuperNeurons policy.
-func StdComponents(rt *Runtime) Components {
+// NewComponents wires fresh subsystems over rt. Which mechanisms
+// actually engage is decided by rt.Cfg's technique flags, so this one
+// wiring serves every manager and every flag-driven ablation.
+func NewComponents(rt *Runtime) Components {
 	resid := &StdResidency{rt: rt}
-	off := NewStdOffload(rt, resid)
+	off := &StdOffload{rt: rt, resid: resid}
 	resid.off = off
 	return Components{
 		Residency: resid,
 		Offload:   off,
-		Replay:    NewStdReplayer(rt, resid, off),
-		Tuner:     NewStdTuner(rt),
-	}
-}
-
-// residentComponents wires a keep-everything policy: real residency
-// tracking, but no transfer engine and no replayer. Used by the naive
-// baseline and the Caffe/Torch models (whose static workspace caps
-// still engage the tuner).
-func residentComponents(rt *Runtime) Components {
-	resid := &StdResidency{rt: rt, off: NullOffload{}}
-	return Components{
-		Residency: resid,
-		Offload:   NullOffload{},
-		Replay:    NullReplayer{},
-		Tuner:     NewStdTuner(rt),
-	}
-}
-
-// noRecomputeComponents wires an offload-capable policy without
-// recomputation (vDNN, TensorFlow-style swapping).
-func noRecomputeComponents(rt *Runtime) Components {
-	resid := &StdResidency{rt: rt}
-	off := NewStdOffload(rt, resid)
-	resid.off = off
-	return Components{
-		Residency: resid,
-		Offload:   off,
-		Replay:    NullReplayer{},
-		Tuner:     NewStdTuner(rt),
+		Replay:    &StdReplayer{rt: rt, resid: resid, off: off},
+		Tuner:     &StdTuner{rt: rt},
 	}
 }
 
@@ -156,36 +127,38 @@ func TensorFlowSwapConfig(d hw.DeviceSpec) Config {
 	return c
 }
 
-// Custom is the flag-driven manager: it interprets the Config
-// technique flags literally, which is how the paper's ablation studies
-// toggle individual mechanisms. It is the default for Config.Manager
-// == "".
-var Custom MemoryManager = &mgr{
-	name:       "custom",
-	normalize:  func(cfg Config) Config { return cfg },
-	components: StdComponents,
+// managers maps each manager name to the policy it imposes on a
+// Config. "custom" is the identity: it interprets the technique flags
+// literally. Every other row is a donor configuration that owns them.
+var managers = map[string]func(Config) Config{
+	"custom": func(cfg Config) Config { return cfg },
+	// The paper's full runtime.
+	"superneurons": policyOf(SuperNeuronsConfig),
+	// The offload-everything baseline.
+	"vdnn": policyOf(VDNNConfig),
+	// The naive keep-everything baseline (peak = Σ l_i^f + Σ l_i^b).
+	"naive": policyOf(BaselineConfig),
+	// The framework comparison models.
+	"caffe":           policyOf(CaffeConfig),
+	"torch":           policyOf(TorchConfig),
+	"mxnet":           policyOf(MXNetConfig),
+	"tensorflow":      policyOf(TensorFlowConfig),
+	"tensorflow-swap": policyOf(TensorFlowSwapConfig),
 }
 
-func init() {
-	Register(Custom)
-	// The paper's full runtime.
-	Register(&mgr{name: "superneurons", components: StdComponents,
-		normalize: policyOf(SuperNeuronsConfig)})
-	// The offload-everything baseline.
-	Register(&mgr{name: "vdnn", components: noRecomputeComponents,
-		normalize: policyOf(VDNNConfig)})
-	// The naive keep-everything baseline (peak = Σ l_i^f + Σ l_i^b).
-	Register(&mgr{name: "naive", components: residentComponents,
-		normalize: policyOf(BaselineConfig)})
-	// The framework comparison models.
-	Register(&mgr{name: "caffe", components: residentComponents,
-		normalize: policyOf(CaffeConfig)})
-	Register(&mgr{name: "torch", components: residentComponents,
-		normalize: policyOf(TorchConfig)})
-	Register(&mgr{name: "mxnet", components: StdComponents,
-		normalize: policyOf(MXNetConfig)})
-	Register(&mgr{name: "tensorflow", components: noRecomputeComponents,
-		normalize: policyOf(TensorFlowConfig)})
-	Register(&mgr{name: "tensorflow-swap", components: noRecomputeComponents,
-		normalize: policyOf(TensorFlowSwapConfig)})
+// Normalize resolves the configuration a run executes: cfg.Manager's
+// policy ("" selects "custom"), then the defaults. Named managers own
+// the technique flags and override them, while capacity and
+// instrumentation fields (device, pool sizes, iterations, tracing)
+// pass through. An unknown name is an error listing Names().
+func Normalize(cfg Config) (Config, error) {
+	name := cfg.Manager
+	if name == "" {
+		name = "custom"
+	}
+	policy, ok := managers[name]
+	if !ok {
+		return Config{}, fmt.Errorf("unknown memory manager %q (have %s)", cfg.Manager, strings.Join(Names(), ", "))
+	}
+	return policy(cfg).WithDefaults(), nil
 }

@@ -1,162 +1,35 @@
-// Package memmgr decomposes the SuperNeurons executor into pluggable
-// memory-management subsystems. The paper's contribution is a policy —
-// Liveness Analysis + Unified Tensor Pool + Cost-Aware Recomputation —
-// and this package turns that policy into an implementation of a
-// first-class MemoryManager interface, so alternative schemes (vDNN's
-// offload-everything strategy, the naive keep-everything baseline, or
-// any future policy) plug into the same step loop instead of forking
-// the core.
+// Package memmgr is the SuperNeurons executor's memory management: the
+// paper's runtime — Liveness Analysis + Unified Tensor Pool +
+// Cost-Aware Recomputation — as one set of concrete subsystems
+// operating over the shared Runtime state:
 //
-// A MemoryManager is a named bundle of four subsystems operating over
-// the shared Runtime state:
-//
-//   - Residency: tensor placement — pinning reads, materializing
+//   - StdResidency: tensor placement — pinning reads, materializing
 //     writes, allocation under pressure (evict/reclaim) and frees.
-//   - OffloadEngine: the Unified Tensor Pool's D2H/H2D machinery —
-//     eager offloads, harvest of completed transfers, prefetch and
-//     on-demand fetch, and the host-pool spill order.
-//   - Replayer: recomputation — reconstructing dropped forward
+//   - StdOffload: the Unified Tensor Pool's D2H/H2D machinery — eager
+//     offloads, harvest of completed transfers, prefetch and on-demand
+//     fetch, and the host-pool spill order.
+//   - StdReplayer: recomputation — reconstructing dropped forward
 //     tensors segment by segment during back-propagation.
-//   - WorkspaceTuner: convolution-workspace policy — picking the
-//     fastest algorithm that fits the remaining budget, optionally
-//     with cudnnFind-style autotuning.
+//   - StdTuner: convolution-workspace policy — picking the fastest
+//     algorithm that fits the remaining budget, optionally with
+//     cudnnFind-style autotuning.
 //
-// The step loop in internal/core is pure orchestration over these
-// interfaces; it owns no policy. Managers are selected by name through
-// Config.Manager ("" runs the flag-driven manager that interprets the
-// Config technique flags literally, which is also how the paper's
-// ablation studies toggle individual mechanisms).
+// Every run wires all four (NewComponents); the normalized Config's
+// technique flags decide which mechanisms engage. A named manager
+// ("superneurons", "vdnn", "naive", the framework models) is one row
+// of a fixed table: a donor Config that owns the technique flags.
+// Config.Manager selects the row; "" and "custom" interpret the
+// caller's flags literally, which is how the paper's ablation studies
+// toggle individual mechanisms. The step loop in internal/core is pure
+// orchestration over these subsystems; it owns no policy.
 package memmgr
 
-import (
-	"fmt"
-	"sort"
-	"sync"
+import "sort"
 
-	"repro/internal/layers"
-	"repro/internal/program"
-	"repro/internal/sim"
-	"repro/internal/tensor"
-)
-
-// Residency manages tensor placement on the GPU: it pins a step's
-// reads (collecting the transfer events the kernel must gate on),
-// materializes its writes, and owns allocation, eviction, reclaim and
-// the two flavors of free.
-type Residency interface {
-	// PinReads makes every read tensor GPU-resident (fetching from
-	// host on demand), locks it for the step, and returns the pending
-	// transfer events the consuming kernel must wait for.
-	PinReads(st *program.Step) ([]sim.Event, error)
-	// MaterializeWrites allocates the step's output tensors and locks
-	// them.
-	MaterializeWrites(st *program.Step) error
-	// Unpin unlocks the step's reads and writes after the kernel.
-	Unpin(st *program.Step)
-	// Alloc places one tensor on the GPU, reclaiming or evicting under
-	// memory pressure.
-	Alloc(t *tensor.Tensor) error
-	// FreeGPU releases the GPU copy only (any host copy survives).
-	FreeGPU(t *tensor.Tensor)
-	// FreeAll releases both copies (liveness last-use free).
-	FreeAll(t *tensor.Tensor)
-	// Reclaim tries to make room for need bytes; it reports whether
-	// any memory was freed.
-	Reclaim(need int64) bool
-}
-
-// OffloadEngine is the Unified Tensor Pool's transfer machinery.
-type OffloadEngine interface {
-	// Prefetch triggers the planned prefetches for the step so the H2D
-	// copies overlap its computation (§3.3.1). Allocation-pressure
-	// failures are tolerated (the tensor is fetched on demand at its
-	// use) and counted in Result.FailedPrefetches; any other fetch
-	// failure is a host-state inconsistency and is returned.
-	Prefetch(si int) error
-	// Harvest frees GPU copies whose D2H transfer completed and whose
-	// forward reads are done. With force it waits for one pending
-	// transfer if none has completed yet.
-	Harvest(force bool) bool
-	// Fetch brings an offloaded tensor back to the GPU.
-	Fetch(t *tensor.Tensor) error
-	// AfterKernel runs the post-kernel offload protocol: eager D2H of
-	// freshly produced checkpoints and the zero-cost reclaim of the
-	// host-backed input batch.
-	AfterKernel(st *program.Step)
-	// DropAfterFwd frees forward outputs scheduled for recomputation
-	// once their forward read horizon passes.
-	DropAfterFwd(si int)
-}
-
-// Replayer reconstructs dropped forward tensors during backward.
-type Replayer interface {
-	// ReplayFor replays the recomputation segments the backward step
-	// needs and returns the tensors to free right after it
-	// (memory-centric replays).
-	ReplayFor(st *program.Step) ([]*tensor.Tensor, error)
-}
-
-// WorkspaceTuner picks the convolution algorithm for a step under a
-// workspace budget (§3.5).
-type WorkspaceTuner interface {
-	SelectAlgo(st *program.Step, budget int64) layers.Algo
-}
-
-// Components bundles the four subsystems a MemoryManager wires over a
-// Runtime.
-type Components struct {
-	Residency Residency
-	Offload   OffloadEngine
-	Replay    Replayer
-	Tuner     WorkspaceTuner
-}
-
-// MemoryManager is a named memory-management policy.
-type MemoryManager interface {
-	// Name is the registry key (Config.Manager).
-	Name() string
-	// Normalize resolves the effective configuration the policy
-	// imposes: named managers own the technique flags and override
-	// them, while capacity and instrumentation fields (device, pool
-	// sizes, iterations, tracing) pass through.
-	Normalize(cfg Config) Config
-	// Components wires the policy's subsystems over the shared state.
-	Components(rt *Runtime) Components
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]MemoryManager{}
-)
-
-// Register adds a manager to the registry; duplicate names panic.
-func Register(m MemoryManager) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[m.Name()]; dup {
-		panic(fmt.Sprintf("memmgr: duplicate manager %q", m.Name()))
-	}
-	registry[m.Name()] = m
-}
-
-// Lookup resolves a manager by name. The empty name resolves to the
-// flag-driven Custom manager.
-func Lookup(name string) (MemoryManager, bool) {
-	if name == "" {
-		return Custom, true
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	m, ok := registry[name]
-	return m, ok
-}
-
-// Names returns the registered manager names, sorted.
+// Names returns the manager names Config.Manager accepts, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(managers))
+	for n := range managers {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -19,13 +19,7 @@ import (
 // peers/remote per Fig. 7).
 type StdOffload struct {
 	rt    *Runtime
-	resid Residency
-}
-
-// NewStdOffload wires the standard offload engine over the runtime and
-// its residency manager.
-func NewStdOffload(rt *Runtime, resid Residency) *StdOffload {
-	return &StdOffload{rt: rt, resid: resid}
+	resid *StdResidency
 }
 
 // Prefetch triggers the planned prefetches so the H2D copy overlaps
@@ -194,25 +188,3 @@ func (o *StdOffload) DropAfterFwd(si int) {
 		}
 	}
 }
-
-// NullOffload is the keep-everything policy's transfer engine: it
-// never moves a byte. Policies wiring it must not enable offloading,
-// prefetching or recomputation drops.
-type NullOffload struct{}
-
-// Prefetch is a no-op.
-func (NullOffload) Prefetch(int) error { return nil }
-
-// Harvest reports that nothing could be freed.
-func (NullOffload) Harvest(bool) bool { return false }
-
-// Fetch fails: nothing is ever on the host under this policy.
-func (NullOffload) Fetch(t *tensor.Tensor) error {
-	return fmt.Errorf("memmgr: null offload engine cannot fetch %s", t)
-}
-
-// AfterKernel is a no-op.
-func (NullOffload) AfterKernel(*program.Step) {}
-
-// DropAfterFwd is a no-op.
-func (NullOffload) DropAfterFwd(int) {}

@@ -22,9 +22,8 @@ func harvestFixture(t *testing.T) (*Runtime, *StdOffload, int, int) {
 	p := program.Build(nnet.AlexNet(8))
 	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true}.WithDefaults()
 	rt := NewRuntime(p, cfg)
-	resid := &StdResidency{rt: rt}
-	off := NewStdOffload(rt, resid)
-	resid.off = off
+	mm := NewComponents(rt)
+	resid, off := mm.Residency, mm.Offload
 
 	a, b := 1, 2
 	for _, id := range []int{a, b} {
@@ -112,9 +111,7 @@ func TestPrefetchAllocFailureToleratedAndCounted(t *testing.T) {
 	p := program.Build(nnet.AlexNet(8))
 	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true, Prefetch: true}.WithDefaults()
 	rt := NewRuntime(p, cfg)
-	resid := &StdResidency{rt: rt}
-	off := NewStdOffload(rt, resid)
-	resid.off = off
+	off := NewComponents(rt).Offload
 
 	// Occupy the whole GPU pool so the prefetch's allocation must fail,
 	// with no cache and no pending offloads to reclaim from.

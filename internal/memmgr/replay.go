@@ -16,8 +16,8 @@ import (
 // front.
 type StdReplayer struct {
 	rt    *Runtime
-	resid Residency
-	off   OffloadEngine
+	resid *StdResidency
+	off   *StdOffload
 
 	// Per-step scratch, reused across ReplayFor calls so the backward
 	// pass of a deep network does not allocate per step. The returned
@@ -33,12 +33,6 @@ type StdReplayer struct {
 type segNeed struct {
 	seg    *recompute.Segment
 	maxPos int
-}
-
-// NewStdReplayer wires the standard replayer over the runtime, its
-// residency manager and its offload engine.
-func NewStdReplayer(rt *Runtime, resid Residency, off OffloadEngine) *StdReplayer {
-	return &StdReplayer{rt: rt, resid: resid, off: off}
 }
 
 // ReplayFor reconstructs the dropped forward tensors this backward
@@ -178,10 +172,3 @@ func (rp *StdReplayer) replayMembers(seg *recompute.Segment, upTo int, freeAfter
 	}
 	return nil
 }
-
-// NullReplayer is the no-recomputation policy: nothing is ever
-// dropped, so there is never anything to replay.
-type NullReplayer struct{}
-
-// ReplayFor returns no replays.
-func (NullReplayer) ReplayFor(*program.Step) ([]*tensor.Tensor, error) { return nil, nil }

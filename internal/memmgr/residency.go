@@ -13,13 +13,10 @@ import (
 // StdResidency is the standard placement manager: GPU allocation with
 // reclaim-then-evict pressure handling (Alg. 2), Tensor Cache
 // bookkeeping on reads and writes, and the liveness frees. It relies on
-// the wired OffloadEngine for on-demand fetches and offload harvests.
+// the offload engine for on-demand fetches and offload harvests.
 type StdResidency struct {
-	rt *Runtime
-	// off is set by the manager wiring (the reference is mutual:
-	// fetches allocate through residency, reclaims harvest through
-	// the offload engine).
-	off OffloadEngine
+	rt  *Runtime
+	off *StdOffload
 	// deps is the scratch buffer PinReads returns; the caller consumes
 	// it before the next step (Engine.Submit copies the values out), so
 	// reusing it keeps the hot loop allocation-free.

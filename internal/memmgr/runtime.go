@@ -38,7 +38,7 @@ type TState struct {
 // timeline and engines, the memory spaces of the Unified Tensor Pool,
 // the planner outputs, per-tensor placement, and the accounting that
 // lands in Result. It corresponds to the paper's runtime context; the
-// policy lives in the MemoryManager components, not here.
+// policy lives in the subsystems NewComponents wires, not here.
 type Runtime struct {
 	Cfg   Config
 	P     *program.Program

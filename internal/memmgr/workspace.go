@@ -26,9 +26,6 @@ type StdTuner struct {
 	algoCache map[int]tunedAlgo
 }
 
-// NewStdTuner wires the standard workspace tuner over the runtime.
-func NewStdTuner(rt *Runtime) *StdTuner { return &StdTuner{rt: rt} }
-
 // SelectAlgo picks the convolution algorithm for the step.
 func (w *StdTuner) SelectAlgo(st *program.Step, budget int64) layers.Algo {
 	rt := w.rt

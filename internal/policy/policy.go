@@ -34,9 +34,9 @@ import (
 // Framework names a memory policy. Configs returns the runtime
 // configurations tried in order until one fits — TensorFlow's memory
 // optimizer, for instance, only inserts swap nodes when the plain
-// execution would not fit. Every configuration routes through a named
-// internal/memmgr MemoryManager, so the comparisons exercise the real
-// policy seam rather than ad-hoc flag combinations.
+// execution would not fit. Every configuration names an
+// internal/memmgr manager, so the comparisons run the managers' donor
+// policies rather than ad-hoc flag combinations.
 type Framework struct {
 	Name    string
 	Configs func(d hw.DeviceSpec) []core.Config

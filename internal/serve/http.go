@@ -175,10 +175,6 @@ func (s *Service) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/replay-log", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r.URL.Query().Get("sharded") != "" {
-			_, _ = io.WriteString(w, s.ShardedReplayLog())
-			return
-		}
 		_, _ = io.WriteString(w, s.ReplayLog())
 	})
 

@@ -143,7 +143,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}{
 		{"malformed json", "POST", "/v1/jobs", `{"network":`, 400, "bad_request", ""},
 		{"leading-zero number", "POST", "/v1/jobs", `{"network":"AlexNet","batch":012}`, 400, "bad_request", ""},
-		{"sharded replay log", "GET", "/v1/replay-log?sharded=1", "", 200, "", workload.TraceHeader + "# shard 0\n# shard 1\n"},
+		{"empty replay log", "GET", "/v1/replay-log", "", 200, "", workload.TraceHeader},
 	}
 	for _, tc := range cases {
 		status, body := rawRequest(t, tc.method, c.BaseURL+tc.path, tc.body)

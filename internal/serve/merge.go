@@ -88,13 +88,11 @@ func (s *Service) mergeLocked(sh *shard, base int64) {
 		}
 		s.queued[j.tenant]--
 		s.pending--
-		ty := &s.byShard[j.shard]
-		ty.sequenced++
-		ty.log = append(ty.log, j.tj)
+		s.byShard[j.shard].sequenced++
 		if s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(j.tj)); err != nil {
 				// Cannot happen while the watermark invariant holds;
-				// degrade to full replays rather than corrupt state.
+				// latch it rather than corrupt state.
 				s.incErr = err
 				s.lg.Error("incremental replay append failed", "id", j.tj.ID, "err", err)
 			}
@@ -142,21 +140,17 @@ func (s *Service) advanceWatermarkLocked() {
 }
 
 // resultLocked replays the current request log, memoized by log
-// length. The replay resumes from the watermark (O(active suffix));
-// only after a latched incErr does it replay the full history. Drain's
-// idempotence relies on the memo: repeated drains return the identical
-// *Result pointer.
+// length. The replay resumes from the watermark (O(active suffix)); a
+// latched incErr is returned instead. Drain's idempotence relies on
+// the memo: repeated drains return the identical *Result pointer.
 func (s *Service) resultLocked() (*sched.Result, error) {
+	if s.incErr != nil {
+		return nil, s.incErr
+	}
 	if s.resOK && s.resN == len(s.log) {
 		return s.res, s.resErr
 	}
-	var r *sched.Result
-	var err error
-	if s.incErr == nil {
-		r, err = s.inc.Result()
-	} else {
-		r, err = s.sch.Run(sched.JobsFromTrace(s.log))
-	}
+	r, err := s.inc.Result()
 	s.resN, s.res, s.resErr, s.resOK = len(s.log), r, err, true
 	return r, err
 }
@@ -175,21 +169,18 @@ func (s *Service) sequencedStatusLocked(j *job) *JobStatus {
 	if !done {
 		var err error
 		switch {
+		case s.incErr != nil:
+			err = s.incErr
 		case s.resOK && s.resN == len(s.log):
 			// A full result for this exact log is already memoized
 			// (e.g. after a drain) — read it instead of replaying.
 			if err = s.resErr; err == nil {
 				jr = s.res.Jobs[j.seq]
 			}
-		case s.incErr == nil:
+		default:
 			// Suffix replay for just this job: no O(history) result
 			// assembly on the query path.
 			jr, err = s.inc.JobResult(j.seq)
-		default:
-			var snap *sched.Result
-			if snap, err = s.resultLocked(); err == nil {
-				jr = snap.Jobs[j.seq]
-			}
 		}
 		if err != nil {
 			st.Reason = err.Error()

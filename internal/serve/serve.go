@@ -303,7 +303,7 @@ type job struct {
 // has reached the merger.
 type Service struct {
 	cfg    Config
-	sch    *sched.Scheduler
+	est    *sched.Estimator
 	shards []*shard
 	lg     *slog.Logger
 	lgDbg  bool // Debug level enabled (checked once; gates hot-path logging)
@@ -339,8 +339,8 @@ type Service struct {
 	idemOrder []string
 
 	// inc is the resumable replay; lastAdv is the log length at its
-	// last watermark advance. incErr latches an append failure, after
-	// which queries degrade to full replays through sch.
+	// last watermark advance. incErr latches an append failure: the
+	// replay can no longer answer, so result queries return it.
 	inc     *sched.Incremental
 	lastAdv int
 	incErr  error
@@ -357,11 +357,9 @@ type Service struct {
 }
 
 // shardTally is the merger-side per-shard bookkeeping (guarded by
-// Service.mu): the shard's slice of the merged log, for the sectioned
-// export.
+// Service.mu).
 type shardTally struct {
 	sequenced int
-	log       []workload.TraceJob
 }
 
 // New constructs a Service and, unless cfg.Manual is set, starts one
@@ -385,17 +383,14 @@ func New(cfg Config) (*Service, error) {
 	if cfg.IdempotencyCap <= 0 {
 		cfg.IdempotencyCap = DefaultIdempotencyCap
 	}
-	sch, err := sched.NewScheduler(cfg.Cluster, cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	inc, err := sched.NewIncremental(cfg.Cluster, cfg.Policy, sch.Estimator())
+	est := sched.NewEstimator()
+	inc, err := sched.NewIncremental(cfg.Cluster, cfg.Policy, est)
 	if err != nil {
 		return nil, err
 	}
 	s := &Service{
 		cfg:     cfg,
-		sch:     sch,
+		est:     est,
 		inc:     inc,
 		byID:    make(map[string]*job),
 		count:   make(map[string]int),
@@ -457,9 +452,7 @@ func (s *Service) attachWAL() error {
 		s.subs++
 		s.byID[tj.ID] = j
 		s.log = append(s.log, tj)
-		ty := &s.byShard[sh.idx]
-		ty.sequenced++
-		ty.log = append(ty.log, tj)
+		s.byShard[sh.idx].sequenced++
 		if s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(tj)); err != nil {
 				s.incErr = err
@@ -702,7 +695,7 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 		tj.Batch = req.Batch
 	}
 	for _, b := range batches {
-		_, err := s.sch.Estimator().Estimate(tj.Network, b, tj.Manager, s.cfg.Cluster.Device)
+		_, err := s.est.Estimate(tj.Network, b, tj.Manager, s.cfg.Cluster.Device)
 		if err != nil && !errors.Is(err, core.ErrOutOfMemory) {
 			return workload.TraceJob{}, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
@@ -834,7 +827,7 @@ func (s *Service) Metrics() (*Metrics, error) {
 		JobsSequenced:   len(s.log),
 		Draining:        s.draining,
 		SnapshotSeq:     s.lastAdv,
-		EstimatedShapes: s.sch.Estimator().Len(),
+		EstimatedShapes: s.est.Len(),
 		Tenants:         make(map[string]TenantStat, len(s.tenants)),
 	}
 	m.JobsAccepted = m.JobsQueued + m.JobsSequenced
@@ -972,25 +965,6 @@ func (s *Service) ReplayLog() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return workload.FormatTrace(s.log)
-}
-
-// ShardedReplayLog renders the request log as per-shard sections under
-// "# shard N" directives (each shard's jobs in local sequencing order,
-// with their merged arrival times). workload.ParseTrace namespaces the
-// ids per section, so logs from different shards — or different
-// services — can be concatenated without id collisions.
-func (s *Service) ShardedReplayLog() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var b strings.Builder
-	b.WriteString(workload.TraceHeader)
-	for i := range s.byShard {
-		fmt.Fprintf(&b, "# shard %d\n", i)
-		for _, tj := range s.byShard[i].log {
-			b.WriteString(workload.FormatJob(tj))
-		}
-	}
-	return b.String()
 }
 
 // Cluster returns the configured cluster (for daemons' banners).

@@ -397,3 +397,30 @@ func TestAutoIDsDodgeUserChosenIDs(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// A latched replay-append failure is terminal for result queries: the
+// drain, the checkpoint and the status of every job the replay has not
+// finalized report it instead of a schedule.
+func TestReplayAppendFailureLatches(t *testing.T) {
+	s := mustNew(t, Config{Manual: true})
+	if _, err := s.Submit(small("t", "a")); err != nil {
+		t.Fatal(err)
+	}
+	latched := errors.New("replay append failed")
+	s.mu.Lock()
+	s.incErr = latched
+	s.mu.Unlock()
+	if _, err := s.Drain(); !errors.Is(err, latched) {
+		t.Errorf("drain err = %v, want the latched error", err)
+	}
+	if _, err := s.Checkpoint(); !errors.Is(err, latched) {
+		t.Errorf("checkpoint err = %v, want the latched error", err)
+	}
+	st, err := s.Status("t/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateRejected || st.Reason != latched.Error() {
+		t.Errorf("status %+v, want rejected with the latched reason", st)
+	}
+}

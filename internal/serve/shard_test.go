@@ -70,36 +70,19 @@ func TestMultiShardReplayByteIdentical(t *testing.T) {
 		t.Error("per-job results differ between service and replay")
 	}
 
-	// The sharded export parses under the shard directives with
-	// namespaced ids and covers exactly the merged log.
-	sharded, err := workload.ParseTrace(strings.NewReader(s.ShardedReplayLog()))
+	// The tenant hash spreads the 16 tenants over the shards.
+	m, err := s.Metrics()
 	if err != nil {
-		t.Fatalf("sharded replay log is not a valid trace: %v", err)
+		t.Fatal(err)
 	}
-	if len(sharded) != len(trace) {
-		t.Fatalf("sharded log has %d jobs, merged log %d", len(sharded), len(trace))
-	}
-	arrivals := make(map[string]int64, len(trace))
-	for _, tj := range trace {
-		arrivals[tj.ID] = tj.ArrivalMS
-	}
-	busy := map[string]bool{}
-	for _, tj := range sharded {
-		prefix, id, ok := strings.Cut(tj.ID, "/")
-		if !ok || !strings.HasPrefix(prefix, "s") {
-			t.Fatalf("sharded id %q not namespaced", tj.ID)
-		}
-		busy[prefix] = true
-		want, known := arrivals[id]
-		if !known {
-			t.Fatalf("sharded job %q not in merged log", tj.ID)
-		}
-		if tj.ArrivalMS != want {
-			t.Fatalf("sharded job %q arrival %d, merged %d", tj.ID, tj.ArrivalMS, want)
+	busy := 0
+	for _, sh := range m.Shards {
+		if sh.Tenants > 0 {
+			busy++
 		}
 	}
-	if len(busy) < 2 {
-		t.Errorf("16 tenants landed on %d shard(s); expected the hash to spread them", len(busy))
+	if busy < 2 {
+		t.Errorf("16 tenants landed on %d shard(s); expected the hash to spread them", busy)
 	}
 }
 

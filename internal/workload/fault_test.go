@@ -187,7 +187,7 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add(FormatTraceEvents(jobs, faults))
 	f.Add(FormatTrace(DefaultTrace()))
 	f.Add("fault fail dev=0 at=100\nfault recover dev=0 at=2s\n")
-	f.Add("# shard 3\na 0 AlexNet 16x2,32 naive 1 4 gpus=2\nfault fail dev=1 at=5ms\n")
+	f.Add("# comment\na 0 AlexNet 16x2,32 naive 1 4 gpus=2\nfault fail dev=1 at=5ms\n")
 	f.Add("fault fail dev=1\nfault fail dev=1 at=-3\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		jobs, faults, err := ParseTraceEvents(strings.NewReader(text), 0)

@@ -35,19 +35,12 @@ type TraceJob struct {
 //
 //	id arrival_ms network batch manager priority iterations
 //
-// Blank lines and comment lines starting with '#' are skipped, with
-// one directive exception: a "# shard N" line opens a shard section,
-// and every following job id is namespaced with an "s<N>/" prefix
-// until the next directive. Sectioned logs — exported per-shard by the
-// serving layer, or concatenated from several services — therefore
-// never collide on ids even when the same tenant submitted the same
-// job name to each; the uniqueness check runs on the final, prefixed
-// ids (the per-merged-log rule).
+// Blank lines and comment lines starting with '#' are skipped.
 //
 // A manager of "-" means the default (flag-driven) manager. The batch
 // field accepts the compact schedule syntax ("16x2,32,64x3") to
 // declare a dynamic per-iteration batch schedule. An optional eighth
-// field "gpus=N" declares a multi-GPU gang of N devices. Final job IDs
+// field "gpus=N" declares a multi-GPU gang of N devices. Job IDs
 // must be unique: the scheduler, the serving layer and every per-job
 // report key on them. Every error names the offending line.
 func ParseTrace(r io.Reader) ([]TraceJob, error) {
@@ -88,18 +81,10 @@ func parseTrace(r io.Reader, maxGPUs int, allowFaults bool) ([]TraceJob, []Trace
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	line := 0
 	seen := make(map[string]int)
-	prefix := ""
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
-			if f := strings.Fields(strings.TrimPrefix(text, "#")); len(f) == 2 && f[0] == "shard" {
-				n, err := strconv.Atoi(f[1])
-				if err != nil || n < 0 {
-					return nil, nil, fmt.Errorf("workload: trace line %d: bad shard directive %q", line, text)
-				}
-				prefix = fmt.Sprintf("s%d/", n)
-			}
 			continue
 		}
 		f := strings.Fields(text)
@@ -121,7 +106,7 @@ func parseTrace(r io.Reader, maxGPUs int, allowFaults bool) ([]TraceJob, []Trace
 			tj  TraceJob
 			err error
 		)
-		tj.ID = prefix + f[0]
+		tj.ID = f[0]
 		if first, dup := seen[tj.ID]; dup {
 			return nil, nil, fmt.Errorf("workload: trace line %d: duplicate job id %q (first on line %d)", line, tj.ID, first)
 		}

@@ -77,73 +77,6 @@ func TestParseTraceRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
-// Shard directives namespace the ids of the section they open, so the
-// same job name appearing under two shards — or a shard-prefixed name
-// colliding with a plain one — parses under the per-merged-log
-// duplicate rule: uniqueness of the final, prefixed ids.
-func TestParseTraceShardSections(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		ids  []string // nil: expect an error
-	}{
-		{
-			name: "same id under two shards",
-			in:   "# shard 0\nt/a 0 AlexNet 16 - 1 1\n# shard 1\nt/a 1 AlexNet 16 - 1 1\n",
-			ids:  []string{"s0/t/a", "s1/t/a"},
-		},
-		{
-			name: "directive interleaves plain comments",
-			in:   "# any comment\n# shard 2\n# another\nx 0 AlexNet 16 - 1 1\n",
-			ids:  []string{"s2/x"},
-		},
-		{
-			name: "duplicate within one shard still rejected",
-			in:   "# shard 0\na 0 AlexNet 16 - 1 1\na 1 AlexNet 16 - 1 1\n",
-		},
-		{
-			name: "prefixed id colliding with explicit one rejected",
-			in:   "s1/a 0 AlexNet 16 - 1 1\n# shard 1\na 1 AlexNet 16 - 1 1\n",
-		},
-		{
-			name: "bad shard number",
-			in:   "# shard -3\na 0 AlexNet 16 - 1 1\n",
-		},
-		{
-			name: "reopening a shard keeps its prefix",
-			in:   "# shard 0\na 0 AlexNet 16 - 1 1\n# shard 1\nb 1 AlexNet 16 - 1 1\n# shard 0\nc 2 AlexNet 16 - 1 1\n",
-			ids:  []string{"s0/a", "s1/b", "s0/c"},
-		},
-	}
-	for _, tc := range cases {
-		jobs, err := ParseTrace(strings.NewReader(tc.in))
-		if tc.ids == nil {
-			if err == nil {
-				t.Errorf("%s: parse accepted bad trace", tc.name)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		got := make([]string, len(jobs))
-		for i, j := range jobs {
-			got[i] = j.ID
-		}
-		if len(got) != len(tc.ids) {
-			t.Errorf("%s: ids %v, want %v", tc.name, got, tc.ids)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.ids[i] {
-				t.Errorf("%s: ids %v, want %v", tc.name, got, tc.ids)
-				break
-			}
-		}
-	}
-}
-
 // Long comment lines (up to the 1 MiB scanner buffer) must not kill
 // the parse: request logs carry human annotations.
 func TestParseTraceLongCommentLine(t *testing.T) {

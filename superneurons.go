@@ -88,8 +88,8 @@ const (
 // dynamic convolution workspaces.
 func DefaultConfig(d Device) Config { return core.SuperNeurons(d) }
 
-// Managers returns the names of the registered pluggable memory
-// managers (internal/memmgr). Setting Config.Manager to one of them
+// Managers returns the names of the memory managers (internal/memmgr)
+// Config.Manager accepts. Setting Config.Manager to one of them
 // hands the whole memory policy to that manager — "superneurons" is
 // the paper's runtime, "vdnn" the offload-everything baseline, "naive"
 // keep-everything — while the empty name keeps the flag-driven
