@@ -32,6 +32,21 @@ const BlockSize int64 = 1024
 // ErrOutOfMemory is returned when an allocation cannot be satisfied.
 var ErrOutOfMemory = errors.New("gpumem: out of memory")
 
+// OOMError is the pool's failed allocation. It wraps ErrOutOfMemory and
+// renders its text only when asked: the runtime's residency manager
+// reclaims and retries on most failures and never reads it.
+type OOMError struct {
+	Need, Free, Largest int64
+}
+
+func (e *OOMError) Error() string {
+	return fmt.Sprintf("%v: need %d bytes, free %d (largest contiguous %d)",
+		ErrOutOfMemory, e.Need, e.Free, e.Largest)
+}
+
+// Unwrap makes errors.Is(err, ErrOutOfMemory) hold.
+func (e *OOMError) Unwrap() error { return ErrOutOfMemory }
+
 // Allocation identifies a live allocation.
 type Allocation struct {
 	ID    int64 // node ID, key for Free
@@ -121,8 +136,7 @@ func (p *Pool) Alloc(n int64) (Allocation, error) {
 	addr, size, ok := p.free.firstFit(need)
 	if !ok {
 		p.stats.FailedAllocs++
-		return Allocation{}, fmt.Errorf("%w: need %d bytes, free %d (largest contiguous %d)",
-			ErrOutOfMemory, need, p.capacity-p.used, p.LargestFree())
+		return Allocation{}, &OOMError{Need: need, Free: p.capacity - p.used, Largest: p.LargestFree()}
 	}
 	a := Allocation{ID: p.nextID, Addr: addr, Bytes: need}
 	p.nextID++

@@ -2,6 +2,7 @@ package gpumem
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -83,6 +84,36 @@ func TestPoolOutOfMemory(t *testing.T) {
 	}
 	if p.Stats().FailedAllocs != 1 {
 		t.Error("failed alloc not counted")
+	}
+}
+
+// TestPoolOOMErrorText pins the failed allocation's rendered text and
+// its typed fields: the error is built without formatting, so the text
+// must come out of Error() exactly as the formatted one did.
+func TestPoolOOMErrorText(t *testing.T) {
+	p := newTestPool(8 * BlockSize)
+	var ids []int64
+	for i := 0; i < 4; i++ {
+		a, _ := p.Alloc(2 * BlockSize)
+		ids = append(ids, a.ID)
+	}
+	p.Free(ids[1])
+	p.Free(ids[3])
+	_, err := p.Alloc(3*BlockSize - 10)
+	const want = "gpumem: out of memory: need 3072 bytes, free 4096 (largest contiguous 2048)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if !errors.Is(err, ErrOutOfMemory) {
+		t.Error("errors.Is(err, ErrOutOfMemory) = false")
+	}
+	var oom *OOMError
+	if !errors.As(err, &oom) || *oom != (OOMError{Need: 3072, Free: 4096, Largest: 2048}) {
+		t.Errorf("OOMError = %+v", oom)
+	}
+	wrapped := fmt.Errorf("allocating x: %w", err)
+	if !errors.Is(wrapped, ErrOutOfMemory) || wrapped.Error() != "allocating x: "+want {
+		t.Errorf("wrapped = %v", wrapped)
 	}
 }
 

@@ -62,8 +62,7 @@ func (p *refPool) Alloc(n int64) (Allocation, error) {
 		return a, nil
 	}
 	p.stats.FailedAllocs++
-	return Allocation{}, fmt.Errorf("%w: need %d bytes, free %d (largest contiguous %d)",
-		ErrOutOfMemory, need, p.capacity-p.used, p.LargestFree())
+	return Allocation{}, &OOMError{Need: need, Free: p.capacity - p.used, Largest: p.LargestFree()}
 }
 
 func (p *refPool) Free(id int64) error {

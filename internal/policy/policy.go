@@ -99,85 +99,62 @@ func ByName(name string) (Framework, bool) {
 }
 
 // run executes the framework's configurations in order until one
-// fits; it returns (nil, nil) when all of them run out of memory.
-func run(f Framework, net *nnet.Net, d hw.DeviceSpec) (*core.Result, error) {
-	for _, cfg := range f.Configs(d) {
+// fits and returns its result and the index of the configuration; it
+// returns a nil result when all of them run out of memory.
+func run(f Framework, net *nnet.Net, d hw.DeviceSpec) (*core.Result, int, error) {
+	for i, cfg := range f.Configs(d) {
 		r, err := core.Run(net, cfg)
 		if err == nil {
-			return r, nil
+			return r, i, nil
 		}
 		if !errors.Is(err, core.ErrOutOfMemory) {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return nil, nil
+	return nil, 0, nil
 }
 
 // Trainable reports whether the framework can run one training
 // iteration of the network on the device. Non-OOM errors propagate.
 func Trainable(f Framework, net *nnet.Net, d hw.DeviceSpec) (bool, error) {
-	r, err := run(f, net, d)
+	r, _, err := run(f, net, d)
 	return r != nil, err
 }
 
 // MaxBatch returns the largest batch in [1, hi] the framework can
 // train. Returns 0 if even batch 1 fails.
 func MaxBatch(f Framework, build nnet.BuilderFunc, d hw.DeviceSpec, hi int) (int, error) {
-	return largestFitting(func(b int) (bool, error) { return Trainable(f, build(b), d) }, hi)
+	return largestFitting(prober(f, d, build), hi, d.UsableBytes)
 }
 
 // MaxDepth returns the deepest Table-4 ResNet (n1=6, n2=32, n4=6,
 // varying n3 in [1, maxN3]) the framework can train at the given
 // batch, as (n3, depth). Returns (0,0) if even n3=1 fails.
 func MaxDepth(f Framework, d hw.DeviceSpec, batch, maxN3 int) (int, int, error) {
-	n3, err := largestFitting(func(n3 int) (bool, error) {
-		return Trainable(f, nnet.ResNetTable4(batch, n3), d)
-	}, maxN3)
+	build := func(n3 int) *nnet.Net { return nnet.ResNetTable4(batch, n3) }
+	n3, err := largestFitting(prober(f, d, build), maxN3, d.UsableBytes)
 	if err != nil || n3 == 0 {
 		return 0, 0, err
 	}
 	return n3, nnet.ResNetDepth(6, 32, n3, 6), nil
 }
 
-// largestFitting returns the largest n in [1, hi] with fits(n), or 0
-// when fits(1) fails. Capacity is monotone (everything up to it fits,
-// nothing beyond), so exponential probing brackets it and bisection
-// narrows the bracket. Every probe is a full simulated run.
-func largestFitting(fits func(int) (bool, error), hi int) (int, error) {
-	if ok, err := fits(1); err != nil || !ok {
-		return 0, err
+// prober returns the capacity search's probe: one full run of the
+// framework on build(n), reporting whether it fits and what it used.
+func prober(f Framework, d hw.DeviceSpec, build func(int) *nnet.Net) func(int) (demand, bool, error) {
+	return func(n int) (demand, bool, error) {
+		r, cfg, err := run(f, build(n), d)
+		if err != nil || r == nil {
+			return demand{}, false, err
+		}
+		return demand{config: cfg, pool: r.PoolPeak, floor: r.PersistentBytes + r.LPeak}, true, nil
 	}
-	lo := 1
-	for probe := 2; probe <= hi; probe *= 2 {
-		ok, err := fits(probe)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			hi = probe - 1
-			break
-		}
-		lo = probe
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		ok, err := fits(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nil
 }
 
 // Speed returns the training throughput (img/s) of the framework on
 // the network, or 0 when it does not fit.
 func Speed(f Framework, net *nnet.Net, d hw.DeviceSpec) (float64, error) {
-	r, err := run(f, net, d)
+	r, _, err := run(f, net, d)
 	if err != nil || r == nil {
 		return 0, err
 	}

@@ -12,6 +12,8 @@
 package utp
 
 import (
+	"sort"
+
 	"repro/internal/layers"
 	"repro/internal/program"
 	"repro/internal/recompute"
@@ -182,15 +184,10 @@ func BuildPlan(p *program.Program, mode Mode, rp *recompute.Plan) *Plan {
 		if need < 0 {
 			continue
 		}
-		trigger := -1
-		for _, cs := range convBwdSteps {
-			if cs < need {
-				trigger = cs
-			} else {
-				break
-			}
-		}
-		if trigger >= 0 {
+		// convBwdSteps is ascending: the trigger is the last entry
+		// below need.
+		if k := sort.SearchInts(convBwdSteps, need) - 1; k >= 0 {
+			trigger := convBwdSteps[k]
 			pl.PrefetchAt[trigger] = append(pl.PrefetchAt[trigger], id)
 		}
 	}

@@ -1,6 +1,7 @@
 package utp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/layers"
@@ -194,5 +195,57 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(99).String() == "" {
 		t.Error("unknown mode must print")
+	}
+}
+
+// refPrefetchAt is the linear-scan trigger search BuildPlan used
+// before it binary-searched the CONV backward steps: for every
+// offloaded tensor, walk all CONV backward steps and keep the last one
+// strictly before its first backward need.
+func refPrefetchAt(p *program.Program, pl *Plan) map[int][]int {
+	var convBwdSteps []int
+	for si := range p.Steps {
+		st := &p.Steps[si]
+		if st.Phase == program.Backward && st.Node.L.IsOffloadable() {
+			convBwdSteps = append(convBwdSteps, si)
+		}
+	}
+	out := make(map[int][]int)
+	for id, off := range pl.OffloadTensor {
+		need := pl.FirstBwdNeed[id]
+		if !off || need < 0 {
+			continue
+		}
+		trigger := -1
+		for _, cs := range convBwdSteps {
+			if cs >= need {
+				break
+			}
+			trigger = cs
+		}
+		if trigger >= 0 {
+			out[trigger] = append(out[trigger], id)
+		}
+	}
+	return out
+}
+
+// TestPrefetchAtMatchesLinearScan checks the binary-searched prefetch
+// triggers against the linear-scan reference on the Table 4 ResNets
+// and the Fig 10/14 networks, under every offload mode.
+func TestPrefetchAtMatchesLinearScan(t *testing.T) {
+	nets := []*nnet.Net{nnet.ResNetTable4(16, 1), nnet.ResNetTable4(16, 40), nnet.AlexNet(200)}
+	for _, name := range []string{"AlexNet", "ResNet50", "VGG16", "ResNet101", "InceptionV4", "ResNet152"} {
+		nets = append(nets, nnet.ByName(name)(8))
+	}
+	for _, net := range nets {
+		p := program.Build(net)
+		rp := recompute.BuildPlan(p, recompute.CostAware)
+		for _, mode := range []Mode{OffloadConv, OffloadConvAndKept, OffloadSwapAll} {
+			pl := BuildPlan(p, mode, rp)
+			if want := refPrefetchAt(p, pl); !reflect.DeepEqual(pl.PrefetchAt, want) {
+				t.Errorf("%s %s: PrefetchAt diverges from the linear scan", net.Name, mode)
+			}
+		}
 	}
 }
