@@ -119,6 +119,9 @@ func (e *exec) failDevice(di int, now sim.Time) {
 		// snapshots, which may queue arbitrary fault events.
 		return
 	}
+	// Leave the free-capacity summary while still healthy: the victims'
+	// releases below then skip the device (reserve).
+	e.unlistFree(di)
 	d.failed = true
 	d.fails++
 	d.downSince = now
@@ -218,6 +221,7 @@ func (e *exec) recoverDevice(di int, now sim.Time) {
 		return // hand-crafted snapshots only; validated plans alternate
 	}
 	d.failed = false
+	e.listFree(di)
 	d.down += sim.Duration(now - d.downSince)
 	d.downSince = 0
 	e.lg.Info("device recovered", "device", di, "t", int64(now), "down", int64(d.down))

@@ -392,6 +392,14 @@ func FuzzRestoreIncremental(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Restore and clone rebuild the free-capacity summary from the
+		// restored devices, failed flags included.
+		if want := rebuiltFree(restored.ex); !slices.Equal(restored.ex.free, want) {
+			t.Fatalf("restored free-capacity summary %v, rebuild gives %v", restored.ex.free, want)
+		}
+		if c := restored.Clone(); !slices.Equal(c.ex.free, rebuiltFree(c.ex)) {
+			t.Fatalf("cloned free-capacity summary %v, rebuild gives %v", c.ex.free, rebuiltFree(c.ex))
+		}
 		// Accepted snapshots must re-encode stably and drain cleanly
 		// (errors fine, panics not).
 		again := EncodeSnapshot(restored)
@@ -400,5 +408,10 @@ func FuzzRestoreIncremental(f *testing.F) {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
 		}
 		r2.Result()
+		// Draining from the restored state keeps the summary in step.
+		restored.ex.processUntil(-1)
+		if want := rebuiltFree(restored.ex); !slices.Equal(restored.ex.free, want) {
+			t.Fatalf("drained free-capacity summary %v, rebuild gives %v", restored.ex.free, want)
+		}
 	})
 }

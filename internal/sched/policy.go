@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/memmgr"
@@ -128,8 +130,15 @@ func (p Policy) pickDevice(js *jobState, e *exec) int {
 // pickGang returns the devices (ascending) to admit the job's gang
 // to, or nil when no placement fits right now. A single-device job
 // reduces exactly to pickDevice; a gang needs GPUs distinct devices
-// that each fit the per-device demand — the all-or-nothing rule.
+// that each fit the per-device demand — the all-or-nothing rule. In
+// isolated mode the free-capacity summary refuses a job that fits
+// nowhere before any device is probed; every placement returns nil
+// exactly when fewer than GPUs devices pass headroom, so the refusal
+// is the answer the probes would give.
 func (p Policy) pickGang(js *jobState, e *exec) []int {
+	if !e.crossjob && !e.gangFits(max(js.GPUs, 1), js.est.PeakBytes) {
+		return nil
+	}
 	if js.GPUs <= 1 {
 		if di := p.pickDevice(js, e); di >= 0 {
 			return []int{di}
@@ -166,43 +175,29 @@ func (p Policy) pickGang(js *jobState, e *exec) []int {
 // for the full gang, the one with the fewest candidate devices wins —
 // the tightest group, keeping larger contiguous blocks free for wider
 // gangs — with the lower group key breaking ties. Returns nil when no
-// single group holds the gang.
+// single group holds the gang. Both keys are nondecreasing in device
+// index, so each group's candidates are one contiguous run of the
+// ascending cands, met in ascending key order.
 func (p Policy) pickGrouped(cands []int, js *jobState, e *exec, key func(int) int) []int {
 	n := js.GPUs
-	type group struct {
-		key     int
-		members []int
-	}
-	var groups []group
-	at := make(map[int]int, 8)
-	for _, di := range cands {
-		k := key(di)
-		g, ok := at[k]
-		if !ok {
-			g = len(groups)
-			at[k] = g
-			groups = append(groups, group{key: k})
+	var best []int
+	for lo := 0; lo < len(cands); {
+		hi, k := lo+1, key(cands[lo])
+		for hi < len(cands) && key(cands[hi]) == k {
+			hi++
 		}
-		groups[g].members = append(groups[g].members, di)
-	}
-	best := -1
-	for g := range groups {
-		if len(groups[g].members) < n {
-			continue
+		if m := cands[lo:hi]; len(m) >= n && (best == nil || len(m) < len(best)) {
+			best = m
 		}
-		if best == -1 || len(groups[g].members) < len(groups[best].members) ||
-			(len(groups[g].members) == len(groups[best].members) && groups[g].key < groups[best].key) {
-			best = g
-		}
+		lo = hi
 	}
-	if best == -1 {
+	if best == nil {
 		return nil
 	}
-	m := groups[best].members
 	if !p.BestFit {
-		return append([]int(nil), m[:n]...)
+		return append([]int(nil), best[:n]...)
 	}
-	return bestFitGang(m, js, e)
+	return bestFitGang(best, js, e)
 }
 
 // bestFitGang picks the GPUs candidates with the least leftover memory
@@ -210,20 +205,26 @@ func (p Policy) pickGrouped(cands []int, js *jobState, e *exec, key func(int) in
 // candidate already passed the headroom probe, so the leftover lookup
 // cannot miss.
 func bestFitGang(cands []int, js *jobState, e *exec) []int {
-	left := make(map[int]int64, len(cands))
-	for _, di := range cands {
-		l, _ := e.headroom(js, di)
-		left[di] = l
+	type fit struct {
+		dev  int
+		left int64
 	}
-	picked := append([]int(nil), cands...)
-	sort.SliceStable(picked, func(i, j int) bool {
-		if left[picked[i]] != left[picked[j]] {
-			return left[picked[i]] < left[picked[j]]
+	fits := make([]fit, len(cands))
+	for i, di := range cands {
+		l, _ := e.headroom(js, di)
+		fits[i] = fit{di, l}
+	}
+	slices.SortFunc(fits, func(a, b fit) int {
+		if c := cmp.Compare(a.left, b.left); c != 0 {
+			return c
 		}
-		return picked[i] < picked[j]
+		return a.dev - b.dev
 	})
-	picked = picked[:js.GPUs]
-	sort.Ints(picked)
+	picked := make([]int, js.GPUs)
+	for i := range picked {
+		picked[i] = fits[i].dev
+	}
+	slices.Sort(picked)
 	return picked
 }
 

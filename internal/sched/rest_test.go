@@ -3,17 +3,33 @@ package sched
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
+// rebuiltFree is the free-capacity summary recomputed from scratch:
+// cap − used of every healthy device, ascending, and empty under
+// CrossJob.
+func rebuiltFree(e *exec) []int64 {
+	var free []int64
+	for _, d := range e.devs {
+		if !e.crossjob && !d.failed {
+			free = append(free, e.cap-d.used)
+		}
+	}
+	slices.Sort(free)
+	return free
+}
+
 // stepAtRest replays jobs one event at a time and fails at the first
 // event after which the admission pass is not at rest — the condition
 // that lets the event loop skip the pass at boundaries that vacate
-// nothing. The stepped replay must also equal the batch run, so the
-// check itself is proven observation-only.
+// nothing — or the free-capacity summary differs from a rebuild. The
+// stepped replay must also equal the batch run, so the checks
+// themselves are proven observation-only.
 func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, jobs []Job) *Result {
 	t.Helper()
 	e, err := newExec(c, p, est)
@@ -35,6 +51,10 @@ func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, 
 		if !e.atRest() {
 			t.Fatalf("%s: admission pass not at rest after event %d (t=%d class=%d job=%d dev=%d)",
 				name, n, int64(ev.at), ev.class, ev.job, ev.dev)
+		}
+		if want := rebuiltFree(e); !slices.Equal(e.free, want) {
+			t.Fatalf("%s: free-capacity summary after event %d (t=%d class=%d job=%d dev=%d) is %v, rebuild gives %v",
+				name, n, int64(ev.at), ev.class, ev.job, ev.dev, e.free, want)
 		}
 	}
 	got, gotErr := e.result()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 
 	"repro/internal/dataparallel"
@@ -221,10 +222,17 @@ type exec struct {
 	// device, nil otherwise); spillCap is the per-device host spill
 	// pool each planner owns. Planner state is a pure function of the
 	// member set, which is what lets clone and snapshot-restore rebuild
-	// planners by re-admitting residents (rebuildPlanners).
+	// planners by re-admitting residents (rebuildDerived).
 	crossjob bool
 	spillCap int64
 	planners []*memplan.Planner
+
+	// free is the free-capacity summary of isolated (non-CrossJob)
+	// admission: cap − used of every healthy device, ascending. It
+	// answers "do k devices each fit p bytes?" without probing a device
+	// (gangFits). reserve, failDevice and recoverDevice keep it in step
+	// with devs; clone and snapshot restore rebuild it (rebuildDerived).
+	free []int64
 
 	// lg receives structured scheduling decisions; lgDbg gates the
 	// per-event hot path (checked once, the serve-layer idiom).
@@ -282,14 +290,9 @@ func newExec(c Cluster, p Policy, est *Estimator) (*exec, error) {
 		}
 		// Reflect the resolved pool size in the reported cluster.
 		e.cluster.HostSpillBytes = e.spillCap
-		e.planners = make([]*memplan.Planner, len(e.devs))
-		for i := range e.planners {
-			pl, err := memplan.New(e.cap, e.spillCap, spillLink)
-			if err != nil {
-				return nil, fmt.Errorf("sched: %w", err)
-			}
-			e.planners[i] = pl
-		}
+	}
+	if err := e.rebuildDerived(); err != nil {
+		return nil, err
 	}
 	e.setLogger(nil)
 	return e, nil
@@ -560,6 +563,51 @@ func (e *exec) headroom(js *jobState, di int) (int64, bool) {
 	return left, true
 }
 
+// gangFits reports whether k healthy devices each have at least p
+// bytes free — in isolated mode exactly the question "would k devices
+// pass headroom for a job of per-device peak p?", answered from the
+// free-capacity summary without probing a device.
+func (e *exec) gangFits(k int, p int64) bool {
+	n := len(e.free)
+	return n >= k && e.free[n-k] >= p
+}
+
+// reserve changes device di's reservation by delta at now. It is the
+// one place reservations move, so the free-capacity summary follows
+// them: a healthy device's old entry leaves and its new one enters. A
+// failed device is out of the summary (failDevice unlisted it) and
+// stays out.
+func (e *exec) reserve(di int, now sim.Time, delta int64) {
+	d := e.devs[di]
+	if d.failed {
+		d.setUsed(now, delta)
+		return
+	}
+	e.unlistFree(di)
+	d.setUsed(now, delta)
+	e.listFree(di)
+}
+
+// listFree enters healthy device di's free capacity into the summary;
+// unlistFree removes it. Both are no-ops under CrossJob, whose fit
+// question the device planners answer.
+func (e *exec) listFree(di int) {
+	if e.crossjob {
+		return
+	}
+	v := e.cap - e.devs[di].used
+	i, _ := slices.BinarySearch(e.free, v)
+	e.free = slices.Insert(e.free, i, v)
+}
+
+func (e *exec) unlistFree(di int) {
+	if e.crossjob {
+		return
+	}
+	i, _ := slices.BinarySearch(e.free, e.cap-e.devs[di].used)
+	e.free = slices.Delete(e.free, i, i+1)
+}
+
 // headroomWithout is headroom with some residents hypothetically
 // evicted — the preemption-viability probe.
 func (e *exec) headroomWithout(js *jobState, di int, exclude func(*jobState) bool) (int64, bool) {
@@ -608,12 +656,12 @@ func (e *exec) admit(js *jobState, gang []int, now sim.Time) {
 			if _, err := pl.Admit(js.demand); err != nil {
 				e.fail(fmt.Errorf("sched: %w", err))
 			}
-			d.setUsed(now, pl.Requirement()-before)
+			e.reserve(di, now, pl.Requirement()-before)
 			if sp := pl.SpillUsed(); sp > d.spillPeak {
 				d.spillPeak = sp
 			}
 		} else {
-			d.setUsed(now, js.est.PeakBytes)
+			e.reserve(di, now, js.est.PeakBytes)
 		}
 		if d.used > e.cap {
 			e.fail(fmt.Errorf("sched: admission overflow on gpu%d: %d > capacity %d (job %s)", di, d.used, e.cap, js.ID))
@@ -690,9 +738,9 @@ func (e *exec) vacateOne(js *jobState, di int, now sim.Time) {
 		if err := pl.Release(js.demand.Job); err != nil {
 			e.fail(fmt.Errorf("sched: %w", err))
 		}
-		d.setUsed(now, pl.Requirement()-before)
+		e.reserve(di, now, pl.Requirement()-before)
 	} else {
-		d.setUsed(now, -js.est.PeakBytes)
+		e.reserve(di, now, -js.est.PeakBytes)
 	}
 }
 
@@ -866,19 +914,28 @@ func (e *exec) clone() *exec {
 			remap(e.states[ev.job])
 		}
 	}
-	if err := c.rebuildPlanners(); err != nil {
+	if err := c.rebuildDerived(); err != nil {
 		c.fail(err)
 	}
 	return c
 }
 
-// rebuildPlanners reconstructs every device planner from its resident
-// set. Planner state is a pure function of the member demand set, so
-// re-admitting the residents — in any order — reproduces the exact
-// plan: this is how clone and snapshot restore avoid serializing
-// planner internals.
-func (e *exec) rebuildPlanners() error {
+// rebuildDerived reconstructs the state derived from devs: the
+// free-capacity summary in isolated mode, every device planner under
+// CrossJob. Both are pure functions of the devices — the summary of
+// used and failed, a planner of its resident demand set, so
+// re-admitting the residents in any order reproduces the exact plan.
+// This is how newExec, clone and snapshot restore set them up without
+// serializing either.
+func (e *exec) rebuildDerived() error {
 	if !e.crossjob {
+		e.free = make([]int64, 0, len(e.devs))
+		for _, d := range e.devs {
+			if !d.failed {
+				e.free = append(e.free, e.cap-d.used)
+			}
+		}
+		slices.Sort(e.free)
 		return nil
 	}
 	e.planners = make([]*memplan.Planner, len(e.devs))

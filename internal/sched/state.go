@@ -54,7 +54,7 @@ func EncodeSnapshot(inc *Incremental) []byte {
 	// The plan record marks a CrossJob snapshot and carries the spill
 	// pool size; its absence means isolated admission. Planner state is
 	// never serialized — restore re-admits each device's residents
-	// (rebuildPlanners), and purity guarantees the identical plan.
+	// (rebuildDerived), and purity guarantees the identical plan.
 	if e.crossjob {
 		fmt.Fprintf(&b, "plan %d\n", e.spillCap)
 	}
@@ -325,7 +325,7 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		js.lostIters = int(r.i64(rest[nit+7]))
 		js.liveDone = r.i64(rest[nit+8])
 		// Optional demand record: the job's planner demand under
-		// CrossJob, replayed verbatim so rebuildPlanners reproduces the
+		// CrossJob, replayed verbatim so rebuildDerived reproduces the
 		// paused plan bit for bit.
 		if f := r.fieldsOpt("demand", 5); f != nil {
 			if !crossjob {
@@ -548,9 +548,11 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		return nil, fmt.Errorf("sched: snapshot: want end marker, got %q", line)
 	}
 	// Reconstruct the device planners from the restored residents and
-	// their demand records; a resident without a usable demand (a
-	// hand-crafted snapshot) surfaces here as an error, never a panic.
-	if err := ex.rebuildPlanners(); err != nil {
+	// their demand records (a resident without a usable demand, from a
+	// hand-crafted snapshot, surfaces here as an error, never a panic),
+	// or in isolated mode the free-capacity summary. Both run after
+	// every dev record is read, so the summary sees the failed flags.
+	if err := ex.rebuildDerived(); err != nil {
 		return nil, fmt.Errorf("sched: snapshot: %w", err)
 	}
 	// The event loop runs the admission pass only when its inputs
