@@ -27,7 +27,7 @@ func BenchmarkCrossJobPlanner(b *testing.B) {
 			name     string
 			crossjob bool
 		}{{"isolated", false}, {"shared", true}} {
-			b.Run(fmt.Sprintf("%s/cotenants-%d", mode.name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/cotenants=%d", mode.name, n), func(b *testing.B) {
 				c := Cluster{Device: TeslaK40c, Devices: CoTenantClusterDevices,
 					CrossJob: mode.crossjob, HostSpillBytes: 8 << 30}
 				s, err := NewScheduler(c, SchedPacking)

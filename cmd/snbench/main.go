@@ -115,6 +115,10 @@ func main() {
 // capturing the name (GOMAXPROCS suffix stripped), ns/op, and — when
 // the run used -benchmem — B/op and allocs/op. Custom metrics such as
 // req/s may sit between ns/op and the memory columns.
+//
+// At GOMAXPROCS=1 `go test` appends no suffix, so a name that itself
+// ends in -N would lose it: sub-benchmarks carry parameters as key=N
+// (shards=4, cotenants=16), never as key-N.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*\s([0-9]+) B/op\s+([0-9]+) allocs/op)?`)
 
 // parseBench folds `go test -bench` output into a Summary, keeping

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,6 +49,34 @@ func TestParseBenchKeepsMinAcrossRuns(t *testing.T) {
 	st, ok := sum.Benchmarks["BenchmarkServeThroughput"]
 	if !ok || st.NsPerOp != 2487912 || st.Runs != 2 {
 		t.Errorf("serve = %+v (ok=%v), want min 2487912 over 2 runs", st, ok)
+	}
+}
+
+// TestParseBenchGOMAXPROCSSuffix feeds the same sub-benchmarks as
+// `go test` prints them at GOMAXPROCS=1 (no suffix) and at GOMAXPROCS=8
+// (-8): both must fold to the same per-parameter rows.
+func TestParseBenchGOMAXPROCSSuffix(t *testing.T) {
+	const line = "BenchmarkCrossJobPlanner/shared/cotenants=%d%s \t       1\t    300000 ns/op\t  136816 B/op\t    1528 allocs/op\n"
+	for _, suffix := range []string{"", "-8"} {
+		var in strings.Builder
+		for rep := 0; rep < 3; rep++ {
+			for _, n := range []int{1, 4, 16} {
+				fmt.Fprintf(&in, line, n, suffix)
+			}
+		}
+		sum, err := parseBench(strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Benchmarks) != 3 {
+			t.Errorf("suffix %q: %d rows, want 3: %v", suffix, len(sum.Benchmarks), sum.Benchmarks)
+		}
+		for _, n := range []int{1, 4, 16} {
+			name := fmt.Sprintf("BenchmarkCrossJobPlanner/shared/cotenants=%d", n)
+			if st, ok := sum.Benchmarks[name]; !ok || st.Runs != 3 {
+				t.Errorf("suffix %q: %s = %+v (present %v), want 3 runs", suffix, name, st, ok)
+			}
+		}
 	}
 }
 

@@ -48,6 +48,24 @@ func Analyze(p *program.Program) *Result {
 			r.LastUse[t.ID] = si
 		}
 	}
+	// All free lists share one backing array: count each step's frees,
+	// then give step i the capped range flat[off[i]:off[i]:off[i+1]] so
+	// its appends stay inside its own range.
+	off := make([]int, len(p.Steps)+1)
+	for _, last := range r.LastUse {
+		if last >= 0 {
+			off[last+1]++
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	flat := make([]int, off[len(p.Steps)])
+	for i := range r.FreeAfter {
+		if off[i] < off[i+1] {
+			r.FreeAfter[i] = flat[off[i]:off[i]:off[i+1]]
+		}
+	}
 	for id, last := range r.LastUse {
 		if last >= 0 {
 			r.FreeAfter[last] = append(r.FreeAfter[last], id)

@@ -102,7 +102,7 @@ func (o *StdOffload) IssueOffload(t *tensor.Tensor) {
 	dur := rt.HostLinks[pool].TransferTime(t.Bytes())
 	s.OffEv = rt.D2H.Submit(rt.TL.Now(), dur)
 	s.OffPending = true
-	rt.Span("d2h", "offload "+t.Name, s.OffEv, dur)
+	rt.SpanFor("d2h", "offload", t.Name, s.OffEv, dur)
 	rt.PendingOff = append(rt.PendingOff, t.ID)
 	rt.Res.OffloadBytes += t.Bytes()
 }
@@ -170,7 +170,7 @@ func (o *StdOffload) Fetch(t *tensor.Tensor) error {
 	dur := rt.HostLinks[s.HostPool].TransferTime(t.Bytes())
 	s.Inflight = rt.H2D.Submit(rt.TL.Now(), dur)
 	s.InflightValid = true
-	rt.Span("h2d", "fetch "+t.Name, s.Inflight, dur)
+	rt.SpanFor("h2d", "fetch", t.Name, s.Inflight, dur)
 	rt.Res.PrefetchBytes += t.Bytes()
 	if rt.Cache != nil {
 		rt.Cache.In(t)

@@ -149,7 +149,7 @@ func (rp *StdReplayer) replayMembers(seg *recompute.Segment, upTo int, freeAfter
 		}
 		dur := m.L.FwdTime(rt.Cfg.Device, 1.0)
 		ev := rt.Compute.Submit(rt.TL.Now(), dur, deps...)
-		rt.Span("compute", "replay "+m.Name(), ev, dur)
+		rt.SpanFor("compute", "replay", m.Name(), ev, dur)
 		rt.TL.Wait(ev)
 		rt.Res.ExtraForwards++
 		for _, pr := range m.Prev {

@@ -95,7 +95,6 @@ func (r *StdResidency) Alloc(t *tensor.Tensor) error {
 			s := &rt.TS[t.ID]
 			s.GPU = a
 			s.OnGPU = true
-			t.Place = tensor.OnGPU
 			rt.ResBytes += t.Bytes()
 			rt.ResCount++
 			if rt.ResBytes > rt.Res.PeakResident {
@@ -151,7 +150,7 @@ func (r *StdResidency) evict(t *tensor.Tensor) {
 		s.OnHost = true
 		dur := rt.HostLinks[pool].TransferTime(t.Bytes())
 		ev := rt.D2H.Submit(rt.TL.Now(), dur)
-		rt.Span("d2h", "evict "+t.Name, ev, dur)
+		rt.SpanFor("d2h", "evict", t.Name, ev, dur)
 		// The reused memory must not be overwritten before the copy
 		// drains; the synchronous wait is the eviction's cost.
 		if ev.At() > rt.TL.Now() {
@@ -187,13 +186,6 @@ func (r *StdResidency) FreeGPU(t *tensor.Tensor) {
 	if rt.Cache != nil {
 		rt.Cache.Remove(t)
 	}
-	if s.OnHost {
-		t.Place = tensor.OnHost
-	} else if rt.Owner[t.ID] >= 0 && rt.RPlan.Drop[rt.Owner[t.ID]] {
-		t.Place = tensor.Dropped
-	} else {
-		t.Place = tensor.Unallocated
-	}
 }
 
 // FreeAll releases both copies (liveness last-use free).
@@ -213,5 +205,4 @@ func (r *StdResidency) FreeAll(t *tensor.Tensor) {
 		}
 		s.OnHost = false
 	}
-	t.Place = tensor.Unallocated
 }

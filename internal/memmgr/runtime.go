@@ -232,6 +232,14 @@ func (rt *Runtime) Span(lane, name string, end sim.Event, dur sim.Duration) {
 	})
 }
 
+// SpanFor records a span named "verb subject". The name is built only
+// when tracing is enabled, so an untraced run pays nothing for it.
+func (rt *Runtime) SpanFor(lane, verb, subject string, end sim.Event, dur sim.Duration) {
+	if rt.Cfg.CollectTrace {
+		rt.Span(lane, verb+" "+subject, end, dur)
+	}
+}
+
 // ChargeAlloc advances virtual time by one allocator call and counts
 // it.
 func (rt *Runtime) ChargeAlloc() {

@@ -52,7 +52,7 @@ func (w *StdTuner) SelectAlgo(st *program.Step, budget int64) layers.Algo {
 		}
 		// The probe executes for real, like cudnnFind.
 		ev := rt.Compute.Submit(rt.TL.Now(), dur)
-		rt.Span("compute", "autotune "+st.Label(), ev, dur)
+		rt.SpanFor("compute", "autotune", st.Label(), ev, dur)
 		rt.TL.Wait(ev)
 		if dur < bestTime {
 			bestTime = dur

@@ -197,7 +197,13 @@ func (n *Net) Validate() error {
 // reads like the layer listings in the papers.
 type Builder struct {
 	net *Net
+	// nodes is the unused rest of the current chunk Add carves nodes
+	// from, so a deep network costs one allocation per nodeChunk nodes.
+	nodes []Node
 }
+
+// nodeChunk is how many nodes Builder.Add allocates at once.
+const nodeChunk = 64
 
 // NewBuilder starts a network with the given name and input geometry,
 // returning the builder and the data node.
@@ -210,7 +216,12 @@ func NewBuilder(name string, input tensor.Shape) (*Builder, *Node) {
 
 // Add appends a layer connected to the given predecessors.
 func (b *Builder) Add(spec layers.Spec, prevs ...*Node) *Node {
-	nd := &Node{ID: len(b.net.Nodes), L: spec, Prev: prevs}
+	if len(b.nodes) == 0 {
+		b.nodes = make([]Node, nodeChunk)
+	}
+	nd := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	*nd = Node{ID: len(b.net.Nodes), L: spec, Prev: prevs}
 	for _, p := range prevs {
 		p.Next = append(p.Next, nd)
 	}

@@ -23,6 +23,7 @@ package program
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/layers"
 	"repro/internal/nnet"
@@ -110,12 +111,17 @@ type Options struct {
 // Build lowers the network with default options.
 func Build(net *nnet.Net) *Program { return BuildWith(net, Options{}) }
 
-// BuildWith lowers the network.
+// BuildWith lowers the network. Every per-layer object lives in one of
+// a fixed number of backing arrays, so a lowering makes the same number
+// of allocations at any depth: tensors in the registry's slab, every
+// step's Reads and Writes in one arena, and every tensor name and step
+// label in one string buffer.
 func BuildWith(net *nnet.Net, opts Options) *Program {
 	n := len(net.Nodes)
 	p := &Program{
 		Net:     net,
 		Reg:     &tensor.Registry{},
+		Steps:   make([]Step, 0, 2*n),
 		Out:     make([]*tensor.Tensor, n),
 		DX:      make([]*tensor.Tensor, n),
 		GradOut: make([]*tensor.Tensor, n),
@@ -125,6 +131,49 @@ func BuildWith(net *nnet.Net, opts Options) *Program {
 
 	route := net.Route()
 
+	// Size the tensor slab, the name buffer and the access arena up
+	// front. The arena bound counts a backward step as its gradient
+	// read, its input reads, its output read and one write.
+	tensors, nameBytes, accesses := 0, 0, 0
+	for _, nd := range route {
+		name := len(nd.Name())
+		nameBytes += name + len(" fwd")
+		accesses += len(nd.Prev) + 1
+		if !(opts.InPlaceAct && inPlaceEligible(nd)) {
+			tensors++
+			nameBytes += name + len(".y")
+		}
+		if nd.L.AllocatesDX() {
+			tensors++
+			nameBytes += name + len(".dx")
+		}
+		if len(nd.Prev) > 0 {
+			nameBytes += name + len(" bwd")
+			accesses += len(nd.Prev) + 3
+		}
+	}
+	p.Reg.Grow(tensors)
+	var names strings.Builder
+	names.Grow(nameBytes)
+	// join returns a+b as a substring of the shared buffer. Strings
+	// already returned stay valid even if the buffer has to grow.
+	join := func(a, b string) string {
+		from := names.Len()
+		names.WriteString(a)
+		names.WriteString(b)
+		return names.String()[from:]
+	}
+	arena := make([]*tensor.Tensor, 0, accesses)
+	// carve returns the arena entries appended since from, capped so an
+	// append by any caller reallocates instead of overwriting the next
+	// step's entries.
+	carve := func(from int) []*tensor.Tensor {
+		if len(arena) == from {
+			return nil
+		}
+		return arena[from:len(arena):len(arena)]
+	}
+
 	// Create forward outputs in route order so tensor IDs follow
 	// execution order (matches the paper's t0, t1, ... numbering).
 	for _, nd := range route {
@@ -132,20 +181,27 @@ func BuildWith(net *nnet.Net, opts Options) *Program {
 			p.Out[nd.ID] = p.Out[nd.Prev[0].ID]
 			continue
 		}
-		p.Out[nd.ID] = p.Reg.New(nd.Name()+".y", tensor.Data, nd.L.Out)
+		p.Out[nd.ID] = p.Reg.New(join(nd.Name(), ".y"), tensor.Data, nd.L.Out)
 	}
-	// Create dX tensors in backward order.
+	// Create dX tensors in backward order, resolving output-gradient
+	// aliases in the same pass: the gradient with respect to a node's
+	// output lives in the dX buffer of its first consumer, or, when that
+	// consumer computes in place or hands out views, wherever the
+	// consumer's own output gradient lives. The route is topological, so
+	// the consumer is resolved before the node.
 	for i := len(route) - 1; i >= 0; i-- {
 		nd := route[i]
 		if nd.L.AllocatesDX() {
 			// dX matches the (first) input shape; for multi-input
 			// layers that allocate (none today) this would extend.
-			p.DX[nd.ID] = p.Reg.New(nd.Name()+".dx", tensor.Grad, nd.L.In[0])
+			p.DX[nd.ID] = p.Reg.New(join(nd.Name(), ".dx"), tensor.Grad, nd.L.In[0])
 		}
-	}
-	// Resolve output-gradient aliases.
-	for _, nd := range route {
-		p.GradOut[nd.ID] = p.resolveGradOut(nd, make(map[int]bool))
+		if len(nd.Next) > 0 { // the loss layer's gradient originates there
+			c := nd.Next[0]
+			if p.GradOut[nd.ID] = p.DX[c.ID]; p.GradOut[nd.ID] == nil {
+				p.GradOut[nd.ID] = p.GradOut[c.ID]
+			}
+		}
 	}
 
 	// Persistent state: parameters, parameter gradients, aux.
@@ -153,12 +209,15 @@ func BuildWith(net *nnet.Net, opts Options) *Program {
 
 	// Forward steps.
 	for _, nd := range route {
-		st := Step{Index: len(p.Steps), Node: nd, Phase: Forward}
-		st.label = st.Node.Name() + " " + st.Phase.String()
+		st := Step{Index: len(p.Steps), Node: nd, Phase: Forward, label: join(nd.Name(), " fwd")}
+		from := len(arena)
 		for _, pr := range nd.Prev {
-			st.Reads = append(st.Reads, p.Out[pr.ID])
+			arena = append(arena, p.Out[pr.ID])
 		}
-		st.Writes = append(st.Writes, p.Out[nd.ID])
+		st.Reads = carve(from)
+		from = len(arena)
+		arena = append(arena, p.Out[nd.ID])
+		st.Writes = carve(from)
 		p.FwdStep[nd.ID] = st.Index
 		p.Steps = append(p.Steps, st)
 	}
@@ -171,26 +230,29 @@ func BuildWith(net *nnet.Net, opts Options) *Program {
 		if len(nd.Prev) == 0 {
 			continue
 		}
-		st := Step{Index: len(p.Steps), Node: nd, Phase: Backward}
-		st.label = st.Node.Name() + " " + st.Phase.String()
+		st := Step{Index: len(p.Steps), Node: nd, Phase: Backward, label: join(nd.Name(), " bwd")}
+		from := len(arena)
 		if g := p.GradOut[nd.ID]; g != nil {
-			st.Reads = append(st.Reads, g)
+			arena = append(arena, g)
 		}
 		needX, needY := nd.L.BwdNeeds()
 		if needX {
 			for _, pr := range nd.Prev {
-				st.Reads = append(st.Reads, p.Out[pr.ID])
+				arena = append(arena, p.Out[pr.ID])
 			}
 		}
 		if needY {
-			st.Reads = append(st.Reads, p.Out[nd.ID])
+			arena = append(arena, p.Out[nd.ID])
 		}
+		st.Reads = carve(from)
+		from = len(arena)
 		if dx := p.DX[nd.ID]; dx != nil {
-			st.Writes = append(st.Writes, dx)
+			arena = append(arena, dx)
 		} else if g := p.GradOut[nd.ID]; g != nil {
 			// In-place: the step updates the aliased gradient buffer.
-			st.Writes = append(st.Writes, g)
+			arena = append(arena, g)
 		}
+		st.Writes = carve(from)
 		p.BwdStep[nd.ID] = st.Index
 		p.Steps = append(p.Steps, st)
 	}
@@ -208,26 +270,6 @@ func inPlaceEligible(nd *nnet.Node) bool {
 		return true
 	}
 	return false
-}
-
-// resolveGradOut walks down the consumer graph to find the tensor that
-// will hold the gradient with respect to nd's output: the dX buffer of
-// the nearest downstream dX-allocating layer, following in-place and
-// view-aliasing chains. With several consumers the first one's buffer
-// is the accumulation target.
-func (p *Program) resolveGradOut(nd *nnet.Node, visiting map[int]bool) *tensor.Tensor {
-	if len(nd.Next) == 0 {
-		return nil // loss layer: gradient originates here
-	}
-	if visiting[nd.ID] {
-		return nil
-	}
-	visiting[nd.ID] = true
-	c := nd.Next[0]
-	if dx := p.DX[c.ID]; dx != nil {
-		return dx
-	}
-	return p.resolveGradOut(c, visiting)
 }
 
 // StepTensors returns the deduplicated union of a step's reads and

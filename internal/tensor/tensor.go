@@ -1,12 +1,15 @@
 // Package tensor defines the fundamental scheduling unit of the
 // SuperNeurons runtime: the 4-dimensional NCHW tensor (§3.1 of the
-// paper). Tensors here carry geometry and placement state only — the
+// paper). Tensors here carry geometry and identity only — the
 // simulator schedules byte extents, never touches element values,
 // because the paper's contribution is a memory scheduler and every
 // decision it makes depends only on tensor sizes and dependencies.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ElemSize is the byte width of a single element. Training in the paper
 // is single-precision.
@@ -62,43 +65,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Placement is where a tensor's bytes currently live.
-type Placement uint8
-
-// Tensor placements. Dropped means the tensor was freed for
-// recomputation and must be reconstructed by a forward pass before use.
-const (
-	Unallocated Placement = iota
-	OnGPU
-	OnHost
-	Dropped
-)
-
-var placementNames = [...]string{"unallocated", "gpu", "host", "dropped"}
-
-// String returns the placement name.
-func (p Placement) String() string {
-	if int(p) < len(placementNames) {
-		return placementNames[p]
-	}
-	return fmt.Sprintf("placement(%d)", uint8(p))
-}
-
-// Tensor is a schedulable memory extent. Its mutable placement state is
-// owned by the executing runtime; the graph structure (who produces and
-// consumes it) lives in internal/nnet.
+// Tensor is a schedulable memory extent. Where its bytes live is run
+// state owned by the executing runtime (memmgr's per-tensor TState);
+// the graph structure (who produces and consumes it) lives in
+// internal/nnet.
 type Tensor struct {
 	ID    int
 	Name  string
 	Shape Shape
 	Kind  Kind
-
-	// Place is the current physical location of the bytes.
-	Place Placement
-	// GPUAlloc / HostAlloc identify the live allocation in the
-	// respective pool while Place is OnGPU / OnHost. Zero when invalid.
-	GPUAlloc  int64
-	HostAlloc int64
 
 	// Locked marks the tensor as pinned by an in-flight computation so
 	// the LRU tensor cache may not evict it (Alg. 2 of the paper).
@@ -117,6 +92,17 @@ func (t *Tensor) String() string {
 // use.
 type Registry struct {
 	tensors []*Tensor
+	// slab holds the room Grow reserved: New carves tensors from it
+	// while it has capacity left. It is never appended past its
+	// capacity, so the pointers New hands out stay stable.
+	slab []Tensor
+}
+
+// Grow reserves room for n more tensors, so the next n calls to New
+// share one allocation instead of making one each.
+func (r *Registry) Grow(n int) {
+	r.slab = make([]Tensor, 0, n)
+	r.tensors = slices.Grow(r.tensors, n)
 }
 
 // New registers a tensor of the given kind and shape.
@@ -124,7 +110,14 @@ func (r *Registry) New(name string, k Kind, s Shape) *Tensor {
 	if !s.Valid() {
 		panic(fmt.Sprintf("tensor: invalid shape %v for %q", s, name))
 	}
-	t := &Tensor{ID: len(r.tensors), Name: name, Shape: s, Kind: k}
+	var t *Tensor
+	if len(r.slab) < cap(r.slab) {
+		r.slab = r.slab[:len(r.slab)+1]
+		t = &r.slab[len(r.slab)-1]
+	} else {
+		t = new(Tensor)
+	}
+	*t = Tensor{ID: len(r.tensors), Name: name, Shape: s, Kind: k}
 	r.tensors = append(r.tensors, t)
 	return t
 }

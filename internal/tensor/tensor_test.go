@@ -61,15 +61,12 @@ func TestShapeString(t *testing.T) {
 	}
 }
 
-func TestKindAndPlacementStrings(t *testing.T) {
+func TestKindStrings(t *testing.T) {
 	if Data.String() != "data" || Workspace.String() != "workspace" {
 		t.Error("kind names wrong")
 	}
-	if OnGPU.String() != "gpu" || Dropped.String() != "dropped" {
-		t.Error("placement names wrong")
-	}
-	if Kind(250).String() == "" || Placement(250).String() == "" {
-		t.Error("out-of-range enums must still print")
+	if Kind(250).String() == "" {
+		t.Error("out-of-range kinds must still print")
 	}
 }
 
@@ -85,6 +82,38 @@ func TestRegistryIDs(t *testing.T) {
 	}
 	if r.All()[0] != a {
 		t.Error("All order broken")
+	}
+}
+
+// Grow puts the reserved tensors in one slab; New past the reservation
+// falls back to single allocations, and no pointer handed out moves.
+func TestRegistryGrowKeepsPointersStable(t *testing.T) {
+	var r Registry
+	first := r.New("before", Data, Shape{1, 1, 1, 1})
+	r.Grow(2)
+	var got []*Tensor
+	for i := 0; i < 5; i++ {
+		got = append(got, r.New("t", Grad, Shape{1, 1, 1, i + 1}))
+	}
+	if r.Get(0) != first || first.Name != "before" {
+		t.Error("Grow disturbed a tensor registered before it")
+	}
+	for i, tn := range got {
+		if r.Get(i+1) != tn || tn.ID != i+1 || tn.Shape.W != i+1 {
+			t.Errorf("tensor %d: got %v", i+1, tn)
+		}
+	}
+	reserve := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var r Registry
+			r.Grow(n)
+			for i := 0; i < n; i++ {
+				r.New("t", Data, Shape{1, 1, 1, 1})
+			}
+		})
+	}
+	if few, many := reserve(2), reserve(64); few != many {
+		t.Errorf("reserving 2 tensors made %.0f allocations, 64 made %.0f; want equal", few, many)
 	}
 }
 
