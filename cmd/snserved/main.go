@@ -17,8 +17,7 @@
 //	snserved -shards 8                        # 8 per-tenant sequencer shards
 //	snserved -snapshot-every 256              # advance the replay watermark less often
 //	snserved -log requests.trace              # export the replayable log at drain
-//	snserved -wal-dir wal/                    # durable WAL; acks survive kill -9, restart recovers
-//	snserved -wal-dir wal/ -sync-every 64     # group fsyncs (bounded loss window)
+//	snserved -wal-dir wal/                    # durable WAL: every ack is fsynced first, survives kill -9; restart recovers
 //	snserved -exit-after-drain                # exit after an API drain (CI smoke)
 //
 // Tenants hash onto -shards independent sequencers; the shards' records
@@ -74,7 +73,6 @@ type options struct {
 	logPath        string
 	logLevel       string
 	walDir         string
-	syncEvery      int
 	exitAfterDrain bool
 }
 
@@ -93,7 +91,6 @@ func main() {
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", serve.DefaultSnapshotEvery, "advance the resumable-replay watermark every N sequenced jobs")
 	flag.StringVar(&o.logPath, "log", "", "export the deterministic request log to this file after the drain (crash durability is -wal-dir's job)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "durable write-ahead log directory; on start the service recovers whatever the directory holds (truncating a torn tail) and resumes")
-	flag.IntVar(&o.syncEvery, "sync-every", 0, "WAL fsync policy: <=1 fsyncs before every ack, N>1 fsyncs every N records (bounded loss window)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level on stderr: debug, info, warn or error")
 	flag.BoolVar(&o.exitAfterDrain, "exit-after-drain", false, "exit cleanly once a POST /v1/drain completes")
 	flag.Parse()
@@ -141,7 +138,6 @@ func run(ctx context.Context, o options, ready chan<- string, w io.Writer) error
 		SpacingMS:     o.spacingMS,
 		SnapshotEvery: o.snapshotEvery,
 		WALDir:        o.walDir,
-		SyncEvery:     o.syncEvery,
 		Logger:        lg,
 	}
 	var logFile *os.File

@@ -110,8 +110,11 @@ func main() {
 	if err := doomed.Close(); err != nil {
 		log.Fatal(err)
 	}
-	// Simulate kill -9 mid-append: half a frame on the WAL tail.
-	torn := workload.AppendFrame(nil, []byte("# idem key-06 t0/job06\n"))
+	// Simulate kill -9 mid-append: half a frame on the WAL tail. A WAL
+	// record is one frame holding the job's idempotency key and its
+	// trace line, so the tear takes both.
+	next := workload.TraceJob{ID: "t0/job06", ArrivalMS: crashAt, Network: "AlexNet", Batch: 16, Iterations: 1}
+	torn := workload.AppendFrame(nil, []byte("# idem key-06\n"+workload.FormatJob(next)))
 	seg := filepath.Join(walDir, "wal-00000000.seg")
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -128,7 +128,7 @@ func TestCrossJobSnapshotRoundTrip(t *testing.T) {
 		}
 		inc.AdvanceTo(jobs[split].Arrival)
 		snap := EncodeSnapshot(inc)
-		if !bytes.Contains(snap, []byte("\nplan ")) {
+		if !strings.Contains(snapText(snap), "\nplan ") {
 			t.Fatalf("split %d: cross-job snapshot carries no plan record", split)
 		}
 		restored, err := RestoreIncremental(snap, est)
@@ -169,7 +169,7 @@ func TestNonCrossJobSnapshotRestoresIsolated(t *testing.T) {
 	inc.AdvanceTo(sim.Time(70 * sim.Millisecond))
 	snap := EncodeSnapshot(inc)
 	for _, record := range []string{"\nplan ", "\ndemand "} {
-		if bytes.Contains(snap, []byte(record)) {
+		if strings.Contains(snapText(snap), record) {
 			t.Fatalf("isolated snapshot carries a %q record", strings.TrimSpace(record))
 		}
 	}
@@ -235,7 +235,7 @@ func TestCrossJobSnapshotRejectsCorruption(t *testing.T) {
 	}
 	inc.AdvanceTo(jobs[8].Arrival)
 	snap := EncodeSnapshot(inc)
-	if !bytes.Contains(snap, []byte("\ndemand ")) {
+	if !strings.Contains(snapText(snap), "\ndemand ") {
 		t.Fatal("test premise: snapshot carries no demand records")
 	}
 	for _, tc := range []struct{ name, old, new string }{

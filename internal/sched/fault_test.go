@@ -352,7 +352,7 @@ func TestFaultSingleDeviceRequeue(t *testing.T) {
 // replaces one whitespace-separated field (negative indexes count from
 // the end of the line).
 func mutateLine(b []byte, prefix string, field int, val string) []byte {
-	lines := strings.Split(string(b), "\n")
+	lines := strings.Split(snapText(b), "\n")
 	for i, ln := range lines {
 		if strings.HasPrefix(ln, prefix) {
 			f := strings.Fields(ln)
@@ -364,7 +364,7 @@ func mutateLine(b []byte, prefix string, field int, val string) []byte {
 			break
 		}
 	}
-	return []byte(strings.Join(lines, "\n"))
+	return snapFrames(strings.Join(lines, "\n"))
 }
 
 // TestFaultSnapshotDecodeErrors corrupts the fault extensions of a

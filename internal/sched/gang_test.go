@@ -319,7 +319,8 @@ func TestGangSnapshotRoundTrip(t *testing.T) {
 }
 
 // The decoder accepts exactly the current snapshot generation: the
-// shapes older encoders wrote are refused with a line-numbered error.
+// record shapes older encoders wrote are refused with a record-numbered
+// error.
 func TestOlderSnapshotGenerationsRejected(t *testing.T) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
@@ -346,7 +347,7 @@ func TestOlderSnapshotGenerationsRejected(t *testing.T) {
 		{"dev without fault tail", "dev ", 4},
 	} {
 		var lines []string
-		for _, ln := range strings.Split(string(snap), "\n") {
+		for _, ln := range strings.Split(snapText(snap), "\n") {
 			if strings.HasPrefix(ln, tc.prefix) {
 				if tc.drop == 0 {
 					continue
@@ -356,9 +357,9 @@ func TestOlderSnapshotGenerationsRejected(t *testing.T) {
 			}
 			lines = append(lines, ln)
 		}
-		_, err := RestoreIncremental([]byte(strings.Join(lines, "\n")), nil)
-		if err == nil || !strings.HasPrefix(err.Error(), "sched: snapshot line ") {
-			t.Errorf("%s: err = %v, want a line-numbered snapshot error", tc.name, err)
+		_, err := RestoreIncremental(snapFrames(strings.Join(lines, "\n")), nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "sched: snapshot record ") {
+			t.Errorf("%s: err = %v, want a record-numbered snapshot error", tc.name, err)
 		}
 	}
 }

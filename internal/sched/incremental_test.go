@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testJobs is a stream exercising every job fate: admitted, backfilled,
@@ -247,15 +248,19 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 
 	cases := map[string][]byte{
 		"empty":        nil,
-		"bad magic":    []byte("snsnap 99\n"),
+		"bad magic":    snapFrames("snsnap 99\n"),
+		"version 1":    []byte(snapText(good)),
 		"truncated":    good[:len(good)/2],
-		"no end":       good[:len(good)-len("end\n")],
+		"no end":       good[:len(good)-workload.FrameSize(len("end\n"))],
+		"after end":    append(append([]byte{}, good...), snapFrames("end\n")...),
+		"two lines":    mutate(good, "clock ", "clock\n"),
 		"binary junk":  {0xff, 0xfe, 0x00, 0x01},
-		"huge count":   []byte(snapMagic + "\npolicy fifo\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 999999999\n"),
-		"bad float":    []byte(snapMagic + "\npolicy fifo\ndevice d 1 1 zz 0x0 0 0 0 0 0x0 0x0\n"),
-		"unknown pol":  []byte(snapMagic + "\npolicy lottery\n"),
-		"neg devices":  []byte(snapMagic + "\npolicy fifo\ndevice d 1 1 0x0 0x0 0 0 0 0 0x0 0x0\ndevices -4\n"),
+		"huge count":   snapFrames(snapMagic + "\npolicy fifo\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 999999999\n"),
+		"bad float":    snapFrames(snapMagic + "\npolicy fifo\ndevice d 1 1 zz 0x0 0 0 0 0 0x0 0x0\n"),
+		"unknown pol":  snapFrames(snapMagic + "\npolicy lottery\n"),
+		"neg devices":  snapFrames(snapMagic + "\npolicy fifo\ndevice d 1 1 0x0 0x0 0 0 0 0 0x0 0x0\ndevices -4\n"),
 		"resident mix": mutate(good, "dev 0 ", "dev 1 "),
+		"no iter time": mutate(good, " 32:", " 33:"),
 	}
 	for name, data := range cases {
 		if _, err := RestoreIncremental(data, nil); err == nil {
@@ -275,14 +280,14 @@ func idleFitSnapshot(t testing.TB) []byte {
 	if _, err := inc.Append(testJobs()[6]); err != nil {
 		t.Fatal(err)
 	}
-	snap := string(EncodeSnapshot(inc))
+	snap := snapText(EncodeSnapshot(inc))
 	// Deliver the arrival by hand: list the job as pending and drop its
 	// queued arrival event.
 	ev := fmt.Sprintf("events 1\nev %d 0 0 0 0\n", int64(testJobs()[6].Arrival))
 	if !strings.Contains(snap, "pending 0\n"+ev) {
 		t.Fatalf("unexpected snapshot layout:\n%s", snap)
 	}
-	return []byte(strings.Replace(snap, "pending 0\n"+ev, "pending 1 0\nevents 0\n", 1))
+	return snapFrames(strings.Replace(snap, "pending 0\n"+ev, "pending 1 0\nevents 0\n", 1))
 }
 
 // TestSnapshotRestoreRequiresRest: restore accepts only snapshots whose
@@ -301,7 +306,7 @@ func TestSnapshotRestoreRequiresRest(t *testing.T) {
 	inc.AdvanceTo(sim.Time(85 * sim.Millisecond))
 	sorted := EncodeSnapshot(inc)
 	var pending string
-	for _, line := range strings.Split(string(sorted), "\n") {
+	for _, line := range strings.Split(snapText(sorted), "\n") {
 		if strings.HasPrefix(line, "pending ") {
 			pending = line
 		}
@@ -339,20 +344,41 @@ func TestSnapshotRestoreRequiresRest(t *testing.T) {
 	}
 }
 
-// mutate replaces the first occurrence of old with new in a copy.
-func mutate(b []byte, old, new string) []byte {
-	s := string(b)
-	i := len(s)
-	for j := 0; j+len(old) <= len(s); j++ {
-		if s[j:j+len(old)] == old {
-			i = j
+// snapText joins a framed snapshot's record payloads into one text,
+// newline-separated records, the form the tests edit; it stops at the
+// first bad frame.
+func snapText(b []byte) string {
+	var s strings.Builder
+	for len(b) > 0 {
+		payload, rest, err := workload.ReadFrame(b)
+		if err != nil {
 			break
 		}
+		s.Write(payload)
+		b = rest
 	}
-	if i == len(s) {
+	return s.String()
+}
+
+// snapFrames frames text back into a snapshot, one line per record.
+func snapFrames(text string) []byte {
+	var b []byte
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if line != "" {
+			b = workload.AppendFrame(b, []byte(line))
+		}
+	}
+	return b
+}
+
+// mutate replaces the first occurrence of old with new in the
+// snapshot's records; it returns b itself when old does not occur.
+func mutate(b []byte, old, new string) []byte {
+	s := snapText(b)
+	if !strings.Contains(s, old) {
 		return b
 	}
-	return []byte(s[:i] + new + s[i+len(old):])
+	return snapFrames(strings.Replace(s, old, new, 1))
 }
 
 // FuzzRestoreIncremental asserts the snapshot decoder never panics,
@@ -385,8 +411,13 @@ func FuzzRestoreIncremental(f *testing.F) {
 	finc.AdvanceTo(sim.Time(2500 * sim.Millisecond))
 	f.Add(EncodeSnapshot(finc))
 	f.Add(idleFitSnapshot(f))
-	f.Add([]byte(snapMagic + "\npolicy fifo\n"))
-	f.Add([]byte("snsnap 1\npolicy packing\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\ntopo 0 0 0 - 0x0 0 - 0x0 0 - 0x0 0\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0 0 0 0 0 0 0 0\npending 0\nevents 0\nend\n"))
+	// An empty replay, whole and torn after its header record.
+	empty, err := NewIncremental(testCluster(), Packing, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeSnapshot(empty))
+	f.Add(EncodeSnapshot(empty)[:workload.FrameSize(len(snapMagic)+1)])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := RestoreIncremental(data, nil)
 		if err != nil {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"math"
@@ -12,28 +11,44 @@ import (
 	"repro/internal/hw"
 	"repro/internal/memplan"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Snapshot serialization for a paused Incremental replay: the serving
-// layer's log-compaction checkpoint. The format is line-based text —
-// one keyword-prefixed record per line — so checkpoints diff cleanly
-// and corruption is locatable. Floats round-trip exactly through their
-// IEEE-754 bit patterns (the estimator key embeds the device spec, so
-// a restored spec must compare equal bit for bit), and strings through
-// percent-encoding (device names contain spaces, and every field must
-// survive a whitespace split). The decoder is
-// defensive: every record is bounds-checked, every index validated,
-// and malformed or truncated input returns an error — never a panic —
-// which FuzzRestoreIncremental enforces.
+// layer's log-compaction checkpoint. A snapshot is a stream of workload
+// frames (length + CRC), one keyword-prefixed text line per record —
+// the "snsnap 2" header first, the "end" record last — so records diff
+// cleanly, corruption is locatable and a torn snapshot never decodes.
+// Floats round-trip exactly through their IEEE-754 bit patterns (the
+// estimator key embeds the device spec, so a restored spec must
+// compare equal bit for bit), and strings through percent-encoding
+// (device names contain spaces, and every field must survive a
+// whitespace split). The decoder is defensive: every record is
+// bounds-checked, every index validated, and malformed or truncated
+// input returns an error — never a panic — which
+// FuzzRestoreIncremental enforces.
 
-// snapMagic identifies the format; the version suffix gates future
+// snapMagic is the header record; the version suffix gates future
 // layout changes.
-const snapMagic = "snsnap 1"
+const snapMagic = "snsnap 2"
 
 // EncodeSnapshot serializes the paused replay. Restoring the bytes
 // with RestoreIncremental yields an Incremental whose Result() is
-// byte-identical to the original's.
+// byte-identical to the original's. It panics where AppendSnapshot
+// returns an error.
 func EncodeSnapshot(inc *Incremental) []byte {
+	b, err := AppendSnapshot(nil, inc)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// AppendSnapshot appends the framed snapshot of the paused replay to
+// dst, one frame per record line. A record too large for one frame
+// (workload.MaxFramePayload) is an error, and dst is returned
+// unchanged.
+func AppendSnapshot(dst []byte, inc *Incremental) ([]byte, error) {
 	e := inc.ex
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", snapMagic)
@@ -75,19 +90,21 @@ func EncodeSnapshot(inc *Incremental) []byte {
 
 	fmt.Fprintf(&b, "jobs %d\n", len(e.states))
 	for i, js := range e.states {
+		// The schedule travels run-length encoded and the iteration
+		// times once per distinct batch, so a schedule of
+		// workload.MaxScheduleLen entries still makes small records.
+		sched := "-"
+		if len(js.BatchSchedule) > 0 {
+			sched = workload.Schedule(js.BatchSchedule).String()
+		}
 		fmt.Fprintf(&b, "job %d %s %s %s %d %d %d %d %s %d\n",
 			i, qstr(js.ID), qstr(js.Network), qstr(js.Manager),
-			js.Batch, js.Priority, int64(js.Arrival), js.Iterations, intList(js.BatchSchedule),
-			js.GPUs)
-		fmt.Fprintf(&b, "state %d %s %d %d %s %d %d %d %d %d %d %d %d",
+			js.Batch, js.Priority, int64(js.Arrival), js.Iterations, sched, js.GPUs)
+		fmt.Fprintf(&b, "state %d %s %d %d %s %d %d %d %d %d %d %d %d %s",
 			i, qstr(js.rejReason),
 			js.est.PeakBytes, int64(js.est.IterTime), fbits(js.est.Throughput),
 			js.remaining, js.device, b2i(js.started), int64(js.start), int64(js.finish),
-			js.preempts, b2i(js.marked), b2i(js.running))
-		fmt.Fprintf(&b, " %d", len(js.iterTimes))
-		for _, t := range js.iterTimes {
-			fmt.Fprintf(&b, " %d", int64(t))
-		}
+			js.preempts, b2i(js.marked), b2i(js.running), iterField(js))
 		// After the iteration times: gang placement and all-reduce price,
 		// with GradientBytes so a restored gang re-prices identically
 		// after a preemption and the estimate's floor and spill traffic
@@ -138,7 +155,7 @@ func EncodeSnapshot(inc *Incremental) []byte {
 		fmt.Fprintf(&b, "ev %d %d %d %d %d\n", int64(ev.at), ev.class, ev.seq, ev.job, ev.dev)
 	}
 	fmt.Fprintf(&b, "end\n")
-	return b.Bytes()
+	return workload.AppendLines(dst, b.Bytes())
 }
 
 // RestoreIncremental reconstructs a paused replay from EncodeSnapshot
@@ -146,10 +163,11 @@ func EncodeSnapshot(inc *Incremental) []byte {
 // after the restore (nil allocates a fresh one); already-snapshotted
 // jobs carry their estimates in the snapshot.
 func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	r := &snapReader{sc: sc}
-
+	lines, err := workload.ReadLines(data)
+	if err != nil {
+		return nil, fmt.Errorf("sched: snapshot: %w", err)
+	}
+	r := &snapReader{lines: lines}
 	if line := r.next(); line != snapMagic {
 		return nil, fmt.Errorf("sched: snapshot: bad magic %q", line)
 	}
@@ -278,10 +296,19 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		js.Priority = int(r.i64(f[6]))
 		js.Arrival = sim.Time(r.i64(f[7]))
 		js.Iterations = int(r.i64(f[8]))
-		js.BatchSchedule = r.ints(f[9])
+		if f[9] != "-" {
+			// ParseSchedule bounds the expanded length.
+			sc, err := workload.ParseSchedule(f[9])
+			if err != nil {
+				r.fail("bad batch schedule: %v", err)
+			}
+			js.BatchSchedule = sc
+		}
 		js.GPUs = int(r.i64(f[10]))
 
-		f = r.fields("state", 15)
+		// The state record: 15 fields through the iteration times, then
+		// the gang/estimate tail (5) and the fault tail (4).
+		f = r.fields("state", 24)
 		if r.err != nil {
 			break
 		}
@@ -300,30 +327,16 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		js.preempts = int(r.i64(f[11]))
 		js.marked = r.i64(f[12]) != 0
 		js.running = r.i64(f[13]) != 0
-		nit := r.count(f, 14, 1<<20)
-		if r.err != nil {
-			break
-		}
-		// The iteration times, then the gang/estimate tail (5 fields)
-		// and the fault tail (4 fields).
-		rest := r.tail(14 + 1)
-		if len(rest) != nit+9 {
-			r.fail("job %d: %d iteration times declared, %d fields present (want %d)", i, nit, len(rest), nit+9)
-			break
-		}
-		js.iterTimes = make([]sim.Duration, 0, nit)
-		for _, s := range rest[:nit] {
-			js.iterTimes = append(js.iterTimes, sim.Duration(r.i64(s)))
-		}
-		js.gang = r.ints(rest[nit])
-		js.gangAR = sim.Duration(r.i64(rest[nit+1]))
-		js.est.GradientBytes = r.i64(rest[nit+2])
-		js.est.FloorBytes = r.i64(rest[nit+3])
-		js.est.SpillBytes = r.i64(rest[nit+4])
-		js.restores = int(r.i64(rest[nit+5]))
-		js.shrinks = int(r.i64(rest[nit+6]))
-		js.lostIters = int(r.i64(rest[nit+7]))
-		js.liveDone = r.i64(rest[nit+8])
+		js.iterTimes = r.iterTimes(js, f[14])
+		js.gang = r.ints(f[15])
+		js.gangAR = sim.Duration(r.i64(f[16]))
+		js.est.GradientBytes = r.i64(f[17])
+		js.est.FloorBytes = r.i64(f[18])
+		js.est.SpillBytes = r.i64(f[19])
+		js.restores = int(r.i64(f[20]))
+		js.shrinks = int(r.i64(f[21]))
+		js.lostIters = int(r.i64(f[22]))
+		js.liveDone = r.i64(f[23])
 		// Optional demand record: the job's planner demand under
 		// CrossJob, replayed verbatim so rebuildDerived reproduces the
 		// paused plan bit for bit.
@@ -547,6 +560,9 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 		}
 		return nil, fmt.Errorf("sched: snapshot: want end marker, got %q", line)
 	}
+	if n := len(r.lines) - r.n; n > 0 {
+		return nil, fmt.Errorf("sched: snapshot: %d records after the end marker", n)
+	}
 	// Reconstruct the device planners from the restored residents and
 	// their demand records (a resident without a usable demand, from a
 	// hand-crafted snapshot, surfaces here as an error, never a panic),
@@ -605,49 +621,37 @@ func b2i(b bool) int {
 	return 0
 }
 
-// snapReader is a line scanner with sticky error handling: every
-// accessor records the first failure and returns a zero value, so the
-// decode path stays linear and cannot panic on malformed input.
+// snapReader walks the snapshot's record lines with sticky error
+// handling: every accessor records the first failure and returns a
+// zero value, so the decode path stays linear and cannot panic on
+// malformed input.
 type snapReader struct {
-	sc   *bufio.Scanner
-	err  error
-	line int
-	cur  []string
-	// held is a one-line pushback buffer for optional records
-	// (fieldsOpt); hasHeld gates it so an empty held line round-trips.
-	held    string
-	hasHeld bool
+	lines []string
+	n     int // records consumed
+	err   error
+	cur   []string
 }
 
 func (r *snapReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("sched: snapshot line %d: %s", r.line, fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("sched: snapshot record %d: %s", r.n, fmt.Sprintf(format, args...))
 	}
 }
 
-// next returns the next line, "" at EOF (recorded as an error).
+// next returns the next record, "" at the end (recorded as an error).
 func (r *snapReader) next() string {
 	if r.err != nil {
 		return ""
 	}
-	if r.hasHeld {
-		r.hasHeld = false
-		r.line++
-		return r.held
-	}
-	if !r.sc.Scan() {
-		if err := r.sc.Err(); err != nil {
-			r.err = fmt.Errorf("sched: snapshot: %w", err)
-		} else {
-			r.fail("unexpected end of snapshot")
-		}
+	if r.n == len(r.lines) {
+		r.fail("unexpected end of snapshot")
 		return ""
 	}
-	r.line++
-	return r.sc.Text()
+	r.n++
+	return r.lines[r.n-1]
 }
 
-// fields reads the next line, checks its keyword and that it has at
+// fields reads the next record, checks its keyword and that it has at
 // least min fields, and returns them (also retained for tail).
 func (r *snapReader) fields(keyword string, min int) []string {
 	line := r.next()
@@ -667,27 +671,13 @@ func (r *snapReader) fields(keyword string, min int) []string {
 	return f
 }
 
-// fieldsOpt reads the next record if its keyword matches; otherwise
-// the line is pushed back for the next reader and nil is returned. A
-// matching record short of min fields is an error, like fields.
+// fieldsOpt reads the next record like fields if its keyword matches;
+// otherwise it leaves the record for the next reader and returns nil.
 func (r *snapReader) fieldsOpt(keyword string, min int) []string {
-	line := r.next()
-	if r.err != nil {
+	if r.err != nil || r.n == len(r.lines) || !strings.HasPrefix(r.lines[r.n], keyword+" ") {
 		return nil
 	}
-	f := strings.Fields(line)
-	if len(f) == 0 || f[0] != keyword {
-		r.held = line
-		r.hasHeld = true
-		r.line--
-		return nil
-	}
-	if len(f) < min {
-		r.fail("%q record needs %d fields, got %d", keyword, min, len(f))
-		return nil
-	}
-	r.cur = f
-	return f
+	return r.fields(keyword, min)
 }
 
 // tail returns the current record's fields from position from on.
@@ -782,4 +772,57 @@ func (r *snapReader) ints(s string) []int {
 		out = append(out, v)
 	}
 	return out
+}
+
+// iterBatches is the batch at each iteration-time position: the
+// dynamic schedule, or the static batch alone.
+func iterBatches(js *jobState) []int {
+	if len(js.BatchSchedule) > 0 {
+		return js.BatchSchedule
+	}
+	return []int{js.Batch}
+}
+
+// iterField renders the job's iteration times once per distinct batch,
+// as "batch:time" pairs in first-appearance order ("-" for none):
+// iterTimes[k] is always the time of the batch at position k.
+func iterField(js *jobState) string {
+	if len(js.iterTimes) == 0 {
+		return "-"
+	}
+	var b strings.Builder
+	seen := make(map[int]bool)
+	for k, batch := range iterBatches(js) {
+		if !seen[batch] {
+			seen[batch] = true
+			if b.Len() > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d:%d", batch, int64(js.iterTimes[k]))
+		}
+	}
+	return b.String()
+}
+
+// iterTimes rebuilds a job's per-position iteration times from its
+// iterField; every batch of the schedule needs a time.
+func (r *snapReader) iterTimes(js *jobState, s string) []sim.Duration {
+	if r.err != nil || s == "-" {
+		return nil
+	}
+	byBatch := make(map[int]sim.Duration)
+	for _, p := range strings.Split(s, ",") {
+		b, t, _ := strings.Cut(p, ":")
+		byBatch[int(r.i64(b))] = sim.Duration(r.i64(t))
+	}
+	var times []sim.Duration
+	for _, b := range iterBatches(js) {
+		t, ok := byBatch[b]
+		if !ok {
+			r.fail("job %d: no iteration time for batch %d", js.seq, b)
+			return nil
+		}
+		times = append(times, t)
+	}
+	return times
 }

@@ -132,19 +132,9 @@ func FuzzSubmitHandler(f *testing.F) {
 	})
 }
 
+// BenchmarkServeIngest gates the submission path's allocations: one
+// validated submit sequenced into the log and the compacting replay.
 func BenchmarkServeIngest(b *testing.B) {
-	body := []byte(`{"tenant":"acme","id":"j042","network":"AlexNet","batch":256,"priority":3,"iterations":4}`)
-
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var req SubmitRequest
-			if err := DecodeSubmitRequest(body, &req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
 	b.Run("sequence", func(b *testing.B) {
 		// Sequencing feeds the compacting replay, so arrivals are a
 		// virtual minute apart: the cluster keeps up and the cost stays

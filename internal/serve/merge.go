@@ -105,10 +105,9 @@ func (s *Service) mergeLocked(sh *shard, base int64) {
 	}
 	if flushed > 0 {
 		if s.wal != nil && s.walErr == nil {
-			// Group commit: one fsync covers the whole merge batch (or,
-			// in grouped mode, waits for SyncEvery records). Must run
-			// before the broadcast so an on-ack waiter that wakes with
-			// seq assigned is already durable.
+			// Group commit: one fsync covers the whole merge batch. Must
+			// run before the broadcast so a waiter that wakes with seq
+			// assigned is already durable.
 			d, err := s.wal.commit()
 			s.durable = d
 			if err != nil {

@@ -13,13 +13,17 @@ package serve
 // frames: an append-only log can only tear at its tail, so bytes past
 // a tear are either garbage or half-written.
 //
+// A job record is one frame, its idempotency key included, so a tear
+// can never separate a key from its job: either both are recovered or
+// neither is.
+//
 // A structurally valid frame whose *content* is wrong — an unparseable
 // job line, an arrival off the slot grid, a duplicate id, a segment
-// header naming the wrong segment — is NOT a crash artifact (the
-// checksum proves those bytes were written deliberately), so it
-// surfaces as a named ErrWALCorrupt instead of being silently
-// truncated away. Recovery never panics on any input; FuzzRecoverWAL
-// holds it to that.
+// header naming the wrong segment or format version — is NOT a crash
+// artifact (the checksum proves those bytes were written
+// deliberately), so it surfaces as a named ErrWALCorrupt instead of
+// being silently truncated away. Recovery never panics on any input;
+// FuzzRecoverWAL holds it to that.
 
 import (
 	"errors"
@@ -70,8 +74,8 @@ type RecoveredLog struct {
 	// arrival is i·SpacingMS, exactly as the uninterrupted run merged
 	// it.
 	Jobs []workload.TraceJob
-	// Idem holds the surviving idempotency bindings in log order. A
-	// binding whose job record fell past the tear is dropped: its
+	// Idem holds the idempotency bindings of the recovered jobs in log
+	// order. A key torn off with its job record is gone with it: its
 	// submitter was never acked, and the retry must re-sequence.
 	Idem []IdemEntry
 	// SpacingMS is the virtual-arrival spacing recorded in the segment
@@ -96,108 +100,84 @@ func RecoverWAL(dir string) (*RecoveredLog, error) {
 	}
 	rec := &RecoveredLog{Segments: len(segs)}
 	seen := make(map[string]bool)
-	var pendingKey, pendingID string
-	var pendingSeg int
-	var pendingOff int64
-	pending := false
-
 	for n, path := range segs {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("serve: wal: %w", err)
 		}
+		// The first frame is the segment header, so even an empty
+		// segment reads one frame (and tears at offset 0).
 		var off int64
-		tear := func(reason error) {
-			// A pending idem directive is part of the torn tail too: its
-			// job record never made it to disk, so the tear moves back to
-			// the directive's own frame — otherwise repair would leave a
-			// dangling directive that shadows the next append.
-			if pending {
-				rec.Torn = &TornTail{Segment: pendingSeg, Offset: pendingOff,
-					Reason: reason.Error() + " (dangling idem directive dropped)"}
-				return
-			}
-			rec.Torn = &TornTail{Segment: n, Offset: off, Reason: reason.Error()}
-		}
-
-		// Segment header frame.
-		payload, rest, err := workload.ReadFrame(data)
-		if err != nil {
-			tear(err)
-			return rec, nil
-		}
-		segIdx, spacing, err := parseWALHeader(string(payload))
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d header: %v", ErrWALCorrupt, n, err)
-		}
-		if segIdx != n {
-			return nil, fmt.Errorf("%w: segment file %d declares index %d", ErrWALCorrupt, n, segIdx)
-		}
-		if rec.SpacingMS == 0 {
-			rec.SpacingMS = spacing
-		} else if spacing != rec.SpacingMS {
-			return nil, fmt.Errorf("%w: segment %d merged at %d ms, chain started at %d ms",
-				ErrWALCorrupt, n, spacing, rec.SpacingMS)
-		}
-		off = int64(workload.FrameSize(len(payload)))
-
-		for len(rest) > 0 {
-			payload, rest, err = workload.ReadFrame(rest)
+		for first := true; first || len(data) > 0; first = false {
+			payload, rest, err := workload.ReadFrame(data)
 			if err != nil {
-				tear(err)
+				rec.Torn = &TornTail{Segment: n, Offset: off, Reason: err.Error()}
 				return rec, nil
 			}
-			line := string(payload)
-			switch {
-			case strings.HasPrefix(line, "# idem "):
-				key, id, err := parseWALIdem(line)
-				if err != nil {
-					return nil, fmt.Errorf("%w: segment %d offset %d: %v", ErrWALCorrupt, n, off, err)
+			if first {
+				if err := rec.checkHeader(n, string(payload)); err != nil {
+					return nil, err
 				}
-				if pending {
-					return nil, fmt.Errorf("%w: segment %d offset %d: idem directive %q shadows an unbound directive %q",
-						ErrWALCorrupt, n, off, key, pendingKey)
-				}
-				pendingKey, pendingID, pending = key, id, true
-				pendingSeg, pendingOff = n, off
-			case strings.HasPrefix(line, "#"):
-				return nil, fmt.Errorf("%w: segment %d offset %d: unexpected directive %q", ErrWALCorrupt, n, off, line)
-			default:
-				jobs, err := workload.ParseTrace(strings.NewReader(line))
-				if err != nil || len(jobs) != 1 {
-					return nil, fmt.Errorf("%w: segment %d offset %d: bad job record: %v", ErrWALCorrupt, n, off, err)
-				}
-				tj := jobs[0]
-				if seen[tj.ID] {
-					return nil, fmt.Errorf("%w: segment %d offset %d: duplicate job id %q", ErrWALCorrupt, n, off, tj.ID)
-				}
-				if want := int64(len(rec.Jobs)) * rec.SpacingMS; tj.ArrivalMS != want {
-					return nil, fmt.Errorf("%w: segment %d offset %d: job %q arrival %d ms, slot grid says %d ms",
-						ErrWALCorrupt, n, off, tj.ID, tj.ArrivalMS, want)
-				}
-				if pending {
-					if pendingID != tj.ID {
-						return nil, fmt.Errorf("%w: segment %d offset %d: idem directive binds %q, next record is %q",
-							ErrWALCorrupt, n, off, pendingID, tj.ID)
-					}
-					rec.Idem = append(rec.Idem, IdemEntry{Key: pendingKey, ID: pendingID})
-					pending = false
-				}
-				seen[tj.ID] = true
-				rec.Jobs = append(rec.Jobs, tj)
+			} else if err := rec.addJob(string(payload), seen); err != nil {
+				return nil, fmt.Errorf("%w: segment %d offset %d: %v", ErrWALCorrupt, n, off, err)
 			}
 			off += int64(workload.FrameSize(len(payload)))
+			data = rest
 		}
 	}
-	// A dangling final directive (its job record never made it to disk)
-	// is a torn tail even when every frame read cleanly: the submitter
-	// was never acked, and the writer must truncate the directive before
-	// appending or it would shadow the next record's directive.
-	if pending {
-		rec.Torn = &TornTail{Segment: pendingSeg, Offset: pendingOff,
-			Reason: fmt.Sprintf("dangling idem directive %q (job record never written)", pendingKey)}
-	}
 	return rec, nil
+}
+
+// checkHeader validates segment n's header record against the chain
+// recovered so far, adopting the first segment's spacing.
+func (rec *RecoveredLog) checkHeader(n int, line string) error {
+	v, err := parseHeader(line, walMagic, "seg", "spacing")
+	if err != nil {
+		return fmt.Errorf("%w: segment %d header: %v", ErrWALCorrupt, n, err)
+	}
+	if v[0] != int64(n) {
+		return fmt.Errorf("%w: segment file %d declares index %d", ErrWALCorrupt, n, v[0])
+	}
+	if n > 0 && v[1] != rec.SpacingMS {
+		return fmt.Errorf("%w: segment %d merged at %d ms, chain started at %d ms",
+			ErrWALCorrupt, n, v[1], rec.SpacingMS)
+	}
+	rec.SpacingMS = v[1]
+	return nil
+}
+
+// addJob decodes one job record — an optional "# idem <key>" line,
+// then the trace line — and appends it to the recovered log.
+func (rec *RecoveredLog) addJob(payload string, seen map[string]bool) error {
+	key := ""
+	if rest, ok := strings.CutPrefix(payload, walIdemPrefix); ok {
+		line, job, ok := strings.Cut(rest, "\n")
+		f := strings.Fields(line)
+		if !ok || len(f) != 1 {
+			return fmt.Errorf("bad idem line %q", line)
+		}
+		key, payload = f[0], job
+	}
+	if strings.HasPrefix(payload, "#") {
+		return fmt.Errorf("unexpected directive %q", payload)
+	}
+	jobs, err := workload.ParseTrace(strings.NewReader(payload))
+	if err != nil || len(jobs) != 1 {
+		return fmt.Errorf("bad job record: %v", err)
+	}
+	tj := jobs[0]
+	if seen[tj.ID] {
+		return fmt.Errorf("duplicate job id %q", tj.ID)
+	}
+	if want := int64(len(rec.Jobs)) * rec.SpacingMS; tj.ArrivalMS != want {
+		return fmt.Errorf("job %q arrival %d ms, slot grid says %d ms", tj.ID, tj.ArrivalMS, want)
+	}
+	seen[tj.ID] = true
+	rec.Jobs = append(rec.Jobs, tj)
+	if key != "" {
+		rec.Idem = append(rec.Idem, IdemEntry{Key: key, ID: tj.ID})
+	}
+	return nil
 }
 
 // walSegments lists the directory's segment files in chain order,
@@ -234,29 +214,22 @@ func walSegments(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// parseWALHeader validates a segment header line and extracts the
-// segment index and spacing.
-func parseWALHeader(line string) (seg int, spacingMS int64, err error) {
+// parseHeader validates a stream's header record — "# <magic>"
+// followed by one "<key> <value>" pair per key, in order — and returns
+// the values. Every value is a non-negative integer and "spacing" is
+// positive.
+func parseHeader(line, magic string, keys ...string) ([]int64, error) {
 	f := strings.Fields(line)
-	// "# snwal 1 seg <n> spacing <ms>"
-	if len(f) != 7 || f[0] != "#" || f[1]+" "+f[2] != walMagic || f[3] != "seg" || f[5] != "spacing" {
-		return 0, 0, fmt.Errorf("bad header %q", strings.TrimSuffix(line, "\n"))
+	if len(f) != 3+2*len(keys) || f[0] != "#" || f[1]+" "+f[2] != magic {
+		return nil, fmt.Errorf("bad header %q", strings.TrimSuffix(line, "\n"))
 	}
-	if seg, err = strconv.Atoi(f[4]); err != nil || seg < 0 {
-		return 0, 0, fmt.Errorf("bad segment index %q", f[4])
+	v := make([]int64, len(keys))
+	for i, key := range keys {
+		n, err := strconv.ParseInt(f[4+2*i], 10, 64)
+		if f[3+2*i] != key || err != nil || n < 0 || (key == "spacing" && n == 0) {
+			return nil, fmt.Errorf("bad %s %q in header %q", key, f[4+2*i], strings.TrimSuffix(line, "\n"))
+		}
+		v[i] = n
 	}
-	if spacingMS, err = strconv.ParseInt(f[6], 10, 64); err != nil || spacingMS <= 0 {
-		return 0, 0, fmt.Errorf("bad spacing %q", f[6])
-	}
-	return seg, spacingMS, nil
-}
-
-// parseWALIdem validates an idempotency directive line.
-func parseWALIdem(line string) (key, id string, err error) {
-	f := strings.Fields(line)
-	// "# idem <key> <id>"
-	if len(f) != 4 || f[0] != "#" || f[1] != "idem" {
-		return "", "", fmt.Errorf("bad idem directive %q", strings.TrimSuffix(line, "\n"))
-	}
-	return f[2], f[3], nil
+	return v, nil
 }

@@ -137,14 +137,10 @@ type Config struct {
 	// the directory already holds (truncating a torn tail) so a
 	// restarted service resumes with the identical merged log. With a
 	// WAL attached (and Manual unset) Submit blocks until the job is
-	// sequenced — and, under the on-ack sync policy, durable — and
-	// returns the sequenced status instead of StateQueued.
+	// sequenced and its record fsynced, and returns the sequenced
+	// status instead of StateQueued: an acked submission survives
+	// kill -9.
 	WALDir string
-	// SyncEvery sets the WAL fsync policy: <= 1 fsyncs before every ack
-	// (an acked submission survives kill -9); N > 1 fsyncs every N
-	// records, trading a bounded loss window (at most N-1 acked-but-
-	// unsynced records) for fewer fsyncs.
-	SyncEvery int
 	// SegmentBytes rotates WAL segments past this size (default
 	// DefaultSegmentBytes).
 	SegmentBytes int64
@@ -431,7 +427,7 @@ func New(cfg Config) (*Service, error) {
 // bindings, exactly as if the recovered jobs had just been sequenced.
 // Runs from New, before any concurrency, so no locks are needed.
 func (s *Service) attachWAL() error {
-	w, rec, err := openWAL(s.cfg.WALDir, s.cfg.SpacingMS, s.cfg.SegmentBytes, s.cfg.SyncEvery)
+	w, rec, err := openWAL(s.cfg.WALDir, s.cfg.SpacingMS, s.cfg.SegmentBytes)
 	if err != nil {
 		return err
 	}
@@ -511,28 +507,23 @@ func (s *Service) Submit(req SubmitRequest) (*JobStatus, error) {
 	if err == nil && s.wal != nil && !s.cfg.Manual {
 		// Durable-synchronous ack: with a WAL attached, an accepted job
 		// is always eventually sequenced (Drain flushes every shard
-		// before stopping), so block until it is — and, under the
-		// on-ack sync policy, until the fsync covering it has run —
-		// then return the sequenced status. Manual mode cannot block:
+		// before stopping), so block until it is and the fsync
+		// covering it has run, then return the sequenced status.
+		// Manual mode cannot block:
 		// the caller is the one who must step Advance.
 		return s.awaitDurable(j, st.Deduped)
 	}
 	return st, err
 }
 
-// awaitDurable blocks until j is sequenced (and durable, in on-ack
-// mode) and returns its sequenced status. A latched WAL failure turns
-// into an error: the service can no longer promise the ack survives.
+// awaitDurable blocks until j is sequenced and durable and returns its
+// sequenced status. A latched WAL failure turns into an error: the
+// service can no longer promise the ack survives.
 func (s *Service) awaitDurable(j *job, deduped bool) (*JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for j.seq < 0 && !s.stopped && s.walErr == nil {
+	for (j.seq < 0 || s.durable <= j.seq) && !s.stopped && s.walErr == nil {
 		s.cond.Wait()
-	}
-	if s.cfg.SyncEvery <= 1 {
-		for j.seq >= 0 && s.durable <= j.seq && !s.stopped && s.walErr == nil {
-			s.cond.Wait()
-		}
 	}
 	if s.walErr != nil {
 		return nil, s.walErr
@@ -653,7 +644,7 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 		return workload.TraceJob{}, "", fmt.Errorf("%w: tenant %q must not contain '/'", ErrBadRequest, tenant)
 	}
 	if req.IdempotencyKey != "" {
-		// Keys land in WAL directive lines, so they share the log's
+		// Keys land in the WAL's "# idem" lines, so they share the log's
 		// token alphabet.
 		if err := checkToken("idempotency_key", req.IdempotencyKey); err != nil {
 			return workload.TraceJob{}, "", err
@@ -920,15 +911,6 @@ func (s *Service) Drain() (*sched.Result, error) {
 		s.cond.Broadcast()
 		close(s.drainCh)
 		s.lg.Info("drained", "jobs", len(s.log))
-	}
-	if s.wal != nil && s.walErr == nil {
-		// Grouped sync mode may hold acked records below SyncEvery; a
-		// drain is a durability point regardless of policy.
-		if err := s.wal.sync(); err != nil {
-			s.walErr = err
-		} else {
-			s.durable = len(s.log)
-		}
 	}
 	r, err := s.resultLocked()
 	if err == nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -213,6 +212,54 @@ func TestCheckpointResumeEqualsFullReplay(t *testing.T) {
 	}
 }
 
+// TestCheckpointLongSchedule: a job whose dynamic schedule has
+// workload.MaxScheduleLen entries — the longest validate accepts —
+// checkpoints into records that each fit one frame, and restoring and
+// resuming the checkpoint equals the service's own drain.
+func TestCheckpointLongSchedule(t *testing.T) {
+	s := mustNew(t, Config{Manual: true})
+	long := fmt.Sprintf("16x%d,32", workload.MaxScheduleLen-1)
+	if _, err := s.Submit(SubmitRequest{Tenant: "t", ID: "long", Network: "AlexNet", Schedule: long, Iterations: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.Advance(0)
+	ckpt, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt) > 64<<10 {
+		t.Errorf("checkpoint is %d bytes; the schedule should travel run-length encoded", len(ckpt))
+	}
+	cs, err := RestoreCheckpoint(ckpt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := cs.Resume(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, final) {
+		t.Fatalf("long-schedule checkpoint resumes to a different result:\ngot  %+v\nwant %+v", resumed, final)
+	}
+}
+
+// TestCheckpointOversizeRecordErrors: a record too large for one frame
+// makes Checkpoint return an error instead of panicking.
+func TestCheckpointOversizeRecordErrors(t *testing.T) {
+	s := mustNew(t, Config{Manual: true})
+	if _, err := s.Submit(small("t", strings.Repeat("x", workload.MaxFramePayload))); err != nil {
+		t.Fatal(err)
+	}
+	s.Advance(0)
+	if ckpt, err := s.Checkpoint(); err == nil {
+		t.Fatalf("checkpoint of %d bytes written with an oversize job record", len(ckpt))
+	}
+}
+
 func TestCheckpointMalformed(t *testing.T) {
 	sc := mustNew(t, Config{Manual: true, SnapshotEvery: 1})
 	if _, err := sc.Submit(small("t", "a")); err != nil {
@@ -226,16 +273,17 @@ func TestCheckpointMalformed(t *testing.T) {
 	if _, err := RestoreCheckpoint(good, nil); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
+	recs := ckptRecords(t, good)
 	bad := map[string][]byte{
 		"empty":        nil,
-		"bad magic":    []byte("snckpt 99\nseq 0 1\nsched 0\nend\n"),
-		"no seq":       []byte("snckpt 1\n"),
-		"neg seq":      []byte("snckpt 1\nseq -1 1\nsched 0\nend\n"),
-		"zero spacing": []byte("snckpt 1\nseq 0 0\nsched 0\nend\n"),
-		"short body":   []byte("snckpt 1\nseq 0 1\nsched 999\nxx"),
+		"bad magic":    frames("# snckpt 99 seq 0 spacing 1 idem 0\n"),
+		"no seq":       frames("# snckpt 2\n"),
+		"neg seq":      frames("# snckpt 2 seq -1 spacing 1 idem 0\n"),
+		"zero spacing": frames("# snckpt 2 seq 0 spacing 0 idem 0\n"),
+		"short body":   frames("# snckpt 2 seq 0 spacing 1 idem 999\n", "# idem k t/a\n"),
 		"truncated":    good[:len(good)-6],
-		"junk payload": []byte("snckpt 1\nseq 0 1\nsched 4\njunkend\n"),
-		"seq mismatch": bytes.Replace(good, []byte("seq 1 "), []byte("seq 2 "), 1),
+		"junk payload": frames("# snckpt 2 seq 0 spacing 1 idem 0\n", "junk\n"),
+		"seq mismatch": frames(append([]string{strings.Replace(recs[0], "seq 1 ", "seq 2 ", 1)}, recs[1:]...)...),
 	}
 	for name, data := range bad {
 		if _, err := RestoreCheckpoint(data, nil); err == nil {
@@ -253,12 +301,22 @@ func TestCheckpointMalformed(t *testing.T) {
 // replays is covered deterministically by
 // TestCheckpointResumeEqualsFullReplay.
 func FuzzRestoreCheckpoint(f *testing.F) {
+	// Seeds come from the encoder: a fresh service's checkpoint, and a
+	// multi-record one with keyed jobs, whole and torn mid-snapshot.
 	s, err := New(Config{Cluster: testCluster(), Manual: true, SnapshotEvery: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
+	empty, err := s.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		if _, err := s.Submit(small(fmt.Sprintf("t%d", i%2), fmt.Sprintf("j%d", i))); err != nil {
+		req := small(fmt.Sprintf("t%d", i%2), fmt.Sprintf("j%d", i))
+		if i%2 == 0 {
+			req.IdempotencyKey = fmt.Sprintf("key-%d", i)
+		}
+		if _, err := s.Submit(req); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -268,8 +326,8 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add([]byte("snckpt 1\nseq 0 1\nsched 0\nend\n"))
-	f.Add([]byte("snckpt 1\nseq 3 5\nsched 10\n0123456789end\n"))
+	f.Add(empty)
+	f.Add(good[:len(good)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs, err := RestoreCheckpoint(data, nil)
 		if err != nil {

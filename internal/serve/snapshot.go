@@ -9,34 +9,29 @@ package serve
 // draining it yields byte-for-byte the result of a full replay of the
 // same log.
 //
-// Framing is line-based and self-describing:
+// The artifact is a stream of workload frames, one record each:
 //
-//	snckpt 1
-//	seq <merged jobs> <spacing ms>
-//	sched <payload bytes>
-//	<sched.EncodeSnapshot payload>
-//	idem <key> <id>        (zero or more)
-//	end
+//	# snckpt 2 seq <merged jobs> spacing <ms> idem <k>
+//	# idem <key> <id>                  (k records)
+//	<sched.AppendSnapshot records>     (to the end of the data)
 //
-// The idem lines — added for crash-safe serving — persist the
-// idempotency bindings of sequenced jobs, so a service restored from a
-// checkpoint keeps deduplicating retries. They sit between the sched
-// payload and the end marker; a checkpoint without them (the original
-// format) still decodes, so old artifacts remain restorable.
-//
-// The decoder validates every field and never panics on malformed
-// input (fuzzed in snapshot_test.go).
+// The idem records persist the idempotency bindings of sequenced jobs,
+// so a service restored from a checkpoint keeps deduplicating retries.
+// Every frame is checksummed, so a torn or bit-flipped checkpoint
+// fails with ErrBadCheckpoint instead of restoring a wrong replay; the
+// decoder validates every field and never panics on malformed input
+// (fuzzed in shard_test.go).
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
+	"strings"
 
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
-const ckptMagic = "snckpt 1"
+const ckptMagic = "snckpt 2"
 
 // ErrBadCheckpoint is the sentinel under every RestoreCheckpoint
 // decode failure; errors.Is matches it through the per-field context.
@@ -45,27 +40,34 @@ var ErrBadCheckpoint = errors.New("serve: bad checkpoint")
 // Checkpoint serializes the service's current resumable replay. The
 // artifact covers every job sequenced so far (processed up to the
 // watermark, pending above it); appending later log entries to the
-// restored replay reproduces the full-log result exactly.
+// restored replay reproduces the full-log result exactly. A record
+// too large for one frame is an error.
 func (s *Service) Checkpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.incErr != nil {
 		return nil, s.incErr
 	}
-	payload := sched.EncodeSnapshot(s.inc)
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\nseq %d %d\nsched %d\n", ckptMagic, len(s.log), s.cfg.SpacingMS, len(payload))
-	b.Write(payload)
 	// Idempotency bindings of sequenced jobs, in insertion order, so a
 	// restore rebuilds the same bounded index.
+	var idem strings.Builder
+	k := 0
 	for _, key := range s.idemOrder {
 		if j := s.idem[key]; j != nil && j.seq >= 0 {
-			fmt.Fprintf(&b, "idem %s %s\n", key, j.tj.ID)
+			fmt.Fprintf(&idem, "# idem %s %s\n", key, j.tj.ID)
+			k++
 		}
 	}
-	b.WriteString("end\n")
-	s.lg.Info("checkpoint written", "seq", len(s.log), "bytes", b.Len())
-	return b.Bytes(), nil
+	head := fmt.Sprintf("# %s seq %d spacing %d idem %d\n%s", ckptMagic, len(s.log), s.cfg.SpacingMS, k, idem.String())
+	b, err := workload.AppendLines(nil, []byte(head))
+	if err == nil {
+		b, err = sched.AppendSnapshot(b, s.inc)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	s.lg.Info("checkpoint written", "seq", len(s.log), "bytes", len(b))
+	return b, nil
 }
 
 // Checkpoint is a restored compaction artifact: the resumable replay
@@ -77,7 +79,7 @@ type CheckpointState struct {
 	// SpacingMS is the virtual arrival spacing the log was merged at.
 	SpacingMS int64
 	// Idem holds the persisted idempotency bindings in insertion
-	// order; empty for artifacts from before the idem extension.
+	// order.
 	Idem []IdemEntry
 	// Replay is the restored paused replay.
 	Replay *sched.Incremental
@@ -89,59 +91,33 @@ func RestoreCheckpoint(data []byte, est *sched.Estimator) (*CheckpointState, err
 	fail := func(format string, args ...any) (*CheckpointState, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadCheckpoint, fmt.Sprintf(format, args...))
 	}
-	line, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok || string(line) != ckptMagic {
-		return fail("magic %q", string(line))
-	}
-	line, rest, ok = bytes.Cut(rest, []byte{'\n'})
-	f := bytes.Fields(line)
-	if !ok || len(f) != 3 || string(f[0]) != "seq" {
-		return fail("seq line %q", string(line))
-	}
-	seq, err := strconv.Atoi(string(f[1]))
-	if err != nil || seq < 0 {
-		return fail("seq count %q", string(f[1]))
-	}
-	spacing, err := strconv.ParseInt(string(f[2]), 10, 64)
-	if err != nil || spacing <= 0 {
-		return fail("spacing %q", string(f[2]))
-	}
-	line, rest, ok = bytes.Cut(rest, []byte{'\n'})
-	f = bytes.Fields(line)
-	if !ok || len(f) != 2 || string(f[0]) != "sched" {
-		return fail("sched line %q", string(line))
-	}
-	n, err := strconv.Atoi(string(f[1]))
-	if err != nil || n < 0 || n > len(rest) {
-		return fail("payload length %q over %d remaining bytes", string(f[1]), len(rest))
-	}
-	inc, err := sched.RestoreIncremental(rest[:n], est)
+	payload, rest, err := workload.ReadFrame(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrBadCheckpoint, err)
+		return fail("header: %v", err)
+	}
+	v, err := parseHeader(string(payload), ckptMagic, "seq", "spacing", "idem")
+	if err != nil {
+		return fail("%v", err)
+	}
+	seq, spacing := int(v[0]), v[1]
+	var idem []IdemEntry
+	for i := int64(0); i < v[2]; i++ {
+		if payload, rest, err = workload.ReadFrame(rest); err != nil {
+			return fail("idem record %d: %v", i, err)
+		}
+		// "# idem <key> <id>"
+		f := strings.Fields(string(payload))
+		if len(f) != 4 || f[0] != "#" || f[1] != "idem" {
+			return fail("idem record %q", payload)
+		}
+		idem = append(idem, IdemEntry{Key: f[2], ID: f[3]})
+	}
+	inc, err := sched.RestoreIncremental(rest, est)
+	if err != nil {
+		return fail("snapshot: %v", err)
 	}
 	if inc.Len() != seq {
-		return fail("payload holds %d jobs, frame declares %d", inc.Len(), seq)
-	}
-	// Trailer: optional idem lines, then the end marker.
-	var idem []IdemEntry
-	tail := rest[n:]
-	for {
-		line, next, ok := bytes.Cut(tail, []byte{'\n'})
-		if !ok {
-			return fail("missing end marker")
-		}
-		if string(line) == "end" {
-			if len(next) != 0 {
-				return fail("%d trailing bytes after end marker", len(next))
-			}
-			break
-		}
-		f := bytes.Fields(line)
-		if len(f) != 3 || string(f[0]) != "idem" {
-			return fail("trailer line %q", string(line))
-		}
-		idem = append(idem, IdemEntry{Key: string(f[1]), ID: string(f[2])})
-		tail = next
+		return fail("snapshot holds %d jobs, header declares %d", inc.Len(), seq)
 	}
 	return &CheckpointState{Seq: seq, SpacingMS: spacing, Idem: idem, Replay: inc}, nil
 }

@@ -1,30 +1,27 @@
 package serve
 
 // The durability layer under the sequencer: a segmented write-ahead
-// log. Every record the merger flushes into the request log is first
-// appended here as a CRC+length-framed record (workload.AppendFrame)
-// whose payload is one line of text — exactly the workload-trace line
-// the request log carries, or an "# idem <key> <id>" directive binding
-// an idempotency key to the job the NEXT record sequences. Idem
-// directives precede their job record, so a torn tail can orphan a
-// directive (dropped at recovery — the client was never acked) but can
-// never keep a job while losing its key, which is what makes retried
-// submissions exactly-once across a crash.
+// log. Every job the merger flushes into the request log is first
+// appended here as one CRC+length-framed record (workload.AppendFrame)
+// whose payload is exactly the workload-trace line the request log
+// carries — preceded, inside the same frame, by an "# idem <key>" line
+// when the submission carried an idempotency key. The frame's checksum
+// makes the pair atomic: a torn tail drops the key and the job
+// together (the client was never acked), and no recovered job can lose
+// its key, which is what makes retried submissions exactly-once across
+// a crash.
 //
 // Segments are numbered files (wal-00000000.seg, wal-00000001.seg, …);
 // each opens with a header frame
 //
-//	# snwal 1 seg <n> spacing <ms>
+//	# snwal 2 seg <n> spacing <ms>
 //
 // that pins the format version, the segment's position in the chain
 // and the virtual-arrival spacing the log was merged at. Rotation
 // happens when a segment passes SegmentBytes.
 //
-// Durability policy: SyncEvery <= 1 fsyncs at the end of every merge
-// batch before any submitter is acked ("on-ack" — an acked submission
-// survives kill -9). SyncEvery = N > 1 fsyncs once N records
-// accumulate, trading a bounded window (at most N-1 sequenced records)
-// for fewer fsyncs; acks then mean "sequenced", not yet "durable".
+// Durability policy: on-ack. Every merge batch is fsynced before any
+// of its submitters is acked, so an acked submission survives kill -9.
 
 import (
 	"fmt"
@@ -35,7 +32,7 @@ import (
 )
 
 const (
-	walMagic = "snwal 1"
+	walMagic = "snwal 2"
 	// DefaultSegmentBytes rotates WAL segments at 1 MiB unless
 	// Config.SegmentBytes overrides it.
 	DefaultSegmentBytes = 1 << 20
@@ -56,15 +53,13 @@ type wal struct {
 	dir          string
 	spacingMS    int64
 	segmentBytes int64
-	syncEvery    int
 
-	f        *os.File // current segment
-	seg      int      // current segment index
-	size     int64    // current segment size in bytes
-	records  int      // job records appended over the WAL lifetime
-	durable  int      // job records covered by the last fsync
-	unsynced int      // job records appended since the last fsync
-	scratch  []byte   // frame-encoding buffer, reused across appends
+	f       *os.File // current segment
+	seg     int      // current segment index
+	size    int64    // current segment size in bytes
+	records int      // job records appended over the WAL lifetime
+	durable int      // job records covered by the last fsync
+	scratch []byte   // frame-encoding buffer, reused across appends
 }
 
 // openWALSegment opens segment n for appending, creating it with its
@@ -100,10 +95,10 @@ func (w *wal) write(b []byte) error {
 	return nil
 }
 
-// appendJob appends one sequenced job — its idempotency directive
-// first, when key is non-empty, then the trace line — rotating the
-// segment beforehand if the current one is full. The caller decides
-// when to commit (fsync); see commit.
+// appendJob appends one sequenced job as one frame — its idempotency
+// line first, when key is non-empty, then the trace line — rotating
+// the segment beforehand if the current one is full. The caller
+// decides when to commit (fsync); see commit.
 func (w *wal) appendJob(tj workload.TraceJob, key string) error {
 	if w.f == nil {
 		return fmt.Errorf("serve: wal: append after close")
@@ -113,22 +108,19 @@ func (w *wal) appendJob(tj workload.TraceJob, key string) error {
 			return err
 		}
 	}
-	w.scratch = w.scratch[:0]
+	line := workload.FormatJob(tj)
 	if key != "" {
-		w.scratch = workload.AppendFrame(w.scratch, []byte(walIdemLine(key, tj.ID)))
+		line = walIdemPrefix + key + "\n" + line
 	}
-	w.scratch = workload.AppendFrame(w.scratch, []byte(workload.FormatJob(tj)))
+	w.scratch = workload.AppendFrame(w.scratch[:0], []byte(line))
 	if err := w.write(w.scratch); err != nil {
 		return err
 	}
 	w.records++
-	w.unsynced++
 	return nil
 }
 
 // rotate fsyncs and closes the current segment and opens the next one.
-// A record pair (idem directive + job line) never splits across a
-// rotation: rotate runs only between appendJob calls.
 func (w *wal) rotate() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("serve: wal: sync on rotate: %w", err)
@@ -137,25 +129,20 @@ func (w *wal) rotate() error {
 		return fmt.Errorf("serve: wal: close on rotate: %w", err)
 	}
 	w.durable = w.records
-	w.unsynced = 0
 	return w.openSegment(w.seg+1, 0)
 }
 
-// commit applies the fsync policy after a merge batch: on-ack mode
-// (SyncEvery <= 1) syncs whenever records are pending; grouped mode
-// waits for SyncEvery pending records. It reports how many job records
-// are durable after the call.
+// commit fsyncs the records appended since the last sync; it runs
+// after every merge batch, before the batch's submitters are acked. It
+// reports how many job records are durable after the call.
 func (w *wal) commit() (durable int, err error) {
-	if w.unsynced > 0 && (w.syncEvery <= 1 || w.unsynced >= w.syncEvery) {
-		if err := w.sync(); err != nil {
-			return w.durable, err
-		}
+	if w.records > w.durable {
+		err = w.sync()
 	}
-	return w.durable, nil
+	return w.durable, err
 }
 
-// sync forces an fsync of the current segment regardless of policy
-// (drain, SIGTERM, rotation). A closed WAL has nothing to sync.
+// sync fsyncs the current segment. A closed WAL has nothing to sync.
 func (w *wal) sync() error {
 	if w.f == nil {
 		return nil
@@ -164,7 +151,6 @@ func (w *wal) sync() error {
 		return fmt.Errorf("serve: wal: sync: %w", err)
 	}
 	w.durable = w.records
-	w.unsynced = 0
 	return nil
 }
 
@@ -187,7 +173,7 @@ func (w *wal) close() error {
 // recovered state itself. A fresh (empty or absent) directory starts
 // at segment 0. spacingMS must match the recovered log's spacing; a
 // mismatch is ErrWALSpacing.
-func openWAL(dir string, spacingMS int64, segmentBytes int64, syncEvery int) (*wal, *RecoveredLog, error) {
+func openWAL(dir string, spacingMS int64, segmentBytes int64) (*wal, *RecoveredLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: wal: %w", err)
 	}
@@ -202,12 +188,14 @@ func openWAL(dir string, spacingMS int64, segmentBytes int64, syncEvery int) (*w
 	if segmentBytes <= 0 {
 		segmentBytes = DefaultSegmentBytes
 	}
-	w := &wal{dir: dir, spacingMS: spacingMS, segmentBytes: segmentBytes, syncEvery: syncEvery}
+	w := &wal{dir: dir, spacingMS: spacingMS, segmentBytes: segmentBytes}
 	w.records, w.durable = len(rec.Jobs), len(rec.Jobs)
 
 	// Make the tear physical: truncate the torn segment at the last
 	// good frame and delete every segment after it, so the append
-	// position is exactly the end of the recovered prefix.
+	// position is exactly the end of the recovered prefix. A tear at
+	// offset 0 restarts the segment (openSegment rewrites the header).
+	seg, size := 0, int64(0)
 	if tt := rec.Torn; tt != nil {
 		for n := tt.Segment + 1; n < rec.Segments; n++ {
 			if err := os.Remove(filepath.Join(dir, walSegmentName(n))); err != nil && !os.IsNotExist(err) {
@@ -217,36 +205,20 @@ func openWAL(dir string, spacingMS int64, segmentBytes int64, syncEvery int) (*w
 		if err := os.Truncate(filepath.Join(dir, walSegmentName(tt.Segment)), tt.Offset); err != nil {
 			return nil, nil, fmt.Errorf("serve: wal: truncate torn tail: %w", err)
 		}
-		if tt.Offset == 0 {
-			// The tear is at the segment's own header: restart the
-			// segment from scratch (openSegment rewrites the header).
-			if err := w.openSegment(tt.Segment, 0); err != nil {
-				return nil, nil, err
-			}
-			return w, rec, nil
+		seg, size = tt.Segment, tt.Offset
+	} else if rec.Segments > 0 {
+		seg = rec.Segments - 1
+		info, err := os.Stat(filepath.Join(dir, walSegmentName(seg)))
+		if err != nil {
+			return nil, nil, fmt.Errorf("serve: wal: %w", err)
 		}
-		if err := w.openSegment(tt.Segment, tt.Offset); err != nil {
-			return nil, nil, err
-		}
-		return w, rec, nil
+		size = info.Size()
 	}
-	if rec.Segments == 0 {
-		if err := w.openSegment(0, 0); err != nil {
-			return nil, nil, err
-		}
-		return w, rec, nil
-	}
-	last := rec.Segments - 1
-	info, err := os.Stat(filepath.Join(dir, walSegmentName(last)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: wal: %w", err)
-	}
-	if err := w.openSegment(last, info.Size()); err != nil {
+	if err := w.openSegment(seg, size); err != nil {
 		return nil, nil, err
 	}
 	return w, rec, nil
 }
 
-// walIdemLine renders the idempotency directive bound to the job
-// record that follows it.
-func walIdemLine(key, id string) string { return fmt.Sprintf("# idem %s %s\n", key, id) }
+// walIdemPrefix opens the idempotency line of a keyed job record.
+const walIdemPrefix = "# idem "

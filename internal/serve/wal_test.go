@@ -9,7 +9,6 @@ package serve
 // crash-recovery job does the real kill).
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -101,8 +100,10 @@ func TestWALDurableAckAndRecover(t *testing.T) {
 
 // TestWALRecoveryPrefixAtEveryByte tears the WAL at every byte offset
 // — every possible kill -9 point — and asserts recovery never panics,
-// never errors, recovers exactly the complete-frame prefix, and leaves
-// a directory the service can keep appending to.
+// never errors, recovers exactly the complete-frame prefix with the
+// keys of exactly those jobs (a tear inside a keyed record drops the
+// key and the job together), and leaves a directory the service can
+// keep appending to.
 func TestWALRecoveryPrefixAtEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, walConfig(dir, 1))
@@ -117,11 +118,10 @@ func TestWALRecoveryPrefixAtEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// jobEnds[k] is the byte offset at which the k-th job record is
-	// complete (its idem directive precedes it inside the same append).
-	// cleanEnds are the only cuts recovery reports as untorn: the header
-	// boundary and job-record boundaries — a cut at an idem-frame end
-	// reads cleanly but leaves a dangling directive, which is a tear.
+	// jobEnds[k] is the byte offset at which the k-th job record (key
+	// and trace line in one frame) is complete. The frame boundaries —
+	// the header's end and jobEnds — are the only cuts recovery reports
+	// as untorn.
 	var jobEnds []int
 	cleanEnds := map[int]bool{}
 	rest := full
@@ -131,13 +131,14 @@ func TestWALRecoveryPrefixAtEveryByte(t *testing.T) {
 		if payload, rest, err = workload.ReadFrame(rest); err != nil {
 			t.Fatal(err)
 		}
+		if off > 0 {
+			if !strings.HasPrefix(string(payload), walIdemPrefix) {
+				t.Fatalf("job record %q carries no idempotency key", payload)
+			}
+			jobEnds = append(jobEnds, off+workload.FrameSize(len(payload)))
+		}
 		off += workload.FrameSize(len(payload))
-		if !strings.HasPrefix(string(payload), "# idem ") {
-			cleanEnds[off] = true
-		}
-		if !strings.HasPrefix(string(payload), "#") {
-			jobEnds = append(jobEnds, off)
-		}
+		cleanEnds[off] = true
 	}
 
 	for cut := 0; cut <= len(full); cut++ {
@@ -161,12 +162,20 @@ func TestWALRecoveryPrefixAtEveryByte(t *testing.T) {
 		if want > 0 && !reflect.DeepEqual(rec.Jobs, trace[:want]) {
 			t.Fatalf("cut %d: recovered jobs are not the log prefix", cut)
 		}
+		if len(rec.Idem) != want {
+			t.Fatalf("cut %d: recovered %d keys for %d jobs", cut, len(rec.Idem), want)
+		}
+		for k, e := range rec.Idem {
+			if e != (IdemEntry{Key: keyedReq(k).IdempotencyKey, ID: trace[k].ID}) {
+				t.Fatalf("cut %d: idem binding %d is %+v", cut, k, e)
+			}
+		}
 		if (rec.Torn == nil) != cleanEnds[cut] {
 			t.Fatalf("cut %d: torn = %+v, want tear iff the cut is not a record boundary", cut, rec.Torn)
 		}
 		// The repaired directory must accept appends at the exact
 		// recovered position.
-		w, rec2, err := openWAL(cutDir, 1, 0, 0)
+		w, rec2, err := openWAL(cutDir, 1, 0)
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
@@ -217,14 +226,16 @@ func TestCrashRecoveryEqualsUninterrupted(t *testing.T) {
 			submitSeq(t, s1, 0, crashAt)
 			drainClose(t, s1)
 			// Simulate the kill: the process died mid-append of the next
-			// record, leaving half a frame (idem directive torn) on disk.
-			nextIdem := workload.AppendFrame(nil, []byte(walIdemLine("key-007", "t1/j7")))
+			// keyed record, leaving half its frame on disk.
+			next := workload.AppendFrame(nil, []byte(walIdemPrefix+"key-007\n"+workload.FormatJob(workload.TraceJob{
+				ID: "t1/j7", ArrivalMS: crashAt, Network: "AlexNet", Batch: 32, Iterations: 1,
+			})))
 			seg := lastSegment(t, dir)
 			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write(nextIdem[:len(nextIdem)/2]); err != nil {
+			if _, err := f.Write(next[:len(next)/2]); err != nil {
 				t.Fatal(err)
 			}
 			if err := f.Close(); err != nil {
@@ -321,63 +332,6 @@ func TestCheckpointResumeFromRecoveredLog(t *testing.T) {
 	}
 }
 
-// TestWALGroupedSyncMode: SyncEvery N>1 trades the on-ack guarantee
-// for batched fsyncs — early acks are sequenced but not yet durable,
-// the Nth record syncs the group, and drain syncs unconditionally.
-func TestWALGroupedSyncMode(t *testing.T) {
-	dir := t.TempDir()
-	cfg := walConfig(dir, 1)
-	cfg.SyncEvery = 4
-	s := mustNew(t, cfg)
-	for i := 0; i < 3; i++ {
-		st, err := s.Submit(keyedReq(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Seq < 0 {
-			t.Fatalf("submit %d unsequenced", i)
-		}
-		if st.Durable {
-			t.Fatalf("submit %d durable before the sync group filled", i)
-		}
-	}
-	st, err := s.Submit(keyedReq(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Durable {
-		t.Fatal("4th record should have synced the group")
-	}
-	st, err = s.Submit(keyedReq(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Durable {
-		t.Fatal("5th record durable too early")
-	}
-	if _, err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Drain is a durability point regardless of policy.
-	st2, err := s.Status("t1/j4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Durable {
-		t.Fatal("drain did not sync the tail")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RecoverWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Jobs) != 5 {
-		t.Fatalf("recovered %d jobs, want 5", len(rec.Jobs))
-	}
-}
-
 // TestWALSegmentRotation: tiny segments force rotation; recovery walks
 // the chain and a restarted service keeps appending into it.
 func TestWALSegmentRotation(t *testing.T) {
@@ -467,6 +421,28 @@ func TestWALNamedErrors(t *testing.T) {
 			t.Fatalf("err %v, want ErrWALCorrupt", err)
 		}
 	})
+	t.Run("version 1 segment", func(t *testing.T) {
+		dir := t.TempDir()
+		b := workload.AppendFrame(nil, []byte("# snwal 1 seg 0 spacing 1\n"))
+		if err := os.WriteFile(filepath.Join(dir, walSegmentName(0)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RecoverWAL(dir); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("err %v, want ErrWALCorrupt", err)
+		}
+	})
+	t.Run("idem line without a job", func(t *testing.T) {
+		dir := t.TempDir()
+		var b []byte
+		b = workload.AppendFrame(b, []byte(walHeaderLine(0, 1)))
+		b = workload.AppendFrame(b, []byte(walIdemPrefix+"k\n"))
+		if err := os.WriteFile(filepath.Join(dir, walSegmentName(0)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RecoverWAL(dir); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("err %v, want ErrWALCorrupt", err)
+		}
+	})
 	t.Run("wrong segment index in header", func(t *testing.T) {
 		dir := t.TempDir()
 		b := workload.AppendFrame(nil, []byte(walHeaderLine(3, 1)))
@@ -512,7 +488,7 @@ func TestIdempotencyDedupAndEviction(t *testing.T) {
 	if st := sub("d", "k1"); st.Deduped {
 		t.Fatal("evicted key still dedupes")
 	}
-	// A bad key is refused before it can corrupt a WAL directive line.
+	// A bad key is refused before it can corrupt a WAL "# idem" line.
 	req := small("t", "e")
 	req.IdempotencyKey = "has space"
 	if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
@@ -546,9 +522,9 @@ func TestIdempotencyAcrossRestart(t *testing.T) {
 }
 
 // TestRestoreCheckpointNamedErrors: every malformed checkpoint decodes
-// to an error matching ErrBadCheckpoint — empty, truncated, corrupted,
-// and trailer-damaged inputs — complementing FuzzRestoreCheckpoint's
-// never-panic sweep.
+// to an error matching ErrBadCheckpoint — empty, version-1, truncated,
+// corrupted and record-damaged inputs — complementing
+// FuzzRestoreCheckpoint's never-panic sweep.
 func TestRestoreCheckpointNamedErrors(t *testing.T) {
 	s := mustNew(t, Config{Manual: true, SnapshotEvery: 1})
 	req := small("t", "a")
@@ -569,19 +545,23 @@ func TestRestoreCheckpointNamedErrors(t *testing.T) {
 		t.Fatalf("idem round trip: %+v", cs.Idem)
 	}
 
+	recs := ckptRecords(t, good)
 	bad := map[string][]byte{
-		"empty":              nil,
-		"magic only":         []byte("snckpt 1"),
-		"bad magic":          []byte("snckpt 99\nseq 0 1\nsched 0\nend\n"),
-		"no seq line":        []byte("snckpt 1\n"),
-		"negative seq":       []byte("snckpt 1\nseq -1 1\nsched 0\nend\n"),
-		"zero spacing":       []byte("snckpt 1\nseq 0 0\nsched 0\nend\n"),
-		"payload oversold":   []byte("snckpt 1\nseq 0 1\nsched 999\nxx"),
-		"truncated tail":     good[:len(good)-4],
-		"junk payload":       []byte("snckpt 1\nseq 0 1\nsched 4\njunkend\n"),
-		"bad trailer":        bytes.Replace(good, []byte("idem k1 t/a\n"), []byte("idem k1\n"), 1),
-		"junk after end":     append(append([]byte{}, good...), []byte("trailing\n")...),
-		"end marker missing": bytes.Replace(good, []byte("end\n"), []byte("END\n"), 1),
+		"empty":            nil,
+		"version 1":        []byte("snckpt 1\nseq 0 1\nsched 0\nend\n"),
+		"bad magic":        frames("# snckpt 99 seq 0 spacing 1 idem 0\n"),
+		"negative seq":     frames("# snckpt 2 seq -1 spacing 1 idem 0\n"),
+		"zero spacing":     frames("# snckpt 2 seq 0 spacing 0 idem 0\n"),
+		"negative idem":    frames("# snckpt 2 seq 0 spacing 1 idem -1\n"),
+		"idem oversold":    frames(append([]string{strings.Replace(recs[0], "idem 1", "idem 9", 1)}, recs[1:]...)...),
+		"header only":      frames(recs[0]),
+		"truncated tail":   good[:len(good)-4],
+		"bad idem record":  frames(append([]string{recs[0], "# idem k1\n"}, recs[2:]...)...),
+		"no snapshot":      frames(recs[:2]...),
+		"junk after end":   append(append([]byte{}, good...), frames("trailing\n")...),
+		"end record lost":  frames(recs[:len(recs)-1]...),
+		"seq mismatch":     frames(append([]string{strings.Replace(recs[0], "seq 1 ", "seq 2 ", 1)}, recs[1:]...)...),
+		"unframed payload": []byte(strings.Join(recs, "")),
 	}
 	for name, data := range bad {
 		_, err := RestoreCheckpoint(data, nil)
@@ -595,18 +575,89 @@ func TestRestoreCheckpointNamedErrors(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornOrFlippedAtEveryByte: every proper prefix of a
+// checkpoint — every point a crash could tear its file — and every
+// single-byte corruption fails with ErrBadCheckpoint, never a panic or
+// a silently different replay.
+func TestCheckpointTornOrFlippedAtEveryByte(t *testing.T) {
+	s := mustNew(t, Config{Manual: true, SnapshotEvery: 2})
+	for i := 0; i < 3; i++ {
+		if _, err := s.Submit(keyedReq(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Advance(0)
+	good, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreCheckpoint(good, nil); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := RestoreCheckpoint(good[:cut], nil); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("prefix of %d/%d bytes: err %v, want ErrBadCheckpoint", cut, len(good), err)
+		}
+	}
+	flipped := append([]byte{}, good...)
+	for i := range flipped {
+		flipped[i] ^= 0xff
+		if _, err := RestoreCheckpoint(flipped, nil); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("byte %d flipped: err %v, want ErrBadCheckpoint", i, err)
+		}
+		flipped[i] ^= 0xff
+	}
+}
+
+// frames frames each record payload in order.
+func frames(payloads ...string) []byte {
+	var b []byte
+	for _, p := range payloads {
+		b = workload.AppendFrame(b, []byte(p))
+	}
+	return b
+}
+
+// ckptRecords splits a well-formed checkpoint into its record payloads.
+func ckptRecords(t *testing.T, b []byte) []string {
+	t.Helper()
+	var recs []string
+	for len(b) > 0 {
+		payload, rest, err := workload.ReadFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, string(payload))
+		b = rest
+	}
+	return recs
+}
+
 // FuzzRecoverWAL throws torn, bit-flipped and arbitrary segment bytes
 // at recovery: it must never panic, and whatever prefix it accepts
 // must be a valid log — dense arrival grid, unique ids, idem bindings
 // pointing at recovered jobs — that openWAL can repair and append to.
 func FuzzRecoverWAL(f *testing.F) {
-	var valid []byte
-	valid = workload.AppendFrame(valid, []byte(walHeaderLine(0, 1)))
-	valid = workload.AppendFrame(valid, []byte(walIdemLine("k0", "t/a")))
-	valid = workload.AppendFrame(valid, []byte(workload.FormatJob(
-		workload.TraceJob{ID: "t/a", ArrivalMS: 0, Network: "AlexNet", Batch: 16, Iterations: 1})))
-	valid = workload.AppendFrame(valid, []byte(workload.FormatJob(
-		workload.TraceJob{ID: "t/b", ArrivalMS: 1, Network: "AlexNet", Batch: 32, Iterations: 2})))
+	// The seed segment comes from the writer: a header, a keyed record
+	// and an unkeyed one.
+	seedDir := f.TempDir()
+	w, _, err := openWAL(seedDir, 1, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, key := range []string{"k0", ""} {
+		tj := workload.TraceJob{ID: fmt.Sprintf("t/%c", 'a'+i), ArrivalMS: int64(i), Network: "AlexNet", Batch: 16 << i, Iterations: 1 + i}
+		if err := w.appendJob(tj, key); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(seedDir, walSegmentName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add(valid[:11])
@@ -647,7 +698,7 @@ func FuzzRecoverWAL(f *testing.F) {
 		if spacing == 0 {
 			spacing = 1
 		}
-		w, rec2, err := openWAL(dir, spacing, 0, 0)
+		w, rec2, err := openWAL(dir, spacing, 0)
 		if err != nil {
 			t.Fatalf("openWAL after clean recovery: %v", err)
 		}

@@ -1,12 +1,13 @@
 package workload
 
-// Record framing for durable logs. The serving layer's write-ahead log
-// appends each sequenced request as one framed record: a fixed header
-// of payload length and CRC followed by the payload bytes (a line in
-// the workload-trace format). The frame is what makes torn tails
-// detectable: a crash mid-write leaves a truncated header, a truncated
-// payload, or a payload whose checksum disagrees with the header, and
-// a reader distinguishes all three from a clean end of log.
+// Record framing for durable state. The serving layer's write-ahead
+// log, its checkpoints and the scheduler's snapshots are all streams
+// of framed records: a fixed header of payload length and CRC followed
+// by the payload bytes (newline-terminated text: a workload-trace
+// line, a "#" directive or a snapshot record). The frame is what makes
+// torn tails detectable: a crash mid-write leaves a truncated header, a
+// truncated payload, or a payload whose checksum disagrees with the
+// header, and a reader distinguishes all three from a clean end of log.
 //
 // Wire layout, big-endian:
 //
@@ -17,10 +18,12 @@ package workload
 // workload package.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 )
 
 // frameHeaderSize is the fixed per-record overhead: 4 length bytes and
@@ -83,4 +86,44 @@ func ReadFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, b, fmt.Errorf("%w: crc %08x, header says %08x", ErrFrameCorrupt, got, want)
 	}
 	return payload, b[frameHeaderSize+int(n):], nil
+}
+
+// AppendLines frames each newline-terminated line of text as one
+// record and appends the frames to dst. A line past MaxFramePayload is
+// an error, and dst is returned unchanged.
+func AppendLines(dst, text []byte) ([]byte, error) {
+	out := dst
+	for k := 1; len(text) > 0; k++ {
+		n := bytes.IndexByte(text, '\n') + 1
+		if n == 0 {
+			n = len(text)
+		}
+		if n > MaxFramePayload {
+			return dst, fmt.Errorf("workload: line %d of %d bytes exceeds MaxFramePayload", k, n)
+		}
+		out = AppendFrame(out, text[:n])
+		text = text[n:]
+	}
+	return out, nil
+}
+
+// ReadLines decodes a stream of one-line records, as AppendLines
+// writes them, into its lines without their newlines. Any frame error
+// fails the whole stream, as does a record that is not exactly one
+// newline-terminated line (ErrFrameCorrupt).
+func ReadLines(b []byte) ([]string, error) {
+	var lines []string
+	for len(b) > 0 {
+		payload, rest, err := ReadFrame(b)
+		if err != nil {
+			return nil, fmt.Errorf("record %d: %w", len(lines)+1, err)
+		}
+		line, ok := strings.CutSuffix(string(payload), "\n")
+		if !ok || strings.IndexByte(line, '\n') >= 0 {
+			return nil, fmt.Errorf("%w: record %d is not one newline-terminated line", ErrFrameCorrupt, len(lines)+1)
+		}
+		lines = append(lines, line)
+		b = rest
+	}
+	return lines, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -113,4 +114,43 @@ func TestAppendFrameOversizePanics(t *testing.T) {
 		}
 	}()
 	AppendFrame(nil, make([]byte, MaxFramePayload+1))
+}
+
+func TestAppendAndReadLines(t *testing.T) {
+	text := []byte("snsnap 2\npolicy fifo\n\nend\n")
+	b, err := AppendLines([]byte("kept"), text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadLines(b[len("kept"):])
+	if err != nil || strings.Join(lines, "|") != "snsnap 2|policy fifo||end" {
+		t.Fatalf("round trip: %q, %v", lines, err)
+	}
+	if lines, err := ReadLines(nil); err != nil || len(lines) != 0 {
+		t.Fatalf("empty stream: %q, %v", lines, err)
+	}
+	bad := map[string][]byte{
+		"torn":            b[len("kept") : len(b)-1],
+		"no newline":      AppendFrame(nil, []byte("end")),
+		"two lines":       AppendFrame(nil, []byte("a\nb\n")),
+		"unterminated in": mustAppendLines(t, []byte("a\nb")),
+	}
+	for name, data := range bad {
+		if _, err := ReadLines(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	long := append(bytes.Repeat([]byte("x"), MaxFramePayload), '\n')
+	if got, err := AppendLines([]byte("kept"), append([]byte("ok\n"), long...)); err == nil || string(got) != "kept" {
+		t.Fatalf("oversize line: got %d bytes, %v; want dst unchanged and an error", len(got), err)
+	}
+}
+
+func mustAppendLines(t *testing.T, text []byte) []byte {
+	t.Helper()
+	b, err := AppendLines(nil, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
