@@ -2,8 +2,8 @@
 // paper's evaluation (§4). Each benchmark regenerates the experiment
 // on the simulated substrate and logs the rows/series the paper
 // reports, next to the paper's published numbers; `go test -bench=.`
-// therefore reproduces the entire evaluation. EXPERIMENTS.md records a
-// reference transcript.
+// therefore reproduces the entire evaluation. `snpaper tables` prints
+// the same tables as one transcript.
 package superneurons
 
 import (

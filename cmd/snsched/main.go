@@ -218,14 +218,9 @@ func run(o options, w io.Writer) error {
 		}
 	}
 
-	var dev hw.DeviceSpec
-	switch strings.ToLower(o.device) {
-	case "k40c":
-		dev = hw.TeslaK40c
-	case "titanxp":
-		dev = hw.TitanXP
-	default:
-		return fmt.Errorf("unknown device %q (have k40c, titanxp)", o.device)
+	dev, err := hw.DeviceByName(o.device)
+	if err != nil {
+		return err
 	}
 	cluster, err := sched.NewCluster(sched.Uniform(dev, o.devices), sc.opts(faults)...)
 	if err != nil {
@@ -250,7 +245,7 @@ func run(o options, w io.Writer) error {
 	} else {
 		p, ok := sched.PolicyByName(o.policyArg)
 		if !ok {
-			return fmt.Errorf("unknown policy %q (have fifo, priority, packing, topo, all)", o.policyArg)
+			return fmt.Errorf("unknown policy %q (have %s)", o.policyArg, strings.Join(append(sched.PolicyNames(), "all"), ", "))
 		}
 		s, err := sched.NewScheduler(cluster, p)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -125,12 +126,24 @@ func TestMalformedTraceNamesOffendingLine(t *testing.T) {
 // ok2 builds one trace line from its seven fields.
 func ok2(f ...string) string { return strings.Join(f, " ") + "\n" }
 
+// Each rejection names every value the flag accepts.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(options{devices: 2, device: "nope", policyArg: "all"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown device accepted")
-	}
-	if err := run(options{devices: 2, device: "k40c", policyArg: "nope"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown policy accepted")
+	for _, c := range []struct {
+		o    options
+		want []string
+	}{
+		{options{devices: 2, device: "nope", policyArg: "all"}, []string{"k40c", "titanxp"}},
+		{options{devices: 2, device: "k40c", policyArg: "nope"}, append(sched.PolicyNames(), "all")},
+	} {
+		err := run(c.o, &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("%+v accepted", c.o)
+		}
+		for _, v := range c.want {
+			if !strings.Contains(err.Error(), v) {
+				t.Errorf("error %q does not name accepted value %q", err, v)
+			}
+		}
 	}
 }
 

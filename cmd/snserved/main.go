@@ -83,7 +83,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
 	flag.StringVar(&o.device, "device", "k40c", "device profile: k40c or titanxp")
 	flag.IntVar(&o.devices, "devices", 2, "number of GPUs in the cluster")
-	flag.StringVar(&o.policyArg, "policy", "packing", "scheduler policy: fifo, priority or packing")
+	flag.StringVar(&o.policyArg, "policy", "packing", "scheduler policy: fifo, priority, packing or topo")
 	flag.IntVar(&o.shards, "shards", 1, "per-tenant sequencer shards (tenants hash onto shards; results stay deterministic)")
 	flag.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "bounded admission queue depth per shard")
 	flag.IntVar(&o.quota, "tenant-quota", 0, "max jobs per tenant over the service lifetime (0 = unlimited)")
@@ -107,18 +107,13 @@ func main() {
 // exit-after-drain — the service is drained via the API. It always
 // drains before returning and prints the final schedule to w.
 func run(ctx context.Context, o options, ready chan<- string, w io.Writer) error {
-	var dev hw.DeviceSpec
-	switch strings.ToLower(o.device) {
-	case "k40c":
-		dev = hw.TeslaK40c
-	case "titanxp":
-		dev = hw.TitanXP
-	default:
-		return fmt.Errorf("unknown device %q (have k40c, titanxp)", o.device)
+	dev, err := hw.DeviceByName(o.device)
+	if err != nil {
+		return err
 	}
 	pol, ok := sched.PolicyByName(o.policyArg)
 	if !ok {
-		return fmt.Errorf("unknown policy %q (have fifo, priority, packing)", o.policyArg)
+		return fmt.Errorf("unknown policy %q (have %s)", o.policyArg, strings.Join(sched.PolicyNames(), ", "))
 	}
 	var level slog.Level
 	if o.logLevel == "" {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -115,12 +116,25 @@ func TestServeSignalDrains(t *testing.T) {
 	}
 }
 
+// Each rejection names every value the flag accepts.
 func TestRunRejectsBadFlags(t *testing.T) {
 	ctx := context.Background()
-	if err := run(ctx, options{device: "nope", policyArg: "packing", addr: "127.0.0.1:0"}, nil, &bytes.Buffer{}); err == nil {
-		t.Error("unknown device accepted")
-	}
-	if err := run(ctx, options{device: "k40c", policyArg: "nope", addr: "127.0.0.1:0"}, nil, &bytes.Buffer{}); err == nil {
-		t.Error("unknown policy accepted")
+	for _, c := range []struct {
+		o    options
+		want []string
+	}{
+		{options{device: "nope", policyArg: "packing"}, []string{"k40c", "titanxp"}},
+		{options{device: "k40c", policyArg: "nope"}, sched.PolicyNames()},
+	} {
+		c.o.addr = "127.0.0.1:0"
+		err := run(ctx, c.o, nil, &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("%+v accepted", c.o)
+		}
+		for _, v := range c.want {
+			if !strings.Contains(err.Error(), v) {
+				t.Errorf("error %q does not name accepted value %q", err, v)
+			}
+		}
 	}
 }

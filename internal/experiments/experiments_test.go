@@ -193,3 +193,29 @@ func TestFig14SuperNeuronsLeadsOrSurvives(t *testing.T) {
 		t.Error("sweep must include SuperNeurons and OOM markers for weaker policies")
 	}
 }
+
+// The shared capacity-search loops behind Tables 4 and 5 and
+// `snpaper sweep`: rows land in policy.All order, and an unknown
+// network fails before any search runs.
+func TestCapacitySearchLoops(t *testing.T) {
+	depths, err := MaxDepths(16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := MaxBatches([]string{"AlexNet", "ResNet50"}, map[string]int{"AlexNet": 8, "ResNet50": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(depths) != 5 || len(batches) != 2 || len(batches[0]) != 5 {
+		t.Fatalf("shape: %d depths, %d batch rows", len(depths), len(batches))
+	}
+	for j := range depths {
+		if depths[j].N3 != 2 || batches[0][j] != 8 || batches[1][j] != 4 {
+			t.Errorf("framework %d: depth %+v, batches %d/%d; every search should reach its bound",
+				j, depths[j], batches[0][j], batches[1][j])
+		}
+	}
+	if _, err := MaxBatches([]string{"LeNet"}, nil); err == nil || !strings.Contains(err.Error(), "LeNet") {
+		t.Errorf("unknown network: err = %v", err)
+	}
+}

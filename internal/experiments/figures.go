@@ -47,15 +47,9 @@ func Fig2() *metrics.Table {
 		}
 		cfg := core.SuperNeurons(hw.TitanXP)
 		cfg.PoolBytes = 96 * hw.GiB // isolate the workspace effect from capacity
-		fast, err := core.Run(nnet.ByName(name)(b), cfg)
-		if err != nil {
-			panic(err)
-		}
+		fast := must(core.Run(nnet.ByName(name)(b), cfg))
 		cfg.DynamicWorkspace = false
-		slow, err := core.Run(nnet.ByName(name)(b), cfg)
-		if err != nil {
-			panic(err)
-		}
+		slow := must(core.Run(nnet.ByName(name)(b), cfg))
 		return row{mem / gib, (mem + float64(maxWS)) / gib, fast.Throughput / slow.Throughput}
 	})
 	for i, name := range nets {
@@ -131,10 +125,7 @@ func Fig10Runs() []Fig10Result {
 
 	out := []Fig10Result{{"baseline", nil}, {"liveness", nil}, {"+offload", nil}, {"+recompute", nil}}
 	for i, cfg := range []core.Config{base, live, off, rec} {
-		r, err := core.Run(nnet.AlexNet(200), cfg)
-		if err != nil {
-			panic(err)
-		}
+		r := must(core.Run(nnet.AlexNet(200), cfg))
 		out[i].Res = r
 	}
 	return out
@@ -196,23 +187,16 @@ func Fig11() *metrics.Table {
 	t := metrics.NewTable(
 		"Fig 11: normalized speed without/with Tensor Cache (K40c)",
 		"network", "batch", "img/s no cache", "img/s cache", "normalized (no cache)")
-	nets := []string{"AlexNet", "VGG16", "InceptionV4", "ResNet50", "ResNet101", "ResNet152"}
 	type row struct{ eager, cached float64 }
-	rows := par.Map(nets, 0, func(name string) row {
+	rows := par.Map(paperNets, 0, func(name string) row {
 		b := fig11Batch(name)
 		cfg := core.SuperNeurons(hw.TeslaK40c)
-		cached, err := core.Run(nnet.ByName(name)(b), cfg)
-		if err != nil {
-			panic(err)
-		}
+		cached := must(core.Run(nnet.ByName(name)(b), cfg))
 		cfg.TensorCache = false
-		eager, err := core.Run(nnet.ByName(name)(b), cfg)
-		if err != nil {
-			panic(err)
-		}
+		eager := must(core.Run(nnet.ByName(name)(b), cfg))
 		return row{eager.Throughput, cached.Throughput}
 	})
-	for i, name := range nets {
+	for i, name := range paperNets {
 		t.Add(name, fmt.Sprint(fig11Batch(name)),
 			fmt.Sprintf("%.1f", rows[i].eager), fmt.Sprintf("%.1f", rows[i].cached),
 			fmt.Sprintf("%.2f", rows[i].eager/rows[i].cached))
@@ -236,10 +220,7 @@ func Fig12() string {
 	for _, c := range cases {
 		cfg := core.SuperNeurons(hw.TeslaK40c)
 		cfg.PoolBytes = c.pool
-		r, err := core.Run(nnet.AlexNet(c.batch), cfg)
-		if err != nil {
-			panic(err)
-		}
+		r := must(core.Run(nnet.AlexNet(c.batch), cfg))
 		var labels []string
 		var assigned, maxSpeed []float64
 		for _, st := range r.Steps {
@@ -269,9 +250,8 @@ func Fig13(table5 map[string]map[string]int) *metrics.Table {
 	t := metrics.NewTable(
 		"Fig 13: memory cost in GiB at each framework's peak batch",
 		"network", "Caffe", "MXNet", "Torch", "TensorFlow", "SuperNeurons", "SN/Caffe")
-	nets := []string{"AlexNet", "VGG16", "InceptionV4", "ResNet50", "ResNet101", "ResNet152"}
 	fws := []string{"Caffe", "MXNet", "Torch", "TensorFlow", "SuperNeurons"}
-	for _, n := range nets {
+	for _, n := range paperNets {
 		row := []string{n}
 		var caffe, sn float64
 		for _, f := range fws {
@@ -299,10 +279,7 @@ func Fig14() string {
 	nets := []string{"AlexNet", "ResNet50", "VGG16", "ResNet101", "InceptionV4", "ResNet152"}
 	for _, name := range nets {
 		batches := workload.Fig14Batches[name]
-		rows, err := policy.BatchSweep(policy.All, nnet.ByName(name), hw.TitanXP, batches)
-		if err != nil {
-			panic(err)
-		}
+		rows := must(policy.BatchSweep(policy.All, nnet.ByName(name), hw.TitanXP, batches))
 		var series []metrics.Series
 		t := metrics.NewTable(fmt.Sprintf("Fig 14 (%s): img/s vs batch", name),
 			append([]string{"framework"}, intsToStrings(batches)...)...)

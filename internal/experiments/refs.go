@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§4) on the simulated substrate and renders them
 // side by side with the paper's published numbers. The benchmark
-// harness (bench_test.go at the module root) and cmd/sntables both
-// drive these functions, so EXPERIMENTS.md is reproducible with one
-// command.
+// harness (bench_test.go at the module root) and `snpaper tables`
+// both drive these functions, so the whole evaluation is reproducible
+// with one command.
 package experiments
 
 // Paper-published values, transcribed from the PPoPP'18 text, used for

@@ -15,7 +15,12 @@
 // behaviour of the real substrate.
 package hw
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/sim"
+)
 
 // KiB, MiB and GiB are binary byte units. The paper reports MB/GB in
 // binary units (its AlexNet tensor sizes match NCHW geometry only when
@@ -132,6 +137,18 @@ var (
 		MemEffScale:  0.90,
 	}
 )
+
+// DeviceByName resolves a device profile by its short name, "k40c" or
+// "titanxp", ignoring case.
+func DeviceByName(name string) (DeviceSpec, error) {
+	switch strings.ToLower(name) {
+	case "k40c":
+		return TeslaK40c, nil
+	case "titanxp":
+		return TitanXP, nil
+	}
+	return DeviceSpec{}, fmt.Errorf("unknown device %q (have k40c, titanxp)", name)
+}
 
 // Interconnect profiles. The paper (§3.3.2) quotes practical speeds of
 // 8 GB/s for CPU↔GPU over PCIe 3.0 x16 with pinned memory, 10 GB/s

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -98,5 +99,23 @@ func TestTransferSplitProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestDeviceByName(t *testing.T) {
+	for name, want := range map[string]DeviceSpec{"k40c": TeslaK40c, "TitanXP": TitanXP} {
+		got, err := DeviceByName(name)
+		if err != nil || got.Name != want.Name {
+			t.Errorf("DeviceByName(%q) = %q, %v; want %q", name, got.Name, err, want.Name)
+		}
+	}
+	_, err := DeviceByName("v100")
+	if err == nil {
+		t.Fatal("unknown device accepted")
+	}
+	for _, v := range []string{"k40c", "titanxp"} {
+		if !strings.Contains(err.Error(), v) {
+			t.Errorf("error %q does not name accepted device %q", err, v)
+		}
 	}
 }

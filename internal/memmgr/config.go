@@ -1,7 +1,6 @@
 package memmgr
 
 import (
-	"repro/internal/gpumem"
 	"repro/internal/hw"
 	"repro/internal/recompute"
 	"repro/internal/tcache"
@@ -55,14 +54,6 @@ type Config struct {
 	// fill the pools in order; empty means the single local CPU pool
 	// described by HostBytes/HostLink.
 	ExternalPools []ExternalPool
-
-	// SharedHost, when set, is used as the primary host pool instead of
-	// a fresh private one: co-tenant runtimes on the same device hand
-	// the SAME pool to every job so their offloaded tensors and spilled
-	// floors compete for one host-side spill budget — the device
-	// planner's (internal/memplan) shared spill pool made concrete.
-	// HostBytes is ignored when SharedHost is set.
-	SharedHost *gpumem.Pool
 
 	// UseMemPool selects the preallocated heap pool; false uses the
 	// cudaMalloc/cudaFree cost model (Table 2's comparison).

@@ -35,20 +35,6 @@ type Estimate struct {
 	SpillBytes int64
 }
 
-// ForGang scales a per-device estimate to an N-device gang: the gang
-// reserves PeakBytes on each of its devices (every replica holds a
-// full copy of the working set), so the cluster-wide footprint is
-// N x PeakBytes while the per-device admission test is unchanged.
-func (e Estimate) ForGang(n int) Estimate {
-	if n < 1 {
-		n = 1
-	}
-	g := e
-	g.PeakBytes = e.PeakBytes // per-device, by design
-	g.Throughput = e.Throughput * float64(n)
-	return g
-}
-
 // EstimateOf extracts the scheduling estimate from a dry run's Result.
 func EstimateOf(r *Result) Estimate {
 	floor := r.PersistentBytes

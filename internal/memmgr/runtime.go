@@ -96,11 +96,7 @@ func NewRuntime(p *program.Program, cfg Config) *Runtime {
 	} else {
 		rt.GPU = gpumem.NewNative(cfg.PoolBytes, cfg.Device.CudaMalloc, cfg.Device.CudaFree)
 	}
-	if cfg.SharedHost != nil {
-		rt.Hosts = []*gpumem.Pool{cfg.SharedHost}
-	} else {
-		rt.Hosts = []*gpumem.Pool{gpumem.NewPool(cfg.HostBytes, cfg.Device.PoolOp)}
-	}
+	rt.Hosts = []*gpumem.Pool{gpumem.NewPool(cfg.HostBytes, cfg.Device.PoolOp)}
 	rt.HostLinks = []hw.LinkSpec{cfg.HostLink}
 	rt.HostNames = []string{"cpu"}
 	for _, ep := range cfg.ExternalPools {

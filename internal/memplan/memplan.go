@@ -410,9 +410,6 @@ func (p *Planner) Requirement() int64 { return p.state.requirement }
 // SpillUsed is the host spill pool occupancy.
 func (p *Planner) SpillUsed() int64 { return p.state.spillUsed }
 
-// SpillCap is the host spill pool capacity.
-func (p *Planner) SpillCap() int64 { return p.spillCap }
-
 // SharedSavedBytes is the capacity cross-job slab sharing avoided
 // reserving twice.
 func (p *Planner) SharedSavedBytes() int64 { return p.state.sharedSaved }

@@ -21,7 +21,7 @@ type searchCell struct {
 	answer, refRuns int
 }
 
-// tableCells lists every cell sntables searches: Table 4 is MaxDepth at
+// tableCells lists every cell `snpaper tables` searches: Table 4 is MaxDepth at
 // batch 16 up to n3 = 2600, Table 5 is MaxBatch up to the per-network
 // search limit.
 var tableCells = []searchCell{

@@ -80,6 +80,15 @@ var (
 // Policies lists the built-in policies in comparison order.
 func Policies() []Policy { return []Policy{FIFO, Priority, Packing, TopoPacking} }
 
+// PolicyNames lists the built-in policies' names in Policies order.
+func PolicyNames() []string {
+	var names []string
+	for _, p := range Policies() {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
 // PolicyByName resolves a built-in policy.
 func PolicyByName(name string) (Policy, bool) {
 	for _, p := range Policies() {

@@ -48,6 +48,7 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -684,6 +685,16 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 			return workload.TraceJob{}, "", fmt.Errorf("%w: batch must be positive, got %d", ErrBadRequest, req.Batch)
 		}
 		tj.Batch = req.Batch
+	}
+	// The WAL writes the job as one frame: refuse a record that could
+	// outgrow the frame cap once sequencing fills in the id and arrival.
+	widest := tj
+	if widest.ID == "" {
+		widest.ID = fmt.Sprintf("%s/j%d", tenant, math.MaxInt64)
+	}
+	widest.ArrivalMS = math.MaxInt64
+	if n := len(walRecord(widest, req.IdempotencyKey)); n > workload.MaxFramePayload {
+		return workload.TraceJob{}, "", fmt.Errorf("%w: job record of %d bytes exceeds the %d-byte log record cap", ErrBadRequest, n, workload.MaxFramePayload)
 	}
 	for _, b := range batches {
 		_, err := s.est.Estimate(tj.Network, b, tj.Manager, s.cfg.Cluster.Device)

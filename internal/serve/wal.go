@@ -108,11 +108,7 @@ func (w *wal) appendJob(tj workload.TraceJob, key string) error {
 			return err
 		}
 	}
-	line := workload.FormatJob(tj)
-	if key != "" {
-		line = walIdemPrefix + key + "\n" + line
-	}
-	w.scratch = workload.AppendFrame(w.scratch[:0], []byte(line))
+	w.scratch = workload.AppendFrame(w.scratch[:0], []byte(walRecord(tj, key)))
 	if err := w.write(w.scratch); err != nil {
 		return err
 	}
@@ -222,3 +218,13 @@ func openWAL(dir string, spacingMS int64, segmentBytes int64) (*wal, *RecoveredL
 
 // walIdemPrefix opens the idempotency line of a keyed job record.
 const walIdemPrefix = "# idem "
+
+// walRecord is the payload of one job's WAL frame: the idempotency
+// line when key is non-empty, then the trace line.
+func walRecord(tj workload.TraceJob, key string) string {
+	line := workload.FormatJob(tj)
+	if key != "" {
+		line = walIdemPrefix + key + "\n" + line
+	}
+	return line
+}

@@ -98,6 +98,40 @@ func TestWALDurableAckAndRecover(t *testing.T) {
 	}
 }
 
+// TestWALRefusesOversizeRecord: a request whose WAL record could
+// outgrow one frame — by its id, its idempotency key, or the id
+// auto-assigned under a long tenant — is refused at submit with
+// ErrBadRequest instead of panicking the sequencer, while a record
+// just under the cap is logged and recovered.
+func TestWALRefusesOversizeRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, walConfig(dir, 1))
+	huge := strings.Repeat("x", workload.MaxFramePayload)
+	keyed := small("t", "k")
+	keyed.IdempotencyKey = huge
+	for name, req := range map[string]SubmitRequest{
+		"id":     small("t", huge),
+		"key":    keyed,
+		"tenant": small(huge, ""),
+	} {
+		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
+		}
+	}
+	id := strings.Repeat("x", workload.MaxFramePayload-64)
+	if _, err := s.Submit(small("t", id)); err != nil {
+		t.Fatal(err)
+	}
+	drainClose(t, s)
+	rec, err := RecoverWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "t/"+id {
+		t.Fatalf("recovered %d jobs, want the one near-cap job", len(rec.Jobs))
+	}
+}
+
 // TestWALRecoveryPrefixAtEveryByte tears the WAL at every byte offset
 // — every possible kill -9 point — and asserts recovery never panics,
 // never errors, recovers exactly the complete-frame prefix with the

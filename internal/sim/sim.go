@@ -180,9 +180,6 @@ func (t *Timeline) SyncAll() Time {
 	return t.now
 }
 
-// Engines returns the registered engines in creation order.
-func (t *Timeline) Engines() []*Engine { return t.engines }
-
 // Utilization returns busy/elapsed for the engine over the timeline's
 // lifetime so far, in [0,1]. A timeline at time zero reports zero.
 func (t *Timeline) Utilization(e *Engine) float64 {
