@@ -4,7 +4,7 @@
 // priority with preemption, memory-aware packing).
 //
 // The replay is fully deterministic: admission decisions use the
-// memmgr runtime's dry-run peak/iteration estimates and the cluster
+// core runtime's dry-run peak/iteration estimates and the cluster
 // runs in virtual time, so two invocations on the same trace produce
 // byte-identical output — including runs whose scenario scripts device
 // failures mid-flight.

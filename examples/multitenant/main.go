@@ -2,7 +2,7 @@
 // and compare scheduling policies — the multi-workload scenario
 // SuperNeurons' single-job memory manager leaves open.
 //
-// The scheduler's admission control reuses the memmgr runtime: one
+// The scheduler's admission control reuses the core runtime: one
 // deterministic dry run per distinct job shape predicts the exact
 // pool peak and iteration time, so a job is only placed where its
 // whole footprint fits, and a job that cannot fit any idle device is

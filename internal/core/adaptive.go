@@ -1,11 +1,11 @@
-package memmgr
+package core
 
 // The adaptive planner: the paper's headline is *dynamic* GPU memory
 // management, yet a one-shot plan computed before iteration 0 and
 // replayed verbatim cannot represent workloads whose shape changes
 // between iterations (bucketed sequence lengths, batch ramps — the
 // setting where vDNN-style static offload schedules break down).
-// Adaptive closes the loop: it observes each iteration's measured
+// The adaptive type closes the loop: it observes each iteration's measured
 // signals — stall time, pool fragmentation, tensor-cache hit rate,
 // failed prefetches, OOM near-misses — and revises the
 // offload/prefetch/recompute knobs for the next iteration boundary,
@@ -23,9 +23,9 @@ import (
 	"repro/internal/utp"
 )
 
-// Signals are the measured observations of one completed (or failed)
+// signals are the measured observations of one completed (or failed)
 // iteration that the adaptive planner consumes.
-type Signals struct {
+type signals struct {
 	// Iteration indexes the observed iteration; Batch is its shape,
 	// NextBatch the declared shape of the next iteration (0 when the
 	// run ends) — the planner may anticipate the incoming shape but
@@ -54,26 +54,26 @@ type Signals struct {
 	FailedPrefetches int64
 }
 
-// HeadroomFrac returns the unused fraction of the pool at the
+// headroomFrac returns the unused fraction of the pool at the
 // iteration's peak.
-func (s Signals) HeadroomFrac() float64 {
+func (s signals) headroomFrac() float64 {
 	if s.PoolBytes <= 0 {
 		return 0
 	}
 	return 1 - float64(s.PoolPeak)/float64(s.PoolBytes)
 }
 
-// StallFrac returns stall time as a fraction of the iteration.
-func (s Signals) StallFrac() float64 {
+// stallFrac returns stall time as a fraction of the iteration.
+func (s signals) stallFrac() float64 {
 	if s.IterTime <= 0 {
 		return 0
 	}
 	return float64(s.StallTime) / float64(s.IterTime)
 }
 
-// CacheHitRate returns hits/(hits+misses), or 1 when the cache saw no
+// cacheHitRate returns hits/(hits+misses), or 1 when the cache saw no
 // traffic (an idle cache is absorbing the working set trivially).
-func (s Signals) CacheHitRate() float64 {
+func (s signals) cacheHitRate() float64 {
 	total := s.CacheHits + s.CacheMisses
 	if total == 0 {
 		return 1
@@ -81,11 +81,11 @@ func (s Signals) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// PredictedNextPeak scales this iteration's measured peak linearly to
+// predictedNextPeak scales this iteration's measured peak linearly to
 // the next iteration's batch — functional footprints grow with N while
 // the persistent state does not, so this is a slight overestimate:
 // exactly the right bias for a near-miss detector.
-func (s Signals) PredictedNextPeak() int64 {
+func (s signals) predictedNextPeak() int64 {
 	if s.Batch <= 0 || s.NextBatch <= 0 {
 		return s.PoolPeak
 	}
@@ -121,15 +121,18 @@ const (
 	adaptCalmRun = 2
 )
 
-// Adaptive revises the offload/prefetch/recompute plan online. It owns
+// adaptive revises the offload/prefetch/recompute plan online. It owns
 // a ladder of plan aggressiveness levels over the base configuration;
-// Observe moves along the ladder from measured signals and Config
+// observe moves along the ladder from measured signals and config
 // materializes the current level's knobs.
-type Adaptive struct {
-	base  Config
+type adaptive struct {
+	base Config
+	// level is the current aggressiveness (0 = keep everything
+	// resident, adaptMaxLevel = widest offload set plus
+	// recomputation); replans counts the revisions observe made.
 	level int
-	// moved is set once Observe has changed the plan; until then
-	// Config returns the base verbatim, so enabling the planner never
+	// moved is set once observe has changed the plan; until then
+	// config returns the base verbatim, so enabling the planner never
 	// silently rewrites a manager's own plan (e.g. vdnn's swap-all
 	// offload set) before any signal has been observed.
 	moved    bool
@@ -138,7 +141,7 @@ type Adaptive struct {
 	replans  int
 
 	// planner/job attach this instance to a device-level planner
-	// (Join): the Adaptive stops tuning knobs blindly and becomes a
+	// (join): the adaptive stops tuning knobs blindly and becomes a
 	// client — it reports measured peaks upward and honors the
 	// planner's Directive as a floor on its ladder level.
 	planner *memplan.Planner
@@ -148,10 +151,10 @@ type Adaptive struct {
 // adaptMaxLevel indexes the widest plan on the ladder.
 const adaptMaxLevel = 3
 
-// NewAdaptive returns a planner starting at the level matching the
+// newAdaptive returns a planner starting at the level matching the
 // base configuration's offload knobs.
-func NewAdaptive(base Config) *Adaptive {
-	a := &Adaptive{base: base}
+func newAdaptive(base Config) *adaptive {
+	a := &adaptive{base: base}
 	switch base.Offload {
 	case utp.OffloadNone:
 		a.level = 0
@@ -166,16 +169,9 @@ func NewAdaptive(base Config) *Adaptive {
 	return a
 }
 
-// Level returns the current aggressiveness level (0 = keep everything
-// resident, adaptMaxLevel = widest offload set plus recomputation).
-func (a *Adaptive) Level() int { return a.level }
-
-// Replans counts the plan revisions Observe has made.
-func (a *Adaptive) Replans() int { return a.replans }
-
-// Config materializes the current level over the base configuration.
+// config materializes the current level over the base configuration.
 // Until the first plan revision it is the base itself.
-func (a *Adaptive) Config() Config {
+func (a *adaptive) config() Config {
 	if !a.moved {
 		return a.base
 	}
@@ -190,7 +186,7 @@ func (a *Adaptive) Config() Config {
 // join/fan-out tensors resident, §2.2; conv+kept offloads exactly
 // those, and level 3's recomputation drops the cheap outputs swap-all
 // would have moved), so escalation never trades away capacity.
-func (a *Adaptive) apply(level int) Config {
+func (a *adaptive) apply(level int) Config {
 	cfg := a.base
 	switch level {
 	case 0:
@@ -209,36 +205,36 @@ func (a *Adaptive) apply(level int) Config {
 	return cfg
 }
 
-// Join attaches this per-job planner to a device-level planner as a
-// client under the given job ID. From then on Observe (a) forwards the
+// join attaches this per-job planner to a device-level planner as a
+// client under the given job ID. From then on observe (a) forwards the
 // measured pool peak to the device planner, whose plan covers every
 // co-tenant, and (b) treats the planner's Directive as a lower bound on
 // the ladder level: device-wide pressure can force this job into wider
 // offload or recomputation even when its own signals are calm, which is
 // exactly the global offload ordering a per-job view cannot see.
-func (a *Adaptive) Join(p *memplan.Planner, job string) {
+func (a *adaptive) join(p *memplan.Planner, job string) {
 	a.planner = p
 	a.job = job
 }
 
 // directiveFloor is the device planner's minimum ladder level for this
 // job (0 when unattached).
-func (a *Adaptive) directiveFloor() int {
+func (a *adaptive) directiveFloor() int {
 	if a.planner == nil {
 		return 0
 	}
 	return a.planner.Directive(a.job)
 }
 
-// Observe feeds one iteration's signals into the planner and reports
+// observe feeds one iteration's signals into the planner and reports
 // whether the plan for the next iteration changed (the caller must
-// then Rebind with the revised Config).
-func (a *Adaptive) Observe(s Signals) bool {
+// then rebind with the revised config).
+func (a *adaptive) observe(s signals) bool {
 	if a.planner != nil {
 		// Report the measured peak upward first so the directive below
 		// reflects this iteration. Spill traffic is unknown here (-1
 		// leaves the admission-time figure standing). The job is a
-		// planner member whenever Join was called by the admission
+		// planner member whenever join was called by the admission
 		// path; a missing membership means the caller wired the planner
 		// by hand, and the observation is simply dropped.
 		_, _ = a.planner.Observe(a.job, s.PoolPeak, -1)
@@ -249,11 +245,11 @@ func (a *Adaptive) Observe(s Signals) bool {
 		}
 	}
 	escalate := s.OOM ||
-		s.HeadroomFrac() < adaptEscalateHeadroom ||
-		s.StallFrac() > adaptEscalateStall ||
+		s.headroomFrac() < adaptEscalateHeadroom ||
+		s.stallFrac() > adaptEscalateStall ||
 		s.FailedPrefetches > 0 ||
 		(s.NextBatch > s.Batch &&
-			float64(s.PredictedNextPeak()) > adaptNextPeakFrac*float64(s.PoolBytes))
+			float64(s.predictedNextPeak()) > adaptNextPeakFrac*float64(s.PoolBytes))
 
 	if escalate {
 		a.calm = 0
@@ -261,10 +257,10 @@ func (a *Adaptive) Observe(s Signals) bool {
 		return a.moveTo(a.wider())
 	}
 
-	calmNow := s.HeadroomFrac() > adaptCalmHeadroom &&
-		s.StallFrac() < adaptCalmStall &&
-		s.CacheHitRate() > adaptCalmHitRate &&
-		float64(s.PredictedNextPeak()) < adaptCalmNextPeakFrac*float64(s.PoolBytes)
+	calmNow := s.headroomFrac() > adaptCalmHeadroom &&
+		s.stallFrac() < adaptCalmStall &&
+		s.cacheHitRate() > adaptCalmHitRate &&
+		float64(s.predictedNextPeak()) < adaptCalmNextPeakFrac*float64(s.PoolBytes)
 	if !calmNow {
 		a.calm = 0
 		if a.cooldown > 0 {
@@ -297,14 +293,14 @@ type planKnobs struct {
 	recompute recompute.Strategy
 }
 
-func (a *Adaptive) knobs(level int) planKnobs {
+func (a *adaptive) knobs(level int) planKnobs {
 	cfg := a.apply(level)
 	return planKnobs{offload: cfg.Offload, prefetch: cfg.Prefetch, recompute: cfg.Recompute}
 }
 
 // wider returns the next level up whose knobs actually differ (levels
 // can coincide, e.g. 2 and 3 when the base already recomputes).
-func (a *Adaptive) wider() int {
+func (a *adaptive) wider() int {
 	cur := a.knobs(a.level)
 	for l := a.level + 1; l <= adaptMaxLevel; l++ {
 		if a.knobs(l) != cur {
@@ -315,7 +311,7 @@ func (a *Adaptive) wider() int {
 }
 
 // narrower returns the next distinct level down.
-func (a *Adaptive) narrower() int {
+func (a *adaptive) narrower() int {
 	cur := a.knobs(a.level)
 	for l := a.level - 1; l >= 0; l-- {
 		if a.knobs(l) != cur {
@@ -326,7 +322,7 @@ func (a *Adaptive) narrower() int {
 }
 
 // moveTo switches levels, counting a replan only on a real change.
-func (a *Adaptive) moveTo(level int) bool {
+func (a *adaptive) moveTo(level int) bool {
 	if level == a.level {
 		return false
 	}

@@ -1,16 +1,17 @@
-package memmgr
+package core
 
 import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/memplan"
 	"repro/internal/recompute"
 	"repro/internal/sim"
 	"repro/internal/utp"
 )
 
-func calmSignals(batch int) Signals {
-	return Signals{
+func calmSignals(batch int) signals {
+	return signals{
 		Batch: batch, NextBatch: batch,
 		IterTime: 100 * sim.Millisecond, StallTime: 0,
 		PoolPeak: 30, PoolBytes: 100,
@@ -29,7 +30,7 @@ func TestAdaptiveStartsAtBaseLevel(t *testing.T) {
 		{Config{Offload: utp.OffloadConvAndKept, Recompute: recompute.CostAware}, 3},
 	}
 	for _, c := range cases {
-		if got := NewAdaptive(c.cfg).Level(); got != c.want {
+		if got := newAdaptive(c.cfg).level; got != c.want {
 			t.Errorf("start level for offload=%v recompute=%v: got %d, want %d",
 				c.cfg.Offload, c.cfg.Recompute, got, c.want)
 		}
@@ -37,45 +38,45 @@ func TestAdaptiveStartsAtBaseLevel(t *testing.T) {
 }
 
 func TestAdaptiveEscalatesOnOOM(t *testing.T) {
-	a := NewAdaptive(Config{Device: hw.TeslaK40c, Liveness: true})
+	a := newAdaptive(Config{Device: hw.TeslaK40c, Liveness: true})
 	s := calmSignals(32)
 	s.OOM = true
-	if !a.Observe(s) {
+	if !a.observe(s) {
 		t.Fatal("OOM did not change the plan")
 	}
-	cfg := a.Config()
+	cfg := a.config()
 	if cfg.Offload != utp.OffloadConv || !cfg.Prefetch {
 		t.Errorf("after OOM: offload=%v prefetch=%v, want conv offload with prefetch", cfg.Offload, cfg.Prefetch)
 	}
-	if a.Replans() != 1 {
-		t.Errorf("replans = %d, want 1", a.Replans())
+	if a.replans != 1 {
+		t.Errorf("replans = %d, want 1", a.replans)
 	}
 }
 
 func TestAdaptiveEscalatesOnNearMiss(t *testing.T) {
-	a := NewAdaptive(Config{})
+	a := newAdaptive(Config{})
 	s := calmSignals(32)
 	s.PoolPeak, s.PoolBytes = 95, 100 // headroom 5%
-	if !a.Observe(s) || a.Level() != 1 {
-		t.Errorf("near-miss headroom did not widen the plan (level %d)", a.Level())
+	if !a.observe(s) || a.level != 1 {
+		t.Errorf("near-miss headroom did not widen the plan (level %d)", a.level)
 	}
 }
 
 func TestAdaptiveEscalatesOnStallSpike(t *testing.T) {
-	a := NewAdaptive(Config{})
+	a := newAdaptive(Config{})
 	s := calmSignals(32)
 	s.IterTime, s.StallTime = 100*sim.Millisecond, 40*sim.Millisecond
-	if !a.Observe(s) || a.Level() != 1 {
-		t.Errorf("stall spike did not widen the plan (level %d)", a.Level())
+	if !a.observe(s) || a.level != 1 {
+		t.Errorf("stall spike did not widen the plan (level %d)", a.level)
 	}
 }
 
 func TestAdaptiveEscalatesOnFailedPrefetches(t *testing.T) {
-	a := NewAdaptive(Config{Offload: utp.OffloadConv})
+	a := newAdaptive(Config{Offload: utp.OffloadConv})
 	s := calmSignals(32)
 	s.FailedPrefetches = 3
-	if !a.Observe(s) || a.Level() != 2 {
-		t.Errorf("failed prefetches did not widen the plan (level %d)", a.Level())
+	if !a.observe(s) || a.level != 2 {
+		t.Errorf("failed prefetches did not widen the plan (level %d)", a.level)
 	}
 }
 
@@ -83,29 +84,29 @@ func TestAdaptiveEscalatesOnFailedPrefetches(t *testing.T) {
 // batch scales the measured peak past the pool, it widens before the
 // bigger shape arrives, not after losing it to OOM.
 func TestAdaptiveAnticipatesIncomingShape(t *testing.T) {
-	a := NewAdaptive(Config{})
+	a := newAdaptive(Config{})
 	s := calmSignals(16)
 	s.NextBatch = 32
 	s.PoolPeak, s.PoolBytes = 70, 100 // headroom fine now, 2x shape will not fit
-	if !a.Observe(s) || a.Level() != 1 {
-		t.Errorf("incoming-shape prediction did not widen the plan (level %d)", a.Level())
+	if !a.observe(s) || a.level != 1 {
+		t.Errorf("incoming-shape prediction did not widen the plan (level %d)", a.level)
 	}
 }
 
 // De-escalation needs sustained calm plus the post-change cooldown —
 // the plan must not oscillate around a boundary shape.
 func TestAdaptiveDeescalationHysteresis(t *testing.T) {
-	a := NewAdaptive(Config{Offload: utp.OffloadConvAndKept, Recompute: recompute.CostAware})
-	if a.Level() != 3 {
-		t.Fatalf("start level %d, want 3", a.Level())
+	a := newAdaptive(Config{Offload: utp.OffloadConvAndKept, Recompute: recompute.CostAware})
+	if a.level != 3 {
+		t.Fatalf("start level %d, want 3", a.level)
 	}
 	var changeAt []int
-	levels := []int{a.Level()}
+	levels := []int{a.level}
 	for i := 0; i < 6; i++ {
-		if a.Observe(calmSignals(32)) {
+		if a.observe(calmSignals(32)) {
 			changeAt = append(changeAt, i)
 		}
-		levels = append(levels, a.Level())
+		levels = append(levels, a.level)
 	}
 	if len(changeAt) == 0 {
 		t.Fatal("sustained calm never narrowed the plan")
@@ -131,7 +132,7 @@ func TestAdaptiveDeescalationHysteresis(t *testing.T) {
 	if got := levels[changeAt[0]+1]; got != 1 {
 		t.Errorf("first narrowing landed on level %d, want 1 (levels 2 and 3 share knobs here)", got)
 	}
-	if cfg := a.Config(); cfg.Recompute != recompute.CostAware {
+	if cfg := a.config(); cfg.Recompute != recompute.CostAware {
 		t.Errorf("narrowing must not drop the base recompute strategy, got %v", cfg.Recompute)
 	}
 }
@@ -139,33 +140,33 @@ func TestAdaptiveDeescalationHysteresis(t *testing.T) {
 // After an escalation, calm iterations inside the cooldown window must
 // not immediately narrow the plan back.
 func TestAdaptiveCooldownAfterEscalation(t *testing.T) {
-	a := NewAdaptive(Config{})
+	a := newAdaptive(Config{})
 	s := calmSignals(32)
 	s.OOM = true
-	if !a.Observe(s) {
+	if !a.observe(s) {
 		t.Fatal("no escalation")
 	}
 	for i := 0; i < adaptCalmRun; i++ {
-		if a.Observe(calmSignals(32)) {
+		if a.observe(calmSignals(32)) {
 			t.Fatalf("plan narrowed on calm iteration %d, inside the cooldown window", i)
 		}
 	}
-	if a.Level() != 1 {
-		t.Errorf("level = %d during cooldown, want 1", a.Level())
+	if a.level != 1 {
+		t.Errorf("level = %d during cooldown, want 1", a.level)
 	}
 }
 
 // At the top of the ladder an escalation signal changes nothing — and
 // is not counted as a replan.
 func TestAdaptiveSaturatesAtMaxLevel(t *testing.T) {
-	a := NewAdaptive(Config{Offload: utp.OffloadConvAndKept, Recompute: recompute.CostAware})
+	a := newAdaptive(Config{Offload: utp.OffloadConvAndKept, Recompute: recompute.CostAware})
 	s := calmSignals(32)
 	s.OOM = true
-	if a.Observe(s) {
+	if a.observe(s) {
 		t.Error("plan changed at the top of the ladder")
 	}
-	if a.Replans() != 0 {
-		t.Errorf("replans = %d at saturation, want 0", a.Replans())
+	if a.replans != 0 {
+		t.Errorf("replans = %d at saturation, want 0", a.replans)
 	}
 }
 
@@ -175,16 +176,69 @@ func TestAdaptiveSaturatesAtMaxLevel(t *testing.T) {
 // ladder rung) before any signal has been observed.
 func TestAdaptivePreservesBasePlanUntilFirstRevision(t *testing.T) {
 	base := Config{Offload: utp.OffloadSwapAll, Prefetch: true}
-	a := NewAdaptive(base)
-	if got := a.Config(); got.Offload != utp.OffloadSwapAll || !got.Prefetch {
+	a := newAdaptive(base)
+	if got := a.config(); got.Offload != utp.OffloadSwapAll || !got.Prefetch {
 		t.Errorf("initial Config rewrote the base plan: offload=%v prefetch=%v", got.Offload, got.Prefetch)
 	}
 	s := calmSignals(32)
 	s.OOM = true
-	if !a.Observe(s) {
+	if !a.observe(s) {
 		t.Fatal("no escalation")
 	}
-	if got := a.Config(); got.Offload == utp.OffloadSwapAll {
+	if got := a.config(); got.Offload == utp.OffloadSwapAll {
 		t.Error("post-revision Config still the base; the ladder should own the knobs now")
+	}
+}
+
+func TestAdaptiveHonorsPlannerDirective(t *testing.T) {
+	const gib = int64(1) << 30
+	pl, err := memplan.New(12*gib, 16*gib, hw.PCIePinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Load the device until the plan is under pressure: five tenants
+	// with 3 GiB floors force spills and drive headroom to zero.
+	for _, j := range []string{"a", "b", "c", "d", "e"} {
+		if _, err := pl.Admit(memplan.Demand{Job: j, PeakBytes: 6 * gib, FloorBytes: 3 * gib}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pl.Directive("a") == memplan.DirectiveNone {
+		t.Fatal("test premise: device should be under pressure")
+	}
+
+	a := newAdaptive(Config{Device: hw.TeslaK40c})
+	if a.level != 0 {
+		t.Fatalf("base level %d, want 0", a.level)
+	}
+	a.join(pl, "a")
+	// A perfectly calm iteration: without the planner this would never
+	// escalate; the directive floor must force the level up anyway.
+	calm := signals{
+		Iteration: 0, Batch: 8, NextBatch: 8,
+		IterTime: 100, StallTime: 0,
+		PoolPeak: 1 * gib, PoolBytes: 12 * gib,
+	}
+	if !a.observe(calm) {
+		t.Fatal("directive floor should have forced a replan")
+	}
+	if a.level < pl.Directive("a") {
+		t.Fatalf("level %d below directive %d", a.level, pl.Directive("a"))
+	}
+	// Sustained calm must not narrow below the directive either.
+	lvl := a.level
+	for i := 1; i <= 8; i++ {
+		s := calm
+		s.Iteration = i
+		a.observe(s)
+		if a.level < pl.Directive("a") {
+			t.Fatalf("iteration %d narrowed to %d below directive %d", i, a.level, pl.Directive("a"))
+		}
+	}
+	_ = lvl
+	// Unattached planners keep the old behavior.
+	b := newAdaptive(Config{Device: hw.TeslaK40c})
+	if b.observe(calm) {
+		t.Fatal("unattached adaptive escalated on a calm iteration")
 	}
 }

@@ -1,4 +1,4 @@
-package memmgr_test
+package core
 
 // Conformance suite for the memory managers: every named
 // manager must obey the executor's invariants (OOM surfacing,
@@ -12,9 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/recompute"
 	"repro/internal/utp"
@@ -23,14 +21,14 @@ import (
 // conformanceManagers are the managers the suite exercises:
 // the paper's runtime, the vDNN-style offload-everything policy and
 // the naive keep-everything baseline, plus the framework models that
-// share the same subsystems.
+// share the same mechanisms.
 var conformanceManagers = []string{
 	"superneurons", "vdnn", "naive",
 	"caffe", "torch", "mxnet", "tensorflow", "tensorflow-swap",
 }
 
 func TestRegistry(t *testing.T) {
-	names := memmgr.Names()
+	names := Names()
 	for _, want := range append([]string{"custom"}, conformanceManagers...) {
 		found := false
 		for _, n := range names {
@@ -43,8 +41,8 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("manager %q not registered (have %v)", want, names)
 		}
 	}
-	flags := memmgr.Config{Device: hw.TeslaK40c, Liveness: true, Recompute: recompute.MemoryCentric}
-	empty, err := memmgr.Normalize(flags)
+	flags := Config{Device: hw.TeslaK40c, Liveness: true, Recompute: recompute.MemoryCentric}
+	empty, err := normalize(flags)
 	if err != nil {
 		t.Fatalf("empty name must resolve to the flag-driven manager: %v", err)
 	}
@@ -53,21 +51,21 @@ func TestRegistry(t *testing.T) {
 	}
 	custom := flags
 	custom.Manager = "custom"
-	c, err := memmgr.Normalize(custom)
+	c, err := normalize(custom)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Manager = ""; !reflect.DeepEqual(empty, c) {
 		t.Errorf("empty name resolved to %+v, want custom's %+v", empty, c)
 	}
-	if _, err := memmgr.Normalize(memmgr.Config{Manager: "does-not-exist"}); err == nil {
+	if _, err := normalize(Config{Manager: "does-not-exist"}); err == nil {
 		t.Error("unknown manager must not resolve")
 	}
 }
 
 func TestUnknownManagerErrors(t *testing.T) {
-	cfg := core.Config{Manager: "does-not-exist", Device: hw.TeslaK40c}
-	_, err := core.Run(nnet.AlexNet(8), cfg)
+	cfg := Config{Manager: "does-not-exist", Device: hw.TeslaK40c}
+	_, err := Run(nnet.AlexNet(8), cfg)
 	if err == nil || !strings.Contains(err.Error(), "unknown memory manager") {
 		t.Fatalf("err = %v, want unknown-manager error", err)
 	}
@@ -78,12 +76,12 @@ func TestUnknownManagerErrors(t *testing.T) {
 func TestConformanceInvariants(t *testing.T) {
 	for _, name := range conformanceManagers {
 		t.Run(name, func(t *testing.T) {
-			cfg := core.Config{Manager: name, Device: hw.TeslaK40c, CollectTrace: true}
-			r1, err := core.Run(nnet.AlexNet(64), cfg)
+			cfg := Config{Manager: name, Device: hw.TeslaK40c, CollectTrace: true}
+			r1, err := Run(nnet.AlexNet(64), cfg)
 			if err != nil {
 				t.Fatalf("ample run failed: %v", err)
 			}
-			r2, err := core.Run(nnet.AlexNet(64), cfg)
+			r2, err := Run(nnet.AlexNet(64), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,19 +111,19 @@ func TestConformanceInvariants(t *testing.T) {
 
 			// A pool too small for even the persistent state must
 			// surface the OOM sentinel, whatever the policy.
-			tiny := core.Config{Manager: name, Device: hw.TeslaK40c, PoolBytes: 32 * hw.MiB}
-			if _, err := core.Run(nnet.AlexNet(256), tiny); !errors.Is(err, core.ErrOutOfMemory) {
+			tiny := Config{Manager: name, Device: hw.TeslaK40c, PoolBytes: 32 * hw.MiB}
+			if _, err := Run(nnet.AlexNet(256), tiny); !errors.Is(err, ErrOutOfMemory) {
 				t.Errorf("tiny pool err = %v, want ErrOutOfMemory", err)
 			}
 
 			// Under pressure each manager either trains (with its peak
 			// still bounded) or OOMs cleanly — never hangs or corrupts
-			// accounting (core.Run checks for leaks internally).
-			pressured := core.Config{Manager: name, Device: hw.TeslaK40c,
+			// accounting (Run checks for leaks internally).
+			pressured := Config{Manager: name, Device: hw.TeslaK40c,
 				PoolBytes: 2200 * hw.MiB, CollectTrace: true}
-			rp, err := core.Run(nnet.AlexNet(200), pressured)
+			rp, err := Run(nnet.AlexNet(200), pressured)
 			if err != nil {
-				if !errors.Is(err, core.ErrOutOfMemory) {
+				if !errors.Is(err, ErrOutOfMemory) {
 					t.Fatalf("pressured run: %v", err)
 				}
 				return
@@ -142,7 +140,7 @@ func TestConformanceInvariants(t *testing.T) {
 // trace: a tensor's first H2D fetch must not start before the D2H copy
 // that put it on the host has completed (reading back a partially
 // offloaded tensor would be garbage on real hardware).
-func checkOffloadFetchOrdering(t *testing.T, r *core.Result) {
+func checkOffloadFetchOrdering(t *testing.T, r *Result) {
 	t.Helper()
 	type window struct {
 		firstOffloadEnd    int64
@@ -199,11 +197,11 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 	// managers' donor configs on purpose: a typo in managers.go (a
 	// wrong cap, a lost pageable link) must fail here, not silently
 	// shift the published capacity tables.
-	flagEquivalents := map[string]func(d hw.DeviceSpec) core.Config{
-		"superneurons": core.SuperNeurons,
-		"naive":        core.Baseline,
-		"vdnn": func(d hw.DeviceSpec) core.Config {
-			return core.Config{
+	flagEquivalents := map[string]func(d hw.DeviceSpec) Config{
+		"superneurons": SuperNeurons,
+		"naive":        Baseline,
+		"vdnn": func(d hw.DeviceSpec) Config {
+			return Config{
 				Device: d, HostLink: hw.PCIePinned,
 				UseMemPool: true, DynamicWorkspace: true,
 				WorkspaceLimit: 512 * hw.MiB,
@@ -212,8 +210,8 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 				Prefetch:       true,
 			}
 		},
-		"mxnet": func(d hw.DeviceSpec) core.Config {
-			return core.Config{
+		"mxnet": func(d hw.DeviceSpec) Config {
+			return Config{
 				Device: d, HostLink: hw.PCIePinned,
 				UseMemPool: true, DynamicWorkspace: true,
 				WorkspaceLimit: 1 * hw.GiB,
@@ -221,30 +219,30 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 				Recompute:      recompute.SpeedCentric,
 			}
 		},
-		"caffe": func(d hw.DeviceSpec) core.Config {
-			return core.Config{
+		"caffe": func(d hw.DeviceSpec) Config {
+			return Config{
 				Device: d, HostLink: hw.PCIePinned,
 				UseMemPool: true, DynamicWorkspace: true,
 				WorkspaceLimit: 8 * hw.MiB,
 			}
 		},
-		"torch": func(d hw.DeviceSpec) core.Config {
-			return core.Config{
+		"torch": func(d hw.DeviceSpec) Config {
+			return Config{
 				Device: d, HostLink: hw.PCIePinned,
 				UseMemPool: true, DynamicWorkspace: true,
 				WorkspaceLimit: 32 * hw.MiB,
 				InPlaceAct:     true,
 			}
 		},
-		"tensorflow": func(d hw.DeviceSpec) core.Config {
-			return core.Config{
+		"tensorflow": func(d hw.DeviceSpec) Config {
+			return Config{
 				Device: d, HostLink: hw.PCIePageable,
 				UseMemPool: true, DynamicWorkspace: true,
 				Liveness: true,
 			}
 		},
-		"tensorflow-swap": func(d hw.DeviceSpec) core.Config {
-			return core.Config{
+		"tensorflow-swap": func(d hw.DeviceSpec) Config {
+			return Config{
 				Device: d, HostLink: hw.PCIePageable,
 				UseMemPool: true, DynamicWorkspace: true,
 				Liveness: true,
@@ -259,11 +257,11 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 	for name, flags := range flagEquivalents {
 		for _, build := range builds {
 			net := build()
-			managed, err := core.Run(build(), core.Config{Manager: name, Device: hw.TeslaK40c})
+			managed, err := Run(build(), Config{Manager: name, Device: hw.TeslaK40c})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, net.Name, err)
 			}
-			seed, err := core.Run(build(), flags(hw.TeslaK40c))
+			seed, err := Run(build(), flags(hw.TeslaK40c))
 			if err != nil {
 				t.Fatalf("flags for %s on %s: %v", name, net.Name, err)
 			}
@@ -279,8 +277,8 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 // larger workloads than vDNN, which beats the naive baseline.
 func TestManagerCapacityOrdering(t *testing.T) {
 	fits := func(manager string, batch int) bool {
-		_, err := core.Run(nnet.ResNet(50, batch), core.Config{Manager: manager, Device: hw.TeslaK40c})
-		if err != nil && !errors.Is(err, core.ErrOutOfMemory) {
+		_, err := Run(nnet.ResNet(50, batch), Config{Manager: manager, Device: hw.TeslaK40c})
+		if err != nil && !errors.Is(err, ErrOutOfMemory) {
 			t.Fatalf("%s: %v", manager, err)
 		}
 		return err == nil

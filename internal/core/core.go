@@ -1,10 +1,25 @@
+// Package core is the SuperNeurons runtime: it executes the tensor
+// program of one training iteration on the simulated GPU. One run
+// state (runState) holds the tensor table, the timeline and the memory
+// pools, and its methods are the paper's runtime (§3, Alg. 2) —
+// Liveness Analysis, the Unified Tensor Pool's offload engine and
+// Tensor Cache, Cost-Aware Recomputation and the dynamic convolution
+// workspace — driven by one step loop.
+//
+// Config.Manager selects the policy: the empty name interprets the
+// technique flags literally (how the ablation studies toggle
+// individual mechanisms), while named managers ("superneurons",
+// "vdnn", "naive", the framework models) replace them with a donor
+// configuration. Every run executes the same mechanisms, so every
+// capacity and speed comparison in the evaluation, including the
+// competing frameworks' models (internal/policy), isolates exactly
+// the policy difference.
 package core
 
 import (
 	"fmt"
 
 	"repro/internal/gpumem"
-	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/program"
 	"repro/internal/sim"
@@ -14,102 +29,69 @@ import (
 // network on the device; capacity searches rely on it.
 var ErrOutOfMemory = gpumem.ErrOutOfMemory
 
-// Result and StepProfile moved to internal/memmgr with the
-// memory-manager extraction (the Runtime owns the profile it fills
-// in); the aliases keep core's Run signature self-contained for the
-// packages and examples built on top of it.
-type (
-	// Result aggregates one run.
-	Result = memmgr.Result
-	// StepProfile records the memory state after one step executed —
-	// the data behind the paper's Fig. 10 step-wise curves and
-	// Fig. 12 workspace bars.
-	StepProfile = memmgr.StepProfile
-)
-
 // Run simulates cfg.Iterations training iterations of net and returns
 // the profile of the last one.
 func Run(net *nnet.Net, cfg Config) (*Result, error) {
-	cfg, err := memmgr.Normalize(cfg)
+	cfg, err := normalize(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
 	p := program.BuildWith(net, program.Options{InPlaceAct: cfg.InPlaceAct})
-	e := newExec(p, cfg)
-	if err := e.run(); err != nil {
+	rt := newRunState(p, cfg)
+	if err := rt.run(); err != nil {
 		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
-	return e.rt.Res, nil
+	return rt.res, nil
 }
 
-// exec orchestrates one run: it owns the step loop and delegates every
-// memory-management decision to the memmgr subsystems. The
-// normalized configuration lives in rt.Cfg, shared with the
-// subsystems.
-type exec struct {
-	rt *memmgr.Runtime
-	mm memmgr.Components
-}
-
-func newExec(p *program.Program, cfg Config) *exec {
-	rt := memmgr.NewRuntime(p, cfg)
-	return &exec{rt: rt, mm: memmgr.NewComponents(rt)}
-}
-
-func (e *exec) run() error {
-	rt := e.rt
-	// Parameters, parameter gradients and auxiliary state live on the
-	// GPU for the whole run.
-	if rt.P.PersistentBytes > 0 {
-		a, err := rt.GPU.Alloc(rt.P.PersistentBytes)
-		if err != nil {
-			return fmt.Errorf("allocating persistent state: %w", err)
-		}
-		rt.Persistent = a
+// run allocates the persistent state, which lives on the GPU for the
+// whole run, and executes every iteration.
+func (rt *runState) run() error {
+	if err := rt.ensurePersistent(); err != nil {
+		return err
 	}
-	for it := 0; it < rt.Cfg.Iterations; it++ {
-		if err := e.runIteration(); err != nil {
+	for it := 0; it < rt.cfg.Iterations; it++ {
+		if err := rt.runIteration(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *exec) runIteration() error {
-	rt := e.rt
-	rt.ResetIteration()
-	start := rt.TL.Now()
+func (rt *runState) runIteration() error {
+	rt.resetIteration()
+	start := rt.tl.Now()
 
-	for si := range rt.P.Steps {
-		if err := e.runStep(si); err != nil {
+	for si := range rt.p.Steps {
+		if err := rt.runStep(si); err != nil {
 			return err
 		}
 	}
-	if rt.Cfg.SGDUpdate {
-		e.runUpdate()
+	if rt.cfg.SGDUpdate {
+		rt.runUpdate()
 	}
 
 	// Iteration epilogue: without Liveness Analysis nothing was freed
 	// mid-iteration (the naive baseline); reclaim everything now. With
 	// it, only stragglers with pending transfers remain.
-	for id := range rt.TS {
-		e.mm.Residency.FreeAll(rt.P.Reg.Get(id))
+	for id := range rt.ts {
+		rt.freeAll(rt.p.Reg.Get(id))
 	}
-	if rt.ResBytes != 0 || rt.ResCount != 0 {
-		return fmt.Errorf("internal accounting drift: %d bytes / %d tensors leak", rt.ResBytes, rt.ResCount)
+	if rt.resBytes != 0 || rt.resCount != 0 {
+		return fmt.Errorf("internal accounting drift: %d bytes / %d tensors leak", rt.resBytes, rt.resCount)
 	}
 
-	res := rt.Res
-	res.IterTime = sim.Duration(rt.TL.Now() - start)
+	res := rt.res
+	res.IterTime = sim.Duration(rt.tl.Now() - start)
 	if res.IterTime > 0 {
-		res.Throughput = float64(rt.P.Net.Batch()) / res.IterTime.Seconds()
+		res.Throughput = float64(rt.p.Net.Batch()) / res.IterTime.Seconds()
 	}
-	res.PoolPeak = rt.GPU.Peak()
-	res.ComputeBusy = rt.Compute.BusyTime()
-	res.H2DBusy = rt.H2D.BusyTime()
-	res.D2HBusy = rt.D2H.BusyTime()
-	if rt.Cache != nil {
-		cs := rt.Cache.Stats()
+	res.PoolPeak = rt.gpu.Peak()
+	res.ComputeBusy = rt.compute.BusyTime()
+	res.H2DBusy = rt.h2d.BusyTime()
+	res.D2HBusy = rt.d2h.BusyTime()
+	if rt.cache != nil {
+		cs := rt.cache.Stats()
 		res.CacheHits, res.CacheMisses, res.Evictions = cs.Hits, cs.Misses, cs.Evictions
 	}
 	return nil

@@ -456,6 +456,22 @@ func TestSGDUpdatePhase(t *testing.T) {
 	if updated.IterTime <= plain.IterTime {
 		t.Error("the update must lengthen the iteration")
 	}
+	// The update's momentum buffer is persistent state: one value per
+	// parameter, on the GPU for the whole run.
+	params := nnet.AlexNet(64).ParamBytes()
+	if got := updated.PersistentBytes - plain.PersistentBytes; got != params {
+		t.Errorf("momentum adds %d persistent bytes, want ParamBytes %d", got, params)
+	}
+
+	// A pool sized to the plain baseline's peak holds the plain run but
+	// not the momentum on top of it.
+	base := Baseline(hw.TeslaK40c)
+	base.PoolBytes = mustRun(t, nnet.AlexNet(64), base).PoolPeak
+	mustRun(t, nnet.AlexNet(64), base)
+	base.SGDUpdate = true
+	if _, err := Run(nnet.AlexNet(64), base); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("update run in the plain run's pool: err = %v, want ErrOutOfMemory", err)
+	}
 }
 
 func TestAutotuneConvergesAndCaches(t *testing.T) {

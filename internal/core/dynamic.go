@@ -5,7 +5,7 @@ package core
 // request streams). The static Run path computes one plan before
 // iteration 0 and replays it verbatim; here the program is rebuilt for
 // the incoming shape at every iteration boundary, and — with
-// Config.AdaptivePlan — a memmgr.Adaptive planner revises the
+// Config.AdaptivePlan — an adaptive planner (adaptive.go) revises the
 // offload/prefetch/recompute knobs online from the previous
 // iterations' measured signals instead of trusting the one-shot static
 // plan. The timeline, engines and memory pools persist across
@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/gpumem"
-	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/program"
 	"repro/internal/recompute"
@@ -93,7 +91,7 @@ type DynamicResult struct {
 // build constructs the network at a given batch size — nnet.ByName
 // provides one for every registered architecture.
 func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
-	cfg, err := memmgr.Normalize(cfg)
+	cfg, err := normalize(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -106,11 +104,11 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 		iters = len(sched)
 	}
 
-	var adaptive *memmgr.Adaptive
+	var adapt *adaptive
 	knobs := cfg
 	if cfg.AdaptivePlan {
-		adaptive = memmgr.NewAdaptive(cfg)
-		knobs = adaptive.Config()
+		adapt = newAdaptive(cfg)
+		knobs = adapt.config()
 	}
 
 	res := &DynamicResult{
@@ -120,11 +118,9 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 	}
 
 	var (
-		rt           *memmgr.Runtime
-		e            *exec
+		rt           *runState
 		curBatch     = -1
 		rebindNeeded bool
-		persistent   int64
 		cacheBase    [2]int64 // hits, misses at the last (re)bind
 	)
 
@@ -135,19 +131,15 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 		case rt == nil:
 			net := build(batch)
 			p := program.BuildWith(net, program.Options{InPlaceAct: knobs.InPlaceAct})
-			e = newExec(p, knobs)
-			rt = e.rt
+			rt = newRunState(p, knobs)
 			res.Network = net.Name
 			curBatch = batch
 		case batch != curBatch || rebindNeeded:
 			net := build(batch)
 			p := program.BuildWith(net, program.Options{InPlaceAct: knobs.InPlaceAct})
-			if err := rt.Rebind(p, knobs); err != nil {
+			if err := rt.rebind(p, knobs); err != nil {
 				return nil, fmt.Errorf("core: %s iteration %d: %w", res.Network, it, err)
 			}
-			// Fresh subsystems: the autotune cache and the replayer
-			// scratch belong to the outgoing program.
-			e.mm = memmgr.NewComponents(rt)
 			cacheBase = [2]int64{}
 			replanned = rebindNeeded
 			curBatch = batch
@@ -160,18 +152,16 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 			Replanned: replanned,
 		}
 
-		start := rt.TL.Now()
-		if p, ok := rt.GPU.(interface{ ResetPeak() }); ok {
-			p.ResetPeak()
-		}
+		start := rt.tl.Now()
+		rt.gpu.ResetPeak()
 		// Reset the per-iteration counters up front: if the persistent
 		// resize OOMs below, runIteration (which normally resets them)
 		// never runs, and the profile must not report the previous
 		// iteration's stalls and traffic.
-		rt.ResetIteration()
-		iterErr := e.ensurePersistent(&persistent)
+		rt.resetIteration()
+		iterErr := rt.ensurePersistent()
 		if iterErr == nil {
-			iterErr = e.runIteration()
+			iterErr = rt.runIteration()
 		}
 		if iterErr != nil {
 			if !errors.Is(iterErr, ErrOutOfMemory) {
@@ -179,25 +169,23 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 			}
 			prof.OOM = true
 			res.OOMFailures++
-			if err := e.abortIteration(); err != nil {
+			if err := rt.abortIteration(); err != nil {
 				return nil, fmt.Errorf("core: %s iteration %d: %w", res.Network, it, err)
 			}
 		}
 
-		prof.IterTime = sim.Duration(rt.TL.Now() - start)
-		prof.StallTime = rt.Res.StallTime
-		prof.PoolPeak = rt.GPU.Peak()
-		if f, ok := rt.GPU.(interface{ Fragmentation() float64 }); ok {
-			prof.Fragmentation = f.Fragmentation()
-		}
-		if rt.Cache != nil {
-			cs := rt.Cache.Stats()
+		prof.IterTime = sim.Duration(rt.tl.Now() - start)
+		prof.StallTime = rt.res.StallTime
+		prof.PoolPeak = rt.gpu.Peak()
+		prof.Fragmentation = rt.gpu.Fragmentation()
+		if rt.cache != nil {
+			cs := rt.cache.Stats()
 			prof.CacheHits = cs.Hits - cacheBase[0]
 			prof.CacheMisses = cs.Misses - cacheBase[1]
 			cacheBase = [2]int64{cs.Hits, cs.Misses}
 		}
-		prof.FailedPrefetches = rt.Res.FailedPrefetches
-		prof.OffloadBytes, prof.PrefetchBytes = rt.Res.OffloadBytes, rt.Res.PrefetchBytes
+		prof.FailedPrefetches = rt.res.FailedPrefetches
+		prof.OffloadBytes, prof.PrefetchBytes = rt.res.OffloadBytes, rt.res.PrefetchBytes
 
 		if !prof.OOM {
 			res.Images += int64(batch)
@@ -205,8 +193,8 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 		res.TotalStall += prof.StallTime
 		res.Iters = append(res.Iters, prof)
 
-		if adaptive != nil && it+1 < iters {
-			sig := memmgr.Signals{
+		if adapt != nil && it+1 < iters {
+			sig := signals{
 				Iteration: it, Batch: batch, NextBatch: sched.At(it + 1),
 				OOM:      prof.OOM,
 				IterTime: prof.IterTime, StallTime: prof.StallTime,
@@ -216,65 +204,36 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 				CacheMisses:      prof.CacheMisses,
 				FailedPrefetches: prof.FailedPrefetches,
 			}
-			if adaptive.Observe(sig) {
-				knobs = adaptive.Config()
+			if adapt.observe(sig) {
+				knobs = adapt.config()
 				rebindNeeded = true
 			}
 		}
 	}
 
-	if adaptive != nil {
-		res.Replans = adaptive.Replans()
+	if adapt != nil {
+		res.Replans = adapt.replans
 	}
-	res.TotalTime = sim.Duration(rt.TL.Now())
+	res.TotalTime = sim.Duration(rt.tl.Now())
 	if res.TotalTime > 0 {
 		res.Throughput = float64(res.Images) / res.TotalTime.Seconds()
 	}
 	return res, nil
 }
 
-// ensurePersistent sizes the persistent allocation (parameters,
-// parameter gradients, auxiliary state) to the bound program's needs.
-// Auxiliary state scales with the batch, so a shape change at an
-// iteration boundary resizes it.
-func (e *exec) ensurePersistent(allocated *int64) error {
-	rt := e.rt
-	want := rt.P.PersistentBytes
-	if *allocated == want {
-		return nil
-	}
-	if *allocated > 0 {
-		if err := rt.GPU.Free(rt.Persistent.ID); err != nil {
-			return err
-		}
-		*allocated = 0
-		rt.Persistent = gpumem.Allocation{}
-	}
-	if want > 0 {
-		a, err := rt.GPU.Alloc(want)
-		if err != nil {
-			return fmt.Errorf("allocating persistent state: %w", err)
-		}
-		rt.Persistent = a
-		*allocated = want
-	}
-	return nil
-}
-
 // abortIteration reclaims all functional state after a failed
 // iteration: unlock every tensor, free both copies, drop pending
 // transfers. The pool must account to zero afterwards, exactly like a
 // successful iteration's epilogue.
-func (e *exec) abortIteration() error {
-	rt := e.rt
-	for id := range rt.TS {
-		t := rt.P.Reg.Get(id)
+func (rt *runState) abortIteration() error {
+	for id := range rt.ts {
+		t := rt.p.Reg.Get(id)
 		t.Locked = false
-		e.mm.Residency.FreeAll(t)
+		rt.freeAll(t)
 	}
-	rt.PendingOff = rt.PendingOff[:0]
-	if rt.ResBytes != 0 || rt.ResCount != 0 {
-		return fmt.Errorf("aborted iteration leaks %d bytes / %d tensors", rt.ResBytes, rt.ResCount)
+	rt.pendingOff = rt.pendingOff[:0]
+	if rt.resBytes != 0 || rt.resCount != 0 {
+		return fmt.Errorf("aborted iteration leaks %d bytes / %d tensors", rt.resBytes, rt.resCount)
 	}
 	return nil
 }

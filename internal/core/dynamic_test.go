@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/utp"
 	"repro/internal/workload"
@@ -177,7 +176,7 @@ func TestRunDynamicValidation(t *testing.T) {
 // manager must rebuild whatever that plan drops. An iteration may
 // still OOM (counted, not fatal); any other error is a wiring bug.
 func TestAdaptivePlanRunsUnderEveryManager(t *testing.T) {
-	for _, name := range memmgr.Names() {
+	for _, name := range core.Names() {
 		t.Run(name, func(t *testing.T) {
 			cfg := core.Config{
 				Manager:       name,

@@ -1,21 +1,68 @@
-package memmgr
+package core
 
-// Demand extraction: the bridge from a job's program to the device
-// planner's tensor-granularity protocol. A per-job Adaptive used to
-// tune knobs blindly; under co-tenancy it becomes a CLIENT of
-// internal/memplan, and this file builds what it submits — the job's
+// Admission summaries: what a multi-tenant scheduler reads off a dry
+// run (Estimate) and the bridge from a job's program to the device
+// planner's tensor-granularity protocol (TensorDemands) — the job's
 // largest shareable functional shapes with byte width and next-use
-// distance, plus the scalar demand (peak, floor, spill traffic) from
-// the dry-run estimate.
+// distance.
 
 import (
 	"sort"
 
 	"repro/internal/memplan"
 	"repro/internal/program"
+	"repro/internal/sim"
 	"repro/internal/tcache"
 	"repro/internal/tensor"
 )
+
+// Estimate is the admission-control summary of one dry run: what a
+// manager predicts a job will cost on an otherwise-idle device. Every
+// manager's Result is deterministic (the conformance suite asserts
+// bit-reproducibility), so an Estimate extracted from a single
+// dry-run iteration is a sound capacity bound for a multi-tenant
+// scheduler — the run *is* the prediction.
+type Estimate struct {
+	// PeakBytes is the pool high-water mark including persistent
+	// state: what must be free on a device to admit the job.
+	PeakBytes int64
+	// IterTime is the duration of one steady-state iteration when the
+	// job runs alone on the device.
+	IterTime sim.Duration
+	// Throughput is the matching images/second.
+	Throughput float64
+	// GradientBytes is the per-replica gradient volume a data-parallel
+	// gang exchanges every iteration (the network's parameter bytes).
+	// Zero for estimates taken before the field existed; single-device
+	// jobs never read it.
+	GradientBytes int64
+
+	// FloorBytes is the persistent residue (parameters, parameter
+	// gradients, auxiliary state) a job pins even between iterations —
+	// what a parked co-tenant costs on a shared device. Zero for
+	// estimates taken before the field existed, which the device
+	// planner treats as floor == peak (worst-case-in-isolation).
+	FloorBytes int64
+	// SpillBytes is the job's own per-iteration offload+prefetch
+	// traffic under its solo plan: its standing claim on the host link
+	// that co-tenant spill planning must budget around.
+	SpillBytes int64
+}
+
+// EstimateOf extracts the scheduling estimate from a dry run's Result.
+func EstimateOf(r *Result) Estimate {
+	floor := r.PersistentBytes
+	if floor > r.PoolPeak {
+		floor = r.PoolPeak
+	}
+	return Estimate{
+		PeakBytes:  r.PoolPeak,
+		IterTime:   r.IterTime,
+		Throughput: r.Throughput,
+		FloorBytes: floor,
+		SpillBytes: r.TotalTraffic(),
+	}
+}
 
 // shareableKind reports whether a tensor's slab is content-free between
 // iterations and therefore a cross-job sharing candidate: functional
@@ -103,32 +150,4 @@ func TensorDemands(p *program.Program, topK int) []memplan.TensorDemand {
 		out = out[:topK]
 	}
 	return out
-}
-
-// DemandFor assembles the full device-planner demand for one job from
-// its dry-run estimate and program. The shareable tensor list is
-// clamped to the estimate's functional budget (peak minus floor): shape
-// sizes come from the program while the peak is a measured pool
-// high-water mark, and the planner refuses demands whose declared
-// shareable bytes exceed what the job can actually have resident.
-func DemandFor(job string, est Estimate, p *program.Program, topK int) memplan.Demand {
-	d := memplan.Demand{
-		Job:        job,
-		PeakBytes:  est.PeakBytes,
-		FloorBytes: est.FloorBytes,
-		SpillBytes: est.SpillBytes,
-		IterTime:   est.IterTime,
-	}
-	if d.FloorBytes > d.PeakBytes {
-		d.FloorBytes = d.PeakBytes
-	}
-	budget := d.PeakBytes - d.FloorBytes
-	for _, td := range TensorDemands(p, topK) {
-		if td.Bytes > budget {
-			continue
-		}
-		d.Tensors = append(d.Tensors, td)
-		budget -= td.Bytes
-	}
-	return d
 }

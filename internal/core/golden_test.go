@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/nnet"
 )
 
@@ -41,7 +40,7 @@ func goldenCases() []goldenCase {
 		{"VGG16", nnet.VGG16, [2]int{32, 128}},
 	}
 	var out []goldenCase
-	for _, mgr := range memmgr.Names() {
+	for _, mgr := range Names() {
 		for _, n := range nets {
 			for _, b := range n.batches {
 				build, b := n.build, b

@@ -1,38 +1,14 @@
-package memmgr
+package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/hw"
 	"repro/internal/recompute"
 	"repro/internal/utp"
 )
-
-// Components is one run's wiring of the four subsystems. The
-// references are mutual: fetches allocate through residency, reclaims
-// harvest through the offload engine, and replays use both.
-type Components struct {
-	Residency *StdResidency
-	Offload   *StdOffload
-	Replay    *StdReplayer
-	Tuner     *StdTuner
-}
-
-// NewComponents wires fresh subsystems over rt. Which mechanisms
-// actually engage is decided by rt.Cfg's technique flags, so this one
-// wiring serves every manager and every flag-driven ablation.
-func NewComponents(rt *Runtime) Components {
-	resid := &StdResidency{rt: rt}
-	off := &StdOffload{rt: rt, resid: resid}
-	resid.off = off
-	return Components{
-		Residency: resid,
-		Offload:   off,
-		Replay:    &StdReplayer{rt: rt, resid: resid, off: off},
-		Tuner:     &StdTuner{rt: rt},
-	}
-}
 
 // policyOf returns a normalize func that takes the donor constructor's
 // configuration as the complete policy surface — the donor is the
@@ -57,14 +33,14 @@ func policyOf(donor func(hw.DeviceSpec) Config) func(Config) Config {
 }
 
 // Donor configurations for the framework policy models (§2.2, §4.2 of
-// the paper); SuperNeuronsConfig and BaselineConfig in config.go serve
-// the same role for the paper's runtime and the naive baseline.
+// the paper); SuperNeurons and Baseline in config.go serve the same
+// role for the paper's runtime and the naive baseline.
 
-// VDNNConfig models Rhu et al.'s vDNN (§5): eager pinned offloading
+// vdnnConfig models Rhu et al.'s vDNN (§5): eager pinned offloading
 // of every sizable single-consumer tensor with prefetching — but no
 // recomputation, no tensor cache, and no dynamic workspace policy
 // beyond a fixed cap.
-func VDNNConfig(d hw.DeviceSpec) Config {
+func vdnnConfig(d hw.DeviceSpec) Config {
 	return Config{
 		Device: d, HostLink: hw.PCIePinned,
 		UseMemPool: true, DynamicWorkspace: true,
@@ -75,9 +51,9 @@ func VDNNConfig(d hw.DeviceSpec) Config {
 	}
 }
 
-// CaffeConfig keeps the whole network resident and caps each
+// caffeConfig keeps the whole network resident and caps each
 // convolution's workspace at its conservative 8 MiB default.
-func CaffeConfig(d hw.DeviceSpec) Config {
+func caffeConfig(d hw.DeviceSpec) Config {
 	return Config{
 		Device: d, HostLink: hw.PCIePinned,
 		UseMemPool: true, DynamicWorkspace: true,
@@ -85,19 +61,19 @@ func CaffeConfig(d hw.DeviceSpec) Config {
 	}
 }
 
-// TorchConfig is Caffe's policy plus in-place activations and a
+// torchConfig is Caffe's policy plus in-place activations and a
 // somewhat larger static workspace cap.
-func TorchConfig(d hw.DeviceSpec) Config {
-	c := CaffeConfig(d)
+func torchConfig(d hw.DeviceSpec) Config {
+	c := caffeConfig(d)
 	c.WorkspaceLimit = 32 * hw.MiB
 	c.InPlaceAct = true
 	return c
 }
 
-// MXNetConfig runs liveness plus the per-segment speed-centric
+// mxnetConfig runs liveness plus the per-segment speed-centric
 // recomputation of Chen et al. with its 1 GiB per-layer workspace
 // default — no swapping, so checkpoint outputs accumulate on GPU.
-func MXNetConfig(d hw.DeviceSpec) Config {
+func mxnetConfig(d hw.DeviceSpec) Config {
 	return Config{
 		Device: d, HostLink: hw.PCIePinned,
 		UseMemPool: true, DynamicWorkspace: true,
@@ -107,9 +83,9 @@ func MXNetConfig(d hw.DeviceSpec) Config {
 	}
 }
 
-// TensorFlowConfig is TensorFlow's plain execution: DAG liveness over
+// tensorFlowConfig is TensorFlow's plain execution: DAG liveness over
 // a pageable host link, no swapping, no recomputation.
-func TensorFlowConfig(d hw.DeviceSpec) Config {
+func tensorFlowConfig(d hw.DeviceSpec) Config {
 	return Config{
 		Device: d, HostLink: hw.PCIePageable,
 		UseMemPool: true, DynamicWorkspace: true,
@@ -117,12 +93,12 @@ func TensorFlowConfig(d hw.DeviceSpec) Config {
 	}
 }
 
-// TensorFlowSwapConfig is TensorFlow's memory optimizer: when the
+// tensorFlowSwapConfig is TensorFlow's memory optimizer: when the
 // plain execution does not fit, pageable on-demand swap-out/swap-in
 // pairs for single-consumer tensors (no pinned staging, no prefetch
 // overlap — the ≥50% communication-speed loss §2.2 describes).
-func TensorFlowSwapConfig(d hw.DeviceSpec) Config {
-	c := TensorFlowConfig(d)
+func tensorFlowSwapConfig(d hw.DeviceSpec) Config {
+	c := tensorFlowConfig(d)
 	c.Offload = utp.OffloadSwapAll
 	return c
 }
@@ -133,25 +109,25 @@ func TensorFlowSwapConfig(d hw.DeviceSpec) Config {
 var managers = map[string]func(Config) Config{
 	"custom": func(cfg Config) Config { return cfg },
 	// The paper's full runtime.
-	"superneurons": policyOf(SuperNeuronsConfig),
+	"superneurons": policyOf(SuperNeurons),
 	// The offload-everything baseline.
-	"vdnn": policyOf(VDNNConfig),
+	"vdnn": policyOf(vdnnConfig),
 	// The naive keep-everything baseline (peak = Σ l_i^f + Σ l_i^b).
-	"naive": policyOf(BaselineConfig),
+	"naive": policyOf(Baseline),
 	// The framework comparison models.
-	"caffe":           policyOf(CaffeConfig),
-	"torch":           policyOf(TorchConfig),
-	"mxnet":           policyOf(MXNetConfig),
-	"tensorflow":      policyOf(TensorFlowConfig),
-	"tensorflow-swap": policyOf(TensorFlowSwapConfig),
+	"caffe":           policyOf(caffeConfig),
+	"torch":           policyOf(torchConfig),
+	"mxnet":           policyOf(mxnetConfig),
+	"tensorflow":      policyOf(tensorFlowConfig),
+	"tensorflow-swap": policyOf(tensorFlowSwapConfig),
 }
 
-// Normalize resolves the configuration a run executes: cfg.Manager's
+// normalize resolves the configuration a run executes: cfg.Manager's
 // policy ("" selects "custom"), then the defaults. Named managers own
 // the technique flags and override them, while capacity and
 // instrumentation fields (device, pool sizes, iterations, tracing)
 // pass through. An unknown name is an error listing Names().
-func Normalize(cfg Config) (Config, error) {
+func normalize(cfg Config) (Config, error) {
 	name := cfg.Manager
 	if name == "" {
 		name = "custom"
@@ -160,5 +136,15 @@ func Normalize(cfg Config) (Config, error) {
 	if !ok {
 		return Config{}, fmt.Errorf("unknown memory manager %q (have %s)", cfg.Manager, strings.Join(Names(), ", "))
 	}
-	return policy(cfg).WithDefaults(), nil
+	return policy(cfg).withDefaults(), nil
+}
+
+// Names returns the manager names Config.Manager accepts, sorted.
+func Names() []string {
+	out := make([]string, 0, len(managers))
+	for n := range managers {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

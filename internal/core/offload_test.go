@@ -1,8 +1,8 @@
-package memmgr
+package core
 
 // Regression tests for the Harvest(force) wait order: the forced wait
 // must target the earliest-completing eligible transfer, never the
-// first in PendingOff list order, and must not wait at all when a
+// first in pendingOff list order, and must not wait at all when a
 // later-listed transfer is already harvestable.
 
 import (
@@ -14,60 +14,58 @@ import (
 	"repro/internal/sim"
 )
 
-// harvestFixture builds a runtime with two tensors resident on the GPU,
-// ready to have pending offloads attached. Returns the runtime, the
-// offload engine and the two tensor IDs.
-func harvestFixture(t *testing.T) (*Runtime, *StdOffload, int, int) {
+// harvestFixture builds a run state with two tensors resident on the
+// GPU, ready to have pending offloads attached. Returns the run state
+// and the two tensor IDs.
+func harvestFixture(t *testing.T) (*runState, int, int) {
 	t.Helper()
 	p := program.Build(nnet.AlexNet(8))
-	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true}.WithDefaults()
-	rt := NewRuntime(p, cfg)
-	mm := NewComponents(rt)
-	resid, off := mm.Residency, mm.Offload
+	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true}.withDefaults()
+	rt := newRunState(p, cfg)
 
 	a, b := 1, 2
 	for _, id := range []int{a, b} {
-		if err := resid.Alloc(p.Reg.Get(id)); err != nil {
+		if err := rt.alloc(p.Reg.Get(id)); err != nil {
 			t.Fatalf("placing tensor %d: %v", id, err)
 		}
 		// Make both eligible: the forward read horizon has passed.
-		rt.UPlan.LastFwdRead[id] = -1
+		rt.uplan.LastFwdRead[id] = -1
 	}
-	rt.CurStep = 0
-	return rt, off, a, b
+	rt.curStep = 0
+	return rt, a, b
 }
 
 // Two in-flight offloads completing out of list order: the forced
 // harvest must wait only for the earlier-completing one and leave the
 // later one pending.
 func TestHarvestForceWaitsOnEarliestEvent(t *testing.T) {
-	rt, off, a, b := harvestFixture(t)
+	rt, a, b := harvestFixture(t)
 	// List order: the slow transfer first, the fast one second —
 	// exactly the shape that made the old implementation stall on the
 	// slow event.
-	slow := rt.D2H.Submit(rt.TL.Now(), 100*sim.Microsecond)
-	fast := rt.H2D.Submit(rt.TL.Now(), 10*sim.Microsecond)
-	rt.TS[a].OffEv, rt.TS[a].OffPending = slow, true
-	rt.TS[b].OffEv, rt.TS[b].OffPending = fast, true
-	rt.PendingOff = append(rt.PendingOff, a, b)
+	slow := rt.d2h.Submit(rt.tl.Now(), 100*sim.Microsecond)
+	fast := rt.h2d.Submit(rt.tl.Now(), 10*sim.Microsecond)
+	rt.ts[a].offEv, rt.ts[a].offPending = slow, true
+	rt.ts[b].offEv, rt.ts[b].offPending = fast, true
+	rt.pendingOff = append(rt.pendingOff, a, b)
 
-	before := rt.TL.Now()
-	if !off.Harvest(true) {
+	before := rt.tl.Now()
+	if !rt.harvest(true) {
 		t.Fatal("forced harvest freed nothing")
 	}
 	wantStall := sim.Duration(fast.At() - before)
-	if rt.Res.StallTime != wantStall {
+	if rt.res.StallTime != wantStall {
 		t.Errorf("stall = %v, want the earliest event's wait %v (list-order wait would be %v)",
-			rt.Res.StallTime, wantStall, sim.Duration(slow.At()-before))
+			rt.res.StallTime, wantStall, sim.Duration(slow.At()-before))
 	}
-	if rt.TS[b].OnGPU {
+	if rt.ts[b].onGPU {
 		t.Errorf("fast-completing tensor %d not freed", b)
 	}
-	if !rt.TS[a].OnGPU || !rt.TS[a].OffPending {
+	if !rt.ts[a].onGPU || !rt.ts[a].offPending {
 		t.Errorf("slow-completing tensor %d must remain pending", a)
 	}
-	if len(rt.PendingOff) != 1 || rt.PendingOff[0] != a {
-		t.Errorf("pending list = %v, want [%d]", rt.PendingOff, a)
+	if len(rt.pendingOff) != 1 || rt.pendingOff[0] != a {
+		t.Errorf("pending list = %v, want [%d]", rt.pendingOff, a)
 	}
 }
 
@@ -75,31 +73,31 @@ func TestHarvestForceWaitsOnEarliestEvent(t *testing.T) {
 // host-backed input batch, appended after slower in-flight copies —
 // must be harvested without any forced wait.
 func TestHarvestForceSkipsWaitWhenOneAlreadyDone(t *testing.T) {
-	rt, off, a, b := harvestFixture(t)
-	slow := rt.D2H.Submit(rt.TL.Now(), 100*sim.Microsecond)
-	rt.TS[a].OffEv, rt.TS[a].OffPending = slow, true
+	rt, a, b := harvestFixture(t)
+	slow := rt.d2h.Submit(rt.tl.Now(), 100*sim.Microsecond)
+	rt.ts[a].offEv, rt.ts[a].offPending = slow, true
 	// The zero event completed at time zero (the host-backed input
-	// batch protocol in AfterKernel records exactly this).
-	rt.TS[b].OffEv, rt.TS[b].OffPending = sim.Event{}, true
-	rt.PendingOff = append(rt.PendingOff, a, b)
+	// batch protocol in afterKernel records exactly this).
+	rt.ts[b].offEv, rt.ts[b].offPending = sim.Event{}, true
+	rt.pendingOff = append(rt.pendingOff, a, b)
 
-	nowBefore := rt.TL.Now()
-	if !off.Harvest(true) {
+	nowBefore := rt.tl.Now()
+	if !rt.harvest(true) {
 		t.Fatal("forced harvest freed nothing")
 	}
-	if rt.Res.StallTime != 0 {
+	if rt.res.StallTime != 0 {
 		t.Errorf("harvest stalled %v although tensor %d was already harvestable",
-			rt.Res.StallTime, b)
+			rt.res.StallTime, b)
 	}
 	// The only clock advance is the free call itself, never a wait on
 	// the in-flight event.
-	if want := nowBefore + sim.Time(rt.GPU.FreeCost()); rt.TL.Now() != want {
-		t.Errorf("clock at %d after harvest, want %d (one free call, no wait)", rt.TL.Now(), want)
+	if want := nowBefore + sim.Time(rt.gpu.FreeCost()); rt.tl.Now() != want {
+		t.Errorf("clock at %d after harvest, want %d (one free call, no wait)", rt.tl.Now(), want)
 	}
-	if rt.TS[b].OnGPU {
+	if rt.ts[b].onGPU {
 		t.Errorf("completed tensor %d not freed", b)
 	}
-	if !rt.TS[a].OnGPU || !rt.TS[a].OffPending {
+	if !rt.ts[a].onGPU || !rt.ts[a].offPending {
 		t.Errorf("in-flight tensor %d must remain pending", a)
 	}
 }
@@ -109,33 +107,32 @@ func TestHarvestForceSkipsWaitWhenOneAlreadyDone(t *testing.T) {
 // signal; it must not abort the step.
 func TestPrefetchAllocFailureToleratedAndCounted(t *testing.T) {
 	p := program.Build(nnet.AlexNet(8))
-	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true, Prefetch: true}.WithDefaults()
-	rt := NewRuntime(p, cfg)
-	off := NewComponents(rt).Offload
+	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true, Prefetch: true}.withDefaults()
+	rt := newRunState(p, cfg)
 
 	// Occupy the whole GPU pool so the prefetch's allocation must fail,
 	// with no cache and no pending offloads to reclaim from.
-	if _, err := rt.GPU.Alloc(rt.GPU.Capacity()); err != nil {
+	if _, err := rt.gpu.Alloc(rt.gpu.Capacity()); err != nil {
 		t.Fatal(err)
 	}
 
 	// Stage the tensor on the host and plan its prefetch at step 0.
 	id := 1
 	tn := p.Reg.Get(id)
-	ha, pool, ok := rt.HostAlloc(tn.Bytes())
+	ha, pool, ok := rt.hostAlloc(tn.Bytes())
 	if !ok {
 		t.Fatal("host alloc failed")
 	}
-	rt.TS[id].Host, rt.TS[id].HostPool, rt.TS[id].OnHost = ha, pool, true
-	rt.UPlan.PrefetchAt = map[int][]int{0: {id}}
+	rt.ts[id].host, rt.ts[id].hostPool, rt.ts[id].onHost = ha, pool, true
+	rt.uplan.PrefetchAt = map[int][]int{0: {id}}
 
-	if err := off.Prefetch(0); err != nil {
+	if err := rt.prefetch(0); err != nil {
 		t.Fatalf("allocation-pressure prefetch failure must be tolerated, got %v", err)
 	}
-	if rt.Res.FailedPrefetches != 1 {
-		t.Errorf("FailedPrefetches = %d, want 1", rt.Res.FailedPrefetches)
+	if rt.res.FailedPrefetches != 1 {
+		t.Errorf("FailedPrefetches = %d, want 1", rt.res.FailedPrefetches)
 	}
-	if rt.TS[id].OnGPU || rt.TS[id].InflightValid {
+	if rt.ts[id].onGPU || rt.ts[id].inflightValid {
 		t.Error("failed prefetch must leave the tensor host-only")
 	}
 }

@@ -76,7 +76,7 @@ func TestExecutorInvariantsUnderRandomConfigs(t *testing.T) {
 		if r1.PeakResident > r1.BaselineBytes {
 			t.Fatalf("seed %d: peak %d above Σf+Σb %d", seed, r1.PeakResident, r1.BaselineBytes)
 		}
-		if r1.PoolPeak > cfg.WithDefaults().PoolBytes {
+		if r1.PoolPeak > cfg.withDefaults().PoolBytes {
 			t.Fatalf("seed %d: pool peak %d above capacity", seed, r1.PoolPeak)
 		}
 		if r1.IterTime <= 0 || r1.Throughput <= 0 {

@@ -1,32 +1,18 @@
-package memmgr
+package core
 
 import (
 	"fmt"
 
 	"repro/internal/program"
 	"repro/internal/recompute"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
-// StdReplayer reconstructs dropped forward tensors segment by segment
-// (§3.4), honoring each segment's resolved strategy: speed-centric
-// segments replay once and keep the results, memory-centric segments
-// replay the needed prefix with a streaming free behind the replay
-// front.
-type StdReplayer struct {
-	rt    *Runtime
-	resid *StdResidency
-	off   *StdOffload
-
-	// Per-step scratch, reused across ReplayFor calls so the backward
-	// pass of a deep network does not allocate per step. The returned
-	// freeAfter slice is consumed by the caller within the same step.
-	needs     []segNeed
-	keep      map[int]bool
-	deps      []sim.Event
-	freeAfter []*tensor.Tensor
-}
+// Recomputation replays reconstruct dropped forward tensors segment by
+// segment (§3.4), honoring each segment's resolved strategy:
+// speed-centric segments replay once and keep the results,
+// memory-centric segments replay the needed prefix with a streaming
+// free behind the replay front.
 
 // segNeed records how deep into a recompute segment one backward
 // step's reads reach.
@@ -35,21 +21,20 @@ type segNeed struct {
 	maxPos int
 }
 
-// ReplayFor reconstructs the dropped forward tensors this backward
+// replayFor reconstructs the dropped forward tensors this backward
 // step reads, segment by segment. It returns the tensors that must be
 // freed right after the step (memory-centric replays).
-func (rp *StdReplayer) ReplayFor(st *program.Step) ([]*tensor.Tensor, error) {
-	rt := rp.rt
-	rp.freeAfter = rp.freeAfter[:0]
-	needs := rp.needs[:0]
+func (rt *runState) replayFor(st *program.Step) ([]*tensor.Tensor, error) {
+	rt.freeAfter = rt.freeAfter[:0]
+	needs := rt.needs[:0]
 	for _, t := range st.Reads {
-		nd := rt.Owner[t.ID]
-		if nd < 0 || !rt.RPlan.Drop[nd] || rt.TS[t.ID].OnGPU {
+		nd := rt.owner[t.ID]
+		if nd < 0 || !rt.rplan.Drop[nd] || rt.ts[t.ID].onGPU {
 			continue
 		}
-		seg := rt.RPlan.SegmentOf[nd]
+		seg := rt.rplan.SegmentOf[nd]
 		if seg == nil {
-			rp.needs = needs
+			rt.needs = needs
 			return nil, fmt.Errorf("dropped tensor %s has no segment", t)
 		}
 		pos := -1
@@ -72,15 +57,15 @@ func (rp *StdReplayer) ReplayFor(st *program.Step) ([]*tensor.Tensor, error) {
 			needs = append(needs, segNeed{seg: seg, maxPos: pos})
 		}
 	}
-	rp.needs = needs
+	rt.needs = needs
 	var keep map[int]bool
 	if len(needs) > 0 {
-		if rp.keep == nil {
-			rp.keep = make(map[int]bool, len(st.Reads))
+		if rt.keep == nil {
+			rt.keep = make(map[int]bool, len(st.Reads))
 		} else {
-			clear(rp.keep)
+			clear(rt.keep)
 		}
-		keep = rp.keep
+		keep = rt.keep
 		for _, t := range st.Reads {
 			keep[t.ID] = true
 		}
@@ -90,23 +75,23 @@ func (rp *StdReplayer) ReplayFor(st *program.Step) ([]*tensor.Tensor, error) {
 			// Speed-centric: replay the whole segment once; later
 			// backward steps inside it reuse the results, which
 			// liveness frees at their true last use.
-			if rt.SegReplayed[n.seg.ID] {
+			if rt.segReplayed[n.seg.ID] {
 				continue
 			}
-			if err := rp.replayMembers(n.seg, len(n.seg.Members)-1, nil, nil); err != nil {
+			if err := rt.replayMembers(n.seg, len(n.seg.Members)-1, nil, nil); err != nil {
 				return nil, err
 			}
-			rt.SegReplayed[n.seg.ID] = true
+			rt.segReplayed[n.seg.ID] = true
 		} else {
 			// Memory-centric: replay only the needed prefix, freeing
 			// the chain behind the replay front (streaming), and free
 			// the rest immediately after this step.
-			if err := rp.replayMembers(n.seg, n.maxPos, &rp.freeAfter, keep); err != nil {
+			if err := rt.replayMembers(n.seg, n.maxPos, &rt.freeAfter, keep); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return rp.freeAfter, nil
+	return rt.freeAfter, nil
 }
 
 // replayMembers re-runs the forward of segment members [0..upTo],
@@ -115,55 +100,54 @@ func (rp *StdReplayer) ReplayFor(st *program.Step) ([]*tensor.Tensor, error) {
 // are freed as soon as the next member has consumed them, unless the
 // triggering step itself needs them, so the replay's transient
 // footprint never exceeds two members plus the backward working set.
-func (rp *StdReplayer) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[]*tensor.Tensor, keep map[int]bool) error {
-	rt := rp.rt
+func (rt *runState) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[]*tensor.Tensor, keep map[int]bool) error {
 	for i := 0; i <= upTo; i++ {
 		m := seg.Members[i]
-		out := rt.P.Out[m.ID]
-		if rt.TS[out.ID].OnGPU {
+		out := rt.p.Out[m.ID]
+		if rt.ts[out.ID].onGPU {
 			continue
 		}
-		deps := rp.deps[:0]
+		deps := rt.deps[:0]
 		for _, pr := range m.Prev {
-			in := rt.P.Out[pr.ID]
-			s := &rt.TS[in.ID]
-			if !s.OnGPU {
-				if !s.OnHost {
+			in := rt.p.Out[pr.ID]
+			s := &rt.ts[in.ID]
+			if !s.onGPU {
+				if !s.onHost {
 					return fmt.Errorf("replay of %s: input %s unavailable", m.Name(), in)
 				}
-				if err := rp.off.Fetch(in); err != nil {
+				if err := rt.fetch(in); err != nil {
 					return err
 				}
 			}
-			if s.InflightValid {
-				deps = append(deps, s.Inflight)
+			if s.inflightValid {
+				deps = append(deps, s.inflight)
 			}
 			in.Locked = true
 		}
-		rp.deps = deps
-		if err := rp.resid.Alloc(out); err != nil {
+		rt.deps = deps
+		if err := rt.alloc(out); err != nil {
 			return err
 		}
-		if rt.Cache != nil {
-			rt.Cache.In(out)
+		if rt.cache != nil {
+			rt.cache.In(out)
 		}
-		dur := m.L.FwdTime(rt.Cfg.Device, 1.0)
-		ev := rt.Compute.Submit(rt.TL.Now(), dur, deps...)
-		rt.SpanFor("compute", "replay", m.Name(), ev, dur)
-		rt.TL.Wait(ev)
-		rt.Res.ExtraForwards++
+		dur := m.L.FwdTime(rt.cfg.Device, 1.0)
+		ev := rt.compute.Submit(rt.tl.Now(), dur, deps...)
+		rt.spanFor("compute", "replay", m.Name(), ev, dur)
+		rt.tl.Wait(ev)
+		rt.res.ExtraForwards++
 		for _, pr := range m.Prev {
-			in := rt.P.Out[pr.ID]
+			in := rt.p.Out[pr.ID]
 			in.Locked = false
 			if keep == nil || keep[in.ID] {
 				continue
 			}
 			// Streaming free: the input is recoverable either from its
 			// host copy or by another replay (dropped member).
-			s := &rt.TS[in.ID]
-			recoverable := s.OnHost || (rt.Owner[in.ID] >= 0 && rt.RPlan.Drop[rt.Owner[in.ID]])
-			if s.OnGPU && recoverable {
-				rp.resid.FreeGPU(in)
+			s := &rt.ts[in.ID]
+			recoverable := s.onHost || (rt.owner[in.ID] >= 0 && rt.rplan.Drop[rt.owner[in.ID]])
+			if s.onGPU && recoverable {
+				rt.freeGPU(in)
 			}
 		}
 		if freeAfter != nil {

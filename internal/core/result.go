@@ -1,4 +1,4 @@
-package memmgr
+package core
 
 import (
 	"repro/internal/layers"

@@ -12,24 +12,23 @@ import (
 // overlap transfers, the replayer reconstruct dropped dependencies and
 // the residency manager pin the working set, then submits the kernel
 // and applies the post-step policy hooks.
-func (e *exec) runStep(si int) error {
-	rt := e.rt
-	st := &rt.P.Steps[si]
-	rt.CurStep = si
-	stepStart := rt.TL.Now()
+func (rt *runState) runStep(si int) error {
+	st := &rt.p.Steps[si]
+	rt.curStep = si
+	stepStart := rt.tl.Now()
 
 	// Trigger planned prefetches so the H2D copy overlaps this step's
 	// computation (§3.3.1), and harvest completed offloads.
-	if err := e.mm.Offload.Prefetch(si); err != nil {
+	if err := rt.prefetch(si); err != nil {
 		return err
 	}
-	e.mm.Offload.Harvest(false)
+	rt.harvest(false)
 
 	// Recomputation replays reconstruct dropped forward dependencies.
 	var replayedNow []*tensor.Tensor
 	if st.Phase == program.Backward {
 		var err error
-		replayedNow, err = e.mm.Replay.ReplayFor(st)
+		replayedNow, err = rt.replayFor(st)
 		if err != nil {
 			return err
 		}
@@ -37,11 +36,11 @@ func (e *exec) runStep(si int) error {
 
 	// Pin reads on the GPU, collecting the transfer events the kernel
 	// must wait for, and materialize writes.
-	deps, err := e.mm.Residency.PinReads(st)
+	deps, err := rt.pinReads(st)
 	if err != nil {
 		return err
 	}
-	if err := e.mm.Residency.MaterializeWrites(st); err != nil {
+	if err := rt.materializeWrites(st); err != nil {
 		return err
 	}
 
@@ -53,20 +52,20 @@ func (e *exec) runStep(si int) error {
 	var maxWS int64
 	if st.Node.L.Type == layers.Conv {
 		maxWS = st.Node.L.MaxSpeedAlgo().Workspace
-		if rt.Cfg.DynamicWorkspace {
-			budget := rt.GPU.MaxAlloc()
-			if rt.Cfg.WorkspaceLimit > 0 && rt.Cfg.WorkspaceLimit < budget {
-				budget = rt.Cfg.WorkspaceLimit
+		if rt.cfg.DynamicWorkspace {
+			budget := rt.gpu.MaxAlloc()
+			if rt.cfg.WorkspaceLimit > 0 && rt.cfg.WorkspaceLimit < budget {
+				budget = rt.cfg.WorkspaceLimit
 			}
-			algo = e.mm.Tuner.SelectAlgo(st, budget)
+			algo = rt.selectAlgo(st, budget)
 			if algo.Workspace > 0 {
-				a, err := rt.GPU.Alloc(algo.Workspace)
+				a, err := rt.gpu.Alloc(algo.Workspace)
 				if err != nil {
 					// Should not happen in this single-threaded
 					// executor; degrade to the zero-workspace algorithm.
 					algo = layers.Algo{Kind: layers.AlgoImplicitGEMM, Speedup: 1.0}
 				} else {
-					rt.ChargeAlloc()
+					rt.chargeAlloc()
 					wsAlloc, wsBytes = a, algo.Workspace
 				}
 			}
@@ -76,61 +75,61 @@ func (e *exec) runStep(si int) error {
 	// Submit the kernel, gated on its inbound transfers.
 	var dur sim.Duration
 	if st.Phase == program.Forward {
-		dur = st.Node.L.FwdTime(rt.Cfg.Device, algo.Speedup)
+		dur = st.Node.L.FwdTime(rt.cfg.Device, algo.Speedup)
 	} else {
-		dur = st.Node.L.BwdTime(rt.Cfg.Device, algo.Speedup)
+		dur = st.Node.L.BwdTime(rt.cfg.Device, algo.Speedup)
 	}
-	engineFree := rt.Compute.FreeAt()
-	ev := rt.Compute.Submit(rt.TL.Now(), dur, deps...)
+	engineFree := rt.compute.FreeAt()
+	ev := rt.compute.Submit(rt.tl.Now(), dur, deps...)
 	kernelStart := ev.At() - sim.Time(dur)
 	floor := engineFree
-	if rt.TL.Now() > floor {
-		floor = rt.TL.Now()
+	if rt.tl.Now() > floor {
+		floor = rt.tl.Now()
 	}
 	if kernelStart > floor {
-		rt.Res.StallTime += sim.Duration(kernelStart - floor)
+		rt.res.StallTime += sim.Duration(kernelStart - floor)
 	}
-	rt.Span("compute", st.Label(), ev, dur)
-	rt.TL.Wait(ev)
+	rt.span("compute", st.Label(), ev, dur)
+	rt.tl.Wait(ev)
 
 	if wsBytes > 0 {
-		rt.ChargeFree()
-		if err := rt.GPU.Free(wsAlloc.ID); err != nil {
+		rt.chargeFree()
+		if err := rt.gpu.Free(wsAlloc.ID); err != nil {
 			return err
 		}
 	}
 
 	// Post-kernel offload protocol: eager D2H of fresh checkpoints and
 	// the zero-cost reclaim of the host-backed input batch.
-	e.mm.Offload.AfterKernel(st)
+	rt.afterKernel(st)
 
-	e.mm.Residency.Unpin(st)
+	rt.unpin(st)
 
 	// Post-step frees.
-	if rt.Cfg.Liveness {
+	if rt.cfg.Liveness {
 		// Memory-centric replays evaporate immediately (§3.4).
 		for _, t := range replayedNow {
-			e.mm.Residency.FreeGPU(t)
+			rt.freeGPU(t)
 		}
-		for _, tid := range rt.Live.FreeAfter[si] {
-			e.mm.Residency.FreeAll(rt.P.Reg.Get(tid))
+		for _, tid := range rt.live.FreeAfter[si] {
+			rt.freeAll(rt.p.Reg.Get(tid))
 		}
 		if st.Phase == program.Forward {
-			e.mm.Offload.DropAfterFwd(si)
+			rt.dropAfterFwd(si)
 		}
 	}
 
-	rt.Res.Steps = append(rt.Res.Steps, StepProfile{
+	rt.res.Steps = append(rt.res.Steps, StepProfile{
 		Index:             si,
 		Label:             st.Label(),
 		Phase:             st.Phase,
-		ResidentBytes:     rt.ResBytes,
-		LiveTensors:       rt.ResCount,
-		PoolUsedBytes:     rt.GPU.Used(),
+		ResidentBytes:     rt.resBytes,
+		LiveTensors:       rt.resCount,
+		PoolUsedBytes:     rt.gpu.Used(),
 		WorkspaceBytes:    wsBytes,
 		MaxSpeedWorkspace: maxWS,
 		Algo:              algo.Kind,
-		Time:              sim.Duration(rt.TL.Now() - stepStart),
+		Time:              sim.Duration(rt.tl.Now() - stepStart),
 	})
 	return nil
 }
@@ -138,26 +137,25 @@ func (e *exec) runStep(si int) error {
 // runUpdate models the momentum-SGD weight update: a bandwidth-bound
 // pass reading parameters, gradients and momentum and writing
 // parameters and momentum, plus two fused multiply-adds per element.
-func (e *exec) runUpdate() {
-	rt := e.rt
-	start := rt.TL.Now()
-	params := rt.P.Net.ParamBytes()
+func (rt *runState) runUpdate() {
+	start := rt.tl.Now()
+	params := rt.p.Net.ParamBytes()
 	if params == 0 {
 		return
 	}
 	elems := float64(params / tensor.ElemSize)
-	dur := rt.Cfg.Device.KernelTime(4*elems, 5*params,
-		0.10*rt.Cfg.Device.EffScale, 0.85*rt.Cfg.Device.MemEffScale)
-	ev := rt.Compute.Submit(rt.TL.Now(), dur)
-	rt.Span("compute", "sgd update", ev, dur)
-	rt.TL.Wait(ev)
-	rt.Res.Steps = append(rt.Res.Steps, StepProfile{
-		Index:         len(rt.P.Steps),
+	dur := rt.cfg.Device.KernelTime(4*elems, 5*params,
+		0.10*rt.cfg.Device.EffScale, 0.85*rt.cfg.Device.MemEffScale)
+	ev := rt.compute.Submit(rt.tl.Now(), dur)
+	rt.span("compute", "sgd update", ev, dur)
+	rt.tl.Wait(ev)
+	rt.res.Steps = append(rt.res.Steps, StepProfile{
+		Index:         len(rt.p.Steps),
 		Label:         "sgd update",
 		Phase:         program.Backward,
-		ResidentBytes: rt.ResBytes,
-		LiveTensors:   rt.ResCount,
-		PoolUsedBytes: rt.GPU.Used(),
-		Time:          sim.Duration(rt.TL.Now() - start),
+		ResidentBytes: rt.resBytes,
+		LiveTensors:   rt.resCount,
+		PoolUsedBytes: rt.gpu.Used(),
+		Time:          sim.Duration(rt.tl.Now() - start),
 	})
 }

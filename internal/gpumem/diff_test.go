@@ -12,7 +12,7 @@ import (
 // Allocation sequences (ID, Addr, Bytes), identical errors, and agree
 // on every observable metric, while both keep their invariants. This
 // is what "byte-identical first-fit placement" means operationally —
-// every determinism guarantee built on the pool (memmgr conformance,
+// every determinism guarantee built on the pool (core conformance,
 // sched trace replay, serve log replay) reduces to it.
 
 // diffStep drives both pools through one operation and asserts

@@ -73,6 +73,10 @@ type Allocator interface {
 	// MaxAlloc is the largest single allocation that can currently
 	// succeed (bounded by fragmentation for the pool).
 	MaxAlloc() int64
+	// ResetPeak restarts peak tracking from the current usage.
+	ResetPeak()
+	// Fragmentation is 1 - largest/total free space, in [0,1].
+	Fragmentation() float64
 }
 
 type span struct {

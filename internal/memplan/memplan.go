@@ -1,5 +1,5 @@
 // Package memplan is the device-level memory planner for co-resident
-// training jobs: the lift of per-job adaptive planning (memmgr.Adaptive)
+// training jobs: the lift of per-job adaptive planning (core's adaptive)
 // to tensor-granularity planning ACROSS jobs, the scenario TENSILE
 // targets. Where admission-by-isolation reserves every job's solo peak
 // for its whole residency (sum-of-isolated-peaks), the planner exploits
@@ -96,7 +96,7 @@ type Grant struct {
 }
 
 // Ladder levels the planner may direct its clients toward; they mirror
-// memmgr.Adaptive's plan-aggressiveness ladder.
+// core's adaptive plan-aggressiveness ladder.
 const (
 	// DirectiveNone leaves the client's own plan alone.
 	DirectiveNone = 0

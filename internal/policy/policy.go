@@ -35,7 +35,7 @@ import (
 // configurations tried in order until one fits — TensorFlow's memory
 // optimizer, for instance, only inserts swap nodes when the plain
 // execution would not fit. Every configuration names an
-// internal/memmgr manager, so the comparisons run the managers' donor
+// internal/core manager, so the comparisons run the managers' donor
 // policies rather than ad-hoc flag combinations.
 type Framework struct {
 	Name    string
@@ -45,7 +45,7 @@ type Framework struct {
 // Config returns the framework's primary (preferred) configuration.
 func (f Framework) Config(d hw.DeviceSpec) core.Config { return f.Configs(d)[0] }
 
-// managed returns a Configs func routing to the named memmgr managers
+// managed returns a Configs func routing to the named core managers
 // in fallback order.
 func managed(managers ...string) func(d hw.DeviceSpec) []core.Config {
 	return func(d hw.DeviceSpec) []core.Config {

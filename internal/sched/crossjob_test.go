@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/nnet"
+	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -353,5 +356,34 @@ func TestCrossJobLoggingObservesDecisions(t *testing.T) {
 	}
 	if !lg.Enabled(context.Background(), slog.LevelDebug) {
 		t.Fatal("test premise: debug handler disabled")
+	}
+}
+
+func TestBuildDemandClampsToFunctionalBudget(t *testing.T) {
+	tds := core.TensorDemands(program.Build(nnet.AlexNet(8)), 16)
+	js := &jobState{seq: 7, est: core.Estimate{PeakBytes: 1 << 30, FloorBytes: 1 << 29}}
+	d := buildDemand(js, tds)
+	if d.Job != plannerID(js) || d.PeakBytes != js.est.PeakBytes || d.FloorBytes != js.est.FloorBytes {
+		t.Fatalf("scalar demand mismatch: %+v", d)
+	}
+	var tb int64
+	for _, td := range d.Tensors {
+		tb += td.Bytes
+	}
+	if len(d.Tensors) == 0 || tb > js.est.PeakBytes-js.est.FloorBytes {
+		t.Fatalf("shareable bytes %d in %d tensors, want some within the functional budget %d",
+			tb, len(d.Tensors), js.est.PeakBytes-js.est.FloorBytes)
+	}
+	// A floor above the peak clamps rather than yielding a negative
+	// budget, and an estimate without a floor is worst-case: floor ==
+	// peak, so nothing is offered for sharing.
+	for _, est := range []core.Estimate{
+		{PeakBytes: 100, FloorBytes: 200},
+		{PeakBytes: 1 << 30},
+	} {
+		d = buildDemand(&jobState{est: est}, tds)
+		if d.FloorBytes != d.PeakBytes || len(d.Tensors) != 0 {
+			t.Errorf("estimate %+v: floor not clamped to peak: %+v", est, d)
+		}
 	}
 }

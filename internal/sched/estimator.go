@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/memplan"
 	"repro/internal/nnet"
 	"repro/internal/program"
@@ -37,7 +36,7 @@ func NewEstimator() *Estimator {
 // Estimate predicts a job's peak pool footprint and iteration time by
 // a memoized deterministic dry run: a thousand-job trace with a
 // handful of distinct job shapes pays for a handful of dry runs.
-func (e *Estimator) Estimate(network string, batch int, manager string, d hw.DeviceSpec) (memmgr.Estimate, error) {
+func (e *Estimator) Estimate(network string, batch int, manager string, d hw.DeviceSpec) (core.Estimate, error) {
 	key := estKey{network: network, batch: batch, manager: manager, device: d}
 	e.mu.Lock()
 	if v, ok := e.cache[key]; ok {
@@ -81,7 +80,7 @@ func (e *Estimator) TensorDemands(network string, batch int) ([]memplan.TensorDe
 	if batch <= 0 {
 		return nil, fmt.Errorf("sched: batch must be positive, got %d", batch)
 	}
-	tds := memmgr.TensorDemands(program.Build(b(batch)), demandTopK)
+	tds := core.TensorDemands(program.Build(b(batch)), demandTopK)
 	e.mu.Lock()
 	e.demands[key] = tds
 	e.mu.Unlock()
@@ -101,20 +100,20 @@ func (e *Estimator) Len() int {
 // manager on an otherwise-idle device. The run is deterministic, so
 // the prediction is exact. DryRun itself is unmemoized; schedulers
 // route through their own Estimator.
-func DryRun(network string, batch int, manager string, d hw.DeviceSpec) (memmgr.Estimate, error) {
+func DryRun(network string, batch int, manager string, d hw.DeviceSpec) (core.Estimate, error) {
 	b := nnet.ByName(network)
 	if b == nil {
-		return memmgr.Estimate{}, fmt.Errorf("sched: unknown network %q", network)
+		return core.Estimate{}, fmt.Errorf("sched: unknown network %q", network)
 	}
 	if batch <= 0 {
-		return memmgr.Estimate{}, fmt.Errorf("sched: batch must be positive, got %d", batch)
+		return core.Estimate{}, fmt.Errorf("sched: batch must be positive, got %d", batch)
 	}
 	net := b(batch)
 	r, err := core.Run(net, core.Config{Manager: manager, Device: d})
 	if err != nil {
-		return memmgr.Estimate{}, err
+		return core.Estimate{}, err
 	}
-	est := memmgr.EstimateOf(r)
+	est := core.EstimateOf(r)
 	// The gradient volume a data-parallel gang exchanges per iteration
 	// is the replica's parameter bytes; recording it here keeps gang
 	// admission a pure function of the memoized estimate.
@@ -133,7 +132,7 @@ type estKey struct {
 }
 
 type estVal struct {
-	est memmgr.Estimate
+	est core.Estimate
 	err error
 }
 

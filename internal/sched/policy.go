@@ -5,7 +5,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/memmgr"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -17,7 +17,7 @@ type Queued struct {
 	// deterministic tie-breaker of last resort.
 	Index int
 	// Estimate is the admission prediction.
-	Estimate memmgr.Estimate
+	Estimate core.Estimate
 	// Preemptions counts evictions suffered so far.
 	Preemptions int
 }

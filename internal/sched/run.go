@@ -8,9 +8,9 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/dataparallel"
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/memplan"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -119,7 +119,7 @@ type jobState struct {
 	rejReason string
 	// est is the admission estimate: for dynamic jobs, the worst case
 	// over the schedule's distinct shapes.
-	est memmgr.Estimate
+	est core.Estimate
 	// iterTimes holds the per-schedule-position iteration durations
 	// (one entry for static jobs). Immutable after creation, so clones
 	// share it.
@@ -300,7 +300,7 @@ func newExec(c Cluster, p Policy, est *Estimator) (*exec, error) {
 
 // defaultSpillBytes is the per-device host spill pool under CrossJob
 // when the cluster does not size it; spillLink prices the floor swaps
-// (the pinned PCIe path memmgr's host offloads default to).
+// (the pinned PCIe path core's host offloads default to).
 const defaultSpillBytes = 64 * hw.GiB
 
 var spillLink = hw.PCIePinned
@@ -358,8 +358,8 @@ func (e *exec) addJob(j Job) (int, error) {
 		}
 		batches = sched.Distinct()
 	}
-	perBatch := make(map[int]memmgr.Estimate, len(batches))
-	var worst memmgr.Estimate
+	perBatch := make(map[int]core.Estimate, len(batches))
+	var worst core.Estimate
 	worstBatch := 0
 	rejReason := ""
 	for _, b := range batches {

@@ -4,8 +4,8 @@
 // top of it: a stream of training-job requests (network, batch,
 // memory manager, priority, arrival time) is admitted onto N devices
 // using the peak-memory and iteration-time estimates a single
-// deterministic dry run of the memmgr runtime produces
-// (internal/memmgr.Estimate).
+// deterministic dry run of the core runtime produces
+// (internal/core.Estimate).
 //
 // The model:
 //
@@ -46,8 +46,8 @@ import (
 	"fmt"
 	"log/slog"
 
+	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/sim"
 )
 
@@ -73,7 +73,7 @@ type Job struct {
 	// part of a bucketed ring all-reduce priced by the slowest
 	// interconnect tier inside the placed gang.
 	GPUs int
-	// Manager names the internal/memmgr policy the job trains under
+	// Manager names the internal/core policy the job trains under
 	// ("superneurons", "vdnn", "naive", ...; empty runs the
 	// flag-driven default, the naive baseline).
 	Manager string
@@ -132,7 +132,7 @@ func (c Cluster) Capacity() int64 { return c.Device.UsableBytes }
 type JobResult struct {
 	Job
 	// Estimate is the dry-run prediction used for admission.
-	Estimate memmgr.Estimate
+	Estimate core.Estimate
 	// Rejected is set when the job cannot fit an idle device at all;
 	// Reason says why. Rejected jobs have no timing fields.
 	Rejected bool

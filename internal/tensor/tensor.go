@@ -66,7 +66,7 @@ func (k Kind) String() string {
 }
 
 // Tensor is a schedulable memory extent. Where its bytes live is run
-// state owned by the executing runtime (memmgr's per-tensor TState);
+// state owned by the executing runtime (core's per-tensor tstate);
 // the graph structure (who produces and consumes it) lives in
 // internal/nnet.
 type Tensor struct {

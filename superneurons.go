@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/policy"
 	"repro/internal/recompute"
@@ -88,13 +87,13 @@ const (
 // dynamic convolution workspaces.
 func DefaultConfig(d Device) Config { return core.SuperNeurons(d) }
 
-// Managers returns the names of the memory managers (internal/memmgr)
+// Managers returns the names of the memory managers (internal/core)
 // Config.Manager accepts. Setting Config.Manager to one of them
 // hands the whole memory policy to that manager — "superneurons" is
 // the paper's runtime, "vdnn" the offload-everything baseline, "naive"
 // keep-everything — while the empty name keeps the flag-driven
 // executor used by the ablation studies.
-func Managers() []string { return memmgr.Names() }
+func Managers() []string { return core.Names() }
 
 // ManagerConfig returns a configuration that delegates the whole
 // memory policy to the named manager on the given device.
@@ -240,7 +239,7 @@ type (
 	// JobSchedule is the per-job slice of a ScheduleResult.
 	JobSchedule = sched.JobResult
 	// JobEstimate is the dry-run prediction admission control uses.
-	JobEstimate = memmgr.Estimate
+	JobEstimate = core.Estimate
 )
 
 // The built-in scheduler policies.
