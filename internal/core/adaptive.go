@@ -17,7 +17,6 @@ package core
 // decisions — determinism is load-bearing for admission control.
 
 import (
-	"repro/internal/memplan"
 	"repro/internal/recompute"
 	"repro/internal/sim"
 	"repro/internal/utp"
@@ -139,13 +138,6 @@ type adaptive struct {
 	calm     int
 	cooldown int
 	replans  int
-
-	// planner/job attach this instance to a device-level planner
-	// (join): the adaptive stops tuning knobs blindly and becomes a
-	// client — it reports measured peaks upward and honors the
-	// planner's Directive as a floor on its ladder level.
-	planner *memplan.Planner
-	job     string
 }
 
 // adaptMaxLevel indexes the widest plan on the ladder.
@@ -205,45 +197,10 @@ func (a *adaptive) apply(level int) Config {
 	return cfg
 }
 
-// join attaches this per-job planner to a device-level planner as a
-// client under the given job ID. From then on observe (a) forwards the
-// measured pool peak to the device planner, whose plan covers every
-// co-tenant, and (b) treats the planner's Directive as a lower bound on
-// the ladder level: device-wide pressure can force this job into wider
-// offload or recomputation even when its own signals are calm, which is
-// exactly the global offload ordering a per-job view cannot see.
-func (a *adaptive) join(p *memplan.Planner, job string) {
-	a.planner = p
-	a.job = job
-}
-
-// directiveFloor is the device planner's minimum ladder level for this
-// job (0 when unattached).
-func (a *adaptive) directiveFloor() int {
-	if a.planner == nil {
-		return 0
-	}
-	return a.planner.Directive(a.job)
-}
-
 // observe feeds one iteration's signals into the planner and reports
 // whether the plan for the next iteration changed (the caller must
 // then rebind with the revised config).
 func (a *adaptive) observe(s signals) bool {
-	if a.planner != nil {
-		// Report the measured peak upward first so the directive below
-		// reflects this iteration. Spill traffic is unknown here (-1
-		// leaves the admission-time figure standing). The job is a
-		// planner member whenever join was called by the admission
-		// path; a missing membership means the caller wired the planner
-		// by hand, and the observation is simply dropped.
-		_, _ = a.planner.Observe(a.job, s.PoolPeak, -1)
-		if f := a.directiveFloor(); f > a.level {
-			a.calm = 0
-			a.cooldown = adaptCalmRun
-			return a.moveTo(f)
-		}
-	}
 	escalate := s.OOM ||
 		s.headroomFrac() < adaptEscalateHeadroom ||
 		s.stallFrac() > adaptEscalateStall ||
@@ -278,12 +235,7 @@ func (a *adaptive) observe(s signals) bool {
 	}
 	a.calm = 0
 	a.cooldown = adaptCalmRun
-	target := a.narrower()
-	if f := a.directiveFloor(); target < f {
-		// Never narrow below the device planner's directive.
-		target = f
-	}
-	return a.moveTo(target)
+	return a.moveTo(a.narrower())
 }
 
 // planKnobs is the comparable slice of Config the ladder owns.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/memplan"
 	"repro/internal/recompute"
 	"repro/internal/sim"
 	"repro/internal/utp"
@@ -187,58 +186,5 @@ func TestAdaptivePreservesBasePlanUntilFirstRevision(t *testing.T) {
 	}
 	if got := a.config(); got.Offload == utp.OffloadSwapAll {
 		t.Error("post-revision Config still the base; the ladder should own the knobs now")
-	}
-}
-
-func TestAdaptiveHonorsPlannerDirective(t *testing.T) {
-	const gib = int64(1) << 30
-	pl, err := memplan.New(12*gib, 16*gib, hw.PCIePinned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Load the device until the plan is under pressure: five tenants
-	// with 3 GiB floors force spills and drive headroom to zero.
-	for _, j := range []string{"a", "b", "c", "d", "e"} {
-		if _, err := pl.Admit(memplan.Demand{Job: j, PeakBytes: 6 * gib, FloorBytes: 3 * gib}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pl.Directive("a") == memplan.DirectiveNone {
-		t.Fatal("test premise: device should be under pressure")
-	}
-
-	a := newAdaptive(Config{Device: hw.TeslaK40c})
-	if a.level != 0 {
-		t.Fatalf("base level %d, want 0", a.level)
-	}
-	a.join(pl, "a")
-	// A perfectly calm iteration: without the planner this would never
-	// escalate; the directive floor must force the level up anyway.
-	calm := signals{
-		Iteration: 0, Batch: 8, NextBatch: 8,
-		IterTime: 100, StallTime: 0,
-		PoolPeak: 1 * gib, PoolBytes: 12 * gib,
-	}
-	if !a.observe(calm) {
-		t.Fatal("directive floor should have forced a replan")
-	}
-	if a.level < pl.Directive("a") {
-		t.Fatalf("level %d below directive %d", a.level, pl.Directive("a"))
-	}
-	// Sustained calm must not narrow below the directive either.
-	lvl := a.level
-	for i := 1; i <= 8; i++ {
-		s := calm
-		s.Iteration = i
-		a.observe(s)
-		if a.level < pl.Directive("a") {
-			t.Fatalf("iteration %d narrowed to %d below directive %d", i, a.level, pl.Directive("a"))
-		}
-	}
-	_ = lvl
-	// Unattached planners keep the old behavior.
-	b := newAdaptive(Config{Device: hw.TeslaK40c})
-	if b.observe(calm) {
-		t.Fatal("unattached adaptive escalated on a calm iteration")
 	}
 }

@@ -26,17 +26,10 @@ func RemotePool(bytes int64) ExternalPool {
 	return ExternalPool{Name: "remote-rdma", Bytes: bytes, Link: hw.GPUDirectRDMA}
 }
 
-// Config selects the device, the memory manager and the
-// memory/performance techniques for a run.
+// Config selects the device and the memory/performance techniques for
+// a run. A run executes exactly its Config; ManagerConfig returns the
+// Config of each named memory manager.
 type Config struct {
-	// Manager names the memory-manager policy driving the run. The
-	// empty string selects the flag-driven manager, which interprets
-	// the technique flags below literally (how the ablation studies
-	// toggle individual mechanisms). Named managers (see Names())
-	// own the technique flags and override them, keeping only the
-	// capacity and instrumentation fields of this Config.
-	Manager string
-
 	// Device is the simulated GPU; HostLink the CPU↔GPU interconnect
 	// (pinned for SuperNeurons, pageable for TensorFlow-style swapping).
 	Device   hw.DeviceSpec

@@ -2,9 +2,9 @@ package core
 
 // Conformance suite for the memory managers: every named
 // manager must obey the executor's invariants (OOM surfacing,
-// determinism, peak bounds, offload-before-fetch ordering), and the
-// three headline policies must reproduce the seed executor's Results
-// exactly when run against the equivalent flag-driven configuration.
+// determinism, peak bounds, offload-before-fetch ordering), and every
+// manager's Config must equal the seed executor's flag combination for
+// its policy.
 
 import (
 	"errors"
@@ -27,6 +27,15 @@ var conformanceManagers = []string{
 	"caffe", "torch", "mxnet", "tensorflow", "tensorflow-swap",
 }
 
+// mustManager returns the named manager's Config on the K40c.
+func mustManager(name string) Config {
+	cfg, err := ManagerConfig(name, hw.TeslaK40c)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
 func TestRegistry(t *testing.T) {
 	names := Names()
 	for _, want := range append([]string{"custom"}, conformanceManagers...) {
@@ -41,33 +50,48 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("manager %q not registered (have %v)", want, names)
 		}
 	}
-	flags := Config{Device: hw.TeslaK40c, Liveness: true, Recompute: recompute.MemoryCentric}
-	empty, err := normalize(flags)
+	empty, err := ManagerConfig("", hw.TeslaK40c)
 	if err != nil {
-		t.Fatalf("empty name must resolve to the flag-driven manager: %v", err)
+		t.Fatalf("empty name must resolve to custom: %v", err)
 	}
-	if !empty.Liveness || empty.Recompute != recompute.MemoryCentric {
-		t.Errorf("flag-driven manager changed the caller's flags: %+v", empty)
+	if custom := mustManager("custom"); !reflect.DeepEqual(empty, custom) {
+		t.Errorf("empty name resolved to %+v, want custom's %+v", empty, custom)
 	}
-	custom := flags
-	custom.Manager = "custom"
-	c, err := normalize(custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Manager = ""; !reflect.DeepEqual(empty, c) {
-		t.Errorf("empty name resolved to %+v, want custom's %+v", empty, c)
-	}
-	if _, err := normalize(Config{Manager: "does-not-exist"}); err == nil {
-		t.Error("unknown manager must not resolve")
+	if want := (Config{Device: hw.TeslaK40c}); !reflect.DeepEqual(empty, want) {
+		t.Errorf("custom = %+v, want the bare device %+v", empty, want)
 	}
 }
 
+// TestUnknownManagerErrors checks an unknown name fails and that the
+// error lists every manager, so a caller can correct the typo.
 func TestUnknownManagerErrors(t *testing.T) {
-	cfg := Config{Manager: "does-not-exist", Device: hw.TeslaK40c}
-	_, err := Run(nnet.AlexNet(8), cfg)
+	_, err := ManagerConfig("does-not-exist", hw.TeslaK40c)
 	if err == nil || !strings.Contains(err.Error(), "unknown memory manager") {
 		t.Fatalf("err = %v, want unknown-manager error", err)
+	}
+	for _, n := range Names() {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("error %q does not list %q", err, n)
+		}
+	}
+}
+
+// TestManagerFlagsTakeEffect checks a run executes exactly its Config:
+// a technique flag set on a manager's Config is honored, not replaced
+// by the manager's own setting.
+func TestManagerFlagsTakeEffect(t *testing.T) {
+	caffe := mustManager("caffe")
+	plain, err := Run(nnet.AlexNet(64), caffe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caffe.InPlaceAct = true
+	inPlace, err := Run(nnet.AlexNet(64), caffe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inPlace.PeakResident >= plain.PeakResident {
+		t.Errorf("caffe+InPlaceAct peak %d, want below caffe's %d", inPlace.PeakResident, plain.PeakResident)
 	}
 }
 
@@ -76,7 +100,8 @@ func TestUnknownManagerErrors(t *testing.T) {
 func TestConformanceInvariants(t *testing.T) {
 	for _, name := range conformanceManagers {
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Manager: name, Device: hw.TeslaK40c, CollectTrace: true}
+			cfg := mustManager(name)
+			cfg.CollectTrace = true
 			r1, err := Run(nnet.AlexNet(64), cfg)
 			if err != nil {
 				t.Fatalf("ample run failed: %v", err)
@@ -111,7 +136,8 @@ func TestConformanceInvariants(t *testing.T) {
 
 			// A pool too small for even the persistent state must
 			// surface the OOM sentinel, whatever the policy.
-			tiny := Config{Manager: name, Device: hw.TeslaK40c, PoolBytes: 32 * hw.MiB}
+			tiny := mustManager(name)
+			tiny.PoolBytes = 32 * hw.MiB
 			if _, err := Run(nnet.AlexNet(256), tiny); !errors.Is(err, ErrOutOfMemory) {
 				t.Errorf("tiny pool err = %v, want ErrOutOfMemory", err)
 			}
@@ -119,8 +145,8 @@ func TestConformanceInvariants(t *testing.T) {
 			// Under pressure each manager either trains (with its peak
 			// still bounded) or OOMs cleanly — never hangs or corrupts
 			// accounting (Run checks for leaks internally).
-			pressured := Config{Manager: name, Device: hw.TeslaK40c,
-				PoolBytes: 2200 * hw.MiB, CollectTrace: true}
+			pressured := cfg
+			pressured.PoolBytes = 2200 * hw.MiB
 			rp, err := Run(nnet.AlexNet(200), pressured)
 			if err != nil {
 				if !errors.Is(err, ErrOutOfMemory) {
@@ -188,16 +214,16 @@ func checkOffloadFetchOrdering(t *testing.T, r *Result) {
 	}
 }
 
-// TestManagersMatchSeedExecutor is the refactor's acceptance check:
-// each headline manager must produce Results identical to the seed
-// executor running the equivalent flag combination — including the
-// recompute replay counts, traffic and virtual-time totals.
+// TestManagersMatchSeedExecutor checks every manager's Config against
+// the seed executor's flag combination for its policy. A run executes
+// exactly its Config, so equal Configs give identical Results.
 func TestManagersMatchSeedExecutor(t *testing.T) {
 	// The flag surfaces are written out independently of the
 	// managers' donor configs on purpose: a typo in managers.go (a
 	// wrong cap, a lost pageable link) must fail here, not silently
 	// shift the published capacity tables.
 	flagEquivalents := map[string]func(d hw.DeviceSpec) Config{
+		"custom":       func(d hw.DeviceSpec) Config { return Config{Device: d} },
 		"superneurons": SuperNeurons,
 		"naive":        Baseline,
 		"vdnn": func(d hw.DeviceSpec) Config {
@@ -250,24 +276,14 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 			}
 		},
 	}
-	builds := []func() *nnet.Net{
-		func() *nnet.Net { return nnet.AlexNet(200) },
-		func() *nnet.Net { return nnet.ResNet(50, 16) },
-	}
-	for name, flags := range flagEquivalents {
-		for _, build := range builds {
-			net := build()
-			managed, err := Run(build(), Config{Manager: name, Device: hw.TeslaK40c})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", name, net.Name, err)
-			}
-			seed, err := Run(build(), flags(hw.TeslaK40c))
-			if err != nil {
-				t.Fatalf("flags for %s on %s: %v", name, net.Name, err)
-			}
-			if !reflect.DeepEqual(managed, seed) {
-				t.Errorf("%s on %s: managed Result differs from seed executor's", name, net.Name)
-			}
+	for _, name := range Names() {
+		flags, ok := flagEquivalents[name]
+		if !ok {
+			t.Errorf("manager %q has no flag equivalent", name)
+			continue
+		}
+		if got, want := mustManager(name), flags(hw.TeslaK40c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Config %+v, want %+v", name, got, want)
 		}
 	}
 }
@@ -277,7 +293,7 @@ func TestManagersMatchSeedExecutor(t *testing.T) {
 // larger workloads than vDNN, which beats the naive baseline.
 func TestManagerCapacityOrdering(t *testing.T) {
 	fits := func(manager string, batch int) bool {
-		_, err := Run(nnet.ResNet(50, batch), Config{Manager: manager, Device: hw.TeslaK40c})
+		_, err := Run(nnet.ResNet(50, batch), mustManager(manager))
 		if err != nil && !errors.Is(err, ErrOutOfMemory) {
 			t.Fatalf("%s: %v", manager, err)
 		}

@@ -6,14 +6,13 @@
 // Tensor Cache, Cost-Aware Recomputation and the dynamic convolution
 // workspace — driven by one step loop.
 //
-// Config.Manager selects the policy: the empty name interprets the
-// technique flags literally (how the ablation studies toggle
-// individual mechanisms), while named managers ("superneurons",
-// "vdnn", "naive", the framework models) replace them with a donor
-// configuration. Every run executes the same mechanisms, so every
-// capacity and speed comparison in the evaluation, including the
-// competing frameworks' models (internal/policy), isolates exactly
-// the policy difference.
+// A run executes exactly the Config it is given. The named memory
+// managers ("superneurons", "vdnn", "naive" and the framework models)
+// are donor Configs that ManagerConfig returns; the ablation studies
+// toggle individual mechanisms on a bare Config instead. Every run
+// executes the same mechanisms, so every capacity and speed comparison
+// in the evaluation, including the competing frameworks' models
+// (internal/policy), isolates exactly the policy difference.
 package core
 
 import (
@@ -32,10 +31,7 @@ var ErrOutOfMemory = gpumem.ErrOutOfMemory
 // Run simulates cfg.Iterations training iterations of net and returns
 // the profile of the last one.
 func Run(net *nnet.Net, cfg Config) (*Result, error) {
-	cfg, err := normalize(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
-	}
+	cfg = cfg.withDefaults()
 	p := program.BuildWith(net, program.Options{InPlaceAct: cfg.InPlaceAct})
 	rt := newRunState(p, cfg)
 	if err := rt.run(); err != nil {

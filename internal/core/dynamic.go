@@ -65,7 +65,6 @@ type IterationProfile struct {
 // DynamicResult aggregates a dynamic run.
 type DynamicResult struct {
 	Network  string
-	Manager  string
 	Adaptive bool
 	Schedule []int
 
@@ -91,10 +90,7 @@ type DynamicResult struct {
 // build constructs the network at a given batch size — nnet.ByName
 // provides one for every registered architecture.
 func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
-	cfg, err := normalize(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+	cfg = cfg.withDefaults()
 	sched := workload.Schedule(cfg.BatchSchedule)
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("core: dynamic run: %w", err)
@@ -112,7 +108,6 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 	}
 
 	res := &DynamicResult{
-		Manager:  cfg.Manager,
 		Adaptive: cfg.AdaptivePlan,
 		Schedule: append([]int(nil), sched...),
 	}

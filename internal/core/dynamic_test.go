@@ -162,9 +162,7 @@ func TestRunDynamicValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "schedule") {
 		t.Errorf("empty schedule not rejected: %v", err)
 	}
-	cfg.BatchSchedule = []int{16}
-	cfg.Manager = "does-not-exist"
-	if _, err := core.RunDynamic(resnet50, cfg); err == nil ||
+	if _, err := core.ManagerConfig("does-not-exist", hw.TeslaK40c); err == nil ||
 		!strings.Contains(err.Error(), "unknown memory manager") {
 		t.Errorf("unknown manager not rejected: %v", err)
 	}
@@ -178,13 +176,13 @@ func TestRunDynamicValidation(t *testing.T) {
 func TestAdaptivePlanRunsUnderEveryManager(t *testing.T) {
 	for _, name := range core.Names() {
 		t.Run(name, func(t *testing.T) {
-			cfg := core.Config{
-				Manager:       name,
-				Device:        hw.TeslaK40c,
-				PoolBytes:     2600 * hw.MiB,
-				BatchSchedule: workload.DynamicSchedules["ramp50"],
-				AdaptivePlan:  true,
+			cfg, err := core.ManagerConfig(name, hw.TeslaK40c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cfg.PoolBytes = 2600 * hw.MiB
+			cfg.BatchSchedule = workload.DynamicSchedules["ramp50"]
+			cfg.AdaptivePlan = true
 			if _, err := core.RunDynamic(resnet50, cfg); err != nil && !errors.Is(err, core.ErrOutOfMemory) {
 				t.Errorf("adaptive run failed: %v", err)
 			}

@@ -44,15 +44,18 @@ func goldenCases() []goldenCase {
 		for _, n := range nets {
 			for _, b := range n.batches {
 				build, b := n.build, b
+				cfg := mustManager(mgr)
+				cfg.CollectTrace = true
 				out = append(out, goldenCase{
 					name: fmt.Sprintf("%s/%s/%d", mgr, n.name, b),
 					net:  func() *nnet.Net { return build(b) },
-					cfg:  Config{Manager: mgr, Device: hw.TeslaK40c, CollectTrace: true},
+					cfg:  cfg,
 				})
 			}
 		}
 	}
-	evict := Config{Manager: "superneurons", Device: hw.TeslaK40c, PoolBytes: 2200 * hw.MiB, CollectTrace: true}
+	evict := SuperNeurons(hw.TeslaK40c)
+	evict.PoolBytes, evict.CollectTrace = 2200*hw.MiB, true
 	autotune := SuperNeurons(hw.TeslaK40c)
 	autotune.AutotuneConv, autotune.CollectTrace = true, true
 	out = append(out,

@@ -10,28 +10,6 @@ import (
 	"repro/internal/utp"
 )
 
-// policyOf returns a normalize func that takes the donor constructor's
-// configuration as the complete policy surface — the donor is the
-// single source of truth for the technique flags — and carries over
-// only the capacity and instrumentation fields of the incoming Config.
-// Any technique flag the caller set (including ones added in the
-// future) is therefore owned, and overridden, by the manager.
-func policyOf(donor func(hw.DeviceSpec) Config) func(Config) Config {
-	return func(cfg Config) Config {
-		out := donor(cfg.Device)
-		out.Manager = cfg.Manager
-		out.PoolBytes = cfg.PoolBytes
-		out.HostBytes = cfg.HostBytes
-		out.ExternalPools = cfg.ExternalPools
-		out.Iterations = cfg.Iterations
-		out.BatchSchedule = cfg.BatchSchedule
-		out.AdaptivePlan = cfg.AdaptivePlan
-		out.CollectTrace = cfg.CollectTrace
-		out.SGDUpdate = cfg.SGDUpdate
-		return out
-	}
-}
-
 // Donor configurations for the framework policy models (§2.2, §4.2 of
 // the paper); SuperNeurons and Baseline in config.go serve the same
 // role for the paper's runtime and the naive baseline.
@@ -103,43 +81,42 @@ func tensorFlowSwapConfig(d hw.DeviceSpec) Config {
 	return c
 }
 
-// managers maps each manager name to the policy it imposes on a
-// Config. "custom" is the identity: it interprets the technique flags
-// literally. Every other row is a donor configuration that owns them.
-var managers = map[string]func(Config) Config{
-	"custom": func(cfg Config) Config { return cfg },
+// managers maps each manager name to the configuration it runs.
+// "custom" is the bare device: every technique off, for the caller to
+// switch on flag by flag (how the ablation studies toggle individual
+// mechanisms). Every other row is a donor configuration.
+var managers = map[string]func(hw.DeviceSpec) Config{
+	"custom": func(d hw.DeviceSpec) Config { return Config{Device: d} },
 	// The paper's full runtime.
-	"superneurons": policyOf(SuperNeurons),
+	"superneurons": SuperNeurons,
 	// The offload-everything baseline.
-	"vdnn": policyOf(vdnnConfig),
+	"vdnn": vdnnConfig,
 	// The naive keep-everything baseline (peak = Σ l_i^f + Σ l_i^b).
-	"naive": policyOf(Baseline),
+	"naive": Baseline,
 	// The framework comparison models.
-	"caffe":           policyOf(caffeConfig),
-	"torch":           policyOf(torchConfig),
-	"mxnet":           policyOf(mxnetConfig),
-	"tensorflow":      policyOf(tensorFlowConfig),
-	"tensorflow-swap": policyOf(tensorFlowSwapConfig),
+	"caffe":           caffeConfig,
+	"torch":           torchConfig,
+	"mxnet":           mxnetConfig,
+	"tensorflow":      tensorFlowConfig,
+	"tensorflow-swap": tensorFlowSwapConfig,
 }
 
-// normalize resolves the configuration a run executes: cfg.Manager's
-// policy ("" selects "custom"), then the defaults. Named managers own
-// the technique flags and override them, while capacity and
-// instrumentation fields (device, pool sizes, iterations, tracing)
-// pass through. An unknown name is an error listing Names().
-func normalize(cfg Config) (Config, error) {
-	name := cfg.Manager
+// ManagerConfig returns the named manager's configuration on the
+// device ("" selects "custom"). The result is an ordinary Config: a
+// field the caller sets on it afterwards takes effect. An unknown name
+// is an error listing Names().
+func ManagerConfig(name string, d hw.DeviceSpec) (Config, error) {
 	if name == "" {
 		name = "custom"
 	}
-	policy, ok := managers[name]
+	donor, ok := managers[name]
 	if !ok {
-		return Config{}, fmt.Errorf("unknown memory manager %q (have %s)", cfg.Manager, strings.Join(Names(), ", "))
+		return Config{}, fmt.Errorf("unknown memory manager %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	return policy(cfg).withDefaults(), nil
+	return donor(d), nil
 }
 
-// Names returns the manager names Config.Manager accepts, sorted.
+// Names returns the manager names ManagerConfig accepts, sorted.
 func Names() []string {
 	out := make([]string, 0, len(managers))
 	for n := range managers {

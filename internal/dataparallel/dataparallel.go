@@ -182,19 +182,3 @@ func Run(build nnet.BuilderFunc, perGPUBatch int, cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
-
-// Scaling sweeps the replica count and returns one Result per entry
-// of counts, sharing the per-GPU configuration.
-func Scaling(build nnet.BuilderFunc, perGPUBatch int, cfg Config, counts []int) ([]*Result, error) {
-	out := make([]*Result, len(counts))
-	for i, k := range counts {
-		c := cfg
-		c.Replicas = k
-		r, err := Run(build, perGPUBatch, c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}

@@ -95,19 +95,6 @@ type Grant struct {
 	SharedBytes int64
 }
 
-// Ladder levels the planner may direct its clients toward; they mirror
-// core's adaptive plan-aggressiveness ladder.
-const (
-	// DirectiveNone leaves the client's own plan alone.
-	DirectiveNone = 0
-	// DirectiveOffload asks the client to run at least the
-	// offload+prefetch level.
-	DirectiveOffload = 2
-	// DirectiveRecompute asks for the widest plan including
-	// recomputation.
-	DirectiveRecompute = 3
-)
-
 // Planner owns one device's co-tenancy plan: the member demands, the
 // shared-slab accounting, the spill-pool allocation and the derived
 // reservation requirement.
@@ -126,7 +113,6 @@ type planState struct {
 	spillUsed   int64
 	slabBytes   int64
 	sharedSaved int64
-	stats       tcache.SharedStats
 	grants      map[string]Grant
 	feasible    bool
 }
@@ -194,7 +180,6 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 		sharedOf[i] = lifted
 	}
 	st.sharedSaved = reg.SavedBytes()
-	st.stats = reg.Stats()
 
 	// Pass 2: spill selection. Start with every floor resident;
 	// requirement R = slab + max_j (effPeak_j + Σ floors of the OTHER
@@ -371,38 +356,6 @@ func (p *Planner) Release(job string) error {
 	return nil
 }
 
-// Observe updates a member's measured demand (peak and spill traffic
-// from a completed iteration) and replans; it reports whether the
-// member's grant changed. Measured peaks come from the deterministic
-// virtual-time simulation, so observation never breaks replay
-// identity. Unlike Admit, Observe tolerates an infeasible replan — a
-// running co-tenancy cannot be un-admitted here; the pressure shows up
-// in Directive instead.
-func (p *Planner) Observe(job string, peakBytes, spillBytes int64) (bool, error) {
-	i := p.find(job)
-	if i < 0 {
-		return false, fmt.Errorf("memplan: observe of unknown job %s", job)
-	}
-	m := p.members[i]
-	if peakBytes > 0 {
-		m.PeakBytes = peakBytes
-		if m.FloorBytes > m.PeakBytes {
-			m.PeakBytes = m.FloorBytes
-		}
-	}
-	if spillBytes >= 0 {
-		m.SpillBytes = spillBytes
-	}
-	if m.PeakBytes == p.members[i].PeakBytes && m.SpillBytes == p.members[i].SpillBytes {
-		// No scalar change: the replan would be identical.
-		return false, nil
-	}
-	before := p.state.grants[job]
-	p.members[i] = m
-	p.state = plan(p.members, p.cap, p.spillCap, p.link)
-	return p.state.grants[job] != before, nil
-}
-
 // Requirement is the device-wide GPU reservation the current plan
 // needs: the shared slabs plus the worst case over the running member.
 func (p *Planner) Requirement() int64 { return p.state.requirement }
@@ -413,9 +366,6 @@ func (p *Planner) SpillUsed() int64 { return p.state.spillUsed }
 // SharedSavedBytes is the capacity cross-job slab sharing avoided
 // reserving twice.
 func (p *Planner) SharedSavedBytes() int64 { return p.state.sharedSaved }
-
-// SharedStats exposes the slab registry counters of the current plan.
-func (p *Planner) SharedStats() tcache.SharedStats { return p.state.stats }
 
 // Tenants is the member count.
 func (p *Planner) Tenants() int { return len(p.members) }
@@ -430,46 +380,4 @@ func (p *Planner) Grant(job string) (Grant, bool) {
 // (zero for resident members and unknown jobs).
 func (p *Planner) SwapPenalty(job string) sim.Duration {
 	return p.state.grants[job].SwapPenalty
-}
-
-// Directive is the planner's global offload/prefetch ordering applied
-// to one client: the minimum plan-aggressiveness level the device's
-// pressure demands of it. Spilled members escalate first (their floor
-// already lives on the host; wider offload is nearly free for them),
-// then — under high pressure — every member. The thresholds are
-// deterministic functions of the plan state.
-func (p *Planner) Directive(job string) int {
-	g, ok := p.state.grants[job]
-	if !ok {
-		return DirectiveNone
-	}
-	var headroomFrac float64 = 1
-	if p.cap > 0 {
-		headroomFrac = 1 - float64(p.state.requirement)/float64(p.cap)
-	}
-	spillFrac := 0.0
-	if p.spillCap > 0 {
-		spillFrac = float64(p.state.spillUsed) / float64(p.spillCap)
-	}
-	high := !p.state.feasible || headroomFrac < 0.05 || spillFrac > 0.90
-	mid := headroomFrac < 0.15 || spillFrac > 0.70
-	switch {
-	case high && g.SpilledBytes > 0:
-		return DirectiveRecompute
-	case high, mid && g.SpilledBytes > 0:
-		return DirectiveOffload
-	case mid && len(p.members) > 1:
-		return DirectiveOffload
-	}
-	return DirectiveNone
-}
-
-// IsolatedRequirement is what admission-by-isolation would reserve for
-// the same member set: the sum of solo peaks. The ablation metric.
-func (p *Planner) IsolatedRequirement() int64 {
-	var sum int64
-	for _, m := range p.members {
-		sum += m.PeakBytes
-	}
-	return sum
 }

@@ -44,10 +44,7 @@ func TestAdmitBeatsIsolatedReservation(t *testing.T) {
 	if got, want := p.Requirement(), 8*gib; got != want {
 		t.Fatalf("requirement %d, want %d", got, want)
 	}
-	if iso := p.IsolatedRequirement(); iso != 14*gib {
-		t.Fatalf("isolated requirement %d, want %d", iso, 14*gib)
-	}
-	if p.Requirement() >= p.IsolatedRequirement() {
+	if p.Requirement() >= 14*gib {
 		t.Fatal("co-tenant plan should undercut sum-of-isolated-peaks")
 	}
 }
@@ -247,65 +244,6 @@ func TestReleaseRestoresHeadroom(t *testing.T) {
 	}
 	if err := p.Release("a"); err == nil {
 		t.Fatal("double release should fail")
-	}
-}
-
-func TestObserveReplans(t *testing.T) {
-	p := mustPlanner(t, 12, 16)
-	if _, err := p.Admit(demand("a", 5, 1)); err != nil {
-		t.Fatal(err)
-	}
-	changed, err := p.Observe("a", 5*gib, 0)
-	if err != nil || changed {
-		t.Fatalf("no-op observe: changed=%v err=%v", changed, err)
-	}
-	// A measured peak above capacity must not panic or evict — the
-	// pressure surfaces through Directive instead.
-	if _, err := p.Observe("a", 13*gib, 0); err != nil {
-		t.Fatal(err)
-	}
-	if p.Requirement() <= 12*gib {
-		t.Fatalf("requirement %d should reflect the measured over-peak", p.Requirement())
-	}
-	if d := p.Directive("a"); d < DirectiveOffload {
-		t.Fatalf("directive %d under infeasible pressure, want ≥ %d", d, DirectiveOffload)
-	}
-	if _, err := p.Observe("ghost", gib, 0); err == nil {
-		t.Fatal("observing an unknown job should fail")
-	}
-}
-
-func TestDirectiveEscalatesSpilledFirst(t *testing.T) {
-	// Fill the device so one tenant spills and headroom is thin: the
-	// spilled tenant must be directed at least as aggressively as the
-	// residents.
-	p := mustPlanner(t, 12, 16)
-	for i := 0; i < 5; i++ {
-		if _, err := p.Admit(demand(fmt.Sprintf("j%d", i), 6, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var spilledDir, residentDir = -1, -1
-	for i := 0; i < 5; i++ {
-		j := fmt.Sprintf("j%d", i)
-		g, _ := p.Grant(j)
-		d := p.Directive(j)
-		if g.SpilledBytes > 0 {
-			if spilledDir == -1 || d < spilledDir {
-				spilledDir = d
-			}
-		} else if residentDir == -1 || d > residentDir {
-			residentDir = d
-		}
-	}
-	if spilledDir == -1 {
-		t.Fatal("expected at least one spilled tenant")
-	}
-	if residentDir >= 0 && spilledDir < residentDir {
-		t.Fatalf("spilled tenants directed at %d, residents at %d", spilledDir, residentDir)
-	}
-	if p.Directive("ghost") != DirectiveNone {
-		t.Fatal("unknown jobs get no directive")
 	}
 }
 

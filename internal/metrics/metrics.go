@@ -31,11 +31,6 @@ func NewTable(title string, header ...string) *Table {
 // Add appends one row; missing cells render empty.
 func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Addf appends one row of formatted values.
-func (t *Table) Addf(format string, args ...any) {
-	t.Add(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	cols := len(t.Header)
@@ -167,36 +162,6 @@ func Chart(title string, series []Series, width, height int) string {
 	fmt.Fprintf(&b, "x: %.6g .. %.6g\n", minX, maxX)
 	for si, s := range series {
 		fmt.Fprintf(&b, "  %c %s\n", marks[si%len(marks)], s.Name)
-	}
-	return b.String()
-}
-
-// Bars renders a one-line-per-item horizontal bar chart scaled to the
-// largest value.
-func Bars(title string, labels []string, values []float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, v := range values {
-		n := int(v / maxV * float64(width))
-		fmt.Fprintf(&b, "%-*s |%s %.4g\n", maxLabel, labels[i], strings.Repeat("#", n), v)
 	}
 	return b.String()
 }

@@ -24,14 +24,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableAddf(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.Addf("%d|%s", 7, "x")
-	if tb.Rows[0][0] != "7" || tb.Rows[0][1] != "x" {
-		t.Errorf("Addf rows = %v", tb.Rows)
-	}
-}
-
 func TestCSVEscaping(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.Add(`he said "hi"`, "x,y")
@@ -84,16 +76,6 @@ func TestCSVPropagatesWriteError(t *testing.T) {
 	}
 }
 
-func TestBarsUntitled(t *testing.T) {
-	out := Bars("", []string{"a"}, []float64{3}, 4)
-	if strings.HasPrefix(out, "\n") {
-		t.Errorf("untitled bars start with a blank line: %q", out)
-	}
-	if !strings.Contains(out, "####") {
-		t.Errorf("full-scale bar missing: %q", out)
-	}
-}
-
 func TestChartContainsAllSeries(t *testing.T) {
 	s := []Series{
 		{Name: "up", X: []float64{0, 1, 2}, Y: []float64{0, 1, 2}},
@@ -115,23 +97,5 @@ func TestChartDegenerateRanges(t *testing.T) {
 	out := Chart("flat", []Series{{Name: "c", X: []float64{1}, Y: []float64{5}}}, 3, 2)
 	if out == "" {
 		t.Fatal("degenerate chart must still render")
-	}
-}
-
-func TestBars(t *testing.T) {
-	out := Bars("b", []string{"x", "yy"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("bars lines = %d", len(lines))
-	}
-	if strings.Count(lines[2], "#") != 10 || strings.Count(lines[1], "#") != 5 {
-		t.Errorf("bar scaling wrong:\n%s", out)
-	}
-}
-
-func TestBarsAllZero(t *testing.T) {
-	out := Bars("z", []string{"a"}, []float64{0}, 10)
-	if strings.Contains(out, "#") {
-		t.Error("zero bars must be empty")
 	}
 }

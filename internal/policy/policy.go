@@ -34,8 +34,8 @@ import (
 // Framework names a memory policy. Configs returns the runtime
 // configurations tried in order until one fits — TensorFlow's memory
 // optimizer, for instance, only inserts swap nodes when the plain
-// execution would not fit. Every configuration names an
-// internal/core manager, so the comparisons run the managers' donor
+// execution would not fit. Every configuration is an internal/core
+// manager's Config, so the comparisons run the managers' donor
 // policies rather than ad-hoc flag combinations.
 type Framework struct {
 	Name    string
@@ -46,12 +46,17 @@ type Framework struct {
 func (f Framework) Config(d hw.DeviceSpec) core.Config { return f.Configs(d)[0] }
 
 // managed returns a Configs func routing to the named core managers
-// in fallback order.
+// in fallback order. The names are fixed at package level, so an
+// unknown one is a programming error and panics.
 func managed(managers ...string) func(d hw.DeviceSpec) []core.Config {
 	return func(d hw.DeviceSpec) []core.Config {
 		out := make([]core.Config, len(managers))
 		for i, m := range managers {
-			out[i] = core.Config{Manager: m, Device: d}
+			cfg, err := core.ManagerConfig(m, d)
+			if err != nil {
+				panic(err)
+			}
+			out[i] = cfg
 		}
 		return out
 	}
@@ -112,13 +117,6 @@ func run(f Framework, net *nnet.Net, d hw.DeviceSpec) (*core.Result, int, error)
 		}
 	}
 	return nil, 0, nil
-}
-
-// Trainable reports whether the framework can run one training
-// iteration of the network on the device. Non-OOM errors propagate.
-func Trainable(f Framework, net *nnet.Net, d hw.DeviceSpec) (bool, error) {
-	r, _, err := run(f, net, d)
-	return r != nil, err
 }
 
 // MaxBatch returns the largest batch in [1, hi] the framework can

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -21,18 +23,32 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestTrainable checks run's fallback chain: a fitting framework
+// returns a result, and one whose every configuration runs out of
+// memory returns none without an error.
 func TestTrainable(t *testing.T) {
-	ok, err := Trainable(SuperNeurons, nnet.AlexNet(32), hw.TeslaK40c)
-	if err != nil || !ok {
-		t.Fatalf("AlexNet b32 must train: ok=%v err=%v", ok, err)
+	r, _, err := run(SuperNeurons, nnet.AlexNet(32), hw.TeslaK40c)
+	if err != nil || r == nil {
+		t.Fatalf("AlexNet b32 must train: r=%v err=%v", r, err)
 	}
-	ok, err = Trainable(Caffe, nnet.ResNet(152, 512), hw.TeslaK40c)
+	r, _, err = run(Caffe, nnet.ResNet(152, 512), hw.TeslaK40c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if r != nil {
 		t.Fatal("Caffe must not fit ResNet-152 at batch 512 in 12 GB")
 	}
+}
+
+// TestManagedPanicsOnUnknownName checks a misspelled manager name in
+// a Framework definition fails loudly instead of running a zero Config.
+func TestManagedPanicsOnUnknownName(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unknown memory manager") {
+			t.Errorf("recovered %v, want an unknown-manager panic", r)
+		}
+	}()
+	managed("superneurons", "does-not-exist")(hw.TeslaK40c)
 }
 
 func TestMaxBatchOrdering(t *testing.T) {

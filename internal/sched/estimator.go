@@ -108,8 +108,12 @@ func DryRun(network string, batch int, manager string, d hw.DeviceSpec) (core.Es
 	if batch <= 0 {
 		return core.Estimate{}, fmt.Errorf("sched: batch must be positive, got %d", batch)
 	}
+	cfg, err := core.ManagerConfig(manager, d)
+	if err != nil {
+		return core.Estimate{}, fmt.Errorf("sched: %w", err)
+	}
 	net := b(batch)
-	r, err := core.Run(net, core.Config{Manager: manager, Device: d})
+	r, err := core.Run(net, cfg)
 	if err != nil {
 		return core.Estimate{}, err
 	}

@@ -256,16 +256,7 @@ type exec struct {
 }
 
 func newExec(c Cluster, p Policy, est *Estimator) (*exec, error) {
-	if c.Devices <= 0 {
-		return nil, fmt.Errorf("sched: cluster needs at least one device, got %d", c.Devices)
-	}
-	if c.Device.UsableBytes <= 0 {
-		return nil, fmt.Errorf("sched: device %q has no usable memory", c.Device.Name)
-	}
-	if p.Less == nil {
-		return nil, fmt.Errorf("sched: policy %q has no queue order", p.Name)
-	}
-	if err := c.Faults.Validate(c.Devices); err != nil {
+	if err := validate(c, p); err != nil {
 		return nil, err
 	}
 	if est == nil {

@@ -74,8 +74,10 @@ type Job struct {
 	// interconnect tier inside the placed gang.
 	GPUs int
 	// Manager names the internal/core policy the job trains under
-	// ("superneurons", "vdnn", "naive", ...; empty runs the
-	// flag-driven default, the naive baseline).
+	// ("superneurons", "vdnn", "naive", ...). Empty selects "custom",
+	// the bare device: every technique is off, the memory pool
+	// included, so allocations pay the cudaMalloc cost model and
+	// iterations run slower than under "naive".
 	Manager string
 	// Priority orders jobs under the priority policy; higher is more
 	// important.
@@ -267,19 +269,26 @@ func (s *Scheduler) SetLogger(lg *slog.Logger) { s.lg = lg }
 // NewScheduler returns a scheduler placing jobs on the cluster under
 // the policy.
 func NewScheduler(c Cluster, p Policy) (*Scheduler, error) {
-	if c.Devices <= 0 {
-		return nil, fmt.Errorf("sched: cluster needs at least one device, got %d", c.Devices)
-	}
-	if c.Device.UsableBytes <= 0 {
-		return nil, fmt.Errorf("sched: device %q has no usable memory", c.Device.Name)
-	}
-	if p.Less == nil {
-		return nil, fmt.Errorf("sched: policy %q has no queue order", p.Name)
-	}
-	if err := c.Faults.Validate(c.Devices); err != nil {
+	if err := validate(c, p); err != nil {
 		return nil, err
 	}
 	return &Scheduler{cluster: c, policy: p, est: NewEstimator()}, nil
+}
+
+// validate checks a cluster and policy can schedule at all: devices
+// with usable memory, a queue order, and a fault plan that names only
+// the cluster's devices.
+func validate(c Cluster, p Policy) error {
+	if c.Devices <= 0 {
+		return fmt.Errorf("sched: cluster needs at least one device, got %d", c.Devices)
+	}
+	if c.Device.UsableBytes <= 0 {
+		return fmt.Errorf("sched: device %q has no usable memory", c.Device.Name)
+	}
+	if p.Less == nil {
+		return fmt.Errorf("sched: policy %q has no queue order", p.Name)
+	}
+	return c.Faults.Validate(c.Devices)
 }
 
 // Estimator exposes the scheduler's dry-run memo, so callers replaying

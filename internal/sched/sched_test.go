@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -185,6 +186,20 @@ func TestSchedulerValidation(t *testing.T) {
 	if _, err := s.Run([]Job{{ID: "x", Network: "NoSuchNet", Batch: 1, Iterations: 1}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown network") {
 		t.Errorf("unknown network not reported: %v", err)
+	}
+}
+
+// TestDryRunUnknownManager checks an unknown manager name fails the
+// dry run with an error that lists every manager.
+func TestDryRunUnknownManager(t *testing.T) {
+	_, err := DryRun("AlexNet", 32, "nope", hw.TeslaK40c)
+	if err == nil || !strings.Contains(err.Error(), `unknown memory manager "nope"`) {
+		t.Fatalf("err = %v, want an unknown-manager error", err)
+	}
+	for _, n := range core.Names() {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("error %q does not list %q", err, n)
+		}
 	}
 }
 

@@ -190,7 +190,9 @@ type SubmitRequest struct {
 	// schedule in the compact trace syntax ("16x2,32"); it overrides
 	// Batch.
 	Schedule string `json:"schedule,omitempty"`
-	// Manager names the memory manager (empty: the default).
+	// Manager names the memory manager. Empty selects "custom", the
+	// bare device with every technique off, the memory pool included
+	// (not the "naive" baseline).
 	Manager string `json:"manager,omitempty"`
 	// Priority orders jobs under the priority policy.
 	Priority int `json:"priority,omitempty"`

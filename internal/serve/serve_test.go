@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -127,6 +128,13 @@ func TestSubmitValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := s.Submit(c.req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", c.name, err)
+		}
+	}
+	// The unknown-manager error names every manager the service accepts.
+	_, err := s.Submit(SubmitRequest{Network: "AlexNet", Batch: 4, Manager: "nope"})
+	for _, n := range core.Names() {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("error %q does not list %q", err, n)
 		}
 	}
 	if _, err := s.Submit(small("t", "dup")); err != nil {

@@ -65,17 +65,6 @@ func (e Event) At() Time { return e.at }
 // the analogue of cudaEventQuery.
 func (e Event) DoneBy(now Time) bool { return e.at <= now }
 
-// MaxEvent returns the event that completes last.
-func MaxEvent(events ...Event) Event {
-	var m Event
-	for _, e := range events {
-		if e.at > m.at {
-			m = e
-		}
-	}
-	return m
-}
-
 // Engine is a serially-executing resource: the GPU compute engine or a
 // DMA copy engine. Tasks submitted to an engine run one at a time in
 // submission order.

@@ -89,18 +89,6 @@ func TestWaitAll(t *testing.T) {
 	}
 }
 
-func TestMaxEvent(t *testing.T) {
-	e := NewEngine("x")
-	e1 := e.Submit(0, 10)
-	e2 := e.Submit(0, 10)
-	if got := MaxEvent(e1, e2); got != e2 {
-		t.Errorf("MaxEvent picked %v, want %v", got, e2)
-	}
-	if got := MaxEvent(); got.At() != 0 {
-		t.Errorf("MaxEvent() = %v, want zero event", got)
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	tl := NewTimeline()
 	e := tl.NewEngine("compute")

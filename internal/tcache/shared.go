@@ -36,14 +36,6 @@ func ShapeKey(n, c, h, w, width int) uint64 {
 	return k
 }
 
-// SharedStats counts registry activity.
-type SharedStats struct {
-	// Reservations counts slabs created (first acquire of a key);
-	// Reuses counts acquires that found an existing slab.
-	Reservations int64
-	Reuses       int64
-}
-
 // slab is one shared reservation: a shape's footprint and how many
 // tenants currently hold it. Same key implies same bytes (the key
 // covers dims and width), so the footprint never changes over a slab's
@@ -56,7 +48,6 @@ type slab struct {
 // Shared is the cross-job reservation registry for one device.
 type Shared struct {
 	slabs map[uint64]slab
-	stats SharedStats
 
 	// reserved is Σ slab bytes (each shape charged once); saved is
 	// Σ (refs-1)×bytes — the capacity co-tenancy did not have to
@@ -85,12 +76,10 @@ func (s *Shared) Acquire(key uint64, bytes int64) (bool, error) {
 		}
 		sl.refs++
 		s.slabs[key] = sl
-		s.stats.Reuses++
 		s.saved += bytes
 		return true, nil
 	}
 	s.slabs[key] = slab{bytes: bytes, refs: 1}
-	s.stats.Reservations++
 	s.reserved += bytes
 	return false, nil
 }
@@ -127,6 +116,3 @@ func (s *Shared) ReservedBytes() int64 { return s.reserved }
 // SavedBytes is the capacity sharing avoided: Σ (holders-1) × bytes
 // over all slabs. With a single tenant it is zero.
 func (s *Shared) SavedBytes() int64 { return s.saved }
-
-// Stats returns a copy of the activity counters.
-func (s *Shared) Stats() SharedStats { return s.stats }

@@ -62,10 +62,6 @@ func TestSharedAcquireReuseRelease(t *testing.T) {
 	if s.Len() != 0 || s.ReservedBytes() != 0 {
 		t.Fatalf("registry not empty after last release: len=%d reserved=%d", s.Len(), s.ReservedBytes())
 	}
-	st := s.Stats()
-	if st.Reservations != 1 || st.Reuses != 1 {
-		t.Fatalf("stats %+v, want 1 reservation / 1 reuse", st)
-	}
 }
 
 func TestSharedErrors(t *testing.T) {

@@ -37,7 +37,9 @@ type TraceJob struct {
 //
 // Blank lines and comment lines starting with '#' are skipped.
 //
-// A manager of "-" means the default (flag-driven) manager. The batch
+// A manager of "-" is the empty name, which selects core's "custom"
+// manager: the bare device with every technique off, the memory pool
+// included (not the "naive" baseline). The batch
 // field accepts the compact schedule syntax ("16x2,32,64x3") to
 // declare a dynamic per-iteration batch schedule. An optional eighth
 // field "gpus=N" declares a multi-GPU gang of N devices. Job IDs

@@ -88,17 +88,19 @@ const (
 func DefaultConfig(d Device) Config { return core.SuperNeurons(d) }
 
 // Managers returns the names of the memory managers (internal/core)
-// Config.Manager accepts. Setting Config.Manager to one of them
-// hands the whole memory policy to that manager — "superneurons" is
-// the paper's runtime, "vdnn" the offload-everything baseline, "naive"
-// keep-everything — while the empty name keeps the flag-driven
-// executor used by the ablation studies.
+// ManagerConfig accepts: "superneurons" is the paper's runtime, "vdnn"
+// the offload-everything baseline, "naive" keep-everything, the
+// framework models mirror Caffe, Torch, MXNet and TensorFlow, and
+// "custom" is the bare device the ablation studies switch techniques
+// on for.
 func Managers() []string { return core.Names() }
 
-// ManagerConfig returns a configuration that delegates the whole
-// memory policy to the named manager on the given device.
-func ManagerConfig(manager string, d Device) Config {
-	return Config{Manager: manager, Device: d}
+// ManagerConfig returns the named manager's configuration on the given
+// device. It is an ordinary Config: a field set on it afterwards takes
+// effect. The empty name selects "custom"; an unknown name is an error
+// listing Managers().
+func ManagerConfig(manager string, d Device) (Config, error) {
+	return core.ManagerConfig(manager, d)
 }
 
 // BaselineConfig returns the naive network-wide allocation strategy
