@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/hw"
 	"repro/internal/recompute"
-	"repro/internal/tcache"
 	"repro/internal/utp"
 )
 
@@ -59,11 +58,10 @@ type Config struct {
 	// Prefetch enables the one-checkpoint-ahead prefetching; without
 	// it offloaded tensors are fetched on demand at first use.
 	Prefetch bool
-	// TensorCache enables the LRU cache (§3.3.2): offloads become
-	// lazy (eviction-driven) instead of eager. CachePolicy selects the
-	// replacement policy (LRU, the paper's choice, by default).
+	// TensorCache enables the LRU Tensor Cache (§3.3.2): offloads
+	// become lazy (eviction-driven) instead of eager, and the least
+	// recently used unlocked tensors are evicted under pressure.
 	TensorCache bool
-	CachePolicy tcache.Policy
 	// Recompute selects the recomputation strategy (§3.4).
 	Recompute recompute.Strategy
 	// DynamicWorkspace enables the per-step convolution algorithm
@@ -78,9 +76,9 @@ type Config struct {
 	WorkspaceLimit int64
 
 	// InPlaceAct shares activation/dropout buffers with their
-	// producers (the Torch-style in-place optimization §2.2 mentions);
-	// meaningful only for framework policy models without
-	// recomputation.
+	// producers (the Torch-style in-place optimization §2.2 mentions).
+	// Under recomputation a replayed in-place member re-runs over its
+	// producer's buffer rather than allocating its own.
 	InPlaceAct bool
 
 	// Iterations is how many training iterations to simulate (the

@@ -7,7 +7,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nnet"
 	"repro/internal/recompute"
-	"repro/internal/tcache"
+	"repro/internal/sim"
 	"repro/internal/utp"
 )
 
@@ -342,30 +342,45 @@ func TestAllArchitecturesRunUnderSuperNeurons(t *testing.T) {
 }
 
 func TestExternalPoolHierarchy(t *testing.T) {
-	// Fig. 7: when local CPU DRAM is exhausted, offloads spill to the
-	// peer GPU's pool over PCIe P2P. Constrain the CPU pool below the
-	// offload volume and verify training still succeeds with a peer.
-	cfg := SuperNeurons(hw.TeslaK40c)
-	cfg.TensorCache = false // eager offloads exercise the hierarchy
-	cfg.HostBytes = 256 * hw.MiB
-	base, err := Run(nnet.AlexNet(200), cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Fig. 7: the Unified Tensor Pool fills its tiers in order. With
+	// only 256 MiB of pinned CPU DRAM some offloads cannot leave the
+	// GPU; each added tier behind a full one must take that spill,
+	// moving more bytes off the device and lowering the peak.
+	run := func(pools ...ExternalPool) *Result {
+		cfg := SuperNeurons(hw.TeslaK40c)
+		cfg.TensorCache = false // eager offloads exercise the hierarchy
+		cfg.HostBytes = 256 * hw.MiB
+		cfg.ExternalPools = pools
+		return mustRun(t, nnet.AlexNet(200), cfg)
 	}
-	cfg.ExternalPools = []ExternalPool{PeerGPUPool(8 * hw.GiB)}
-	peer, err := Run(nnet.AlexNet(200), cfg)
-	if err != nil {
-		t.Fatal(err)
+	cpu := run()
+	peer := run(PeerGPUPool(8 * hw.GiB))
+	fullPeer := run(PeerGPUPool(64 * hw.MiB))
+	remote := run(PeerGPUPool(64*hw.MiB), RemotePool(64*hw.GiB))
+	for _, c := range []struct {
+		name          string
+		before, after *Result
+	}{
+		{"peer behind cpu", cpu, peer},
+		{"remote behind cpu and a full peer", fullPeer, remote},
+	} {
+		if c.after.OffloadBytes <= c.before.OffloadBytes {
+			t.Errorf("%s: the added tier must take more offloads: %d vs %d bytes",
+				c.name, c.after.OffloadBytes, c.before.OffloadBytes)
+		}
+		if c.after.PeakResident >= c.before.PeakResident {
+			t.Errorf("%s: the added tier must lower the peak: %d vs %d bytes",
+				c.name, c.after.PeakResident, c.before.PeakResident)
+		}
 	}
-	// With only 256 MiB of pinned CPU RAM some offloads could not
-	// leave the GPU; the peer pool absorbs them, lowering the peak.
-	if peer.PeakResident >= base.PeakResident {
-		t.Errorf("peer pool should absorb spilled offloads: %d vs %d",
-			peer.PeakResident, base.PeakResident)
+	// The same offload volume costs more over RDMA than over PCIe P2P
+	// to a peer large enough to hold all of it.
+	if remote.OffloadBytes != peer.OffloadBytes {
+		t.Fatalf("offload volumes differ: remote %d vs peer %d bytes", remote.OffloadBytes, peer.OffloadBytes)
 	}
-	if peer.OffloadBytes <= base.OffloadBytes {
-		t.Errorf("more offloads must proceed with the peer pool: %d vs %d",
-			peer.OffloadBytes, base.OffloadBytes)
+	if remote.Throughput >= peer.Throughput {
+		t.Errorf("spilling to the remote tier should be slower: %.1f vs %.1f img/s",
+			remote.Throughput, peer.Throughput)
 	}
 }
 
@@ -413,23 +428,6 @@ func TestTraceCollection(t *testing.T) {
 	cfg.CollectTrace = false
 	if r := mustRun(t, nnet.AlexNet(64), cfg); len(r.Trace) != 0 {
 		t.Error("spans collected without CollectTrace")
-	}
-}
-
-func TestCachePolicyAblation(t *testing.T) {
-	// Under pressure, LRU must not move more eviction traffic than
-	// MRU: back-propagation reuses the most recent tensors first, the
-	// paper's argument for LRU (§3.3.2).
-	traffic := func(p tcache.Policy) int64 {
-		cfg := SuperNeurons(hw.TeslaK40c)
-		cfg.PoolBytes = 2200 * hw.MiB
-		cfg.CachePolicy = p
-		r := mustRun(t, nnet.AlexNet(300), cfg)
-		return r.OffloadBytes
-	}
-	lru, mru := traffic(tcache.LRU), traffic(tcache.MRU)
-	if lru > mru {
-		t.Errorf("LRU traffic %d exceeds MRU %d; recency should win", lru, mru)
 	}
 }
 
@@ -501,5 +499,42 @@ func TestAutotuneConvergesAndCaches(t *testing.T) {
 	if first.IterTime <= r.IterTime {
 		t.Errorf("first (probing) iteration %v must exceed steady state %v",
 			first.IterTime, r.IterTime)
+	}
+}
+
+func TestPrefetchLowersIterTime(t *testing.T) {
+	// §3.3.1: prefetching one checkpoint ahead overlaps the H2D copies
+	// with backward compute; without it every offloaded tensor is
+	// fetched on demand at its first use.
+	iter := func(prefetch bool) sim.Duration {
+		cfg := SuperNeurons(hw.TeslaK40c)
+		cfg.TensorCache = false // eager offloads, so backward must fetch
+		cfg.Prefetch = prefetch
+		return mustRun(t, nnet.VGG16(64), cfg).IterTime
+	}
+	on, off := iter(true), iter(false)
+	if on >= off {
+		t.Errorf("prefetch on %v must beat prefetch off %v", on, off)
+	}
+}
+
+func TestOffloadModesPeakOrder(t *testing.T) {
+	// §3.3.1 offloads CONV outputs; adding the tensors kept across
+	// joins (conv+kept) is what makes a deep ResNet's peak fall below
+	// both CONV-only and TensorFlow-style swap-all.
+	peak := map[utp.Mode]int64{}
+	for _, mode := range []utp.Mode{utp.OffloadNone, utp.OffloadConv, utp.OffloadConvAndKept, utp.OffloadSwapAll} {
+		cfg := SuperNeurons(hw.TeslaK40c)
+		cfg.TensorCache = false
+		cfg.Offload = mode
+		cfg.Prefetch = mode != utp.OffloadNone
+		peak[mode] = mustRun(t, nnet.ResNet(101, 16), cfg).PeakResident
+	}
+	none, conv, kept, swap := peak[utp.OffloadNone], peak[utp.OffloadConv], peak[utp.OffloadConvAndKept], peak[utp.OffloadSwapAll]
+	if !(kept < conv && conv < none) {
+		t.Errorf("want conv+kept < conv < none, got %d, %d, %d bytes", kept, conv, none)
+	}
+	if kept >= swap {
+		t.Errorf("conv+kept peak %d must undercut swap-all %d", kept, swap)
 	}
 }

@@ -2,13 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/nnet"
 	"repro/internal/recompute"
-	"repro/internal/tcache"
 	"repro/internal/utp"
 )
 
@@ -28,7 +28,6 @@ func randomConfig(rng *rand.Rand) Config {
 		cfg.Offload = utp.Mode(rng.Intn(4))
 		cfg.Prefetch = rng.Intn(2) == 0
 		cfg.TensorCache = rng.Intn(2) == 0
-		cfg.CachePolicy = tcache.Policy(rng.Intn(3))
 		cfg.Recompute = recompute.Strategy(rng.Intn(4))
 	}
 	cfg.DynamicWorkspace = rng.Intn(2) == 0
@@ -139,5 +138,46 @@ func TestPageableLinkSlowsOffloading(t *testing.T) {
 	if pageable.Throughput >= pinned.Throughput {
 		t.Errorf("pageable %f must be slower than pinned %f",
 			pageable.Throughput, pinned.Throughput)
+	}
+}
+
+// TestInPlaceActUnderOffloadAndRecompute covers in-place activations
+// combined with eager offload and recomputation: a replayed in-place
+// ReLU writes over its producer's buffer, which the replay has just
+// fetched back, so it must neither allocate a second copy nor let the
+// streaming free drop that buffer behind the replay front. Every
+// strategy that drops tensors, with and without prefetch, must finish
+// without accounting drift and within the peak bounds. Under the CONV
+// offload sets the host copies are the same tensors with and without
+// in-place sharing, so sharing must not add fetch traffic; swap-all
+// offloads an aliased activation once instead of twice, so its
+// traffic is not comparable.
+func TestInPlaceActUnderOffloadAndRecompute(t *testing.T) {
+	for _, mode := range []utp.Mode{utp.OffloadConv, utp.OffloadConvAndKept, utp.OffloadSwapAll} {
+		for _, s := range []recompute.Strategy{recompute.SpeedCentric, recompute.MemoryCentric, recompute.CostAware} {
+			for _, prefetch := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%s/prefetch=%t", mode, s, prefetch)
+				cfg := SuperNeurons(hw.TeslaK40c)
+				cfg.TensorCache = false
+				cfg.Offload, cfg.Recompute, cfg.Prefetch = mode, s, prefetch
+				plain := mustRun(t, nnet.AlexNet(16), cfg)
+				cfg.InPlaceAct = true
+				r, err := Run(nnet.AlexNet(16), cfg)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				if r.ExtraForwards == 0 {
+					t.Errorf("%s: no replays ran", name)
+				}
+				if r.PeakResident < r.LPeak || r.PeakResident > r.BaselineBytes {
+					t.Errorf("%s: peak %d outside [%d, %d]", name, r.PeakResident, r.LPeak, r.BaselineBytes)
+				}
+				if mode != utp.OffloadSwapAll && r.PrefetchBytes > plain.PrefetchBytes {
+					t.Errorf("%s: in-place sharing fetched %d bytes, %d without it",
+						name, r.PrefetchBytes, plain.PrefetchBytes)
+				}
+			}
+		}
 	}
 }

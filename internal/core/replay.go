@@ -125,11 +125,15 @@ func (rt *runState) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[
 			in.Locked = true
 		}
 		rt.deps = deps
-		if err := rt.alloc(out); err != nil {
-			return err
-		}
-		if rt.cache != nil {
-			rt.cache.In(out)
+		// An in-place member (InPlaceAct) writes over its input, which
+		// the loop above has just made resident: nothing to allocate.
+		if !rt.ts[out.ID].onGPU {
+			if err := rt.alloc(out); err != nil {
+				return err
+			}
+			if rt.cache != nil {
+				rt.cache.In(out)
+			}
 		}
 		dur := m.L.FwdTime(rt.cfg.Device, 1.0)
 		ev := rt.compute.Submit(rt.tl.Now(), dur, deps...)
@@ -139,7 +143,7 @@ func (rt *runState) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[
 		for _, pr := range m.Prev {
 			in := rt.p.Out[pr.ID]
 			in.Locked = false
-			if keep == nil || keep[in.ID] {
+			if keep == nil || keep[in.ID] || in == out {
 				continue
 			}
 			// Streaming free: the input is recoverable either from its

@@ -140,7 +140,7 @@ func (rt *runState) bind(p *program.Program, cfg Config) {
 	rt.uplan = utp.BuildPlan(p, cfg.Offload, rt.rplan)
 	rt.segReplayed = make([]bool, len(rt.rplan.Segments))
 	if cfg.TensorCache {
-		rt.cache = tcache.NewWithPolicy(cfg.CachePolicy)
+		rt.cache = tcache.New()
 	} else {
 		rt.cache = nil
 	}

@@ -110,20 +110,21 @@ func TestVDNNWeakOnNonlinearNetworks(t *testing.T) {
 	// §5: vDNN's eager offloading "quickly deteriorates once
 	// computations are inadequate to overlap with communications" on
 	// non-linear networks; SuperNeurons' cache+recompute avoid that.
-	d := hw.TitanXP
-	vdnn, err := Speed(VDNN, nnet.ResNet(50, 32), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := Speed(SuperNeurons, nnet.ResNet(50, 32), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vdnn <= 0 || sn <= 0 {
-		t.Fatalf("speeds: vdnn=%v sn=%v", vdnn, sn)
-	}
-	if sn < 1.2*vdnn {
-		t.Errorf("SuperNeurons (%.1f) should clearly beat vDNN (%.1f) on a non-linear net", sn, vdnn)
+	for _, net := range []*nnet.Net{nnet.ResNet(50, 32), nnet.InceptionV4(16)} {
+		vdnn, err := Speed(VDNN, net, hw.TitanXP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := Speed(SuperNeurons, net, hw.TitanXP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vdnn <= 0 || sn <= 0 {
+			t.Fatalf("%s speeds: vdnn=%v sn=%v", net.Name, vdnn, sn)
+		}
+		if sn < 1.2*vdnn {
+			t.Errorf("SuperNeurons (%.1f) should clearly beat vDNN (%.1f) on %s", sn, vdnn, net.Name)
+		}
 	}
 	// vDNN still buys capacity relative to keep-everything Caffe.
 	caffeMax, err := MaxBatch(Caffe, nnet.ByName("ResNet50"), hw.TeslaK40c, 2048)

@@ -6,6 +6,9 @@
 // working set fits. Tensors locked by an in-flight computation are
 // never eviction candidates.
 //
+// LRU is the only replacement policy. FIFO and MRU were measured
+// against it and dropped; DESIGN.md §2 records the comparison.
+//
 // The cache is pure bookkeeping: the executor owns the memory pool and
 // the DMA engines, and consults the cache for hit/miss decisions and
 // eviction victims.
@@ -22,33 +25,6 @@ type Stats struct {
 	EvictedBytes int64
 }
 
-// Policy selects the replacement policy. The paper adopts LRU because
-// back-propagation's head-to-tail/tail-to-head sweep reuses the most
-// recent tensors first, and notes other policies might fit other
-// access patterns; FIFO and MRU are provided for exactly that ablation
-// (the bench harness compares them under memory pressure).
-type Policy uint8
-
-// Replacement policies.
-const (
-	// LRU evicts the least recently used tensor (Alg. 2).
-	LRU Policy = iota
-	// FIFO evicts in insertion order, ignoring reuse.
-	FIFO
-	// MRU evicts the most recently used tensor first.
-	MRU
-)
-
-var policyNames = [...]string{"lru", "fifo", "mru"}
-
-// String returns the policy name.
-func (p Policy) String() string {
-	if int(p) < len(policyNames) {
-		return policyNames[p]
-	}
-	return "policy(?)"
-}
-
 // node is one entry of the intrusive recency list. Nodes removed from
 // the list are recycled through the cache's spare list (chained via
 // next), so steady-state insert/remove traffic does not allocate.
@@ -63,7 +39,6 @@ type Cache struct {
 	front, back *node
 	index       map[int]*node
 	spare       *node
-	policy      Policy
 	stats       Stats
 
 	// victims is the scratch buffer Victims returns; the caller evicts
@@ -71,17 +46,8 @@ type Cache struct {
 	victims []*tensor.Tensor
 }
 
-// New returns an empty LRU cache (the paper's policy).
-func New() *Cache { return NewWithPolicy(LRU) }
-
-// NewWithPolicy returns an empty cache with the given replacement
-// policy.
-func NewWithPolicy(p Policy) *Cache {
-	return &Cache{index: make(map[int]*node), policy: p}
-}
-
-// Policy returns the cache's replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
+// New returns an empty LRU cache.
+func New() *Cache { return &Cache{index: make(map[int]*node)} }
 
 // Len returns the number of cached tensors.
 func (c *Cache) Len() int { return len(c.index) }
@@ -132,14 +98,11 @@ func (c *Cache) Contains(t *tensor.Tensor) bool {
 }
 
 // Check is Alg. 2's lookup: on a hit the tensor moves to the recency
-// front (unless the policy is FIFO, which ignores reuse) and true is
-// returned; on a miss false is returned and the caller is expected to
-// materialize the tensor and call In.
+// front and true is returned; on a miss false is returned and the
+// caller is expected to materialize the tensor and call In.
 func (c *Cache) Check(t *tensor.Tensor) bool {
 	if e, ok := c.index[t.ID]; ok {
-		if c.policy != FIFO {
-			c.moveToFront(e)
-		}
+		c.moveToFront(e)
 		c.stats.Hits++
 		return true
 	}
@@ -179,28 +142,17 @@ func (c *Cache) Remove(t *tensor.Tensor) {
 	}
 }
 
-// Victims returns the unlocked tensors the policy would evict, whose
-// combined footprint reaches need bytes (Alg. 2's LRU.out scan; LRU
-// and FIFO scan from the recency tail, MRU from the front). The bool
-// reports whether enough unlocked bytes exist; the returned tensors
-// are NOT removed — the caller offloads them and then calls Remove,
-// counting the eviction via Evicted. The returned slice is scratch,
-// valid until the next Victims call.
+// Victims returns the least recently used unlocked tensors whose
+// combined footprint reaches need bytes (Alg. 2's LRU.out scan from
+// the recency tail). The bool reports whether enough unlocked bytes
+// exist; the returned tensors are NOT removed — the caller offloads
+// them and then calls Remove, counting the eviction via Evicted. The
+// returned slice is scratch, valid until the next Victims call.
 func (c *Cache) Victims(need int64) ([]*tensor.Tensor, bool) {
 	victims := c.victims[:0]
 	var freed int64
-	backward := c.policy != MRU
-	start := c.back
-	if !backward {
-		start = c.front
-	}
-	for e := start; e != nil && freed < need; {
+	for e := c.back; e != nil && freed < need; e = e.prev {
 		t := e.t
-		if backward {
-			e = e.prev
-		} else {
-			e = e.next
-		}
 		if t.Locked {
 			continue
 		}

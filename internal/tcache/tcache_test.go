@@ -125,53 +125,6 @@ func TestInUnlocksAndDeduplicates(t *testing.T) {
 	}
 }
 
-func TestFIFOIgnoresReuse(t *testing.T) {
-	c := NewWithPolicy(FIFO)
-	ts := newTensors(3)
-	for _, x := range ts {
-		c.In(x)
-	}
-	if !c.Check(ts[0]) {
-		t.Fatal("FIFO hit lookup broken")
-	}
-	// Despite the hit, ts[0] remains the first-in victim.
-	v, ok := c.Victims(1024)
-	if !ok || v[0] != ts[0] {
-		t.Fatalf("FIFO victim = %v, want first inserted", v)
-	}
-	if c.Policy() != FIFO {
-		t.Error("policy accessor broken")
-	}
-}
-
-func TestMRUEvictsFreshest(t *testing.T) {
-	c := NewWithPolicy(MRU)
-	ts := newTensors(3)
-	for _, x := range ts {
-		c.In(x)
-	}
-	c.Check(ts[1]) // ts[1] becomes MRU
-	v, ok := c.Victims(1024)
-	if !ok || v[0] != ts[1] {
-		t.Fatalf("MRU victim = %v, want most recently used", v)
-	}
-	ts[1].Locked = true
-	v, ok = c.Victims(1024)
-	if !ok || v[0] != ts[2] {
-		t.Fatalf("MRU locked skip broken: %v", v)
-	}
-	ts[1].Locked = false
-}
-
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || FIFO.String() != "fifo" || MRU.String() != "mru" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy must print")
-	}
-}
-
 // Property: after any operation sequence, Victims(need) returns
 // unlocked tensors in strict LRU order with enough combined bytes.
 func TestVictimOrderProperty(t *testing.T) {
