@@ -12,7 +12,6 @@ import (
 	"repro/internal/memplan"
 	"repro/internal/program"
 	"repro/internal/sim"
-	"repro/internal/tcache"
 	"repro/internal/tensor"
 )
 
@@ -124,7 +123,7 @@ func TensorDemands(p *program.Program, topK int) []memplan.TensorDemand {
 		if _, ok := firstStep[t.ID]; !ok {
 			continue // never touched by a step (e.g. recompute-dropped)
 		}
-		key := tcache.ShapeKey(t.Shape.N, t.Shape.C, t.Shape.H, t.Shape.W, tensor.ElemSize)
+		key := memplan.ShapeKey(t.Shape.N, t.Shape.C, t.Shape.H, t.Shape.W, tensor.ElemSize)
 		span := lastStep[t.ID] - firstStep[t.ID]
 		a, ok := byKey[key]
 		if !ok {

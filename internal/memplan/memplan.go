@@ -15,7 +15,7 @@
 //
 //  2. Functional tensor slabs are content-free between uses: a shape
 //     two co-tenants both declare (identical workspace or activation
-//     shapes, keyed shape+dtype via tcache.ShapeKey) needs ONE shared
+//     shapes, keyed shape+dtype via ShapeKey) needs ONE shared
 //     reservation, not one per job — the running job is the only one
 //     with the shape materialized.
 //
@@ -40,13 +40,29 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/sim"
-	"repro/internal/tcache"
 )
+
+// ShapeKey identifies a tensor shape + element byte width. Two tensors
+// with equal keys are interchangeable as reservations: same dims, same
+// dtype width, hence the same footprint. The key is FNV-1a over the
+// dimensions and width, so it is stable across processes and replays.
+func ShapeKey(n, c, h, w, width int) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	k := uint64(offset64)
+	for _, v := range [...]int{n, c, h, w, width} {
+		k ^= uint64(uint32(v))
+		k *= prime64
+	}
+	return k
+}
 
 // TensorDemand is one tensor-granularity demand entry: a shareable
 // functional shape the job materializes every iteration.
 type TensorDemand struct {
-	// Key identifies shape+dtype (tcache.ShapeKey); equal keys mean
+	// Key identifies shape+dtype (ShapeKey); equal keys mean
 	// interchangeable reservations of equal Bytes.
 	Key   uint64
 	Bytes int64
@@ -145,17 +161,27 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 	ordered := append([]Demand(nil), members...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Job < ordered[j].Job })
 
-	// Pass 1: cross-job shared reservations. Every member acquires its
-	// shareable shapes in the registry; shapes held by ≥2 tenants are
+	// Pass 1: cross-job shared reservations. Every member's shareable
+	// shapes are refcounted by key; shapes held by ≥2 tenants are
 	// lifted out of each holder's peak into one device-wide slab
-	// charge.
-	reg := tcache.NewShared()
+	// charge. The first holder's bytes define a key's slab, and a
+	// declaration of the same key at other bytes shares nothing.
+	type slab struct {
+		bytes int64
+		refs  int
+	}
+	slabs := make(map[uint64]slab)
 	for _, m := range ordered {
 		for _, td := range m.Tensors {
-			// Acquire cannot fail here: keys come from ShapeKey so
-			// bytes are consistent per key, and demands are validated
-			// on entry.
-			_, _ = reg.Acquire(td.Key, td.Bytes)
+			sl, ok := slabs[td.Key]
+			switch {
+			case !ok:
+				slabs[td.Key] = slab{bytes: td.Bytes, refs: 1}
+			case sl.bytes == td.Bytes:
+				sl.refs++
+				slabs[td.Key] = sl
+				st.sharedSaved += td.Bytes
+			}
 		}
 	}
 	effPeak := make([]int64, len(ordered))
@@ -164,7 +190,7 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 	for i, m := range ordered {
 		var lifted int64
 		for _, td := range m.Tensors {
-			if reg.Refs(td.Key) >= 2 {
+			if slabs[td.Key].refs >= 2 {
 				lifted += td.Bytes
 				if !slabSeen[td.Key] {
 					slabSeen[td.Key] = true
@@ -179,7 +205,6 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 		effPeak[i] = ep
 		sharedOf[i] = lifted
 	}
-	st.sharedSaved = reg.SavedBytes()
 
 	// Pass 2: spill selection. Start with every floor resident;
 	// requirement R = slab + max_j (effPeak_j + Σ floors of the OTHER

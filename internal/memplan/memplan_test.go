@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/tcache"
 )
 
 const gib = int64(1) << 30
@@ -121,18 +120,30 @@ func TestSpillPoolExhaustionRejects(t *testing.T) {
 func TestCrossJobSharingLiftsCommonShapes(t *testing.T) {
 	// Two tenants declaring the same 2 GiB workspace shape: the shape is
 	// charged once as a device slab and lifted out of both peaks.
-	k := tcache.ShapeKey(32, 64, 56, 56, 4)
-	mk := func(job string) Demand {
+	k := ShapeKey(32, 64, 56, 56, 4)
+	mkBytes := func(job string, bytes int64) Demand {
 		d := demand(job, 6, 1)
-		d.Tensors = []TensorDemand{{Key: k, Bytes: 2 * gib, Width: 4, NextUse: 3}}
+		d.Tensors = []TensorDemand{{Key: k, Bytes: bytes, Width: 4, NextUse: 3}}
 		return d
 	}
+	mk := func(job string) Demand { return mkBytes(job, 2*gib) }
+	// The first holder's bytes define the key's slab: a declaration of
+	// the same key at other bytes shares nothing.
 	p := mustPlanner(t, 16, 0)
 	if _, err := p.Admit(mk("a")); err != nil {
 		t.Fatal(err)
 	}
 	if p.SharedSavedBytes() != 0 {
 		t.Fatal("a single tenant cannot save anything")
+	}
+	if g, ok := p.Headroom(mkBytes("m", gib)); !ok || g != 16*gib-7*gib {
+		t.Fatalf("mismatched-bytes headroom %d (ok=%v), want %d: R = 6 + 1 with no sharing", g, ok, 9*gib)
+	}
+	if g, err := p.Admit(mkBytes("m", gib)); err != nil || g.SharedBytes != 0 || p.SharedSavedBytes() != 0 {
+		t.Fatalf("mismatched bytes shared: grant %+v, saved %d, err %v", g, p.SharedSavedBytes(), err)
+	}
+	if err := p.Release("m"); err != nil {
+		t.Fatal(err)
 	}
 	g, err := p.Admit(mk("b"))
 	if err != nil {
@@ -148,6 +159,24 @@ func TestCrossJobSharingLiftsCommonShapes(t *testing.T) {
 	//   = 2 + (6-2) + 1 = 7 GiB. Without sharing it would be 8 GiB.
 	if got, want := p.Requirement(), 7*gib; got != want {
 		t.Fatalf("requirement %d, want %d", got, want)
+	}
+}
+
+func TestShapeKeyDistinguishesShapeAndWidth(t *testing.T) {
+	a := ShapeKey(32, 3, 224, 224, 4)
+	if b := ShapeKey(32, 3, 224, 224, 4); b != a {
+		t.Fatalf("same shape hashed differently: %#x vs %#x", a, b)
+	}
+	for _, other := range []uint64{
+		ShapeKey(64, 3, 224, 224, 4),
+		ShapeKey(32, 4, 224, 224, 4),
+		ShapeKey(32, 3, 225, 224, 4),
+		ShapeKey(32, 3, 224, 225, 4),
+		ShapeKey(32, 3, 224, 224, 2),
+	} {
+		if other == a {
+			t.Fatalf("distinct shape collided with %#x", a)
+		}
 	}
 }
 

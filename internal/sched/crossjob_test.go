@@ -130,15 +130,15 @@ func TestCrossJobSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 		inc.AdvanceTo(jobs[split].Arrival)
-		snap := EncodeSnapshot(inc)
-		if !strings.Contains(snapText(snap), "\nplan ") {
-			t.Fatalf("split %d: cross-job snapshot carries no plan record", split)
+		snap := mustSnapshot(t, inc)
+		if !strings.Contains(snapText(snap), `"CrossJob":true`) {
+			t.Fatalf("split %d: cross-job snapshot carries no cross-job cluster", split)
 		}
 		restored, err := RestoreIncremental(snap, est)
 		if err != nil {
 			t.Fatalf("split %d: restore: %v", split, err)
 		}
-		if again := EncodeSnapshot(restored); !bytes.Equal(again, snap) {
+		if again := mustSnapshot(t, restored); !bytes.Equal(again, snap) {
 			t.Fatalf("split %d: snapshot not stable across restore", split)
 		}
 		for _, j := range jobs[split:] {
@@ -157,8 +157,8 @@ func TestCrossJobSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestNonCrossJobSnapshotRestoresIsolated: a snapshot of an isolated
-// cluster carries no plan or demand record and restores to isolated
-// admission.
+// cluster carries no cross-job flag or planner demand and restores to
+// isolated admission.
 func TestNonCrossJobSnapshotRestoresIsolated(t *testing.T) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
@@ -170,10 +170,10 @@ func TestNonCrossJobSnapshotRestoresIsolated(t *testing.T) {
 		}
 	}
 	inc.AdvanceTo(sim.Time(70 * sim.Millisecond))
-	snap := EncodeSnapshot(inc)
-	for _, record := range []string{"\nplan ", "\ndemand "} {
-		if strings.Contains(snapText(snap), record) {
-			t.Fatalf("isolated snapshot carries a %q record", strings.TrimSpace(record))
+	snap := mustSnapshot(t, inc)
+	for _, field := range []string{`"CrossJob":true`, `"Demand"`} {
+		if strings.Contains(snapText(snap), field) {
+			t.Fatalf("isolated snapshot carries %s", field)
 		}
 	}
 	restored, err := RestoreIncremental(snap, nil)
@@ -183,11 +183,11 @@ func TestNonCrossJobSnapshotRestoresIsolated(t *testing.T) {
 	if restored.ex.crossjob || restored.ex.planners != nil {
 		t.Fatal("isolated snapshot restored with cross-job planners")
 	}
-	// A demand record without a plan record is a malformed snapshot,
+	// A planner demand on an isolated cluster is a malformed snapshot,
 	// not a silent planner activation.
-	bad := mutate(snap, "pending ", "demand 0 1 0 0\npending ")
-	if _, err := RestoreIncremental(bad, nil); err == nil {
-		t.Fatal("decoder accepted a demand record without a plan record")
+	bad := editSnap(t, snap, func(s *snapDoc) { s.Jobs[0]["Demand"] = map[string]int{"FloorBytes": 1} })
+	if _, err := RestoreIncremental(bad, nil); err == nil || !strings.Contains(err.Error(), "planner demand on an isolated cluster") {
+		t.Fatalf("decoder accepted a planner demand on an isolated cluster: %v", err)
 	}
 }
 
@@ -218,10 +218,10 @@ func TestCrossJobPreemptionDeterministic(t *testing.T) {
 	t.Logf("priority: %d preemptions, makespan %v, mean wait %v", pre, a.Makespan, a.MeanWait())
 }
 
-// TestCrossJobSnapshotRejectsCorruption: hand-corrupted plan/demand
-// records must fail restore with an error, never restore wrong or
-// panic — the same discipline FuzzRestoreIncremental enforces on the
-// base format.
+// TestCrossJobSnapshotRejectsCorruption: hand-corrupted spill-pool
+// and demand fields must fail restore with an error, never restore
+// wrong or panic — the same discipline FuzzRestoreIncremental enforces
+// on every record.
 func TestCrossJobSnapshotRejectsCorruption(t *testing.T) {
 	c := coTenantCluster(true)
 	est := NewEstimator()
@@ -237,24 +237,40 @@ func TestCrossJobSnapshotRejectsCorruption(t *testing.T) {
 		}
 	}
 	inc.AdvanceTo(jobs[8].Arrival)
-	snap := EncodeSnapshot(inc)
-	if !strings.Contains(snapText(snap), "\ndemand ") {
-		t.Fatal("test premise: snapshot carries no demand records")
-	}
-	for _, tc := range []struct{ name, old, new string }{
-		{"zero spill pool", "plan 8589934592", "plan 0"},
-		{"negative spill pool", "plan 8589934592", "plan -1"},
-		{"malformed plan record", "plan 8589934592", "plan 1 2"},
-		{"non-numeric tensor key", "demand 0 ", "demand 0 x"},
-		{"demand index out of range", "demand 0 ", "demand 99 "},
-		{"demand fields truncated", "demand 0 ", "demand "},
-	} {
-		bad := mutate(snap, tc.old, tc.new)
-		if bytes.Equal(bad, snap) {
-			t.Fatalf("%s: mutation %q not applied", tc.name, tc.old)
+	snap := mustSnapshot(t, inc)
+	// Job 0 is resident and declares shareable tensors.
+	tensor := func(s *snapDoc) map[string]any {
+		d, _ := s.Jobs[0]["Demand"].(map[string]any)
+		ts, _ := d["Tensors"].([]any)
+		if len(ts) == 0 {
+			t.Fatal("test premise: job 0 declares no tensor demands")
 		}
-		if _, err := RestoreIncremental(bad, est); err == nil {
-			t.Fatalf("%s: corrupted snapshot restored without error", tc.name)
+		return ts[0].(map[string]any)
+	}
+	spill := func(v any) func(s *snapDoc) {
+		return func(s *snapDoc) { s.Header["Cluster"].(map[string]any)["HostSpillBytes"] = v }
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *snapDoc)
+		want string
+	}{
+		{"zero spill pool", spill(0), "cross-job cluster with spill pool 0"},
+		{"negative spill pool", spill(-1), "cross-job cluster with spill pool -1"},
+		{"non-numeric spill pool", spill("x"), "cannot unmarshal string"},
+		{"non-numeric tensor key", func(s *snapDoc) { tensor(s)["Key"] = "x" }, "cannot unmarshal string"},
+		{"negative tensor key", func(s *snapDoc) { tensor(s)["Key"] = -1 }, "cannot unmarshal number -1"},
+		{"zero-byte tensor demand", func(s *snapDoc) { tensor(s)["Bytes"] = 0 }, "tensor demand of 0 bytes"},
+		{"floor above peak", func(s *snapDoc) {
+			s.Jobs[0]["Demand"].(map[string]any)["FloorBytes"] = 1 << 50
+		}, "outside [0, peak"},
+		{"demand on an isolated cluster", func(s *snapDoc) {
+			s.Header["Cluster"].(map[string]any)["CrossJob"] = false
+		}, "job 0 has a planner demand on an isolated cluster"},
+	} {
+		_, err := RestoreIncremental(editSnap(t, snap, tc.edit), est)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -238,3 +238,10 @@ func withoutDev(gang []int, di int) []int {
 	}
 	return out
 }
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

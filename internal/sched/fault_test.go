@@ -196,12 +196,12 @@ func TestFaultSnapshotMidOutage(t *testing.T) {
 			}
 		}
 		inc.AdvanceTo(ms(pause))
-		snap := EncodeSnapshot(inc)
+		snap := mustSnapshot(t, inc)
 		restored, err := RestoreIncremental(snap, est)
 		if err != nil {
 			t.Fatalf("pause %dms: restore: %v", pause, err)
 		}
-		if again := EncodeSnapshot(restored); !bytes.Equal(snap, again) {
+		if again := mustSnapshot(t, restored); !bytes.Equal(snap, again) {
 			t.Fatalf("pause %dms: snapshot not byte-stable through restore", pause)
 		}
 		got, err := restored.Result()
@@ -348,28 +348,9 @@ func TestFaultSingleDeviceRequeue(t *testing.T) {
 	}
 }
 
-// mutateLine finds the first snapshot line with the prefix and
-// replaces one whitespace-separated field (negative indexes count from
-// the end of the line).
-func mutateLine(b []byte, prefix string, field int, val string) []byte {
-	lines := strings.Split(snapText(b), "\n")
-	for i, ln := range lines {
-		if strings.HasPrefix(ln, prefix) {
-			f := strings.Fields(ln)
-			if field < 0 {
-				field += len(f)
-			}
-			f[field] = val
-			lines[i] = strings.Join(f, " ")
-			break
-		}
-	}
-	return snapFrames(strings.Join(lines, "\n"))
-}
-
-// TestFaultSnapshotDecodeErrors corrupts the fault extensions of a
-// mid-outage snapshot; each corruption must error cleanly, never panic
-// or restore an inconsistent replay.
+// TestFaultSnapshotDecodeErrors corrupts the fault state of a
+// mid-outage snapshot; each corruption must fail with the error of the
+// check it trips, never panic or restore an inconsistent replay.
 func TestFaultSnapshotDecodeErrors(t *testing.T) {
 	c, jobs := faultCluster(t)
 	inc, err := NewIncremental(c, TopoPacking, nil)
@@ -384,29 +365,51 @@ func TestFaultSnapshotDecodeErrors(t *testing.T) {
 	// Pause mid-outage: device 4 is down, the gang has shrunk, and the
 	// recovery event is still queued.
 	inc.AdvanceTo(ms(2500))
-	good := EncodeSnapshot(inc)
+	good := mustSnapshot(t, inc)
 	if _, err := RestoreIncremental(good, nil); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
-
-	cases := map[string][]byte{
-		// faults record: declared count vs fields present, and the plan
-		// re-validation in newExec.
-		"faults count mismatch":     mutateLine(good, "faults ", 1, "4"),
-		"fault device out of range": mutateLine(good, "faults ", 3, "99"),
-		// The queued recovery event's job field is the recover flag.
-		"bad fault recover flag": mutateLine(good, "ev 4000000000 2", 4, "7"),
-		// Per-job and per-device fault counters must be non-negative.
-		"negative restores":  mutateLine(good, "state 0 ", -4, "-1"),
-		"negative liveDone":  mutateLine(good, "state 0 ", -1, "-2"),
-		"negative downtime":  mutateLine(good, "dev 4 ", -2, "-5"),
-		"negative failcount": mutateLine(good, "dev 4 ", -1, "-1"),
-		// A failed device cannot hold residents or in-flight work.
-		"failed device with residents": mutateLine(good, "dev 0 ", -4, "1"),
+	fault := func(k int, key string, v any) func(s *snapDoc) {
+		return func(s *snapDoc) {
+			evs := s.Header["Cluster"].(map[string]any)["Faults"].(map[string]any)["Events"].([]any)
+			evs[k].(map[string]any)[key] = v
+		}
 	}
-	for name, data := range cases {
-		if _, err := RestoreIncremental(data, nil); err == nil {
-			t.Errorf("%s: decoder accepted corrupted snapshot", name)
+	// recovery is the queued fault event (class 2).
+	recovery := func(s *snapDoc) map[string]any {
+		for _, ev := range s.Events {
+			if num(ev["Class"]) == classFault {
+				return ev
+			}
+		}
+		t.Fatal("test premise: no queued fault event")
+		return nil
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(s *snapDoc)
+		want string
+	}{
+		// The fault plan is re-validated against the device count.
+		{"fault device out of range", fault(0, "Device", 99), "targets device 99 of 8"},
+		{"fault at negative time", fault(0, "At", -1), "at negative time -1"},
+		// The queued recovery event's job field is the recover flag.
+		{"bad fault recover flag", func(s *snapDoc) { recovery(s)["Job"] = 7 }, "has recover flag 7"},
+		// Per-job and per-device fault counters must be non-negative.
+		{"negative restores", func(s *snapDoc) { s.Jobs[0]["Restores"] = -1 }, "job 0 has negative fault counters"},
+		{"negative shrinks", func(s *snapDoc) { s.Jobs[0]["Shrinks"] = -1 }, "job 0 has negative fault counters"},
+		{"negative lost iterations", func(s *snapDoc) { s.Jobs[0]["LostIters"] = -1 }, "job 0 has negative fault counters"},
+		{"negative liveDone", func(s *snapDoc) { s.Jobs[0]["LiveDone"] = -2 }, "job 0 has negative fault counters"},
+		{"negative downtime", func(s *snapDoc) { s.Devs[4]["Down"] = -5 }, "dev 4 has negative fault counters"},
+		{"negative failcount", func(s *snapDoc) { s.Devs[4]["Fails"] = -1 }, "dev 4 has negative fault counters"},
+		// A failed device cannot hold residents or in-flight work.
+		{"failed device with residents", func(s *snapDoc) { s.Devs[0]["Failed"] = true }, "dev 0 failed but has residents or in-flight work"},
+		{"failed device in flight", func(s *snapDoc) { s.Devs[4]["Inflight"] = true }, "dev 4 failed but has residents or in-flight work"},
+	} {
+		_, err := RestoreIncremental(editSnap(t, good, tc.edit), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -301,12 +301,12 @@ func TestGangSnapshotRoundTrip(t *testing.T) {
 	}
 	// Pause mid-flight so gangs are resident (and possibly marked).
 	inc.AdvanceTo(4 * sim.Time(sim.Millisecond))
-	snap := EncodeSnapshot(inc)
+	snap := mustSnapshot(t, inc)
 	restored, err := RestoreIncremental(snap, est)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := EncodeSnapshot(restored); !bytes.Equal(again, snap) {
+	if again := mustSnapshot(t, restored); !bytes.Equal(again, snap) {
 		t.Error("snapshot does not round-trip byte for byte")
 	}
 	got, err := restored.Result()
@@ -318,9 +318,10 @@ func TestGangSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// The decoder accepts exactly the current snapshot generation: the
-// record shapes older encoders wrote are refused with a record-numbered
-// error.
+// The decoder accepts exactly the current snapshot generation: a
+// snapshot of an older generation — the version-2 text records, or a
+// JSON header naming another version — is refused with a
+// record-numbered error, never converted.
 func TestOlderSnapshotGenerationsRejected(t *testing.T) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
@@ -332,33 +333,22 @@ func TestOlderSnapshotGenerationsRejected(t *testing.T) {
 		}
 	}
 	inc.AdvanceTo(sim.Time(70 * sim.Millisecond))
-	snap := EncodeSnapshot(inc)
+	snap := mustSnapshot(t, inc)
 	if _, err := RestoreIncremental(snap, nil); err != nil {
 		t.Fatalf("current snapshot rejected: %v", err)
 	}
+	const v2 = "snsnap 2\npolicy packing\n" +
+		"device Tesla+K40c 12884901888 12348030976 0x428f3802ee800000 0x4250c3a9a2800000 8000 150000 350000 1000 0x3fdae147ae147ae1 0x3fe999999999999a\n" +
+		"devices 2\n"
 	for _, tc := range []struct {
-		name   string
-		prefix string
-		drop   int // trailing fields dropped from each matching record; 0 drops the record
+		name string
+		data []byte
 	}{
-		{"no topo record", "topo ", 0},
-		{"state without gang tail", "state ", 9},
-		{"state without fault tail", "state ", 4},
-		{"dev without fault tail", "dev ", 4},
+		{"version 2 text records", snapFrames(v2)},
+		{"version 2 magic in a JSON header", editSnap(t, snap, func(s *snapDoc) { s.Header["Magic"] = "snsnap 2" })},
 	} {
-		var lines []string
-		for _, ln := range strings.Split(snapText(snap), "\n") {
-			if strings.HasPrefix(ln, tc.prefix) {
-				if tc.drop == 0 {
-					continue
-				}
-				f := strings.Fields(ln)
-				ln = strings.Join(f[:len(f)-tc.drop], " ")
-			}
-			lines = append(lines, ln)
-		}
-		_, err := RestoreIncremental(snapFrames(strings.Join(lines, "\n")), nil)
-		if err == nil || !strings.HasPrefix(err.Error(), "sched: snapshot record ") {
+		_, err := RestoreIncremental(tc.data, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "sched: snapshot record 1: ") {
 			t.Errorf("%s: err = %v, want a record-numbered snapshot error", tc.name, err)
 		}
 	}

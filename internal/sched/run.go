@@ -23,7 +23,7 @@ import (
 //
 // Events are plain data, not closures, for two reasons. First, a
 // paused execution can be deep-copied (Incremental.Clone) and
-// serialized (EncodeState) only if its in-flight events are
+// serialized (AppendSnapshot) only if its in-flight events are
 // re-materializable; a closure capturing the original run's structs is
 // neither. Second, events carry an explicit (time, class, sequence)
 // key so the processing order is a total order over data: arrivals

@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -708,8 +709,13 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 }
 
 // checkToken refuses characters that would corrupt the
-// whitespace-separated request log, which splits on Unicode spaces.
+// whitespace-separated request log, which splits on Unicode spaces,
+// and bytes that are not UTF-8: the log would store them raw, and a
+// checkpoint cannot carry them (sched.ErrSnapshotValue).
 func checkToken(field, v string) error {
+	if !utf8.ValidString(v) {
+		return fmt.Errorf("%w: %s %q must be valid UTF-8", ErrBadRequest, field, v)
+	}
 	if strings.ContainsRune(v, '#') || strings.IndexFunc(v, unicode.IsSpace) >= 0 {
 		return fmt.Errorf("%w: %s %q must not contain whitespace or '#'", ErrBadRequest, field, v)
 	}

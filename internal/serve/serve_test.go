@@ -123,6 +123,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"unicode space id", SubmitRequest{ID: "a\u00a0b", Network: "AlexNet", Batch: 4}},
 		{"slash tenant", SubmitRequest{Tenant: "a/b", Network: "AlexNet", Batch: 4}},
 		{"hash id", SubmitRequest{ID: "x#y", Network: "AlexNet", Batch: 4}},
+		{"non-UTF-8 tenant", SubmitRequest{Tenant: "t\xff", Network: "AlexNet", Batch: 4}},
+		{"non-UTF-8 id", SubmitRequest{ID: "a\xc0", Network: "AlexNet", Batch: 4}},
+		{"non-UTF-8 idempotency key", SubmitRequest{IdempotencyKey: "k\xfe", Network: "AlexNet", Batch: 4}},
 		{"missing network", SubmitRequest{Batch: 4}},
 	}
 	for _, c := range cases {

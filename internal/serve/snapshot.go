@@ -13,7 +13,7 @@ package serve
 //
 //	# snckpt 2 seq <merged jobs> spacing <ms> idem <k>
 //	# idem <key> <id>                  (k records)
-//	<sched.AppendSnapshot records>     (to the end of the data)
+//	<sched.AppendSnapshot records>     (JSON, to the end of the data)
 //
 // The idem records persist the idempotency bindings of sequenced jobs,
 // so a service restored from a checkpoint keeps deduplicating retries.
