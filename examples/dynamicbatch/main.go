@@ -6,8 +6,8 @@
 // The static plan is computed for iteration 0's small shape and
 // replayed verbatim: the ramp's later shapes OOM and the iterations
 // are lost. The adaptive planner watches each iteration's measured
-// signals — peak headroom, stall fraction, failed prefetches, the
-// predicted footprint of the next declared shape — and widens the
+// signals — OOM, peak headroom, stall fraction, the predicted
+// footprint of the next declared shape — and widens the
 // offload/prefetch/recompute plan at iteration boundaries before the
 // bigger shapes arrive.
 package main

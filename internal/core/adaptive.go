@@ -5,12 +5,12 @@ package core
 // replayed verbatim cannot represent workloads whose shape changes
 // between iterations (bucketed sequence lengths, batch ramps — the
 // setting where vDNN-style static offload schedules break down).
-// The adaptive type closes the loop: it observes each iteration's measured
-// signals — stall time, pool fragmentation, tensor-cache hit rate,
-// failed prefetches, OOM near-misses — and revises the
+// The adaptive type closes the loop: it reads each iteration's
+// IterationProfile — OOM, peak headroom, stall fraction, and the peak
+// predicted for the next declared shape — and revises the
 // offload/prefetch/recompute knobs for the next iteration boundary,
-// widening the offload set under pressure and shrinking it when the
-// cache absorbs the working set.
+// widening the offload set under pressure and narrowing it after a
+// sustained run of stall-free iterations.
 //
 // Every input is a deterministic product of the virtual-time
 // simulation, so two replays of the same dynamic trace make identical
@@ -18,78 +18,8 @@ package core
 
 import (
 	"repro/internal/recompute"
-	"repro/internal/sim"
 	"repro/internal/utp"
 )
-
-// signals are the measured observations of one completed (or failed)
-// iteration that the adaptive planner consumes.
-type signals struct {
-	// Iteration indexes the observed iteration; Batch is its shape,
-	// NextBatch the declared shape of the next iteration (0 when the
-	// run ends) — the planner may anticipate the incoming shape but
-	// only through measured per-byte behavior of the current one.
-	Iteration int
-	Batch     int
-	NextBatch int
-
-	// OOM reports that the iteration failed with an out-of-memory
-	// error under the current plan.
-	OOM bool
-
-	IterTime  sim.Duration
-	StallTime sim.Duration
-
-	// PoolPeak is the pool high-water mark of this iteration;
-	// PoolBytes the capacity.
-	PoolPeak  int64
-	PoolBytes int64
-	// Fragmentation is the pool's 1 - largest/total free space after
-	// the iteration.
-	Fragmentation float64
-
-	CacheHits        int64
-	CacheMisses      int64
-	FailedPrefetches int64
-}
-
-// headroomFrac returns the unused fraction of the pool at the
-// iteration's peak.
-func (s signals) headroomFrac() float64 {
-	if s.PoolBytes <= 0 {
-		return 0
-	}
-	return 1 - float64(s.PoolPeak)/float64(s.PoolBytes)
-}
-
-// stallFrac returns stall time as a fraction of the iteration.
-func (s signals) stallFrac() float64 {
-	if s.IterTime <= 0 {
-		return 0
-	}
-	return float64(s.StallTime) / float64(s.IterTime)
-}
-
-// cacheHitRate returns hits/(hits+misses), or 1 when the cache saw no
-// traffic (an idle cache is absorbing the working set trivially).
-func (s signals) cacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 1
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
-// predictedNextPeak scales this iteration's measured peak linearly to
-// the next iteration's batch — functional footprints grow with N while
-// the persistent state does not, so this is a slight overestimate:
-// exactly the right bias for a near-miss detector.
-func (s signals) predictedNextPeak() int64 {
-	if s.Batch <= 0 || s.NextBatch <= 0 {
-		return s.PoolPeak
-	}
-	return int64(float64(s.PoolPeak) * float64(s.NextBatch) / float64(s.Batch))
-}
 
 // The decision thresholds. Escalation is eager (a single bad signal
 // widens the plan: an OOM'd iteration is lost work), de-escalation is
@@ -106,15 +36,9 @@ const (
 	// adaptNextPeakFrac: predicted next-shape peak above this fraction
 	// of the pool escalates before the bigger shape arrives.
 	adaptNextPeakFrac = 0.92
-	// adaptCalmHeadroom / adaptCalmStall / adaptCalmHitRate: an
-	// iteration is calm when headroom is ample, stalls negligible and
-	// the cache (when present) absorbs the working set.
-	adaptCalmHeadroom = 0.45
-	adaptCalmStall    = 0.02
-	adaptCalmHitRate  = 0.95
-	// adaptCalmNextPeakFrac: de-escalation additionally requires the
-	// predicted next-shape peak to leave the narrower plan real room.
-	adaptCalmNextPeakFrac = 0.60
+	// adaptCalmStall: an iteration that does not escalate is calm
+	// when its stalls stay below this fraction.
+	adaptCalmStall = 0.02
 	// adaptCalmRun: consecutive calm iterations required before the
 	// plan narrows; also the post-change cooldown.
 	adaptCalmRun = 2
@@ -138,7 +62,25 @@ type adaptive struct {
 	calm     int
 	cooldown int
 	replans  int
+	// off masks decision parts out of observe. Only tests set it, to
+	// assert what each part changes; the zero value keeps every part.
+	off adaptPart
 }
+
+// adaptPart names one decision part of observe.
+type adaptPart uint8
+
+const (
+	partOOM adaptPart = 1 << iota
+	partHeadroom
+	partNextPeak
+	partStall
+	partCalmStall
+	partCalmRun
+	partCooldown
+)
+
+func (a *adaptive) on(part adaptPart) bool { return a.off&part == 0 }
 
 // adaptMaxLevel indexes the widest plan on the ladder.
 const adaptMaxLevel = 3
@@ -197,16 +139,31 @@ func (a *adaptive) apply(level int) Config {
 	return cfg
 }
 
-// observe feeds one iteration's signals into the planner and reports
-// whether the plan for the next iteration changed (the caller must
-// then rebind with the revised config).
-func (a *adaptive) observe(s signals) bool {
-	escalate := s.OOM ||
-		s.headroomFrac() < adaptEscalateHeadroom ||
-		s.stallFrac() > adaptEscalateStall ||
-		s.FailedPrefetches > 0 ||
-		(s.NextBatch > s.Batch &&
-			float64(s.predictedNextPeak()) > adaptNextPeakFrac*float64(s.PoolBytes))
+// observe feeds one iteration's profile into the planner, with the
+// declared batch of the next iteration and the pool capacity, and
+// reports whether the plan for the next iteration changed (the caller
+// must then rebind with the revised config).
+func (a *adaptive) observe(p IterationProfile, nextBatch int, poolBytes int64) bool {
+	headroom := 0.0
+	if poolBytes > 0 {
+		headroom = 1 - float64(p.PoolPeak)/float64(poolBytes)
+	}
+	stallFrac := 0.0
+	if p.IterTime > 0 {
+		stallFrac = float64(p.StallTime) / float64(p.IterTime)
+	}
+	// A growing shape escalates before it arrives when the measured
+	// peak, scaled linearly to the next batch, nears the pool.
+	// Functional footprints grow with the batch while the persistent
+	// state does not, so the scaling slightly overestimates: the right
+	// bias for a near-miss detector.
+	nextPeakNear := nextBatch > p.Batch &&
+		float64(p.PoolPeak)*float64(nextBatch)/float64(p.Batch) > adaptNextPeakFrac*float64(poolBytes)
+
+	escalate := a.on(partOOM) && p.OOM ||
+		a.on(partHeadroom) && headroom < adaptEscalateHeadroom ||
+		a.on(partStall) && stallFrac > adaptEscalateStall ||
+		a.on(partNextPeak) && nextPeakNear
 
 	if escalate {
 		a.calm = 0
@@ -214,10 +171,7 @@ func (a *adaptive) observe(s signals) bool {
 		return a.moveTo(a.wider())
 	}
 
-	calmNow := s.headroomFrac() > adaptCalmHeadroom &&
-		s.stallFrac() < adaptCalmStall &&
-		s.cacheHitRate() > adaptCalmHitRate &&
-		float64(s.predictedNextPeak()) < adaptCalmNextPeakFrac*float64(s.PoolBytes)
+	calmNow := !a.on(partCalmStall) || stallFrac < adaptCalmStall
 	if !calmNow {
 		a.calm = 0
 		if a.cooldown > 0 {
@@ -226,11 +180,11 @@ func (a *adaptive) observe(s signals) bool {
 		return false
 	}
 	a.calm++
-	if a.cooldown > 0 {
+	if a.on(partCooldown) && a.cooldown > 0 {
 		a.cooldown--
 		return false
 	}
-	if a.calm < adaptCalmRun {
+	if a.on(partCalmRun) && a.calm < adaptCalmRun {
 		return false
 	}
 	a.calm = 0

@@ -95,9 +95,9 @@ type Config struct {
 	// AdaptivePlan enables the online adaptive planner for dynamic
 	// runs: instead of replaying the iteration-0 plan verbatim, the
 	// offload/prefetch/recompute knobs are revised at iteration
-	// boundaries from the previous iterations' measured signals
-	// (stall time, pool fragmentation, cache hit rate, failed
-	// prefetches, OOM near-misses).
+	// boundaries from the previous iteration's profile (OOM, peak
+	// headroom, stall fraction, and the peak predicted for the next
+	// declared batch).
 	AdaptivePlan bool
 
 	// CollectTrace records every kernel and transfer as a timeline

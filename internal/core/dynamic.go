@@ -30,8 +30,8 @@ import (
 )
 
 // IterationProfile records one iteration of a dynamic run: the shape
-// and plan in force, the outcome, and the measured signals the
-// adaptive planner consumed at the following boundary.
+// and plan in force, the outcome, and the measurements. The adaptive
+// planner reads it at the following boundary.
 type IterationProfile struct {
 	Index int
 	Batch int
@@ -90,6 +90,11 @@ type DynamicResult struct {
 // build constructs the network at a given batch size — nnet.ByName
 // provides one for every registered architecture.
 func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
+	return runDynamic(build, cfg, 0)
+}
+
+// runDynamic is RunDynamic with the planner parts in off masked out.
+func runDynamic(build func(int) *nnet.Net, cfg Config, off adaptPart) (*DynamicResult, error) {
 	cfg = cfg.withDefaults()
 	sched := workload.Schedule(cfg.BatchSchedule)
 	if err := sched.Validate(); err != nil {
@@ -104,6 +109,7 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 	knobs := cfg
 	if cfg.AdaptivePlan {
 		adapt = newAdaptive(cfg)
+		adapt.off = off
 		knobs = adapt.config()
 	}
 
@@ -189,17 +195,7 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 		res.Iters = append(res.Iters, prof)
 
 		if adapt != nil && it+1 < iters {
-			sig := signals{
-				Iteration: it, Batch: batch, NextBatch: sched.At(it + 1),
-				OOM:      prof.OOM,
-				IterTime: prof.IterTime, StallTime: prof.StallTime,
-				PoolPeak: prof.PoolPeak, PoolBytes: knobs.PoolBytes,
-				Fragmentation:    prof.Fragmentation,
-				CacheHits:        prof.CacheHits,
-				CacheMisses:      prof.CacheMisses,
-				FailedPrefetches: prof.FailedPrefetches,
-			}
-			if adapt.observe(sig) {
+			if adapt.observe(prof, sched.At(it+1), knobs.PoolBytes) {
 				knobs = adapt.config()
 				rebindNeeded = true
 			}

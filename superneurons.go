@@ -146,8 +146,9 @@ func Run(net *Network, cfg Config) (*Result, error) { return core.Run(net, cfg) 
 // iterations (bucketed sequence lengths, batch ramps). The program is
 // rebuilt for the incoming shape at each iteration boundary; with
 // Config.AdaptivePlan the offload/prefetch/recompute plan is revised
-// online from the previous iterations' measured signals instead of
-// replaying the one-shot static plan.
+// online from the previous iteration's OOM, peak headroom, stall
+// fraction and predicted next-shape peak instead of replaying the
+// one-shot static plan.
 type (
 	// BatchSchedule is a per-iteration batch schedule (entry i is
 	// iteration i's batch size, cycling past the end).
