@@ -17,10 +17,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpumem"
 	"repro/internal/nnet"
-	"repro/internal/program"
 	"repro/internal/sim"
 )
 
@@ -29,11 +29,19 @@ import (
 var ErrOutOfMemory = gpumem.ErrOutOfMemory
 
 // Run simulates cfg.Iterations training iterations of net and returns
-// the profile of the last one.
+// the profile of the last one. The run draws its buffers from a
+// pooled arena and gives them back when it returns; the Result never
+// points into them.
 func Run(net *nnet.Net, cfg Config) (*Result, error) {
+	a := arenas.Get().(*runArena)
+	defer arenas.Put(a)
+	return a.run(net, cfg)
+}
+
+// run is Run in arena a.
+func (a *runArena) run(net *nnet.Net, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	p := program.BuildWith(net, program.Options{InPlaceAct: cfg.InPlaceAct})
-	rt := newRunState(p, cfg)
+	rt := newRunState(a, a.lower(net, cfg), cfg)
 	if err := rt.run(); err != nil {
 		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
@@ -41,7 +49,8 @@ func Run(net *nnet.Net, cfg Config) (*Result, error) {
 }
 
 // run allocates the persistent state, which lives on the GPU for the
-// whole run, and executes every iteration.
+// whole run, executes every iteration, and copies the last
+// iteration's step profiles out of the arena into the Result.
 func (rt *runState) run() error {
 	if err := rt.ensurePersistent(); err != nil {
 		return err
@@ -51,6 +60,7 @@ func (rt *runState) run() error {
 			return err
 		}
 	}
+	rt.res.Steps = slices.Clone(rt.steps)
 	return nil
 }
 

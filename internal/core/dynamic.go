@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/nnet"
-	"repro/internal/program"
 	"repro/internal/recompute"
 	"repro/internal/sim"
 	"repro/internal/utp"
@@ -118,6 +117,8 @@ func runDynamic(build func(int) *nnet.Net, cfg Config, off adaptPart) (*DynamicR
 		Schedule: append([]int(nil), sched...),
 	}
 
+	a := arenas.Get().(*runArena)
+	defer arenas.Put(a)
 	var (
 		rt           *runState
 		curBatch     = -1
@@ -131,14 +132,11 @@ func runDynamic(build func(int) *nnet.Net, cfg Config, off adaptPart) (*DynamicR
 		switch {
 		case rt == nil:
 			net := build(batch)
-			p := program.BuildWith(net, program.Options{InPlaceAct: knobs.InPlaceAct})
-			rt = newRunState(p, knobs)
+			rt = newRunState(a, a.lower(net, knobs), knobs)
 			res.Network = net.Name
 			curBatch = batch
 		case batch != curBatch || rebindNeeded:
-			net := build(batch)
-			p := program.BuildWith(net, program.Options{InPlaceAct: knobs.InPlaceAct})
-			if err := rt.rebind(p, knobs); err != nil {
+			if err := rt.rebind(a.lower(build(batch), knobs), knobs); err != nil {
 				return nil, fmt.Errorf("core: %s iteration %d: %w", res.Network, it, err)
 			}
 			cacheBase = [2]int64{}

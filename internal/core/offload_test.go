@@ -21,7 +21,7 @@ func harvestFixture(t *testing.T) (*runState, int, int) {
 	t.Helper()
 	p := program.Build(nnet.AlexNet(8))
 	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true}.withDefaults()
-	rt := newRunState(p, cfg)
+	rt := newRunState(new(runArena), p, cfg)
 
 	a, b := 1, 2
 	for _, id := range []int{a, b} {
@@ -108,7 +108,7 @@ func TestHarvestForceSkipsWaitWhenOneAlreadyDone(t *testing.T) {
 func TestPrefetchAllocFailureToleratedAndCounted(t *testing.T) {
 	p := program.Build(nnet.AlexNet(8))
 	cfg := Config{Device: hw.TeslaK40c, UseMemPool: true, Prefetch: true}.withDefaults()
-	rt := newRunState(p, cfg)
+	rt := newRunState(new(runArena), p, cfg)
 
 	// Occupy the whole GPU pool so the prefetch's allocation must fail,
 	// with no cache and no pending offloads to reclaim from.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpumem"
 	"repro/internal/hw"
@@ -44,6 +45,10 @@ type tstate struct {
 // recomputation replays (replay.go) and the workspace tuner
 // (workspace.go) — and cfg's technique flags decide which engage.
 type runState struct {
+	// a holds the run's reusable buffers; ts, owner, segReplayed,
+	// dropAt, the pools and the analyses below live in it.
+	a *runArena
+
 	cfg   Config
 	p     *program.Program
 	live  *liveness.Result
@@ -87,6 +92,9 @@ type runState struct {
 	pendingOff []int
 
 	res *Result
+	// steps holds the current iteration's step profiles in the arena;
+	// a finished run copies the last iteration's into res.Steps.
+	steps []StepProfile
 
 	// Scratch reused across steps so the hot loop does not allocate.
 	// deps holds the transfer events a kernel waits on; it is consumed
@@ -102,10 +110,11 @@ type runState struct {
 	algoCache map[int]tunedAlgo
 }
 
-// newRunState builds the state for one run. cfg must already be
-// normalized.
-func newRunState(p *program.Program, cfg Config) *runState {
+// newRunState builds the state for one run in arena a, resetting its
+// pools. cfg must already be normalized.
+func newRunState(a *runArena, p *program.Program, cfg Config) *runState {
 	rt := &runState{
+		a:   a,
 		tl:  sim.NewTimeline(),
 		res: &Result{},
 	}
@@ -113,15 +122,22 @@ func newRunState(p *program.Program, cfg Config) *runState {
 	rt.h2d = rt.tl.NewEngine("h2d")
 	rt.d2h = rt.tl.NewEngine("d2h")
 	if cfg.UseMemPool {
-		rt.gpu = gpumem.NewPool(cfg.PoolBytes, cfg.Device.PoolOp)
+		a.gpu.Reset(cfg.PoolBytes, cfg.Device.PoolOp)
+		rt.gpu = &a.gpu
 	} else {
 		rt.gpu = gpumem.NewNative(cfg.PoolBytes, cfg.Device.CudaMalloc, cfg.Device.CudaFree)
 	}
-	rt.hosts = []*gpumem.Pool{gpumem.NewPool(cfg.HostBytes, cfg.Device.PoolOp)}
 	rt.hostLinks = []hw.LinkSpec{cfg.HostLink}
 	for _, ep := range cfg.ExternalPools {
-		rt.hosts = append(rt.hosts, gpumem.NewPool(ep.Bytes, cfg.Device.PoolOp))
 		rt.hostLinks = append(rt.hostLinks, ep.Link)
+	}
+	for len(a.hosts) < len(rt.hostLinks) {
+		a.hosts = append(a.hosts, new(gpumem.Pool))
+	}
+	rt.hosts = a.hosts[:len(rt.hostLinks)]
+	rt.hosts[0].Reset(cfg.HostBytes, cfg.Device.PoolOp)
+	for i, ep := range cfg.ExternalPools {
+		rt.hosts[i+1].Reset(ep.Bytes, cfg.Device.PoolOp)
 	}
 	rt.bind(p, cfg)
 	return rt
@@ -129,16 +145,23 @@ func newRunState(p *program.Program, cfg Config) *runState {
 
 // bind derives the program- and knob-dependent state: the analyses and
 // plans, the per-tensor placement table, the planner-output indices,
-// and empty scratch. It is the shared tail of newRunState and rebind.
+// and empty scratch, all in the run's arena. It is the shared tail of
+// newRunState and rebind.
 func (rt *runState) bind(p *program.Program, cfg Config) {
+	a := rt.a
+	n := p.Reg.Len()
 	rt.cfg = cfg
 	rt.p = p
-	rt.live = liveness.Analyze(p)
-	rt.ts = make([]tstate, p.Reg.Len())
-	rt.owner = make([]int, p.Reg.Len())
-	rt.rplan = recompute.BuildPlan(p, cfg.Recompute)
-	rt.uplan = utp.BuildPlan(p, cfg.Offload, rt.rplan)
-	rt.segReplayed = make([]bool, len(rt.rplan.Segments))
+	rt.live = liveness.AnalyzeInto(&a.live, p)
+	a.ts = slices.Grow(a.ts[:0], n)[:n]
+	clear(a.ts)
+	a.owner = slices.Grow(a.owner[:0], n)[:n]
+	rt.ts, rt.owner = a.ts, a.owner
+	rt.rplan = recompute.BuildPlanInto(&a.rplan, p, cfg.Recompute)
+	rt.uplan = utp.BuildPlanInto(&a.uplan, p, cfg.Offload, rt.rplan)
+	a.segReplayed = slices.Grow(a.segReplayed[:0], len(rt.rplan.Segments))[:len(rt.rplan.Segments)]
+	clear(a.segReplayed)
+	rt.segReplayed = a.segReplayed
 	if cfg.TensorCache {
 		rt.cache = tcache.New()
 	} else {
@@ -163,20 +186,23 @@ func (rt *runState) bind(p *program.Program, cfg Config) {
 		rt.res.PersistentBytes += p.Net.ParamBytes()
 	}
 
-	// Size the per-iteration result buffers up front so steady-state
+	// Size the per-iteration buffers up front so steady-state
 	// iterations append without growth reallocations: every iteration
 	// records one StepProfile per step plus the SGD update, and (when
 	// tracing) one compute span per step and at most one span per
 	// transfer engine submission.
-	if cap(rt.res.Steps) < len(p.Steps)+1 {
-		rt.res.Steps = make([]StepProfile, 0, len(p.Steps)+1)
-	}
+	a.steps = slices.Grow(a.steps[:0], len(p.Steps)+1)
+	rt.steps = a.steps
 	if cfg.CollectTrace && cap(rt.res.Trace) < 3*len(p.Steps)+1 {
 		rt.res.Trace = make([]trace.Span, 0, 3*len(p.Steps)+1)
 	}
 
 	rt.pendingOff = nil
-	rt.dropAt = make([][]int, len(p.Steps))
+	a.dropAt = slices.Grow(a.dropAt[:0], len(p.Steps))[:len(p.Steps)]
+	for i := range a.dropAt {
+		a.dropAt[i] = a.dropAt[i][:0]
+	}
+	rt.dropAt = a.dropAt
 	for id := range rt.owner {
 		nd := rt.owner[id]
 		if nd < 0 || !rt.rplan.Drop[nd] {
@@ -244,7 +270,7 @@ func (rt *runState) ensurePersistent() error {
 // resetIteration clears the per-iteration accounting so the reported
 // numbers describe one steady-state iteration.
 func (rt *runState) resetIteration() {
-	rt.res.Steps = rt.res.Steps[:0]
+	rt.steps = rt.steps[:0]
 	rt.res.OffloadBytes, rt.res.PrefetchBytes = 0, 0
 	rt.res.FailedPrefetches = 0
 	rt.res.ExtraForwards = 0

@@ -13,7 +13,7 @@ import (
 // batch-16 program a rebind would retarget it at.
 func rebindFixture(t *testing.T, cfg Config) (*runState, *program.Program) {
 	t.Helper()
-	return newRunState(program.Build(nnet.AlexNet(8)), cfg.withDefaults()), program.Build(nnet.AlexNet(16))
+	return newRunState(new(runArena), program.Build(nnet.AlexNet(8)), cfg.withDefaults()), program.Build(nnet.AlexNet(16))
 }
 
 func TestRebindRefusesResidentTensor(t *testing.T) {

@@ -119,7 +119,7 @@ func (rt *runState) runStep(si int) error {
 		}
 	}
 
-	rt.res.Steps = append(rt.res.Steps, StepProfile{
+	rt.steps = append(rt.steps, StepProfile{
 		Index:             si,
 		Label:             st.Label(),
 		Phase:             st.Phase,
@@ -149,7 +149,7 @@ func (rt *runState) runUpdate() {
 	ev := rt.compute.Submit(rt.tl.Now(), dur)
 	rt.span("compute", "sgd update", ev, dur)
 	rt.tl.Wait(ev)
-	rt.res.Steps = append(rt.res.Steps, StepProfile{
+	rt.steps = append(rt.steps, StepProfile{
 		Index:         len(rt.p.Steps),
 		Label:         "sgd update",
 		Phase:         program.Backward,

@@ -102,6 +102,20 @@ func (ix *freeIndex) recycle(n *fnode) {
 	ix.spare = n
 }
 
+// reset empties the index, moving every node to the spare list.
+func (ix *freeIndex) reset() {
+	ix.recycleTree(ix.root)
+	ix.root, ix.count = nil, 0
+}
+
+func (ix *freeIndex) recycleTree(n *fnode) {
+	if n != nil {
+		ix.recycleTree(n.left)
+		ix.recycleTree(n.right)
+		ix.recycle(n)
+	}
+}
+
 // insert adds a span. Spans never overlap, so addr is always new.
 func (ix *freeIndex) insert(addr, size int64) {
 	ix.root = ix.ins(ix.root, addr, size)

@@ -110,18 +110,28 @@ type Pool struct {
 // NewPool preallocates a pool of the given capacity (rounded down to a
 // whole number of blocks) whose operations cost opCost virtual time.
 func NewPool(capacity int64, opCost sim.Duration) *Pool {
+	p := new(Pool)
+	p.Reset(capacity, opCost)
+	return p
+}
+
+// Reset empties the pool and gives it a new capacity and operation
+// cost, as NewPool would, but keeps the storage of its allocation
+// table and free-space index for reuse. Allocations made before the
+// Reset are forgotten.
+func (p *Pool) Reset(capacity int64, opCost sim.Duration) {
 	capacity = capacity / BlockSize * BlockSize
 	if capacity <= 0 {
 		panic("gpumem: pool capacity must be at least one block")
 	}
-	p := &Pool{
-		capacity: capacity,
-		opCost:   opCost,
-		allocd:   make(map[int64]span),
-		nextID:   1,
+	if p.allocd == nil {
+		p.allocd = make(map[int64]span)
 	}
+	clear(p.allocd)
+	p.free.reset()
+	p.capacity, p.opCost, p.nextID = capacity, opCost, 1
+	p.used, p.peak, p.stats = 0, 0, Stats{}
 	p.free.insert(0, capacity)
-	return p
 }
 
 func roundUp(n int64) int64 {

@@ -326,6 +326,55 @@ func TestPoolInvariantProperty(t *testing.T) {
 	}
 }
 
+// A Reset pool behaves exactly like a new one of the new capacity,
+// whatever it held before, and reuses its storage.
+func TestPoolResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := newTestPool(64 * BlockSize)
+	for i := 0; i < 40; i++ {
+		p.Alloc(int64(rng.Intn(int(4*BlockSize))) + 1)
+	}
+	for id := int64(1); id <= 40; id += 3 {
+		p.Free(id)
+	}
+	p.Reset(32*BlockSize+100, 2*sim.Microsecond)
+	fresh := NewPool(32*BlockSize+100, 2*sim.Microsecond)
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		n := int64(rng.Intn(int(3*BlockSize))) + 1
+		a, errA := p.Alloc(n)
+		b, errB := fresh.Alloc(n)
+		if a != b || (errA == nil) != (errB == nil) {
+			t.Fatalf("alloc %d of %d bytes: reset pool gave %+v (%v), new pool %+v (%v)", i, n, a, errA, b, errB)
+		}
+		if i%4 == 3 && errA == nil {
+			if err := p.Free(a.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Free(b.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p.Used() != fresh.Used() || p.Peak() != fresh.Peak() || p.Stats() != fresh.Stats() ||
+		p.Live() != fresh.Live() || p.FreeSpans() != fresh.FreeSpans() || p.AllocCost() != fresh.AllocCost() {
+		t.Errorf("reset pool accounting %+v differs from a new pool's %+v", p.Stats(), fresh.Stats())
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		p.Reset(32*BlockSize, sim.Microsecond)
+		for i := 0; i < 8; i++ {
+			p.Alloc(BlockSize)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset pool made %.0f allocations, want 0", allocs)
+	}
+}
+
 // Property: allocations never overlap while live.
 func TestPoolNoOverlapProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {

@@ -9,6 +9,8 @@
 package liveness
 
 import (
+	"slices"
+
 	"repro/internal/program"
 	"repro/internal/tensor"
 )
@@ -24,16 +26,24 @@ type Result struct {
 	// FreeAfter[step] lists tensor IDs whose final use is that step —
 	// the tensors Liveness Analysis recycles right after it.
 	FreeAfter [][]int
+
+	// off and flat back FreeAfter: step i's list is
+	// flat[off[i]:off[i+1]].
+	off, flat []int
 }
 
 // Analyze computes tensor lifetimes for the program.
-func Analyze(p *program.Program) *Result {
-	n := p.Reg.Len()
-	r := &Result{
-		FirstUse:  make([]int, n),
-		LastUse:   make([]int, n),
-		FreeAfter: make([][]int, len(p.Steps)),
-	}
+func Analyze(p *program.Program) *Result { return AnalyzeInto(new(Result), p) }
+
+// AnalyzeInto computes tensor lifetimes for the program into r,
+// reusing the arrays of whatever r held before; a zero Result is the
+// empty case. The previous analysis is overwritten.
+func AnalyzeInto(r *Result, p *program.Program) *Result {
+	n, steps := p.Reg.Len(), len(p.Steps)
+	r.FirstUse = slices.Grow(r.FirstUse[:0], n)[:n]
+	r.LastUse = slices.Grow(r.LastUse[:0], n)[:n]
+	r.FreeAfter = slices.Grow(r.FreeAfter[:0], steps)[:steps]
+	clear(r.FreeAfter)
 	for i := range r.FirstUse {
 		r.FirstUse[i] = -1
 		r.LastUse[i] = -1
@@ -51,7 +61,8 @@ func Analyze(p *program.Program) *Result {
 	// All free lists share one backing array: count each step's frees,
 	// then give step i the capped range flat[off[i]:off[i]:off[i+1]] so
 	// its appends stay inside its own range.
-	off := make([]int, len(p.Steps)+1)
+	off := slices.Grow(r.off[:0], steps+1)[:steps+1]
+	clear(off)
 	for _, last := range r.LastUse {
 		if last >= 0 {
 			off[last+1]++
@@ -60,7 +71,8 @@ func Analyze(p *program.Program) *Result {
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	flat := make([]int, off[len(p.Steps)])
+	flat := slices.Grow(r.flat[:0], off[steps])[:off[steps]]
+	r.off, r.flat = off, flat
 	for i := range r.FreeAfter {
 		if off[i] < off[i+1] {
 			r.FreeAfter[i] = flat[off[i]:off[i]:off[i+1]]

@@ -82,31 +82,44 @@ func (n *Net) AuxBytes() int64 {
 // Route computes the forward execution order with the paper's
 // Algorithm 1: depth-first traversal from the data layer, where a node
 // with multiple predecessors (a join) executes only after its input
-// dependency counter reaches the predecessor count. The counters are
-// reset afterwards so Route can be called repeatedly.
+// dependency counter reaches the predecessor count.
 //
 // Route panics if the graph is not a single-source DAG reaching every
 // node, which would make the returned order non-executable.
 func (n *Net) Route() []*Node {
-	counters := make([]int, len(n.Nodes))
-	route := make([]*Node, 0, len(n.Nodes))
-	var visit func(*Node)
-	visit = func(nd *Node) {
-		counters[nd.ID]++
-		if counters[nd.ID] < len(nd.Prev) {
-			return // a join: wait until all prior layers finish (Alg.1 line 5)
-		}
-		route = append(route, nd)
-		for _, nx := range nd.Next {
-			visit(nx)
-		}
-	}
-	visit(n.Input)
-	if len(route) != len(n.Nodes) {
+	return n.AppendRoute(make([]*Node, 0, len(n.Nodes)), make([]int, len(n.Nodes)))
+}
+
+// AppendRoute appends the forward route to dst and returns it.
+// counters must hold len(n.Nodes) zeros; it keeps the join counters,
+// so a caller that lowers many networks can pass reused buffers and
+// route without allocating.
+func (n *Net) AppendRoute(dst []*Node, counters []int) []*Node {
+	r := router{route: dst, counters: counters}
+	from := len(dst)
+	r.visit(n.Input)
+	if got := len(r.route) - from; got != len(n.Nodes) {
 		panic(fmt.Sprintf("nnet: route covers %d of %d nodes; graph disconnected or cyclic",
-			len(route), len(n.Nodes)))
+			got, len(n.Nodes)))
 	}
-	return route
+	return r.route
+}
+
+// router is the state of one Algorithm 1 traversal.
+type router struct {
+	route    []*Node
+	counters []int
+}
+
+func (r *router) visit(nd *Node) {
+	r.counters[nd.ID]++
+	if r.counters[nd.ID] < len(nd.Prev) {
+		return // a join: wait until all prior layers finish (Alg.1 line 5)
+	}
+	r.route = append(r.route, nd)
+	for _, nx := range nd.Next {
+		r.visit(nx)
+	}
 }
 
 // BackwardRoute returns the backward execution order: the exact

@@ -23,6 +23,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/layers"
@@ -97,6 +98,11 @@ type Program struct {
 	// auxiliary state (dropout reserves, BN statistics): resident for
 	// the whole run, untouched by the per-iteration schedulers.
 	PersistentBytes int64
+
+	// access backs every step's Reads and Writes; route holds the
+	// forward route while lowering.
+	access []*tensor.Tensor
+	route  []*nnet.Node
 }
 
 // Options tunes the lowering.
@@ -111,25 +117,40 @@ type Options struct {
 // Build lowers the network with default options.
 func Build(net *nnet.Net) *Program { return BuildWith(net, Options{}) }
 
-// BuildWith lowers the network. Every per-layer object lives in one of
-// a fixed number of backing arrays, so a lowering makes the same number
-// of allocations at any depth: tensors in the registry's slab, every
-// step's Reads and Writes in one arena, and every tensor name and step
-// label in one string buffer.
-func BuildWith(net *nnet.Net, opts Options) *Program {
-	n := len(net.Nodes)
-	p := &Program{
-		Net:     net,
-		Reg:     &tensor.Registry{},
-		Steps:   make([]Step, 0, 2*n),
-		Out:     make([]*tensor.Tensor, n),
-		DX:      make([]*tensor.Tensor, n),
-		GradOut: make([]*tensor.Tensor, n),
-		FwdStep: make([]int, n),
-		BwdStep: make([]int, n),
-	}
+// BuildWith lowers the network into a new Program.
+func BuildWith(net *nnet.Net, opts Options) *Program { return BuildInto(new(Program), net, opts) }
 
-	route := net.Route()
+// BuildInto lowers the network into p, reusing the backing arrays of
+// whatever p held before; a zero Program is the empty case. Every
+// per-layer object lives in one of a fixed number of backing arrays:
+// tensors in the registry's slab, every step's Reads and Writes in one
+// access arena, and every tensor name and step label in one string
+// buffer. The name buffer is always fresh, because the labels outlive
+// the program in run profiles; the other arrays are reallocated only
+// when p's are too small, so lowering into a reused p of at least this
+// size allocates no per-layer storage. The previous lowering's steps
+// and tensors are overwritten and must not be used afterwards.
+func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
+	n := len(net.Nodes)
+	if p.Reg == nil {
+		p.Reg = &tensor.Registry{}
+	}
+	p.Reg.Reset()
+	p.Net = net
+	p.Steps = slices.Grow(p.Steps[:0], 2*n)
+	p.Out = slices.Grow(p.Out[:0], n)[:n]
+	p.DX = slices.Grow(p.DX[:0], n)[:n]
+	clear(p.DX)
+	p.GradOut = slices.Grow(p.GradOut[:0], n)[:n]
+	clear(p.GradOut)
+	p.FwdStep = slices.Grow(p.FwdStep[:0], n)[:n]
+	p.BwdStep = slices.Grow(p.BwdStep[:0], n)[:n]
+
+	// FwdStep holds the route's join counters until the forward steps
+	// are numbered.
+	clear(p.FwdStep)
+	p.route = net.AppendRoute(slices.Grow(p.route[:0], n), p.FwdStep)
+	route := p.route
 
 	// Size the tensor slab, the name buffer and the access arena up
 	// front. The arena bound counts a backward step as its gradient
@@ -163,7 +184,7 @@ func BuildWith(net *nnet.Net, opts Options) *Program {
 		names.WriteString(b)
 		return names.String()[from:]
 	}
-	arena := make([]*tensor.Tensor, 0, accesses)
+	arena := slices.Grow(p.access[:0], accesses)
 	// carve returns the arena entries appended since from, capped so an
 	// append by any caller reallocates instead of overwriting the next
 	// step's entries.
@@ -256,6 +277,7 @@ func BuildWith(net *nnet.Net, opts Options) *Program {
 		p.BwdStep[nd.ID] = st.Index
 		p.Steps = append(p.Steps, st)
 	}
+	p.access = arena
 	return p
 }
 

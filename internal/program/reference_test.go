@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/nnet"
@@ -209,5 +210,20 @@ func TestBuildAllocsIndependentOfDepth(t *testing.T) {
 	b := testing.AllocsPerRun(5, func() { BuildWith(deep, Options{}) })
 	if a != b {
 		t.Errorf("BuildWith allocations: %.0f at n3=1, %.0f at n3=64; want equal", a, b)
+	}
+}
+
+// Lowering into a Program that held a larger network gives the
+// program a fresh lowering gives, and allocates only the name buffer.
+func TestBuildIntoReusesArrays(t *testing.T) {
+	small, large := nnet.ResNetTable4(16, 1), nnet.ResNetTable4(16, 64)
+	p := BuildWith(large, Options{})
+	for _, opts := range []Options{{}, {InPlaceAct: true}} {
+		if got, want := BuildInto(p, small, opts), BuildWith(small, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: lowering into a used Program differs from a fresh lowering", opts)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { BuildInto(p, small, Options{}) }); allocs != 1 {
+		t.Errorf("lowering into a used Program made %.0f allocations, want 1 (the name buffer)", allocs)
 	}
 }

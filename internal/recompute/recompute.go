@@ -16,6 +16,8 @@
 package recompute
 
 import (
+	"slices"
+
 	"repro/internal/layers"
 	"repro/internal/nnet"
 	"repro/internal/program"
@@ -71,6 +73,10 @@ type Plan struct {
 	Segments  []*Segment
 	// LPeak is max(l_i), the bound Cost-Aware honors.
 	LPeak int64
+
+	// segs backs Segments, and members backs every segment's Members.
+	segs    []Segment
+	members []*nnet.Node
 }
 
 // Droppable reports whether a node's forward output may be dropped and
@@ -98,50 +104,59 @@ func Droppable(nd *nnet.Node) bool {
 
 // BuildPlan resolves the drop set, the segments and — for CostAware —
 // the per-segment strategy for the given program.
-func BuildPlan(p *program.Program, s Strategy) *Plan {
+func BuildPlan(p *program.Program, s Strategy) *Plan { return BuildPlanInto(new(Plan), p, s) }
+
+// BuildPlanInto is BuildPlan into pl, reusing the arrays of whatever
+// pl held before; a zero Plan is the empty case. The previous plan and
+// its segments are overwritten.
+func BuildPlanInto(pl *Plan, p *program.Program, s Strategy) *Plan {
 	n := len(p.Net.Nodes)
-	pl := &Plan{
-		Strategy:  s,
-		Drop:      make([]bool, n),
-		SegmentOf: make([]*Segment, n),
-	}
+	pl.Strategy, pl.LPeak = s, 0
+	pl.Drop = slices.Grow(pl.Drop[:0], n)[:n]
+	clear(pl.Drop)
+	pl.SegmentOf = slices.Grow(pl.SegmentOf[:0], n)[:n]
+	clear(pl.SegmentOf)
+	pl.Segments = pl.Segments[:0]
 	if s == None {
 		return pl
 	}
 	lpeak, _ := p.LPeak()
 	pl.LPeak = lpeak
 
-	route := p.Net.Route()
-	var cur *Segment
+	// Segments are maximal runs of droppable layers in route order,
+	// which is the order of the forward steps. Members are carved from
+	// one array that holds at most every node, so it never grows
+	// mid-pass; the segment pointers are taken once segs is complete.
+	segs := pl.segs[:0]
+	members := slices.Grow(pl.members[:0], n)
 	var lastCheckpoint *nnet.Node
-	flush := func() {
-		if cur != nil && len(cur.Members) > 0 {
-			cur.ID = len(pl.Segments)
-			pl.Segments = append(pl.Segments, cur)
-			for _, m := range cur.Members {
-				pl.SegmentOf[m.ID] = cur
-			}
-		}
-		cur = nil
-	}
-	for _, nd := range route {
+	start := -1 // members index where the open segment begins
+	for si := range n {
+		nd := p.Steps[si].Node
 		if Droppable(nd) {
-			if cur == nil {
-				cur = &Segment{Checkpoint: lastCheckpoint}
+			if start < 0 {
+				segs = append(segs, Segment{ID: len(segs), Checkpoint: lastCheckpoint})
+				start = len(members)
 			}
-			cur.Members = append(cur.Members, nd)
+			members = append(members, nd)
+			segs[len(segs)-1].Members = members[start:len(members):len(members)]
 			pl.Drop[nd.ID] = true
 			continue
 		}
-		flush()
 		// Any kept layer acts as a replay seed for what follows: its
 		// output stays resident (or is prefetched back for
 		// checkpoints), so segments never span it.
+		start = -1
 		lastCheckpoint = nd
 	}
-	flush()
+	pl.segs, pl.members = segs, members
 
-	for _, seg := range pl.Segments {
+	for i := range segs {
+		seg := &segs[i]
+		pl.Segments = append(pl.Segments, seg)
+		for _, m := range seg.Members {
+			pl.SegmentOf[m.ID] = seg
+		}
 		seg.SpeedCost = speedCost(p, seg)
 		switch s {
 		case MemoryCentric:

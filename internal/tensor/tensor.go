@@ -99,10 +99,21 @@ type Registry struct {
 }
 
 // Grow reserves room for n more tensors, so the next n calls to New
-// share one allocation instead of making one each.
+// share one allocation instead of making one each. Room left in the
+// slab from an earlier Grow or Reset is used first.
 func (r *Registry) Grow(n int) {
-	r.slab = make([]Tensor, 0, n)
+	if cap(r.slab)-len(r.slab) < n {
+		r.slab = make([]Tensor, 0, n)
+	}
 	r.tensors = slices.Grow(r.tensors, n)
+}
+
+// Reset empties the registry and keeps its storage for the next
+// lowering: New overwrites the tensors handed out before, so none of
+// them may be used after a Reset.
+func (r *Registry) Reset() {
+	r.tensors = r.tensors[:0]
+	r.slab = r.slab[:0]
 }
 
 // New registers a tensor of the given kind and shape.

@@ -117,6 +117,39 @@ func TestRegistryGrowKeepsPointersStable(t *testing.T) {
 	}
 }
 
+// Reset empties the registry and the next lowering reuses its slab:
+// IDs restart at 0 and a Grow no larger than the old one allocates
+// nothing.
+func TestRegistryResetReusesSlab(t *testing.T) {
+	var r Registry
+	r.Grow(8)
+	for i := 0; i < 8; i++ {
+		r.New("old", Data, Shape{1, 1, 1, 8})
+	}
+	first := r.Get(0)
+	r.Reset()
+	if r.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", r.Len())
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		r.Reset()
+		r.Grow(6)
+		for i := 0; i < 6; i++ {
+			r.New("new", Grad, Shape{1, 1, 1, i + 1})
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset registry made %.0f allocations, want 0", allocs)
+	}
+	if r.Len() != 6 || r.Get(0) != first {
+		t.Fatalf("after refill: %d tensors, first %p, want 6 in the old slab at %p", r.Len(), r.Get(0), first)
+	}
+	for i, tn := range r.All() {
+		if tn.ID != i || tn.Name != "new" || tn.Kind != Grad || tn.Shape.W != i+1 || tn.Locked {
+			t.Errorf("tensor %d after Reset: %v (locked %v)", i, tn, tn.Locked)
+		}
+	}
+}
+
 func TestRegistryInvalidShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

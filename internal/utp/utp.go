@@ -12,6 +12,7 @@
 package utp
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/layers"
@@ -86,19 +87,31 @@ type Plan struct {
 	// first backward need. Tensors with no earlier CONV trigger are
 	// fetched on demand.
 	PrefetchAt map[int][]int
+
+	// convBwd lists the CONV backward steps in ascending order.
+	convBwd []int
 }
 
 // BuildPlan derives the schedule from the program, the offload mode
 // and the recomputation plan (replay seeds must be back on the GPU
 // before their segment replays).
 func BuildPlan(p *program.Program, mode Mode, rp *recompute.Plan) *Plan {
+	return BuildPlanInto(new(Plan), p, mode, rp)
+}
+
+// BuildPlanInto is BuildPlan into pl, reusing the arrays and the
+// PrefetchAt map of whatever pl held before; a zero Plan is the empty
+// case. The previous plan is overwritten.
+func BuildPlanInto(pl *Plan, p *program.Program, mode Mode, rp *recompute.Plan) *Plan {
 	nT := p.Reg.Len()
-	pl := &Plan{
-		OffloadTensor: make([]bool, nT),
-		LastFwdRead:   make([]int, nT),
-		FirstBwdNeed:  make([]int, nT),
-		PrefetchAt:    make(map[int][]int),
+	pl.OffloadTensor = slices.Grow(pl.OffloadTensor[:0], nT)[:nT]
+	clear(pl.OffloadTensor)
+	pl.LastFwdRead = slices.Grow(pl.LastFwdRead[:0], nT)[:nT]
+	pl.FirstBwdNeed = slices.Grow(pl.FirstBwdNeed[:0], nT)[:nT]
+	if pl.PrefetchAt == nil {
+		pl.PrefetchAt = make(map[int][]int)
 	}
+	clear(pl.PrefetchAt)
 	for i := range pl.LastFwdRead {
 		pl.LastFwdRead[i] = -1
 		pl.FirstBwdNeed[i] = -1
@@ -169,13 +182,14 @@ func BuildPlan(p *program.Program, mode Mode, rp *recompute.Plan) *Plan {
 	// the first need ("at any CONV layer in the backward, the runtime
 	// asynchronously fetches the required tensors for the previous
 	// CONV layer").
-	var convBwdSteps []int
+	convBwdSteps := pl.convBwd[:0]
 	for si := range p.Steps {
 		st := &p.Steps[si]
 		if st.Phase == program.Backward && st.Node.L.IsOffloadable() {
 			convBwdSteps = append(convBwdSteps, si)
 		}
 	}
+	pl.convBwd = convBwdSteps
 	for id := range pl.OffloadTensor {
 		if !pl.OffloadTensor[id] {
 			continue
