@@ -36,7 +36,8 @@ package memplan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -121,6 +122,27 @@ type Planner struct {
 
 	members []Demand // maintained sorted by Job ascending
 	state   planState
+
+	// Scratch reused by every plan so a Headroom or HeadroomWithout
+	// probe allocates nothing once warm. It is storage only: plan
+	// overwrites or clears every part before reading it, so no plan
+	// depends on an earlier one. view lists the member set being
+	// planned in job-ID order; cand holds a probed demand while it is
+	// in the view.
+	view    []*Demand
+	cand    Demand
+	slabs   map[uint64]slab
+	effPeak []int64
+	spilled []bool
+}
+
+// slab is one shared shape's refcount: the first holder's bytes, the
+// number of members declaring the key at those bytes, and whether the
+// device-wide charge has taken it yet.
+type slab struct {
+	bytes   int64
+	refs    int
+	charged bool
 }
 
 // planState is the derived plan for one member set.
@@ -129,8 +151,9 @@ type planState struct {
 	spillUsed   int64
 	slabBytes   int64
 	sharedSaved int64
-	grants      map[string]Grant
 	feasible    bool
+	// grants is parallel to the planned member set; probes leave it nil.
+	grants []Grant
 }
 
 // New returns a planner for a device with the given GPU capacity, host
@@ -145,32 +168,29 @@ func New(capBytes, spillBytes int64, link hw.LinkSpec) (*Planner, error) {
 	if link.BytesPerSec <= 0 {
 		link = hw.PCIePinned
 	}
-	p := &Planner{cap: capBytes, spillCap: spillBytes, link: link}
-	p.state = plan(nil, capBytes, spillBytes, link)
-	return p, nil
+	return &Planner{cap: capBytes, spillCap: spillBytes, link: link,
+		state: planState{feasible: true}, slabs: make(map[uint64]slab)}, nil
 }
 
-// plan derives the co-tenancy plan for a member demand set. It is a
-// pure function: members are folded in job-ID order regardless of how
-// the slice is ordered, so the same set always yields the same plan.
-func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planState {
-	st := planState{grants: make(map[string]Grant, len(members)), feasible: true}
-	if len(members) == 0 {
+// plan derives the co-tenancy plan for the member set in p.view, which
+// lists it in job-ID order: the fold order is fixed by the IDs, so the
+// same set always yields the same plan. When grants is non-nil it must
+// be as long as the view and receives each member's grant, parallel to
+// it.
+func (p *Planner) plan(grants []Grant) planState {
+	ordered := p.view
+	st := planState{feasible: true, grants: grants}
+	if len(ordered) == 0 {
 		return st
 	}
-	ordered := append([]Demand(nil), members...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Job < ordered[j].Job })
 
 	// Pass 1: cross-job shared reservations. Every member's shareable
 	// shapes are refcounted by key; shapes held by ≥2 tenants are
 	// lifted out of each holder's peak into one device-wide slab
 	// charge. The first holder's bytes define a key's slab, and a
 	// declaration of the same key at other bytes shares nothing.
-	type slab struct {
-		bytes int64
-		refs  int
-	}
-	slabs := make(map[uint64]slab)
+	slabs := p.slabs
+	clear(slabs)
 	for _, m := range ordered {
 		for _, td := range m.Tensors {
 			sl, ok := slabs[td.Key]
@@ -184,26 +204,25 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 			}
 		}
 	}
-	effPeak := make([]int64, len(ordered))
-	sharedOf := make([]int64, len(ordered))
-	slabSeen := make(map[uint64]bool)
+	n := len(ordered)
+	p.effPeak = slices.Grow(p.effPeak[:0], n)[:n]
+	effPeak := p.effPeak
 	for i, m := range ordered {
 		var lifted int64
 		for _, td := range m.Tensors {
-			if slabs[td.Key].refs >= 2 {
+			if sl := slabs[td.Key]; sl.refs >= 2 {
 				lifted += td.Bytes
-				if !slabSeen[td.Key] {
-					slabSeen[td.Key] = true
+				if !sl.charged {
+					sl.charged = true
+					slabs[td.Key] = sl
 					st.slabBytes += td.Bytes
 				}
 			}
 		}
-		ep := m.PeakBytes - lifted
-		if ep < m.FloorBytes {
-			ep = m.FloorBytes
+		effPeak[i] = max(m.PeakBytes-lifted, m.FloorBytes)
+		if grants != nil {
+			grants[i] = Grant{SharedBytes: lifted}
 		}
-		effPeak[i] = ep
-		sharedOf[i] = lifted
 	}
 
 	// Pass 2: spill selection. Start with every floor resident;
@@ -212,7 +231,9 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 	// member with the largest floor (ties to the lower job ID) into
 	// the host pool, which removes its floor from every other member's
 	// term at the price of a per-iteration swap round-trip.
-	spilled := make([]bool, len(ordered))
+	p.spilled = slices.Grow(p.spilled[:0], n)[:n]
+	spilled := p.spilled
+	clear(spilled)
 	requirement := func() int64 {
 		var floors int64
 		for i, m := range ordered {
@@ -233,13 +254,13 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 		return st.slabBytes + worst
 	}
 	r := requirement()
-	for r > capBytes {
+	for r > p.cap {
 		victim := -1
 		for i, m := range ordered {
 			if spilled[i] || m.FloorBytes <= 0 {
 				continue
 			}
-			if st.spillUsed+m.FloorBytes > spillCap {
+			if st.spillUsed+m.FloorBytes > p.spillCap {
 				continue
 			}
 			if victim == -1 || m.FloorBytes > ordered[victim].FloorBytes {
@@ -254,17 +275,38 @@ func plan(members []Demand, capBytes, spillCap int64, link hw.LinkSpec) planStat
 		r = requirement()
 	}
 	st.requirement = r
-	st.feasible = r <= capBytes
+	st.feasible = r <= p.cap
 
-	for i, m := range ordered {
-		g := Grant{SharedBytes: sharedOf[i]}
-		if spilled[i] {
-			g.SpilledBytes = m.FloorBytes
-			g.SwapPenalty = 2 * link.TransferTime(m.FloorBytes)
+	if grants != nil {
+		for i, m := range ordered {
+			if spilled[i] {
+				grants[i].SpilledBytes = m.FloorBytes
+				grants[i].SwapPenalty = 2 * p.link.TransferTime(m.FloorBytes)
+			}
 		}
-		st.grants[m.Job] = g
 	}
 	return st
+}
+
+// setView lists in p.view, in job-ID order, every member other than
+// cand's job that exclude keeps (all of them when exclude is nil), and
+// cand itself when it is non-nil.
+func (p *Planner) setView(cand *Demand, exclude func(job string) bool) {
+	p.view = p.view[:0]
+	for i := range p.members {
+		m := &p.members[i]
+		if cand != nil && cand.Job < m.Job {
+			p.view = append(p.view, cand)
+			cand = nil
+		}
+		if cand != nil && m.Job == cand.Job || exclude != nil && exclude(m.Job) {
+			continue
+		}
+		p.view = append(p.view, m)
+	}
+	if cand != nil {
+		p.view = append(p.view, cand)
+	}
 }
 
 // validate rejects malformed demands before they can corrupt the plan.
@@ -301,12 +343,19 @@ func (p *Planner) Member(job string) bool { return p.find(job) >= 0 }
 
 // find returns the member index of job, or -1.
 func (p *Planner) find(job string) int {
-	for i := range p.members {
-		if p.members[i].Job == job {
-			return i
-		}
+	i, ok := p.search(job)
+	if !ok {
+		return -1
 	}
-	return -1
+	return i
+}
+
+// search returns job's position in the sorted member list and whether
+// it is a member there.
+func (p *Planner) search(job string) (int, bool) {
+	return slices.BinarySearchFunc(p.members, job, func(m Demand, job string) int {
+		return strings.Compare(m.Job, job)
+	})
 }
 
 // Headroom reports the device capacity left after hypothetically
@@ -320,11 +369,7 @@ func (p *Planner) Headroom(d Demand) (int64, bool) {
 	if p.find(d.Job) >= 0 {
 		return 0, false
 	}
-	st := plan(append(append([]Demand(nil), p.members...), d), p.cap, p.spillCap, p.link)
-	if !st.feasible {
-		return 0, false
-	}
-	return p.cap - st.requirement, true
+	return p.probe(d, nil)
 }
 
 // HeadroomWithout is Headroom with some members hypothetically evicted
@@ -334,13 +379,16 @@ func (p *Planner) HeadroomWithout(exclude func(job string) bool, d Demand) (int6
 	if err := validate(d); err != nil {
 		return 0, false
 	}
-	kept := make([]Demand, 0, len(p.members)+1)
-	for _, m := range p.members {
-		if m.Job != d.Job && !exclude(m.Job) {
-			kept = append(kept, m)
-		}
-	}
-	st := plan(append(kept, d), p.cap, p.spillCap, p.link)
+	return p.probe(d, exclude)
+}
+
+// probe plans d beside the members exclude keeps, without grants, and
+// reports d's headroom.
+func (p *Planner) probe(d Demand, exclude func(job string) bool) (int64, bool) {
+	p.cand = d
+	p.setView(&p.cand, exclude)
+	st := p.plan(nil)
+	p.cand = Demand{}
 	if !st.feasible {
 		return 0, false
 	}
@@ -355,19 +403,21 @@ func (p *Planner) Admit(d Demand) (Grant, error) {
 	if err := validate(d); err != nil {
 		return Grant{}, err
 	}
-	if p.find(d.Job) >= 0 {
+	i, dup := p.search(d.Job)
+	if dup {
 		return Grant{}, fmt.Errorf("memplan: job %s already admitted", d.Job)
 	}
-	next := append(append([]Demand(nil), p.members...), d)
-	st := plan(next, p.cap, p.spillCap, p.link)
+	p.cand = d
+	p.setView(&p.cand, nil)
+	st := p.plan(make([]Grant, len(p.view)))
+	p.cand = Demand{}
 	if !st.feasible {
 		return Grant{}, fmt.Errorf("memplan: job %s does not fit: requirement %d exceeds capacity %d (spill pool %d/%d)",
 			d.Job, st.requirement, p.cap, st.spillUsed, p.spillCap)
 	}
-	p.members = next
-	sort.Slice(p.members, func(i, j int) bool { return p.members[i].Job < p.members[j].Job })
+	p.members = slices.Insert(p.members, i, d)
 	p.state = st
-	return st.grants[d.Job], nil
+	return st.grants[i], nil
 }
 
 // Release removes a member and replans.
@@ -376,8 +426,9 @@ func (p *Planner) Release(job string) error {
 	if i < 0 {
 		return fmt.Errorf("memplan: release of unknown job %s", job)
 	}
-	p.members = append(p.members[:i], p.members[i+1:]...)
-	p.state = plan(p.members, p.cap, p.spillCap, p.link)
+	p.members = slices.Delete(p.members, i, i+1)
+	p.setView(nil, nil)
+	p.state = p.plan(make([]Grant, len(p.view)))
 	return nil
 }
 
@@ -397,12 +448,16 @@ func (p *Planner) Tenants() int { return len(p.members) }
 
 // Grant returns the current grant for a member.
 func (p *Planner) Grant(job string) (Grant, bool) {
-	g, ok := p.state.grants[job]
-	return g, ok
+	i := p.find(job)
+	if i < 0 {
+		return Grant{}, false
+	}
+	return p.state.grants[i], true
 }
 
 // SwapPenalty is the per-iteration cost of the member's spilled floor
 // (zero for resident members and unknown jobs).
 func (p *Planner) SwapPenalty(job string) sim.Duration {
-	return p.state.grants[job].SwapPenalty
+	g, _ := p.Grant(job)
+	return g.SwapPenalty
 }

@@ -2,6 +2,8 @@ package memplan
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -335,6 +337,9 @@ func TestMember(t *testing.T) {
 	if p.Member("c") {
 		t.Error("never-admitted job reported as member")
 	}
+	if g, ok := p.Grant("c"); ok || p.SwapPenalty("c") != 0 {
+		t.Errorf("never-admitted job has a grant: %+v", g)
+	}
 	if err := p.Release("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -343,5 +348,222 @@ func TestMember(t *testing.T) {
 	}
 	if !p.Member("b") {
 		t.Error("release of a evicted b's membership")
+	}
+}
+
+// TestRequirementCanFallWhenJobJoins pins why R(S) is no lower bound
+// for R(S ∪ {j}): a joining job can push the planner to spill a large
+// floor it kept resident before, and the spill lowers every other
+// member's term.
+func TestRequirementCanFallWhenJobJoins(t *testing.T) {
+	p, err := New(15, 100, hw.PCIePinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Demand{
+		{Job: "A", PeakBytes: 10, FloorBytes: 1},
+		{Job: "X", PeakBytes: 5, FloorBytes: 5},
+	} {
+		if _, err := p.Admit(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// R = max(A: 10 + 5, X: 5 + 1) = 15, nothing spilled.
+	if p.Requirement() != 15 || p.SpillUsed() != 0 {
+		t.Fatalf("R = %d, spill %d; want 15 and 0", p.Requirement(), p.SpillUsed())
+	}
+	if _, err := p.Admit(Demand{Job: "J", PeakBytes: 1, FloorBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Resident, R would be 10 + 5 + 1 = 16 > 15, so X's floor spills:
+	// R = max(A: 10 + 1, X: 5 + 1 + 1, J: 1 + 1) = 11.
+	if p.Requirement() != 11 || p.SpillUsed() != 5 {
+		t.Fatalf("R = %d, spill %d after J joined; want 11 and 5", p.Requirement(), p.SpillUsed())
+	}
+}
+
+// genDemands draws a planner shape and a demand pool from seed
+// (xorshift64). Sizes are small integers so keys collide often: the
+// pool mixes shared keys, the same key at different bytes, floors that
+// force spills and spill pools too small to hold them.
+func genDemands(seed uint64) (capBytes, spillBytes int64, pool []Demand) {
+	x := seed*0x9e3779b97f4a7c15 + 1
+	next := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	capBytes = int64(20 + next(60))
+	spillBytes = int64(next(4) * next(30))
+	pool = make([]Demand, 2+next(9))
+	for i := range pool {
+		peak := int64(4 + next(30))
+		d := Demand{Job: fmt.Sprintf("j%02d", next(40)), PeakBytes: peak, FloorBytes: int64(next(int(peak) + 1))}
+		budget := peak - d.FloorBytes
+		for k := next(4); k > 0; k-- {
+			td := TensorDemand{Key: uint64(1 + next(3)), Bytes: int64(1 + next(3)), Width: 4}
+			if td.Bytes > budget {
+				break
+			}
+			d.Tensors = append(d.Tensors, td)
+			budget -= td.Bytes
+		}
+		pool[i] = d
+	}
+	return capBytes, spillBytes, pool
+}
+
+// freshPlanner admits set into a new planner in job-ID order and
+// returns it, or nil when some admission fails: a subset on the way
+// can be infeasible even where the whole set is not, since R can fall
+// when a job joins.
+func freshPlanner(t *testing.T, capBytes, spillBytes int64, set []Demand) *Planner {
+	t.Helper()
+	q, err := New(capBytes, spillBytes, hw.PCIePinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set = slices.Clone(set)
+	slices.SortFunc(set, func(a, b Demand) int { return strings.Compare(a.Job, b.Job) })
+	for _, d := range set {
+		if _, err := q.Admit(d); err != nil {
+			return nil
+		}
+	}
+	return q
+}
+
+// TestProbesMatchFreshPlanner is the differential check of the probe
+// path: over generated demand sets, Headroom and HeadroomWithout
+// report exactly the capacity a fresh planner that admits the probed
+// set leaves, and refuse exactly the sets it cannot plan. After a
+// probed job is admitted, every member's grant equals the fresh
+// planner's.
+func TestProbesMatchFreshPlanner(t *testing.T) {
+	seen := map[string]int{}
+	for seed := uint64(1); seed <= 3000; seed++ {
+		capBytes, spillBytes, pool := genDemands(seed)
+		p, err := New(capBytes, spillBytes, hw.PCIePinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Build the member set in pool order, releasing every third
+		// admitted job again so members are inserted and removed at
+		// every position.
+		var members []Demand
+		for i, d := range pool[:len(pool)-1] {
+			if _, err := p.Admit(d); err != nil {
+				continue
+			}
+			members = append(members, d)
+			if i%3 == 2 {
+				if err := p.Release(d.Job); err != nil {
+					t.Fatal(err)
+				}
+				members = members[:len(members)-1]
+			}
+		}
+		cand := pool[len(pool)-1]
+		name := fmt.Sprintf("seed %d", seed)
+
+		// Headroom: the members plus a job that is not one of them.
+		if !p.Member(cand.Job) {
+			got, ok := p.Headroom(cand)
+			set := append(slices.Clone(members), cand)
+			if q := freshPlanner(t, capBytes, spillBytes, set); q != nil {
+				if want := capBytes - q.Requirement(); !ok || got != want {
+					t.Fatalf("%s: Headroom = %d (ok=%v), fresh planner leaves %d", name, got, ok, want)
+				}
+				seen["fits"]++
+				if q.SpillUsed() > 0 {
+					seen["spill"]++
+				}
+				if q.SharedSavedBytes() > 0 {
+					seen["shared"]++
+				}
+				if _, err := p.Admit(cand); err != nil {
+					t.Fatalf("%s: admit after a fitting probe: %v", name, err)
+				}
+				for _, m := range set {
+					g, _ := p.Grant(m.Job)
+					if want, _ := q.Grant(m.Job); g != want || p.SwapPenalty(m.Job) != want.SwapPenalty {
+						t.Fatalf("%s: %s grant %+v, fresh planner grants %+v", name, m.Job, g, want)
+					}
+				}
+				if p.Requirement() != q.Requirement() {
+					t.Fatalf("%s: requirement %d after admit, fresh planner %d", name, p.Requirement(), q.Requirement())
+				}
+				if err := p.Release(cand.Job); err != nil {
+					t.Fatal(err)
+				}
+			} else if freshPlanner(t, capBytes, spillBytes, members) != nil && ok {
+				// Every member admits, so only cand's admission failed.
+				t.Fatalf("%s: Headroom = %d (ok), fresh planner refuses the set", name, got)
+			} else if !ok {
+				seen["refused"]++
+			}
+		} else {
+			seen["member"]++
+		}
+
+		// HeadroomWithout: drop every member the seed's bits name (and
+		// a member sharing the candidate's ID, which the probe replaces).
+		bits := seed * 0x2545f4914f6cdd1d
+		excluded := func(job string) bool {
+			i := slices.IndexFunc(members, func(m Demand) bool { return m.Job == job })
+			return i >= 0 && bits>>uint(i)&1 == 1
+		}
+		var kept []Demand
+		for _, m := range members {
+			if m.Job != cand.Job && !excluded(m.Job) {
+				kept = append(kept, m)
+			}
+		}
+		if len(kept) < len(members) {
+			seen["excluded"]++
+		}
+		got, ok := p.HeadroomWithout(excluded, cand)
+		if q := freshPlanner(t, capBytes, spillBytes, append(kept, cand)); q != nil {
+			if want := capBytes - q.Requirement(); !ok || got != want {
+				t.Fatalf("%s: HeadroomWithout = %d (ok=%v), fresh planner leaves %d", name, got, ok, want)
+			}
+		} else if freshPlanner(t, capBytes, spillBytes, kept) != nil && ok {
+			t.Fatalf("%s: HeadroomWithout = %d (ok), fresh planner refuses the set", name, got)
+		}
+	}
+	for _, k := range []string{"fits", "spill", "shared", "refused", "member", "excluded"} {
+		if seen[k] < 20 {
+			t.Errorf("generated sets reached %q only %d times (%v)", k, seen[k], seen)
+		}
+	}
+}
+
+// TestProbesAllocateNothing: once warm, a probe reuses the planner's
+// scratch and builds no grants.
+func TestProbesAllocateNothing(t *testing.T) {
+	p := mustPlanner(t, 12, 16)
+	k := ShapeKey(32, 64, 56, 56, 4)
+	for i := 0; i < 8; i++ {
+		d := demand(fmt.Sprintf("j%d", i), 5, 2)
+		d.Tensors = []TensorDemand{{Key: k, Bytes: gib}, {Key: uint64(i), Bytes: gib}}
+		if _, err := p.Admit(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.SpillUsed() == 0 || p.SharedSavedBytes() == 0 {
+		t.Fatal("the probed plan should spill and share")
+	}
+	cand := demand("j35", 6, 1)
+	cand.Tensors = []TensorDemand{{Key: k, Bytes: gib}}
+	odd := func(job string) bool { return job[len(job)-1]%2 == 1 }
+	for name, probe := range map[string]func(){
+		"Headroom":        func() { p.Headroom(cand) },
+		"HeadroomWithout": func() { p.HeadroomWithout(odd, cand) },
+	} {
+		probe()
+		if n := testing.AllocsPerRun(100, probe); n != 0 {
+			t.Errorf("%s allocates %.0f times per probe", name, n)
+		}
 	}
 }

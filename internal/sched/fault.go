@@ -120,13 +120,15 @@ func (e *exec) failDevice(di int, now sim.Time) {
 		return
 	}
 	// Leave the free-capacity summary while still healthy: the victims'
-	// releases below then skip the device (reserve).
+	// releases below then skip the device (hold).
 	e.unlistFree(di)
 	d.failed = true
 	d.fails++
 	d.downSince = now
 	victims := append([]*jobState(nil), d.resident...)
-	e.lg.Info("device failed", "device", di, "t", int64(now), "victims", len(victims))
+	if e.lgInfo {
+		e.lg.Info("device failed", "device", di, "t", int64(now), "victims", len(victims))
+	}
 	for _, js := range victims {
 		e.failVictim(js, di, now)
 	}
@@ -174,8 +176,10 @@ func (e *exec) failVictim(js *jobState, di int, now sim.Time) {
 	e.vacate(js, now)
 	js.device = -1
 	e.enqueue(js)
-	e.lg.Info("job requeued after device failure", "job", js.ID, "device", di,
-		"t", int64(now), "completed", js.Iterations-js.remaining, "remaining", js.remaining)
+	if e.lgInfo {
+		e.lg.Info("job requeued after device failure", "job", js.ID, "device", di,
+			"t", int64(now), "completed", js.Iterations-js.remaining, "remaining", js.remaining)
+	}
 }
 
 // canShrink re-probes the surviving members before committing to the
@@ -206,8 +210,10 @@ func (e *exec) shrinkGang(js *jobState, failed int, survivors []int, now sim.Tim
 	js.device = survivors[0]
 	js.gangAR = dataparallel.PriceGang(e.topo, survivors, js.est.GradientBytes, dataparallel.DefaultBuckets)
 	js.shrinks++
-	e.lg.Info("gang shrunk", "job", js.ID, "failed_device", failed, "gang", survivors,
-		"t", int64(now), "all_reduce", int64(js.gangAR))
+	if e.lgInfo {
+		e.lg.Info("gang shrunk", "job", js.ID, "failed_device", failed, "gang", survivors,
+			"t", int64(now), "all_reduce", int64(js.gangAR))
+	}
 }
 
 // recoverDevice returns a failed device to service: it re-enters
@@ -224,7 +230,9 @@ func (e *exec) recoverDevice(di int, now sim.Time) {
 	e.listFree(di)
 	d.down += sim.Duration(now - d.downSince)
 	d.downSince = 0
-	e.lg.Info("device recovered", "device", di, "t", int64(now), "down", int64(d.down))
+	if e.lgInfo {
+		e.lg.Info("device recovered", "device", di, "t", int64(now), "down", int64(d.down))
+	}
 	e.schedule(now)
 }
 

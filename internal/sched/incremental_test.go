@@ -624,6 +624,9 @@ func FuzzRestoreIncremental(f *testing.F) {
 	// recovery event exercise the fault state.
 	fcl, fjobs := faultCluster(f)
 	f.Add(seed(fcl, TopoPacking, fjobs, ms(2500)))
+	// The same outage under a preemptive policy carries the preemption
+	// summary through restore.
+	f.Add(seed(fcl, Priority, fjobs, ms(2500)))
 	f.Add(snapText(idleFitSnapshot(f)))
 	// An empty replay, whole and cut after its header record.
 	empty := seed(testCluster(), Packing, nil, 0)
@@ -638,13 +641,19 @@ func FuzzRestoreIncremental(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Restore and clone rebuild the free-capacity summary from the
-		// restored devices, failed flags included.
+		// Restore rebuilds the free-capacity and preemption summaries
+		// from the restored jobs and devices, failed flags included;
+		// clone rebuilds the first and copies the second.
 		if want := rebuiltFree(restored.ex); !slices.Equal(restored.ex.free, want) {
 			t.Fatalf("restored free-capacity summary %v, rebuild gives %v", restored.ex.free, want)
 		}
+		if bad := summaryMismatch(restored.ex); bad != "" {
+			t.Fatalf("restored preemption summary: %s", bad)
+		}
 		if c := restored.Clone(); !slices.Equal(c.ex.free, rebuiltFree(c.ex)) {
 			t.Fatalf("cloned free-capacity summary %v, rebuild gives %v", c.ex.free, rebuiltFree(c.ex))
+		} else if bad := summaryMismatch(c.ex); bad != "" {
+			t.Fatalf("cloned preemption summary: %s", bad)
 		}
 		// Decoded strings are valid UTF-8 and decoded floats finite, so
 		// an accepted snapshot re-encodes, and the re-encoding restores.
@@ -669,6 +678,9 @@ func FuzzRestoreIncremental(f *testing.F) {
 		restored.ex.processUntil(-1)
 		if want := rebuiltFree(restored.ex); !slices.Equal(restored.ex.free, want) {
 			t.Fatalf("drained free-capacity summary %v, rebuild gives %v", restored.ex.free, want)
+		}
+		if bad := summaryMismatch(restored.ex); bad != "" {
+			t.Fatalf("drained preemption summary: %s", bad)
 		}
 	})
 }

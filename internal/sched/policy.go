@@ -3,7 +3,6 @@ package sched
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -286,48 +285,43 @@ func (p Policy) schedule(e *exec, now sim.Time) {
 // evicted twice. Reports whether any reservation was released right
 // now (in which case the caller re-runs the admission pass).
 func (p Policy) preempt(head *jobState, e *exec, now sim.Time) bool {
-	want := head.GPUs
-	if want < 1 {
-		want = 1
-	}
-	lower := func(r *jobState) bool { return r.Priority < head.Priority }
-	var viable []int
-	for di := range e.devs {
-		if _, ok := e.headroomWithout(head, di, lower); ok {
-			viable = append(viable, di)
-			if len(viable) == want {
-				break
-			}
-		}
-	}
-	if len(viable) < want {
+	viable := e.evictable(head)
+	if viable == nil {
 		return false
 	}
 	freedNow := false
 	for _, di := range viable {
 		d := e.devs[di]
-		var cands []*jobState
+		cands := make([]*jobState, 0, len(d.resident))
 		for _, r := range d.resident {
-			if lower(r) {
+			if r.Priority < head.Priority {
 				cands = append(cands, r)
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].Priority != cands[j].Priority {
-				return cands[i].Priority < cands[j].Priority
+		slices.SortStableFunc(cands, func(a, b *jobState) int {
+			if c := cmp.Compare(a.Priority, b.Priority); c != 0 {
+				return c
 			}
-			return cands[i].seq > cands[j].seq
+			return b.seq - a.seq
 		})
-		// counted marks victims whose reservation is already treated as
-		// released for this device's fit question — either marked for
-		// vacate at their iteration boundary or vacated right here. The
-		// head fits once headroomWithout(counted) succeeds.
-		counted := make(map[*jobState]bool, len(cands))
+		// cands[:n] are the victims already treated as released for this
+		// device's fit question — either marked for vacate at their
+		// iteration boundary or vacated right here. In isolated mode room
+		// is the head's free capacity once they are gone: each counted
+		// victim releases its peak, now or at its boundary.
+		n := 0
+		counted := func(r *jobState) bool { return slices.Contains(cands[:n], r) }
+		room := e.cap - d.used
 		for _, v := range cands {
-			if _, ok := e.headroomWithout(head, di, func(r *jobState) bool { return counted[r] }); ok {
+			if e.crossjob {
+				if e.fitsWithout(head, di, counted) {
+					break
+				}
+			} else if room >= head.est.PeakBytes {
 				break
 			}
-			counted[v] = true
+			n++
+			room += v.est.PeakBytes
 			if v.marked {
 				continue // already vacating
 			}
@@ -346,10 +340,40 @@ func (p Policy) preempt(head *jobState, e *exec, now sim.Time) bool {
 			v.device = -1
 			e.enqueue(v)
 			freedNow = true
-			e.lg.Info("job preempted", "head", head.ID, "victim", v.ID, "device", di,
-				"gang", v.gang, "t", int64(now), "victim_priority", v.Priority,
-				"head_priority", head.Priority, "cotenants", coResidents(d))
+			if e.lgInfo {
+				e.lg.Info("job preempted", "head", head.ID, "victim", v.ID, "device", di,
+					"gang", v.gang, "t", int64(now), "victim_priority", v.Priority,
+					"head_priority", head.Priority, "cotenants", coResidents(d))
+			}
 		}
 	}
 	return freedNow
+}
+
+// evictable returns, ascending, the first devices in index order where
+// the head's gang would fit with every strictly lower-priority resident
+// evicted — as many as the gang needs — or nil when fewer exist. In
+// isolated mode each device's test is O(1): the preemption summary
+// holds the bytes its lower-priority residents would release. Under
+// CrossJob each device's planner is probed.
+func (e *exec) evictable(head *jobState) []int {
+	want := max(head.GPUs, 1)
+	k, _ := slices.BinarySearch(e.prio, head.Priority)
+	lower := func(r *jobState) bool { return r.Priority < head.Priority }
+	viable := make([]int, 0, want)
+	for di, d := range e.devs {
+		ok := false
+		if e.crossjob {
+			ok = e.fitsWithout(head, di, lower)
+		} else {
+			ok = !d.failed && e.cap-d.used+d.lower[k] >= head.est.PeakBytes
+		}
+		if ok {
+			viable = append(viable, di)
+			if len(viable) == want {
+				return viable
+			}
+		}
+	}
+	return nil
 }

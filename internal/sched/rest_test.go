@@ -24,12 +24,47 @@ func rebuiltFree(e *exec) []int64 {
 	return free
 }
 
+// summaryMismatch recomputes the preemption summary from scratch — the
+// distinct priorities of every added job, and per device the bytes its
+// residents below each hold, kept only under isolated preemptive
+// admission — and describes the first difference from e's, or returns
+// "".
+func summaryMismatch(e *exec) string {
+	var prio []int
+	if !e.crossjob && e.policy.Preemptive {
+		for _, js := range e.states {
+			prio = append(prio, js.Priority)
+		}
+		slices.Sort(prio)
+		prio = slices.Compact(prio)
+	}
+	if !slices.Equal(e.prio, prio) {
+		return fmt.Sprintf("priority classes %v, rebuild gives %v", e.prio, prio)
+	}
+	for di, d := range e.devs {
+		var lower []int64
+		for _, p := range prio {
+			var b int64
+			for _, r := range d.resident {
+				if r.Priority < p {
+					b += r.est.PeakBytes
+				}
+			}
+			lower = append(lower, b)
+		}
+		if !slices.Equal(d.lower, lower) {
+			return fmt.Sprintf("gpu%d lower-priority bytes %v, rebuild gives %v", di, d.lower, lower)
+		}
+	}
+	return ""
+}
+
 // stepAtRest replays jobs one event at a time and fails at the first
 // event after which the admission pass is not at rest — the condition
 // that lets the event loop skip the pass at boundaries that vacate
-// nothing — or the free-capacity summary differs from a rebuild. The
-// stepped replay must also equal the batch run, so the checks
-// themselves are proven observation-only.
+// nothing — or the free-capacity or preemption summary differs from a
+// rebuild. The stepped replay must also equal the batch run, so the
+// checks themselves are proven observation-only.
 func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, jobs []Job) *Result {
 	t.Helper()
 	e, err := newExec(c, p, est)
@@ -55,6 +90,10 @@ func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, 
 		if want := rebuiltFree(e); !slices.Equal(e.free, want) {
 			t.Fatalf("%s: free-capacity summary after event %d (t=%d class=%d job=%d dev=%d) is %v, rebuild gives %v",
 				name, n, int64(ev.at), ev.class, ev.job, ev.dev, e.free, want)
+		}
+		if bad := summaryMismatch(e); bad != "" {
+			t.Fatalf("%s: preemption summary after event %d (t=%d class=%d job=%d dev=%d): %s",
+				name, n, int64(ev.at), ev.class, ev.job, ev.dev, bad)
 		}
 	}
 	got, gotErr := e.result()

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"slices"
 	"sort"
@@ -182,6 +181,15 @@ type device struct {
 	maxRes    int
 	spillPeak int64
 
+	// lower[k] is the bytes this device's residents of priority below
+	// exec.prio[k] hold: the preemption summary of isolated preemptive
+	// admission (nil otherwise). A head of priority prio[k] would have
+	// cap − used + lower[k] free here with every strictly
+	// lower-priority resident evicted. hold keeps it in step with the
+	// residents; clone copies it and snapshot restore rebuilds it
+	// (rebuildSummary).
+	lower []int64
+
 	// Fault state: failed devices are skipped by every placement and
 	// dispatch path; downSince stamps the current outage, down
 	// accumulates completed ones, fails counts failure events.
@@ -230,14 +238,22 @@ type exec struct {
 	// free is the free-capacity summary of isolated (non-CrossJob)
 	// admission: cap − used of every healthy device, ascending. It
 	// answers "do k devices each fit p bytes?" without probing a device
-	// (gangFits). reserve, failDevice and recoverDevice keep it in step
+	// (gangFits). hold, failDevice and recoverDevice keep it in step
 	// with devs; clone and snapshot restore rebuild it (rebuildDerived).
 	free []int64
 
-	// lg receives structured scheduling decisions; lgDbg gates the
-	// per-event hot path (checked once, the serve-layer idiom).
-	lg    *slog.Logger
-	lgDbg bool
+	// prio lists the distinct priorities of the jobs added so far,
+	// ascending: the classes of the preemption summary (device.lower),
+	// kept only under isolated preemptive admission. addJob adds a class
+	// for a new priority.
+	prio []int
+
+	// lg receives structured scheduling decisions; lgInfo and lgDbg
+	// gate the argument building of the Info and Debug sites (checked
+	// once, the serve-layer idiom).
+	lg     *slog.Logger
+	lgInfo bool
+	lgDbg  bool
 
 	states  []*jobState
 	devs    []*device
@@ -299,11 +315,21 @@ var spillLink = hw.PCIePinned
 // setLogger installs the structured-event sink (nil discards).
 func (e *exec) setLogger(lg *slog.Logger) {
 	if lg == nil {
-		lg = slog.New(slog.NewTextHandler(io.Discard, nil))
+		lg = slog.New(discardHandler{})
 	}
 	e.lg = lg
+	e.lgInfo = lg.Enabled(context.Background(), slog.LevelInfo)
 	e.lgDbg = lg.Enabled(context.Background(), slog.LevelDebug)
 }
+
+// discardHandler is enabled at no level, so a discarded record is
+// never built, let alone formatted.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // plannerID is the job's member key in device planners: the zero-padded
 // trace index, so lexicographic member order (the planner's spill
@@ -336,7 +362,7 @@ func (e *exec) addJob(j Job) (int, error) {
 	if j.GPUs > e.cluster.Devices {
 		// A gang wider than the cluster can never be placed; reject up
 		// front like a single job that cannot fit an idle device.
-		e.states = append(e.states, &jobState{Job: j, seq: i, liveDone: -1,
+		e.addState(&jobState{Job: j, seq: i, liveDone: -1,
 			rejReason: fmt.Sprintf("gang needs %d devices, cluster has %d", j.GPUs, e.cluster.Devices)})
 		e.rejCount++
 		return i, nil
@@ -372,9 +398,11 @@ func (e *exec) addJob(j Job) (int, error) {
 		// Rejected before any shape estimated cleanly: the recorded
 		// Estimate stays zero, exactly as the batch scheduler always
 		// reported it.
-		e.states = append(e.states, &jobState{Job: j, seq: i, liveDone: -1, rejReason: rejReason})
+		e.addState(&jobState{Job: j, seq: i, liveDone: -1, rejReason: rejReason})
 		e.rejCount++
-		e.lg.Info("job rejected", "job", j.ID, "reason", rejReason)
+		if e.lgInfo {
+			e.lg.Info("job rejected", "job", j.ID, "reason", rejReason)
+		}
 		return i, nil
 	}
 	if worst.PeakBytes > e.cap {
@@ -391,8 +419,10 @@ func (e *exec) addJob(j Job) (int, error) {
 	if rejReason != "" {
 		js.remaining = 0
 		e.rejCount++
-		e.lg.Info("job rejected", "job", j.ID, "reason", rejReason,
-			"peak_bytes", worst.PeakBytes, "capacity", e.cap)
+		if e.lgInfo {
+			e.lg.Info("job rejected", "job", j.ID, "reason", rejReason,
+				"peak_bytes", worst.PeakBytes, "capacity", e.cap)
+		}
 	} else if e.crossjob {
 		// The worst shape's tensor-granularity demand; the planner sees
 		// the same worst case admission reserves.
@@ -402,8 +432,15 @@ func (e *exec) addJob(j Job) (int, error) {
 		}
 		js.demand = buildDemand(js, tds)
 	}
-	e.states = append(e.states, js)
+	e.addState(js)
 	return i, nil
+}
+
+// addState appends a job's state and gives its priority a class in
+// the preemption summary.
+func (e *exec) addState(js *jobState) {
+	e.states = append(e.states, js)
+	e.addClass(js.Priority)
 }
 
 // buildDemand assembles the device-planner demand from the admission
@@ -563,20 +600,23 @@ func (e *exec) gangFits(k int, p int64) bool {
 	return n >= k && e.free[n-k] >= p
 }
 
-// reserve changes device di's reservation by delta at now. It is the
-// one place reservations move, so the free-capacity summary follows
-// them: a healthy device's old entry leaves and its new one enters. A
-// failed device is out of the summary (failDevice unlisted it) and
-// stays out.
-func (e *exec) reserve(di int, now sim.Time, delta int64) {
+// hold changes isolated device di's reservation by delta at now on
+// behalf of resident js: its peak when it is admitted, minus its peak
+// when it leaves. It is the one place isolated reservations move, so
+// the summaries follow them: a healthy device's free capacity moves
+// within the free-capacity summary (a failed device is out of it —
+// failDevice unlisted it — and stays out), and js's bytes count as
+// lower-priority bytes in every class above its priority.
+func (e *exec) hold(di int, js *jobState, now sim.Time, delta int64) {
 	d := e.devs[di]
-	if d.failed {
-		d.setUsed(now, delta)
-		return
-	}
-	e.unlistFree(di)
+	free := e.cap - d.used
 	d.setUsed(now, delta)
-	e.listFree(di)
+	if !d.failed {
+		resort(e.free, free, free-delta)
+	}
+	for k := len(e.prio) - 1; k >= 0 && e.prio[k] > js.Priority; k-- {
+		d.lower[k] += delta
+	}
 }
 
 // listFree enters healthy device di's free capacity into the summary;
@@ -599,34 +639,77 @@ func (e *exec) unlistFree(di int) {
 	e.free = slices.Delete(e.free, i, i+1)
 }
 
-// headroomWithout is headroom with some residents hypothetically
-// evicted — the preemption-viability probe.
-func (e *exec) headroomWithout(js *jobState, di int, exclude func(*jobState) bool) (int64, bool) {
+// resort moves one entry of the ascending list s from old to new with
+// a single shift of the entries between its two positions.
+func resort(s []int64, old, new int64) {
+	i, _ := slices.BinarySearch(s, old)
+	switch {
+	case new > old:
+		j, _ := slices.BinarySearch(s[i:], new)
+		j += i
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = new
+	case new < old:
+		j, _ := slices.BinarySearch(s[:i], new)
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = new
+	}
+}
+
+// rebuildSummary reconstructs the preemption summary from the jobs'
+// priorities and the devices' residents, for snapshot restore. It
+// reads every job, so clone copies the summary instead: a clone costs
+// O(active), which the serving layer's status queries rely on.
+func (e *exec) rebuildSummary() {
+	e.prio = nil
+	for _, d := range e.devs {
+		d.lower = nil
+	}
+	for _, js := range e.states {
+		e.addClass(js.Priority)
+	}
+}
+
+// addClass gives priority p a class in the preemption summary, which
+// only isolated preemptive admission keeps: every device's bytes held
+// by residents below p.
+func (e *exec) addClass(p int) {
+	if e.crossjob || !e.policy.Preemptive {
+		return
+	}
+	k, ok := slices.BinarySearch(e.prio, p)
+	if ok {
+		return
+	}
+	e.prio = slices.Insert(e.prio, k, p)
+	for _, d := range e.devs {
+		var lower int64
+		for _, r := range d.resident {
+			if r.Priority < p {
+				lower += r.est.PeakBytes
+			}
+		}
+		d.lower = slices.Insert(d.lower, k, lower)
+	}
+}
+
+// fitsWithout is the CrossJob preemption probe: would js fit device
+// di's planner with every resident exclude names vacated? Isolated
+// preemption reads the preemption summary instead.
+func (e *exec) fitsWithout(js *jobState, di int, exclude func(*jobState) bool) bool {
 	d := e.devs[di]
 	if d.failed {
-		return 0, false
+		return false
 	}
-	if e.crossjob {
-		return e.planners[di].HeadroomWithout(func(member string) bool {
-			for _, r := range d.resident {
-				if plannerID(r) == member {
-					return exclude(r)
-				}
+	_, ok := e.planners[di].HeadroomWithout(func(member string) bool {
+		for _, r := range d.resident {
+			if r.demand.Job == member {
+				return exclude(r)
 			}
-			return false
-		}, js.demand)
-	}
-	free := e.cap - d.used
-	for _, r := range d.resident {
-		if exclude(r) {
-			free += r.est.PeakBytes
 		}
-	}
-	left := free - js.est.PeakBytes
-	if left < 0 {
-		return 0, false
-	}
-	return left, true
+		return false
+	}, js.demand)
+	return ok
 }
 
 // admit reserves the job's per-device peak on every gang member —
@@ -647,12 +730,12 @@ func (e *exec) admit(js *jobState, gang []int, now sim.Time) {
 			if _, err := pl.Admit(js.demand); err != nil {
 				e.fail(fmt.Errorf("sched: %w", err))
 			}
-			e.reserve(di, now, pl.Requirement()-before)
+			d.setUsed(now, pl.Requirement()-before)
 			if sp := pl.SpillUsed(); sp > d.spillPeak {
 				d.spillPeak = sp
 			}
 		} else {
-			e.reserve(di, now, js.est.PeakBytes)
+			e.hold(di, js, now, js.est.PeakBytes)
 		}
 		if d.used > e.cap {
 			e.fail(fmt.Errorf("sched: admission overflow on gpu%d: %d > capacity %d (job %s)", di, d.used, e.cap, js.ID))
@@ -729,9 +812,9 @@ func (e *exec) vacateOne(js *jobState, di int, now sim.Time) {
 		if err := pl.Release(js.demand.Job); err != nil {
 			e.fail(fmt.Errorf("sched: %w", err))
 		}
-		e.reserve(di, now, pl.Requirement()-before)
+		d.setUsed(now, pl.Requirement()-before)
 	} else {
-		e.reserve(di, now, -js.est.PeakBytes)
+		e.hold(di, js, now, -js.est.PeakBytes)
 	}
 }
 
@@ -866,10 +949,11 @@ func (e *exec) clone() *exec {
 	c := &exec{
 		cluster: e.cluster, policy: e.policy, cap: e.cap, est: e.est,
 		topo: e.topo, overlap: e.overlap,
-		crossjob: e.crossjob, spillCap: e.spillCap, lg: e.lg, lgDbg: e.lgDbg,
+		crossjob: e.crossjob, spillCap: e.spillCap, lg: e.lg, lgInfo: e.lgInfo, lgDbg: e.lgDbg,
 		doneSeq: e.doneSeq, now: e.now, runErr: e.runErr,
 		finCount: e.finCount, rejCount: e.rejCount, sumJCT: e.sumJCT, sumWait: e.sumWait,
 	}
+	c.prio = slices.Clone(e.prio)
 	c.states = make([]*jobState, len(e.states))
 	copy(c.states, e.states)
 	// remap duplicates a live state once and rewrites the index.
@@ -888,6 +972,7 @@ func (e *exec) clone() *exec {
 	for i, d := range e.devs {
 		dd := &device{}
 		*dd = *d
+		dd.lower = slices.Clone(d.lower)
 		dd.resident = make([]*jobState, len(d.resident))
 		for k, r := range d.resident {
 			dd.resident[k] = remap(r)

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"bytes"
+	"context"
+	"log/slog"
 	"reflect"
 	"strings"
 	"testing"
@@ -367,5 +370,42 @@ func TestDynamicJobScheduleValidation(t *testing.T) {
 		{ID: "bad", Network: "AlexNet", Batch: 64, BatchSchedule: []int{64, 0}, Iterations: 2},
 	}); err == nil || !strings.Contains(err.Error(), "positive") {
 		t.Errorf("non-positive schedule entry not rejected: %v", err)
+	}
+}
+
+// TestDiscardedLogsAreNeverBuilt: without a logger the exec's handler
+// is enabled at no level, so its Info and Debug sites build nothing,
+// while an Info-level logger still receives the records those sites
+// gate — preemptions with their co-tenant sets — and no Debug ones.
+func TestDiscardedLogsAreNeverBuilt(t *testing.T) {
+	e, err := newExec(testCluster(), Priority, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if e.lgInfo || e.lgDbg || e.lg.Enabled(ctx, slog.LevelError) {
+		t.Fatalf("discarding logger is enabled: info %v, debug %v", e.lgInfo, e.lgDbg)
+	}
+	if h := e.lg.With("k", 1).WithGroup("g").Handler(); h.Enabled(ctx, slog.LevelError) || h.Handle(ctx, slog.Record{}) != nil {
+		t.Fatal("a derived discarding logger is enabled or fails")
+	}
+	var buf bytes.Buffer
+	s, err := NewScheduler(gangCluster(true), Priority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+	jobs := append(JobsFromTrace(workload.GangTrace()), Job{ID: "huge", Network: "AlexNet", Batch: 1024, Manager: "naive"})
+	if _, err := s.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"job preempted", "cotenants=", "job rejected"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("info log missing %q:\n%s", want, out[:min(len(out), 2000)])
+		}
+	}
+	if strings.Contains(out, "job admitted") {
+		t.Errorf("info log carries debug records:\n%s", out[:min(len(out), 2000)])
 	}
 }

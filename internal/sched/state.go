@@ -395,6 +395,7 @@ func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
 	if err := ex.rebuildDerived(); err != nil {
 		return nil, fmt.Errorf("sched: snapshot: %w", err)
 	}
+	ex.rebuildSummary()
 	// The event loop runs the admission pass only when its inputs
 	// change, so it resumes correctly only from a state the pass has
 	// settled — which is every state AppendSnapshot writes.
