@@ -19,11 +19,16 @@
 // data — allocating more than tolerance above baseline. Benchmarks
 // where both sides run under the floor (-floor, default 10µs) are
 // reported but not ns/op-gated: at that scale timer jitter, not code,
-// decides the ratio. Allocation counts are deterministic, so they are
-// gated even under the time floor, but a regression needs to exceed
-// -allocfloor extra allocs/op (default 16) as well as the tolerance
-// ratio, so ±1 alloc on a zero-alloc micro-benchmark does not fail the
-// build. Benchmarks new in this run are reported and pass.
+// decides the ratio. Allocation counts are gated even under the time
+// floor, but a regression needs to exceed -allocfloor extra allocs/op
+// (default 16) as well as the tolerance ratio. Allocation counts are
+// not deterministic: the simulator's run arenas come from a sync.Pool
+// that the garbage collector empties, and a GC cycle allocates runtime
+// objects of its own, so a benchmark's count moves with GC timing and
+// with what the benchmarks before it left behind. The minimum over
+// -count repetitions damps that; the slack absorbs the rest, and ±1
+// alloc on a zero-alloc micro-benchmark does not fail the build.
+// Benchmarks new in this run are reported and pass.
 //
 // To refresh the committed baseline after an intentional perf change:
 //
@@ -192,9 +197,8 @@ type gateOpts struct {
 	// but not gated (timer jitter dominates there).
 	Floor float64
 	// AllocFloor is the absolute allocs/op increase a regression must
-	// additionally exceed to be gated; allocation counts are
-	// deterministic, so there is no analogue of the time floor, only
-	// this small-count slack.
+	// additionally exceed to be gated: slack for the GC-timing noise in
+	// allocation counts. They are gated under the time floor too.
 	AllocFloor float64
 }
 

@@ -235,9 +235,8 @@ func TestCompareFloorExemptsNoise(t *testing.T) {
 	}
 }
 
-// Allocation counts are deterministic, so a big allocs/op jump fails
-// the gate even when ns/op is steady — that is the entire point of
-// recording them.
+// A big allocs/op jump fails the gate even when ns/op is steady —
+// that is the entire point of recording them.
 func TestCompareFlagsAllocRegression(t *testing.T) {
 	base := withAllocs(sum(map[string]float64{"BenchmarkA": 1e6}), "BenchmarkA", 1000)
 	cur := withAllocs(sum(map[string]float64{"BenchmarkA": 1e6}), "BenchmarkA", 2000)

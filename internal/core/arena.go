@@ -8,16 +8,17 @@ import (
 	"repro/internal/nnet"
 	"repro/internal/program"
 	"repro/internal/recompute"
+	"repro/internal/tcache"
 	"repro/internal/utp"
 )
 
 // runArena owns the reusable backing arrays of one run: the lowered
-// program, the liveness analysis, both plans, the per-tensor state
-// and the memory pools. A run draws an arena, lowers and binds into
-// it, and gives it back when it ends, so a capacity search that runs
-// hundreds of probes reuses one set of buffers instead of allocating
-// and collecting a set per probe — the paper's preallocated-pool
-// argument (Table 2) applied to the simulator itself.
+// program, the liveness analysis, both plans, the per-tensor state,
+// the memory pools and the Tensor Cache. A run draws an arena, lowers
+// and binds into it, and gives it back when it ends, so a capacity
+// search that runs hundreds of probes reuses one set of buffers
+// instead of allocating and collecting a set per probe — the paper's
+// preallocated-pool argument (Table 2) applied to the simulator itself.
 //
 // An arena is owned by one run at a time. Nothing that outlives the
 // run may point into it: the Result, its step profiles and trace, and
@@ -38,6 +39,7 @@ type runArena struct {
 
 	gpu   gpumem.Pool
 	hosts []*gpumem.Pool
+	cache tcache.Cache
 }
 
 // arenas recycles run arenas across runs and goroutines.

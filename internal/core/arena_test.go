@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nnet"
 	"repro/internal/par"
+	"repro/internal/tcache"
 )
 
 // arenaCell is one run of the arena reference battery.
@@ -107,6 +108,46 @@ func TestPooledArenasMatchFresh(t *testing.T) {
 				t.Errorf("pass %d, %s: the pooled run differs from the fresh run (err %q, want %q)",
 					pass, c.name, got[i].err, want[i].err)
 			}
+		}
+	}
+}
+
+// TestArenaReusesTensorCache: a run with the Tensor Cache on uses the
+// arena's cache, reset, and a second run on the same arena grows no
+// new cache storage.
+func TestArenaReusesTensorCache(t *testing.T) {
+	cfg := SuperNeurons(hw.TeslaK40c).withDefaults()
+	cfg.PoolBytes = 2 * hw.GiB // tight enough that the cache evicts
+	net := nnet.ResNet(50, 32)
+	a := new(runArena)
+	table := func() (uintptr, int) {
+		v := reflect.ValueOf(&a.cache).Elem().FieldByName("entries")
+		return v.Pointer(), v.Cap()
+	}
+	var first *Result
+	for run := 1; run <= 2; run++ {
+		rt := newRunState(a, a.lower(net, cfg), cfg)
+		if rt.cache != &a.cache || rt.cache.Len() != 0 || rt.cache.Stats() != (tcache.Stats{}) {
+			t.Fatalf("run %d: the run's cache is not the arena's, reset", run)
+		}
+		ptr, capacity := table()
+		if err := rt.run(); err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 {
+			first = rt.res
+			continue
+		}
+		if p, c := table(); p != ptr || c != capacity {
+			t.Errorf("the second run grew the cache table from cap %d to %d", capacity, c)
+		}
+		if rt.res.CacheHits+rt.res.CacheMisses == 0 || rt.res.Evictions == 0 {
+			t.Errorf("the cache saw %d hits, %d misses, %d evictions; want traffic and evictions",
+				rt.res.CacheHits, rt.res.CacheMisses, rt.res.Evictions)
+		}
+		if rt.res.CacheHits != first.CacheHits || rt.res.Evictions != first.Evictions {
+			t.Errorf("second run: %d hits %d evictions, first run %d and %d",
+				rt.res.CacheHits, rt.res.Evictions, first.CacheHits, first.Evictions)
 		}
 	}
 }

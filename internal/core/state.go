@@ -163,7 +163,8 @@ func (rt *runState) bind(p *program.Program, cfg Config) {
 	clear(a.segReplayed)
 	rt.segReplayed = a.segReplayed
 	if cfg.TensorCache {
-		rt.cache = tcache.New()
+		a.cache.Reset()
+		rt.cache = &a.cache
 	} else {
 		rt.cache = nil
 	}

@@ -166,9 +166,17 @@ func MaxBatches(nets []string, limit map[string]int) ([][]int, error) {
 	}
 	var work []cell
 	for _, n := range nets {
-		build := nnet.ByName(n)
-		if build == nil {
+		builder := nnet.ByName(n)
+		if builder == nil {
 			return nil, fmt.Errorf("unknown network %q", n)
+		}
+		// The network is built once; each framework's search re-shapes
+		// a clone of its own.
+		proto := builder(1)
+		build := func(batch int) *nnet.Net {
+			net := proto.Clone()
+			net.Rebatch(batch)
+			return net
 		}
 		for _, f := range policy.All {
 			work = append(work, cell{f, n, build})

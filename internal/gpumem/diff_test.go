@@ -124,7 +124,8 @@ func TestPoolMatchesReferenceFirstFit(t *testing.T) {
 }
 
 // TestPoolMatchesReferenceErrors pins the divergence-sensitive error
-// paths: OOM text (which embeds LargestFree) and unknown-ID frees.
+// paths: OOM text (which embeds LargestFree), unknown-ID frees, and
+// stale handles whose row a later allocation reuses.
 func TestPoolMatchesReferenceErrors(t *testing.T) {
 	p := NewPool(8*BlockSize, sim.Microsecond)
 	r := newRefPool(8*BlockSize, sim.Microsecond)
@@ -146,6 +147,40 @@ func TestPoolMatchesReferenceErrors(t *testing.T) {
 	}
 	if pe2, re2 := p.Free(99), r.Free(99); pe2 == nil || re2 == nil || pe2.Error() != re2.Error() {
 		t.Fatalf("unknown-free errors diverged: %v vs %v", pe2, re2)
+	}
+	assertSameView(t, p, r)
+
+	// Stale handle: A's row is reused by B, so A's handle must not
+	// free B, and B must stay live.
+	a, _ := p.Alloc(BlockSize)
+	ra, _ := r.Alloc(BlockSize)
+	p.Free(a.ID)
+	r.Free(ra.ID)
+	b, _ := p.Alloc(BlockSize)
+	rb, _ := r.Alloc(BlockSize)
+	if a != ra || b != rb {
+		t.Fatalf("handles diverged: pool %+v then %+v, reference %+v then %+v", a, b, ra, rb)
+	}
+	if b.ID == a.ID || b.ID&(1<<32-1) != a.ID&(1<<32-1) {
+		t.Fatalf("B %#x should reuse A's row %#x under a new generation", b.ID, a.ID)
+	}
+	pe3, re3 := p.Free(a.ID), r.Free(a.ID)
+	if pe3 == nil || re3 == nil || pe3.Error() != re3.Error() {
+		t.Fatalf("stale-free errors diverged: %v vs %v", pe3, re3)
+	}
+	live, used := p.Live(), p.Used()
+	assertSameView(t, p, r)
+	if err := p.Free(b.ID); err != nil {
+		t.Fatalf("B was not live after the stale free: %v", err)
+	}
+	if err := r.Free(b.ID); err != nil {
+		t.Fatalf("reference: B was not live after the stale free: %v", err)
+	}
+	if p.Live() != live-1 || p.Used() != used-BlockSize {
+		t.Fatalf("freeing B: live %d used %d, want %d and %d", p.Live(), p.Used(), live-1, used-BlockSize)
+	}
+	if pe4, re4 := p.Free(b.ID), r.Free(b.ID); pe4 == nil || re4 == nil || pe4.Error() != re4.Error() {
+		t.Fatalf("double-free errors diverged: %v vs %v", pe4, re4)
 	}
 	assertSameView(t, p, r)
 }

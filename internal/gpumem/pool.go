@@ -4,11 +4,12 @@
 //   - Pool: a fast heap-based allocator over one big preallocated
 //     region, carved into 1 KiB blocks, with a first-fit free-space
 //     index (an address-ordered AVL tree augmented with subtree max
-//     span sizes, giving O(log n) alloc/free and O(1) MaxAlloc), an
-//     ID→node table for O(1) deallocation lookup, and free-span
-//     coalescing. Pool operations cost ~1 µs of virtual time, which
-//     amortizes away the cudaMalloc/cudaFree overhead that costs
-//     ResNet-50 36% of its iteration time on the native allocator.
+//     span sizes, giving O(log n) alloc/free and O(1) MaxAlloc), a
+//     slot table indexed by allocation handle for O(1) deallocation
+//     lookup, and free-span coalescing. Pool operations cost ~1 µs of
+//     virtual time, which amortizes away the cudaMalloc/cudaFree
+//     overhead that costs ResNet-50 36% of its iteration time on the
+//     native allocator.
 //
 //   - Native: a cost model of cudaMalloc/cudaFree (cudaFree
 //     synchronizes the device, making it the more expensive call).
@@ -48,8 +49,15 @@ func (e *OOMError) Error() string {
 func (e *OOMError) Unwrap() error { return ErrOutOfMemory }
 
 // Allocation identifies a live allocation.
+//
+// ID is an opaque handle, the key for Free. The pool mints it as
+// gen<<32 | slot: slot numbers its row in the pool's allocation table
+// (from 1, so 0 is never a handle) and gen counts how often that row
+// has been freed. Free recycles rows, so a handle that was freed never
+// matches the allocation that reuses its row. Handles do not survive a
+// Reset.
 type Allocation struct {
-	ID    int64 // node ID, key for Free
+	ID    int64 // opaque handle, key for Free
 	Addr  int64 // byte offset within the managed region
 	Bytes int64 // rounded-up extent actually reserved
 }
@@ -85,6 +93,22 @@ type span struct {
 	size int64
 }
 
+// slot is one row of the pool's allocation table. A row is live from
+// the Alloc that fills it to the Free that releases it; gen counts its
+// releases and is the high half of the handles minted for it.
+type slot struct {
+	addr, size int64
+	gen        int64
+	live       bool
+}
+
+// maxGen bounds a row's generation so handles stay non-negative; a row
+// freed 2^31 times starts over at generation 0.
+const maxGen = 1<<31 - 1
+
+// handle mints the ID of the allocation in row i.
+func handle(gen int64, i int) int64 { return gen<<32 | int64(i+1) }
+
 // Stats aggregates allocator activity for reporting.
 type Stats struct {
 	Allocs       int64
@@ -98,9 +122,12 @@ type Pool struct {
 	capacity int64
 	opCost   sim.Duration
 
-	free   freeIndex // address-ordered, fully coalesced free spans
-	allocd map[int64]span
-	nextID int64
+	free freeIndex // address-ordered, fully coalesced free spans
+	// slots is the allocation table; spare stacks the rows Free
+	// released, and Alloc reuses the latest one first.
+	slots []slot
+	spare []int32
+	live  int
 
 	used  int64
 	peak  int64
@@ -118,18 +145,16 @@ func NewPool(capacity int64, opCost sim.Duration) *Pool {
 // Reset empties the pool and gives it a new capacity and operation
 // cost, as NewPool would, but keeps the storage of its allocation
 // table and free-space index for reuse. Allocations made before the
-// Reset are forgotten.
+// Reset are forgotten, and the handles minted after it are the ones a
+// new pool would mint.
 func (p *Pool) Reset(capacity int64, opCost sim.Duration) {
 	capacity = capacity / BlockSize * BlockSize
 	if capacity <= 0 {
 		panic("gpumem: pool capacity must be at least one block")
 	}
-	if p.allocd == nil {
-		p.allocd = make(map[int64]span)
-	}
-	clear(p.allocd)
+	p.slots, p.spare, p.live = p.slots[:0], p.spare[:0], 0
 	p.free.reset()
-	p.capacity, p.opCost, p.nextID = capacity, opCost, 1
+	p.capacity, p.opCost = capacity, opCost
 	p.used, p.peak, p.stats = 0, 0, Stats{}
 	p.free.insert(0, capacity)
 }
@@ -152,32 +177,44 @@ func (p *Pool) Alloc(n int64) (Allocation, error) {
 		p.stats.FailedAllocs++
 		return Allocation{}, &OOMError{Need: need, Free: p.capacity - p.used, Largest: p.LargestFree()}
 	}
-	a := Allocation{ID: p.nextID, Addr: addr, Bytes: need}
-	p.nextID++
 	if size == need {
 		p.free.remove(addr)
 	} else {
 		p.free.takeFront(addr, need)
 	}
-	p.allocd[a.ID] = span{id: a.ID, addr: a.Addr, size: need}
+	var i int
+	if k := len(p.spare) - 1; k >= 0 {
+		i, p.spare = int(p.spare[k]), p.spare[:k]
+	} else {
+		i = len(p.slots)
+		p.slots = append(p.slots, slot{})
+	}
+	s := &p.slots[i]
+	s.addr, s.size, s.live = addr, need, true
+	p.live++
 	p.used += need
 	if p.used > p.peak {
 		p.peak = p.used
 	}
 	p.stats.Allocs++
 	p.stats.BytesServed += need
-	return a, nil
+	return Allocation{ID: handle(s.gen, i), Addr: addr, Bytes: need}, nil
 }
 
 // Free returns an allocation to the pool, coalescing with its free
 // neighbors in O(log n): an adjacent successor is absorbed and removed,
-// an adjacent predecessor is grown in place.
+// an adjacent predecessor is grown in place. Freeing a handle the pool
+// never minted, or one already freed, is an error.
 func (p *Pool) Free(id int64) error {
-	s, ok := p.allocd[id]
-	if !ok {
+	i := int(id&(1<<32-1)) - 1
+	if id < 0 || i < 0 || i >= len(p.slots) || !p.slots[i].live || p.slots[i].gen != id>>32 {
 		return fmt.Errorf("gpumem: free of unknown allocation %d", id)
 	}
-	delete(p.allocd, id)
+	s := &p.slots[i]
+	s.live = false
+	s.gen = (s.gen + 1) & maxGen
+	p.spare = append(p.spare, int32(i))
+	p.live--
 	p.used -= s.size
 	p.stats.Frees++
 
@@ -237,7 +274,7 @@ func (p *Pool) Fragmentation() float64 {
 }
 
 // Live returns the number of live allocations.
-func (p *Pool) Live() int { return len(p.allocd) }
+func (p *Pool) Live() int { return p.live }
 
 // Stats returns a copy of the activity counters.
 func (p *Pool) Stats() Stats { return p.stats }
@@ -272,13 +309,16 @@ func (p *Pool) CheckInvariants() error {
 		return err
 	}
 	var usedBytes int64
-	spans := make([]span, 0, len(p.allocd))
-	for id, s := range p.allocd {
-		if s.id != id {
-			return fmt.Errorf("allocated span id mismatch: %d vs %+v", id, s)
+	spans := make([]span, 0, p.live)
+	for i, s := range p.slots {
+		if s.live {
+			usedBytes += s.size
+			spans = append(spans, span{id: handle(s.gen, i), addr: s.addr, size: s.size})
 		}
-		usedBytes += s.size
-		spans = append(spans, s)
+	}
+	if len(spans) != p.live || len(spans)+len(p.spare) != len(p.slots) {
+		return fmt.Errorf("allocation table drift: %d live rows and %d spare of %d, counter %d",
+			len(spans), len(p.spare), len(p.slots), p.live)
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].addr < spans[j].addr })
 	for i := 1; i < len(spans); i++ {

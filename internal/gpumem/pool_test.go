@@ -444,3 +444,39 @@ func TestPoolFragmentationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWarmPoolAllocFreeAllocatesNothing: once the allocation table and
+// the free index have grown, an Alloc/Free pair does no heap
+// allocation, whether it splits a span, takes one whole or coalesces.
+func TestWarmPoolAllocFreeAllocatesNothing(t *testing.T) {
+	p := newTestPool(256 * BlockSize)
+	var held []int64
+	for i := 0; i < 32; i++ {
+		a, err := p.Alloc(int64(i%3+1) * BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, a.ID)
+	}
+	for i := 0; i < len(held); i += 2 {
+		p.Free(held[i]) // leave holes of every size
+	}
+	pair := func() {
+		for _, n := range []int64{100, BlockSize, 3 * BlockSize, 7 * BlockSize} {
+			a, err := p.Alloc(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Free(a.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pair()
+	if allocs := testing.AllocsPerRun(50, pair); allocs != 0 {
+		t.Errorf("a warm pool's Alloc/Free pairs made %.1f allocations, want 0", allocs)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -12,13 +12,19 @@ import (
 // first-fit scan of an address-sorted free slice, Free an O(n) sorted
 // insert with coalescing, LargestFree an O(n) sweep. The production
 // Pool must reproduce its placement, IDs and errors byte for byte.
+//
+// Its handles follow Allocation.ID's documented scheme, minted
+// independently of the pool's slot table: row i's handles are
+// gen<<32 | i+1, a Free bumps the row's generation and stacks the row,
+// and Alloc reuses the latest stacked row first.
 type refPool struct {
 	capacity int64
 	opCost   sim.Duration
 
 	free   []span // sorted by addr, fully coalesced
 	allocd map[int64]span
-	nextID int64
+	gens   []int64 // per handle row: how often it was freed
+	rows   []int   // freed rows, latest last
 
 	used  int64
 	peak  int64
@@ -35,7 +41,6 @@ func newRefPool(capacity int64, opCost sim.Duration) *refPool {
 		opCost:   opCost,
 		free:     []span{{addr: 0, size: capacity}},
 		allocd:   make(map[int64]span),
-		nextID:   1,
 	}
 }
 
@@ -45,8 +50,7 @@ func (p *refPool) Alloc(n int64) (Allocation, error) {
 		if f.size < need {
 			continue
 		}
-		a := Allocation{ID: p.nextID, Addr: f.addr, Bytes: need}
-		p.nextID++
+		a := Allocation{ID: p.mint(), Addr: f.addr, Bytes: need}
 		if f.size == need {
 			p.free = append(p.free[:i], p.free[i+1:]...)
 		} else {
@@ -71,6 +75,9 @@ func (p *refPool) Free(id int64) error {
 		return fmt.Errorf("gpumem: free of unknown allocation %d", id)
 	}
 	delete(p.allocd, id)
+	row := int(id&(1<<32-1)) - 1
+	p.gens[row]++
+	p.rows = append(p.rows, row)
 	p.used -= s.size
 	p.stats.Frees++
 
@@ -87,6 +94,18 @@ func (p *refPool) Free(id int64) error {
 		p.free = append(p.free[:i], p.free[i+1:]...)
 	}
 	return nil
+}
+
+// mint returns the handle of the next allocation: the latest freed
+// row at its current generation, else a new row.
+func (p *refPool) mint() int64 {
+	if k := len(p.rows) - 1; k >= 0 {
+		row := p.rows[k]
+		p.rows = p.rows[:k]
+		return p.gens[row]<<32 | int64(row+1)
+	}
+	p.gens = append(p.gens, 0)
+	return int64(len(p.gens))
 }
 
 func (p *refPool) Used() int64      { return p.used }

@@ -52,7 +52,8 @@ func (t Type) String() string {
 }
 
 // Spec is a fully-resolved layer instance: type, geometry, and derived
-// output shape. Specs are immutable after construction.
+// output shape. Specs are immutable after construction, except that
+// nnet's Net.Rebatch rewrites the batch dimension N of In and Out.
 type Spec struct {
 	Type Type
 	Name string
@@ -322,7 +323,8 @@ func (s *Spec) IsOffloadable() bool { return s.Type == Conv }
 // sustain before device scaling.
 type rooflineEff struct{ compute, mem float64 }
 
-var effTable = map[Type]rooflineEff{
+// effTable is indexed by layer type; every Type has an entry.
+var effTable = [...]rooflineEff{
 	Data:    {0.9, 0.9},
 	Conv:    {0.52, 0.70},
 	Pool:    {0.08, 0.85},

@@ -39,6 +39,65 @@ type Net struct {
 // Batch returns the batch size the network was built for.
 func (n *Net) Batch() int { return n.Input.L.Out.N }
 
+// Rebatch re-shapes the network to batch b in place: it sets the batch
+// dimension N of every layer's input and output shapes. Builders take
+// the batch only through the data layer's shape, so the result equals
+// a fresh build at batch b, at the cost of one pass over the layers
+// instead of a new graph. A batch search re-shapes one network per
+// probe this way; nothing that read the network at its old batch may
+// rely on it afterwards.
+func (n *Net) Rebatch(b int) {
+	if b < 1 {
+		panic(fmt.Sprintf("nnet %s: batch %d, want at least 1", n.Name, b))
+	}
+	for _, nd := range n.Nodes {
+		for i := range nd.L.In {
+			nd.L.In[i].N = b
+		}
+		nd.L.Out.N = b
+	}
+}
+
+// Clone returns a deep copy of the network: its own nodes, input
+// shapes and edges, in a fixed number of allocations whatever the
+// depth. Only the layer names, which are immutable, are shared. A
+// clone can be re-shaped with Rebatch while the original, or another
+// clone, is in use.
+func (n *Net) Clone() *Net {
+	var shapes, edges int
+	for _, nd := range n.Nodes {
+		shapes += len(nd.L.In)
+		edges += len(nd.Prev) + len(nd.Next)
+	}
+	nodes := make([]Node, len(n.Nodes))
+	inBuf := make([]tensor.Shape, 0, shapes)
+	edgeBuf := make([]*Node, 0, edges)
+	c := &Net{Name: n.Name, Nodes: make([]*Node, len(n.Nodes)), Input: &nodes[n.Input.ID]}
+	// Each copied list is cut with a full slice expression, so an
+	// append to one reallocates instead of overwriting the next.
+	link := func(src []*Node) []*Node {
+		if src == nil {
+			return nil
+		}
+		from := len(edgeBuf)
+		for _, e := range src {
+			edgeBuf = append(edgeBuf, &nodes[e.ID])
+		}
+		return edgeBuf[from:len(edgeBuf):len(edgeBuf)]
+	}
+	for i, nd := range n.Nodes {
+		cn := &nodes[i]
+		*cn = Node{ID: i, L: nd.L, Prev: link(nd.Prev), Next: link(nd.Next)}
+		if nd.L.In != nil {
+			from := len(inBuf)
+			inBuf = append(inBuf, nd.L.In...)
+			cn.L.In = inBuf[from:len(inBuf):len(inBuf)]
+		}
+		c.Nodes[i] = cn
+	}
+	return c
+}
+
 // CountType returns the number of layers of the given type.
 func (n *Net) CountType(t layers.Type) int {
 	c := 0

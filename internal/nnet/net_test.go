@@ -2,6 +2,7 @@ package nnet
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -318,4 +319,87 @@ func TestDeepResNetRouteScales(t *testing.T) {
 	if n.BasicLayers() < 2000 {
 		t.Errorf("deep ResNet has %d basic layers, expected >2000", n.BasicLayers())
 	}
+}
+
+// nodeView is what a fresh build determines about one node: its spec,
+// its name and its edges as node IDs.
+type nodeView struct {
+	Spec       layers.Spec
+	Name       string
+	Prev, Next []int
+}
+
+func viewOf(n *Net) []nodeView {
+	ids := func(nodes []*Node) []int {
+		out := make([]int, len(nodes))
+		for i, nd := range nodes {
+			out[i] = nd.ID
+		}
+		return out
+	}
+	out := make([]nodeView, len(n.Nodes))
+	for i, nd := range n.Nodes {
+		out[i] = nodeView{nd.L, nd.Name(), ids(nd.Prev), ids(nd.Next)}
+	}
+	return out
+}
+
+// sameNet fails the test unless got equals want node for node.
+func sameNet(t *testing.T, what string, got, want *Net) {
+	t.Helper()
+	if got.Name != want.Name || got.Batch() != want.Batch() || got.Input != got.Nodes[0] {
+		t.Fatalf("%s: net %s at batch %d, want %s at batch %d", what, got.Name, got.Batch(), want.Name, want.Batch())
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	g, w := viewOf(got), viewOf(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d nodes, want %d", what, len(g), len(w))
+	}
+	for i := range g {
+		if !reflect.DeepEqual(g[i], w[i]) {
+			t.Fatalf("%s: node %d is %+v, want %+v", what, i, g[i], w[i])
+		}
+	}
+}
+
+// TestRebatchMatchesBuild: a network built at one batch and re-shaped
+// to another equals a fresh build at that batch, node for node, for
+// every registry net and the Table 4 depth-sweep ResNet. The re-shapes
+// chain, as a batch search's probes do. A clone equals its original,
+// and re-shaping it leaves the original as built.
+func TestRebatchMatchesBuild(t *testing.T) {
+	type namedBuild struct {
+		name  string
+		build BuilderFunc
+	}
+	builds := []namedBuild{{"ResNetTable4(·, 3)", func(b int) *Net { return ResNetTable4(b, 3) }}}
+	for _, e := range Registry {
+		builds = append(builds, namedBuild{e.Name, e.Build})
+	}
+	batches := []int{1, 3, 64, 257}
+	for _, c := range builds {
+		net := c.build(16)
+		clone := net.Clone()
+		sameNet(t, c.name+" clone", clone, net)
+		for _, b := range batches {
+			clone.Rebatch(b)
+			sameNet(t, fmt.Sprintf("%s clone at %d", c.name, b), clone, c.build(b))
+		}
+		sameNet(t, c.name+" after re-shaping its clone", net, c.build(16))
+		for _, b := range batches {
+			net.Rebatch(b)
+			sameNet(t, fmt.Sprintf("%s at %d", c.name, b), net, c.build(b))
+		}
+	}
+}
+
+func TestRebatchRejectsEmptyBatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Rebatch(0) did not panic")
+		}
+	}()
+	AlexNet(2).Rebatch(0)
 }

@@ -120,9 +120,10 @@ func run(f Framework, net *nnet.Net, d hw.DeviceSpec) (*core.Result, int, error)
 }
 
 // MaxBatch returns the largest batch in [1, hi] the framework can
-// train. Returns 0 if even batch 1 fails.
+// train. Returns 0 if even batch 1 fails. The search calls build once
+// and re-shapes that network for every later probe.
 func MaxBatch(f Framework, build nnet.BuilderFunc, d hw.DeviceSpec, hi int) (int, error) {
-	return largestFitting(prober(f, d, build), hi, d.UsableBytes)
+	return largestFitting(prober(f, d, rebatcher(build)), hi, d.UsableBytes)
 }
 
 // MaxDepth returns the deepest Table-4 ResNet (n1=6, n2=32, n4=6,
@@ -135,6 +136,24 @@ func MaxDepth(f Framework, d hw.DeviceSpec, batch, maxN3 int) (int, int, error) 
 		return 0, 0, err
 	}
 	return n3, nnet.ResNetDepth(6, 32, n3, 6), nil
+}
+
+// rebatcher returns a build func for a batch search over one network:
+// it calls build for the first batch asked and re-shapes that network
+// with Rebatch for every later one. A search runs its probes one at a
+// time and core.Run keeps no reference to the network, so one network
+// serves the whole search. This shares a buffer, not a result: every
+// probe still runs in full.
+func rebatcher(build nnet.BuilderFunc) func(int) *nnet.Net {
+	var net *nnet.Net
+	return func(b int) *nnet.Net {
+		if net == nil {
+			net = build(b)
+		} else {
+			net.Rebatch(b)
+		}
+		return net
+	}
 }
 
 // prober returns the capacity search's probe: one full run of the
@@ -161,12 +180,16 @@ func Speed(f Framework, net *nnet.Net, d hw.DeviceSpec) (float64, error) {
 
 // BatchSweep measures img/s for each framework over the batch sizes,
 // running frameworks in parallel. Entry [i][j] is frameworks[i] at
-// batches[j]; 0 marks out-of-memory.
+// batches[j]; 0 marks out-of-memory. The sweep builds the network once;
+// each framework's row re-shapes its own clone per batch.
 func BatchSweep(frameworks []Framework, build nnet.BuilderFunc, d hw.DeviceSpec, batches []int) ([][]float64, error) {
+	proto := build(1)
 	return par.MapErr(frameworks, 0, func(f Framework) ([]float64, error) {
+		net := proto.Clone()
 		row := make([]float64, len(batches))
 		for j, b := range batches {
-			s, err := Speed(f, build(b), d)
+			net.Rebatch(b)
+			s, err := Speed(f, net, d)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hw"
@@ -191,5 +192,63 @@ func TestCompareSchedulers(t *testing.T) {
 	if byName["packing"].Utilization <= byName["fifo"].Utilization {
 		t.Errorf("packing utilization %.4f not above fifo %.4f",
 			byName["packing"].Utilization, byName["fifo"].Utilization)
+	}
+}
+
+// countingBuild wraps a registry builder and counts its calls.
+func countingBuild(name string, calls *atomic.Int64) nnet.BuilderFunc {
+	build := nnet.ByName(name)
+	return func(b int) *nnet.Net {
+		calls.Add(1)
+		return build(b)
+	}
+}
+
+// TestBatchSearchesBuildOnce: a MaxBatch search builds its network
+// once and re-shapes it for every later probe, and a BatchSweep builds
+// once for all its framework rows. The answers equal those of
+// searches that build a fresh network per probe.
+func TestBatchSearchesBuildOnce(t *testing.T) {
+	d := hw.TeslaK40c
+	for _, f := range []Framework{Caffe, TensorFlow, SuperNeurons} {
+		var calls atomic.Int64
+		got, err := MaxBatch(f, countingBuild("ResNet50", &calls), d, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() != 1 {
+			t.Errorf("%s: MaxBatch built the network %d times, want 1", f.Name, calls.Load())
+		}
+		var probes int
+		fresh := prober(f, d, func(b int) *nnet.Net { probes++; return nnet.ResNet(50, b) })
+		want, err := largestFitting(fresh, 512, d.UsableBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || probes < 2 {
+			t.Errorf("%s: MaxBatch = %d, with a fresh build per probe %d (%d probes)", f.Name, got, want, probes)
+		}
+	}
+
+	var calls atomic.Int64
+	frameworks := []Framework{Caffe, SuperNeurons}
+	batches := []int{32, 64, 96}
+	rows, err := BatchSweep(frameworks, countingBuild("AlexNet", &calls), d, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("BatchSweep built the network %d times, want 1", calls.Load())
+	}
+	for i, f := range frameworks {
+		for j, b := range batches {
+			want, err := Speed(f, nnet.AlexNet(b), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows[i][j] != want {
+				t.Errorf("%s at %d: BatchSweep %v, a fresh build %v", f.Name, b, rows[i][j], want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package program
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/nnet"
@@ -203,11 +204,23 @@ func TestStepListAppendDoesNotClobberNext(t *testing.T) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun with the garbage collector off
+// while it measures. A GC cycle allocates runtime objects of its own
+// (the process's first cycle starts its mark workers), and
+// AllocsPerRun counts them against f: a cycle that lands inside the
+// measured runs adds one allocation per run or more to a count of a
+// handful of runs, depending on how much the tests before it left on
+// the heap.
+func allocsPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
+
 // A lowering allocates a fixed number of objects whatever the depth.
 func TestBuildAllocsIndependentOfDepth(t *testing.T) {
 	shallow, deep := nnet.ResNetTable4(16, 1), nnet.ResNetTable4(16, 64)
-	a := testing.AllocsPerRun(5, func() { BuildWith(shallow, Options{}) })
-	b := testing.AllocsPerRun(5, func() { BuildWith(deep, Options{}) })
+	a := allocsPerRun(5, func() { BuildWith(shallow, Options{}) })
+	b := allocsPerRun(5, func() { BuildWith(deep, Options{}) })
 	if a != b {
 		t.Errorf("BuildWith allocations: %.0f at n3=1, %.0f at n3=64; want equal", a, b)
 	}
@@ -223,7 +236,7 @@ func TestBuildIntoReusesArrays(t *testing.T) {
 			t.Fatalf("%+v: lowering into a used Program differs from a fresh lowering", opts)
 		}
 	}
-	if allocs := testing.AllocsPerRun(5, func() { BuildInto(p, small, Options{}) }); allocs != 1 {
+	if allocs := allocsPerRun(5, func() { BuildInto(p, small, Options{}) }); allocs != 1 {
 		t.Errorf("lowering into a used Program made %.0f allocations, want 1 (the name buffer)", allocs)
 	}
 }

@@ -14,7 +14,11 @@
 // eviction victims.
 package tcache
 
-import "repro/internal/tensor"
+import (
+	"slices"
+
+	"repro/internal/tensor"
+)
 
 // Stats counts cache activity.
 type Stats struct {
@@ -25,20 +29,26 @@ type Stats struct {
 	EvictedBytes int64
 }
 
-// node is one entry of the intrusive recency list. Nodes removed from
-// the list are recycled through the cache's spare list (chained via
-// next), so steady-state insert/remove traffic does not allocate.
-type node struct {
+// none marks the end of the recency list.
+const none = -1
+
+// entry is one row of the cache's table, indexed by tensor ID: the
+// tensor and its neighbours in the intrusive recency list, as tensor
+// IDs. Tensor IDs are dense per program, so the table is a slice and
+// steady-state insert/remove traffic neither hashes nor allocates.
+type entry struct {
 	t          *tensor.Tensor
-	prev, next *node
+	prev, next int32
+	in         bool
 }
 
 // Cache is a recency list of GPU-resident tensors; the front is the
-// most recently used (Alg. 2's MFU position).
+// most recently used (Alg. 2's MFU position). Use New, or Reset a
+// cache before its first use.
 type Cache struct {
-	front, back *node
-	index       map[int]*node
-	spare       *node
+	entries     []entry
+	front, back int32 // tensor IDs; none when empty
+	n           int
 	stats       Stats
 
 	// victims is the scratch buffer Victims returns; the caller evicts
@@ -47,44 +57,60 @@ type Cache struct {
 }
 
 // New returns an empty LRU cache.
-func New() *Cache { return &Cache{index: make(map[int]*node)} }
+func New() *Cache {
+	c := new(Cache)
+	c.Reset()
+	return c
+}
+
+// Reset empties the cache and zeroes its counters, as New would, but
+// keeps the storage of its table for reuse.
+func (c *Cache) Reset() {
+	c.entries = c.entries[:0]
+	c.front, c.back, c.n = none, none, 0
+	c.stats = Stats{}
+}
 
 // Len returns the number of cached tensors.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.n }
 
-// unlink detaches n from the recency list without recycling it.
-func (c *Cache) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.front = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.back = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
+// has reports whether tensor id is cached.
+func (c *Cache) has(id int) bool { return id < len(c.entries) && c.entries[id].in }
 
-// pushFront makes n the most recently used entry.
-func (c *Cache) pushFront(n *node) {
-	n.prev, n.next = nil, c.front
-	if c.front != nil {
-		c.front.prev = n
+// unlink detaches row id from the recency list.
+func (c *Cache) unlink(id int32) {
+	e := &c.entries[id]
+	if e.prev != none {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.front = e.next
 	}
-	c.front = n
-	if c.back == nil {
-		c.back = n
+	if e.next != none {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.back = e.prev
 	}
 }
 
-func (c *Cache) moveToFront(n *node) {
-	if c.front == n {
+// pushFront makes row id the most recently used entry.
+func (c *Cache) pushFront(id int32) {
+	e := &c.entries[id]
+	e.prev, e.next = none, c.front
+	if c.front != none {
+		c.entries[c.front].prev = id
+	}
+	c.front = id
+	if c.back == none {
+		c.back = id
+	}
+}
+
+func (c *Cache) moveToFront(id int32) {
+	if c.front == id {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.unlink(id)
+	c.pushFront(id)
 }
 
 // Stats returns a copy of the activity counters.
@@ -92,17 +118,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Contains reports whether the tensor is cached, without touching its
 // recency.
-func (c *Cache) Contains(t *tensor.Tensor) bool {
-	_, ok := c.index[t.ID]
-	return ok
-}
+func (c *Cache) Contains(t *tensor.Tensor) bool { return c.has(t.ID) }
 
 // Check is Alg. 2's lookup: on a hit the tensor moves to the recency
 // front and true is returned; on a miss false is returned and the
 // caller is expected to materialize the tensor and call In.
 func (c *Cache) Check(t *tensor.Tensor) bool {
-	if e, ok := c.index[t.ID]; ok {
-		c.moveToFront(e)
+	if c.has(t.ID) {
+		c.moveToFront(int32(t.ID))
 		c.stats.Hits++
 		return true
 	}
@@ -114,31 +137,28 @@ func (c *Cache) Check(t *tensor.Tensor) bool {
 // unlocked on insertion; the executing layer locks its dependents
 // separately.
 func (c *Cache) In(t *tensor.Tensor) {
-	if e, ok := c.index[t.ID]; ok {
-		c.moveToFront(e)
+	if c.has(t.ID) {
+		c.moveToFront(int32(t.ID))
 		return
 	}
 	t.Locked = false
-	n := c.spare
-	if n != nil {
-		c.spare = n.next
-		n.next = nil
-	} else {
-		n = &node{}
+	if k := len(c.entries); t.ID >= k {
+		c.entries = slices.Grow(c.entries, t.ID+1-k)[:t.ID+1]
+		clear(c.entries[k:])
 	}
-	n.t = t
-	c.pushFront(n)
-	c.index[t.ID] = n
+	e := &c.entries[t.ID]
+	e.t, e.in = t, true
+	c.n++
+	c.pushFront(int32(t.ID))
 }
 
 // Remove drops a tensor from the cache without counting an eviction
 // (used when liveness frees a dead tensor).
 func (c *Cache) Remove(t *tensor.Tensor) {
-	if e, ok := c.index[t.ID]; ok {
-		c.unlink(e)
-		delete(c.index, t.ID)
-		*e = node{next: c.spare}
-		c.spare = e
+	if c.has(t.ID) {
+		c.unlink(int32(t.ID))
+		c.entries[t.ID].in = false
+		c.n--
 	}
 }
 
@@ -151,8 +171,8 @@ func (c *Cache) Remove(t *tensor.Tensor) {
 func (c *Cache) Victims(need int64) ([]*tensor.Tensor, bool) {
 	victims := c.victims[:0]
 	var freed int64
-	for e := c.back; e != nil && freed < need; e = e.prev {
-		t := e.t
+	for id := c.back; id != none && freed < need; id = c.entries[id].prev {
+		t := c.entries[id].t
 		if t.Locked {
 			continue
 		}
@@ -176,9 +196,9 @@ func (c *Cache) Evicted(t *tensor.Tensor) {
 // Tensors returns the cached tensors from MRU to LRU (for tests and
 // debugging).
 func (c *Cache) Tensors() []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 0, len(c.index))
-	for e := c.front; e != nil; e = e.next {
-		out = append(out, e.t)
+	out := make([]*tensor.Tensor, 0, c.n)
+	for id := c.front; id != none; id = c.entries[id].next {
+		out = append(out, c.entries[id].t)
 	}
 	return out
 }

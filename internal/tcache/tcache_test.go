@@ -1,6 +1,7 @@
 package tcache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -167,5 +168,66 @@ func TestVictimOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWarmCacheAllocatesNothing: once a cache's table covers the
+// tensor IDs in use, In, Check, Remove and Victims do no heap
+// allocation, and neither does refilling it after a Reset.
+func TestWarmCacheAllocatesNothing(t *testing.T) {
+	c := New()
+	ts := newTensors(64)
+	for _, x := range ts {
+		c.In(x)
+	}
+	c.Victims(64 * 1024) // sizes the victims scratch
+	cycle := func() {
+		for _, x := range ts[:32] {
+			c.Remove(x)
+		}
+		for _, x := range ts[:32] {
+			c.In(x)
+		}
+		for _, x := range ts {
+			c.Check(x)
+		}
+		c.Victims(48 * 1024)
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("a warm cache's In/Check/Remove/Victims made %.1f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		c.Reset()
+		for _, x := range ts {
+			c.In(x)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset cache made %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestResetMatchesNew: a cache reset after use behaves as a new one.
+func TestResetMatchesNew(t *testing.T) {
+	ts := newTensors(8)
+	c := New()
+	for _, x := range ts {
+		c.In(x)
+	}
+	c.Check(ts[3])
+	c.Evicted(ts[0])
+	c.Reset()
+	if c.Len() != 0 || c.Stats() != (Stats{}) || len(c.Tensors()) != 0 || c.Contains(ts[1]) {
+		t.Fatalf("reset cache holds %d tensors, stats %+v", c.Len(), c.Stats())
+	}
+	fresh := New()
+	for _, x := range []*tensor.Tensor{ts[5], ts[2], ts[7]} {
+		c.In(x)
+		fresh.In(x)
+	}
+	c.Check(ts[2])
+	fresh.Check(ts[2])
+	got, want := c.Tensors(), fresh.Tensors()
+	if !reflect.DeepEqual(got, want) || c.Stats() != fresh.Stats() {
+		t.Fatalf("reset cache order %v stats %+v, a new cache %v %+v", got, c.Stats(), want, fresh.Stats())
 	}
 }

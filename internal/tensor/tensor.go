@@ -145,16 +145,13 @@ func (r *Registry) Get(id int) *Tensor { return r.tensors[id] }
 // TotalBytes sums the footprint of all registered tensors of the given
 // kinds (or all tensors when kinds is empty).
 func (r *Registry) TotalBytes(kinds ...Kind) int64 {
-	var want map[Kind]bool
-	if len(kinds) > 0 {
-		want = make(map[Kind]bool, len(kinds))
-		for _, k := range kinds {
-			want[k] = true
-		}
+	var want uint64 // bit k set: count kind k (kinds are few and small)
+	for _, k := range kinds {
+		want |= 1 << k
 	}
 	var sum int64
 	for _, t := range r.tensors {
-		if want == nil || want[t.Kind] {
+		if len(kinds) == 0 || want&(1<<t.Kind) != 0 {
 			sum += t.Bytes()
 		}
 	}
