@@ -8,7 +8,7 @@ import (
 )
 
 // The differential property: under arbitrary alloc/free workloads the
-// indexed pool and the linear-scan reference produce identical
+// pool and the independently written reference produce identical
 // Allocation sequences (ID, Addr, Bytes), identical errors, and agree
 // on every observable metric, while both keep their invariants. This
 // is what "byte-identical first-fit placement" means operationally —
@@ -58,53 +58,71 @@ func assertSameView(t *testing.T, p *Pool, r *refPool) {
 
 // TestPoolMatchesReferenceFirstFit fuzzes randomized alloc/free
 // workloads over a spread of pool sizes and allocation regimes,
-// including exact-fit-heavy and OOM-heavy mixes.
+// including exact-fit-heavy and OOM-heavy mixes and one whose free
+// list runs to hundreds of spans, so spans are inserted into and
+// deleted from the middle of a long list.
 func TestPoolMatchesReferenceFirstFit(t *testing.T) {
 	regimes := []struct {
 		name     string
 		blocks   int64 // pool capacity in blocks
 		maxAlloc int64 // request ceiling in bytes
 		freeBias int   // out of 10: how often to free when possible
+		comb     int   // allocations made, and every other one freed, before the mix
+		minSpans int   // free spans the mix must reach on some seed
 	}{
-		{"small-tight", 32, 16 * BlockSize, 4},
-		{"exact-fit", 64, 4 * BlockSize, 5}, // block-multiple sizes: exact fits dominate
-		{"mixed", 256, 12*BlockSize + 511, 4},
-		{"oom-heavy", 48, 64 * BlockSize, 2},
-		{"churny", 1024, 8*BlockSize + 13, 6},
+		{"small-tight", 32, 16 * BlockSize, 4, 0, 0},
+		{"exact-fit", 64, 4 * BlockSize, 5, 0, 0}, // block-multiple sizes: exact fits dominate
+		{"mixed", 256, 12*BlockSize + 511, 4, 0, 0},
+		{"oom-heavy", 48, 64 * BlockSize, 2, 0, 0},
+		{"churny", 1024, 8*BlockSize + 13, 6, 0, 0},
+		{"long-list", 4096, 2 * BlockSize, 5, 600, 200},
 	}
 	for _, reg := range regimes {
 		t.Run(reg.name, func(t *testing.T) {
+			spans := 0 // the longest free list the mix reached
 			for seed := int64(0); seed < 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				p := NewPool(reg.blocks*BlockSize, sim.Microsecond)
 				r := newRefPool(reg.blocks*BlockSize, sim.Microsecond)
 				var live []int64
+				alloc := func() {
+					n := rng.Int63n(reg.maxAlloc) + 1
+					if reg.name == "exact-fit" {
+						n = (rng.Int63n(4) + 1) * BlockSize
+					}
+					var a Allocation
+					var err error
+					diffStep(t, p, r, func() (Allocation, error, Allocation, error) {
+						var ra Allocation
+						var re error
+						a, err = p.Alloc(n)
+						ra, re = r.Alloc(n)
+						return a, err, ra, re
+					})
+					if err == nil {
+						live = append(live, a.ID)
+					}
+				}
+				free := func(k int) {
+					id := live[k]
+					live = append(live[:k], live[k+1:]...)
+					diffStep(t, p, r, func() (Allocation, error, Allocation, error) {
+						return Allocation{}, p.Free(id), Allocation{}, r.Free(id)
+					})
+				}
+				for range reg.comb {
+					alloc()
+				}
+				for k := len(live) - 2; k >= 0; k -= 2 {
+					free(k)
+				}
 				for op := 0; op < 400; op++ {
 					if len(live) == 0 || rng.Intn(10) >= reg.freeBias {
-						n := rng.Int63n(reg.maxAlloc) + 1
-						if reg.name == "exact-fit" {
-							n = (rng.Int63n(4) + 1) * BlockSize
-						}
-						var a Allocation
-						var err error
-						diffStep(t, p, r, func() (Allocation, error, Allocation, error) {
-							var ra Allocation
-							var re error
-							a, err = p.Alloc(n)
-							ra, re = r.Alloc(n)
-							return a, err, ra, re
-						})
-						if err == nil {
-							live = append(live, a.ID)
-						}
+						alloc()
 					} else {
-						k := rng.Intn(len(live))
-						id := live[k]
-						live = append(live[:k], live[k+1:]...)
-						diffStep(t, p, r, func() (Allocation, error, Allocation, error) {
-							return Allocation{}, p.Free(id), Allocation{}, r.Free(id)
-						})
+						free(rng.Intn(len(live)))
 					}
+					spans = max(spans, p.FreeSpans())
 				}
 				// Drain in random order; both must converge to one
 				// full-capacity span.
@@ -118,6 +136,9 @@ func TestPoolMatchesReferenceFirstFit(t *testing.T) {
 					t.Fatalf("seed %d: drained pool not one span: largest %d, capacity %d",
 						seed, p.LargestFree(), p.Capacity())
 				}
+			}
+			if spans < reg.minSpans {
+				t.Fatalf("the longest free list had %d spans, want at least %d", spans, reg.minSpans)
 			}
 		})
 	}

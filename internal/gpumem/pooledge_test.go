@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// Edge cases the free-space index must handle exactly like the linear
-// free list: exact-fit removals at the head and tail of the address
-// space, three-way coalescing, re-use after a full drain, spans
-// touching the capacity boundary, and metric consistency after long
-// random churn.
+// Edge cases of the free list: exact-fit removals at the head and
+// tail of the address space, three-way coalescing, re-use after a
+// full drain, spans touching the capacity boundary, and metric
+// consistency after long random churn.
 
 func TestPoolExactFitHead(t *testing.T) {
 	p := newTestPool(8 * BlockSize)
@@ -44,7 +43,7 @@ func TestPoolExactFitTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tail hole ends exactly at capacity; an exact fit must land
-	// there and empty the index.
+	// there and empty the free list.
 	c, err := p.Alloc(3 * BlockSize)
 	if err != nil || c.Addr != 5*BlockSize {
 		t.Fatalf("exact tail fit: %+v, %v", c, err)
@@ -129,7 +128,7 @@ func TestPoolAllocAfterFullDrain(t *testing.T) {
 func TestPoolCapacityBoundarySpans(t *testing.T) {
 	p := newTestPool(4 * BlockSize)
 	// A request one byte over capacity must OOM without disturbing the
-	// index; exactly capacity must succeed.
+	// free list; exactly capacity must succeed.
 	if _, err := p.Alloc(4*BlockSize + 1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("over-capacity alloc: %v", err)
 	}
@@ -156,7 +155,7 @@ func TestPoolCapacityBoundarySpans(t *testing.T) {
 
 // TestPoolMetricsAfterLongChurn runs a long random workload and, after
 // every operation, cross-checks Fragmentation and LargestFree against
-// values recomputed from a full walk of the index.
+// values recomputed from the free list itself.
 func TestPoolMetricsAfterLongChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := newTestPool(512 * BlockSize)
@@ -174,23 +173,15 @@ func TestPoolMetricsAfterLongChurn(t *testing.T) {
 			live = append(live[:k], live[k+1:]...)
 		}
 		var largest, freeBytes int64
-		spans := 0
-		p.free.walk(func(addr, size int64) error {
-			if size > largest {
-				largest = size
-			}
-			freeBytes += size
-			spans++
-			return nil
-		})
+		for _, f := range p.free {
+			largest = max(largest, f.size)
+			freeBytes += f.size
+		}
 		if got := p.LargestFree(); got != largest {
-			t.Fatalf("op %d: LargestFree=%d, walk says %d", op, got, largest)
+			t.Fatalf("op %d: LargestFree=%d, free list says %d", op, got, largest)
 		}
 		if got := p.FreeBytes(); got != freeBytes {
-			t.Fatalf("op %d: FreeBytes=%d, walk says %d", op, got, freeBytes)
-		}
-		if got := p.FreeSpans(); got != spans {
-			t.Fatalf("op %d: FreeSpans=%d, walk says %d", op, got, spans)
+			t.Fatalf("op %d: FreeBytes=%d, free list says %d", op, got, freeBytes)
 		}
 		want := 0.0
 		if freeBytes > 0 {

@@ -7,11 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// refPool is the pre-index linear-scan pool, kept verbatim as the
-// reference implementation for differential testing: Alloc is an O(n)
-// first-fit scan of an address-sorted free slice, Free an O(n) sorted
-// insert with coalescing, LargestFree an O(n) sweep. The production
-// Pool must reproduce its placement, IDs and errors byte for byte.
+// refPool is a linear-scan pool written independently of Pool and
+// kept as the reference implementation for differential testing:
+// Alloc is a first-fit scan of an address-sorted free slice, Free a
+// sorted insert followed by coalescing, LargestFree a sweep, and live
+// allocations sit in a map. The production Pool must reproduce its
+// placement, IDs and errors byte for byte.
 //
 // Its handles follow Allocation.ID's documented scheme, minted
 // independently of the pool's slot table: row i's handles are
