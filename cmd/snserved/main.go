@@ -20,9 +20,9 @@
 //	snserved -wal-dir wal/                    # durable WAL: every ack is fsynced first, survives kill -9; restart recovers
 //	snserved -exit-after-drain                # exit after an API drain (CI smoke)
 //
-// Tenants hash onto -shards independent sequencers; the shards' records
-// merge into one total order by slot number, so the request log — and
-// every result replayed from it — stays deterministic regardless of the
+// Tenants hash onto -shards independent sequencers; each appends its
+// batches to the one request log under the service lock, and every
+// result replayed from that log is deterministic regardless of the
 // shard count. Structured logs (tenant, shard, seq, state transitions)
 // go to stderr; -log-level debug traces every accept/sequence.
 //

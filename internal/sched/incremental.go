@@ -12,9 +12,10 @@ import (
 // replays a complete trace from scratch, an Incremental absorbs jobs
 // as they are sequenced (Append), advances the discrete-event loop up
 // to a watermark (AdvanceTo), answers O(1) status queries for jobs
-// that are already finalized (Finalized), and produces the exact
-// batch-run Result on demand by draining a clone (Result) — the paused
-// state itself is never disturbed.
+// that are already finalized (Finalized, which JobResult tries
+// first), and produces the exact batch-run Result on demand by
+// draining a clone (Result) — the paused state itself is never
+// disturbed.
 //
 // Equivalence to Scheduler.Run is structural, not best-effort: both
 // drive the same exec through the same (time, class, sequence) event
@@ -91,7 +92,9 @@ func (inc *Incremental) Rejected() int { return inc.ex.rejCount }
 
 // Finalized returns job i's outcome if it can no longer change —
 // rejected up front, or every iteration completed below the
-// watermark. It is O(1); the serving layer's status fast path.
+// watermark. It is O(1) and allocates nothing for a single-device
+// job. JobResult tries it first, which makes it the serving layer's
+// status fast path.
 func (inc *Incremental) Finalized(i int) (JobResult, bool) {
 	if i < 0 || i >= len(inc.ex.states) {
 		return JobResult{}, false

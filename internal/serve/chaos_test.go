@@ -209,3 +209,110 @@ func TestChaosDrainRacesSubmit(t *testing.T) {
 		t.Fatal("drained result diverges from a from-scratch replay of the log")
 	}
 }
+
+// TestChaosMultiShardSequencing races submitters on four shards
+// against Status readers (run under -race in CI). Every status a
+// reader sees is either queued at a real queue position or sequenced
+// on the arrival grid, and the drained request log holds exactly one
+// dense line per accepted job.
+func TestChaosMultiShardSequencing(t *testing.T) {
+	const spacing = 100
+	s := mustNew(t, Config{Shards: 4, SnapshotEvery: 8, SpacingMS: spacing, QueueDepth: 1 << 10})
+
+	const submitters, each = 8, 30
+	var mu sync.Mutex
+	var accepted []string
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				st, err := s.Submit(small(fmt.Sprintf("w%d", w), fmt.Sprintf("j%d", k)))
+				if err != nil {
+					t.Errorf("submit w%d/j%d: %v", w, k, err)
+					continue
+				}
+				mu.Lock()
+				accepted = append(accepted, st.ID)
+				mu.Unlock()
+			}
+		}(w)
+	}
+
+	stop := make(chan struct{})
+	var rwg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				var id string
+				if n := len(accepted); n > 0 {
+					id = accepted[(i*7)%n]
+				}
+				mu.Unlock()
+				if id == "" {
+					continue
+				}
+				st, err := s.Status(id)
+				if err != nil {
+					t.Errorf("status %s: %v", id, err)
+					return
+				}
+				switch st.State {
+				case StateQueued:
+					if st.QueuePosition < 1 || st.Seq != -1 {
+						t.Errorf("queued %s at position %d, seq %d", id, st.QueuePosition, st.Seq)
+					}
+				default:
+					if st.Seq < 0 || st.ArrivalMS != int64(st.Seq)*spacing {
+						t.Errorf("%s %s at seq %d, arrival %d ms", st.State, id, st.Seq, st.ArrivalMS)
+					}
+				}
+			}
+		}(r)
+	}
+
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := s.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range m.Shards {
+		if sh.Sequenced == 0 {
+			t.Errorf("shard %d sequenced nothing; the test needs every shard busy (tallies %+v)", i, m.Shards)
+		}
+	}
+	trace, err := workload.ParseTrace(strings.NewReader(s.ReplayLog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace) != len(accepted) {
+		t.Fatalf("request log holds %d jobs, %d were accepted", len(trace), len(accepted))
+	}
+	logged := map[string]bool{}
+	for i, tj := range trace {
+		if tj.ArrivalMS != int64(i)*spacing {
+			t.Errorf("log line %d (%s) arrives at %d ms, want %d", i, tj.ID, tj.ArrivalMS, int64(i)*spacing)
+		}
+		logged[tj.ID] = true
+	}
+	for _, id := range accepted {
+		if !logged[id] {
+			t.Errorf("accepted job %s missing from the request log", id)
+		}
+	}
+}

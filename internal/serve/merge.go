@@ -1,80 +1,24 @@
 package serve
 
-// The merger turns per-shard sequencing batches into one total order.
-// Shards claim dense blocks of global slot numbers; records enter a
-// min-heap keyed by slot and flush into the request log exactly when
-// they complete the dense prefix (top slot == log length). The order
-// is a pure function of the slot numbers — never wall clock — so the
-// merged log, and everything replayed from it, is deterministic given
-// the slot assignment. With one shard the merge is the identity and
-// the service behaves exactly like a single global sequencer.
+// The merger appends each shard's sequencing batch to the one request
+// log. A shard's sequencer pops its batch under its own lock, then
+// takes the service lock and appends the batch in pop order: a job's
+// log position is len(log), read in the critical section that appends
+// it, so the log is always dense. Wall clock decides only which
+// shard's batch takes the service lock first; the log records that
+// order, and everything replayed from the log is deterministic. With
+// one shard the merge is the identity and the service behaves exactly
+// like a single global sequencer.
 
 import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// record is one sequenced-but-not-yet-merged job.
-type record struct {
-	slot int64
-	j    *job
-}
-
-// recordHeap is a hand-rolled min-heap by slot (no container/heap
-// interface boxing on the sequencing hot path).
-type recordHeap []record
-
-func (h *recordHeap) push(r record) {
-	*h = append(*h, r)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].slot <= a[i].slot {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *recordHeap) pop() record {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = record{}
-	*h = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && a[l].slot < a[m].slot {
-			m = l
-		}
-		if r < n && a[r].slot < a[m].slot {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-	return top
-}
-
-// mergeLocked hands sh's freshly popped batch (slots base..base+n-1)
-// to the merger and flushes the dense prefix into the request log.
-// Caller holds sh.mu and s.mu, in that order.
-func (s *Service) mergeLocked(sh *shard, base int64) {
-	for i, j := range sh.batch {
-		s.reorder.push(record{slot: base + int64(i), j: j})
-	}
-	flushed := 0
-	for len(s.reorder) > 0 && s.reorder[0].slot == int64(len(s.log)) {
-		r := s.reorder.pop()
-		j := r.j
+// mergeLocked appends sh's freshly popped batch to the request log in
+// pop order. Caller holds sh.mu and s.mu, in that order.
+func (s *Service) mergeLocked(sh *shard) {
+	for _, j := range sh.batch {
 		j.seq = len(s.log)
 		j.tj.ArrivalMS = int64(j.seq) * s.cfg.SpacingMS
 		s.log = append(s.log, j.tj)
@@ -99,25 +43,22 @@ func (s *Service) mergeLocked(sh *shard, base int64) {
 		}
 		if s.lgDbg {
 			s.lg.Debug("job sequenced", "tenant", j.tenant, "shard", j.shard,
-				"id", j.tj.ID, "seq", j.seq, "local_seq", j.local, "arrival_ms", j.tj.ArrivalMS)
+				"id", j.tj.ID, "seq", j.seq, "arrival_ms", j.tj.ArrivalMS)
 		}
-		flushed++
 	}
-	if flushed > 0 {
-		if s.wal != nil && s.walErr == nil {
-			// Group commit: one fsync covers the whole merge batch. Must
-			// run before the broadcast so a waiter that wakes with seq
-			// assigned is already durable.
-			d, err := s.wal.commit()
-			s.durable = d
-			if err != nil {
-				s.walErr = err
-				s.lg.Error("wal sync failed", "err", err)
-			}
+	if s.wal != nil && s.walErr == nil {
+		// Group commit: one fsync covers the whole merge batch. Must
+		// run before the broadcast so a waiter that wakes with seq
+		// assigned is already durable.
+		d, err := s.wal.commit()
+		s.durable = d
+		if err != nil {
+			s.walErr = err
+			s.lg.Error("wal sync failed", "err", err)
 		}
-		s.advanceWatermarkLocked()
-		s.cond.Broadcast()
 	}
+	s.advanceWatermarkLocked()
+	s.cond.Broadcast()
 }
 
 // advanceWatermarkLocked raises the resumable replay's watermark once
@@ -154,38 +95,28 @@ func (s *Service) resultLocked() (*sched.Result, error) {
 	return r, err
 }
 
-// sequencedStatusLocked renders a sequenced job's status. Finalized
-// jobs resolve O(1) off the resumable replay; everything still in
-// motion comes from the (memoized) suffix replay. Caller holds s.mu.
+// sequencedStatusLocked renders a sequenced job's status from one
+// resolution call: JobResult answers a finalized job in O(1) and
+// replays the active suffix for anything still in motion. Caller
+// holds s.mu.
 func (s *Service) sequencedStatusLocked(j *job) *JobStatus {
+	if s.incErr != nil {
+		return s.statusLocked(j, sched.JobResult{}, s.incErr)
+	}
+	jr, err := s.inc.JobResult(j.seq)
+	return s.statusLocked(j, jr, err)
+}
+
+// statusLocked renders sequenced job j from its resolved result, or as
+// rejected with err's text when the replay could not answer. Caller
+// holds s.mu.
+func (s *Service) statusLocked(j *job, jr sched.JobResult, err error) *JobStatus {
 	st := &JobStatus{ID: j.tj.ID, Tenant: j.tenant, Shard: j.shard, Seq: j.seq, ArrivalMS: j.tj.ArrivalMS}
 	st.Durable = s.wal != nil && j.seq < s.durable
-	var jr sched.JobResult
-	done := false
-	if s.incErr == nil {
-		jr, done = s.inc.Finalized(j.seq)
-	}
-	if !done {
-		var err error
-		switch {
-		case s.incErr != nil:
-			err = s.incErr
-		case s.resOK && s.resN == len(s.log):
-			// A full result for this exact log is already memoized
-			// (e.g. after a drain) — read it instead of replaying.
-			if err = s.resErr; err == nil {
-				jr = s.res.Jobs[j.seq]
-			}
-		default:
-			// Suffix replay for just this job: no O(history) result
-			// assembly on the query path.
-			jr, err = s.inc.JobResult(j.seq)
-		}
-		if err != nil {
-			st.Reason = err.Error()
-			st.State = StateRejected
-			return st
-		}
+	if err != nil {
+		st.Reason = err.Error()
+		st.State = StateRejected
+		return st
 	}
 	st.Result = &jr
 	if jr.Rejected {

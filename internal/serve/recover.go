@@ -70,7 +70,7 @@ type TornTail struct {
 
 // RecoveredLog is the state rebuilt from a WAL directory.
 type RecoveredLog struct {
-	// Jobs is the recovered merged-log prefix, in slot order; job i's
+	// Jobs is the recovered merged-log prefix, in log order; job i's
 	// arrival is i·SpacingMS, exactly as the uninterrupted run merged
 	// it.
 	Jobs []workload.TraceJob

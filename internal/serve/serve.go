@@ -14,16 +14,15 @@
 //     parallel without sharing a lock. Within a shard no tenant can
 //     starve the others (round-robin fairness) and no tenant can
 //     exceed its lifetime quota.
-//   - Determinism at the core. Each shard's sequencer emits
-//     (shard, local-seq) records stamped with globally claimed slot
-//     numbers; the merger flushes records into the request log in
-//     ascending slot order — a pure function of the sequence numbers,
-//     never wall clock. The i-th merged job gets the deterministic
-//     virtual arrival i·spacing ms, so the merged log is exactly a
-//     workload trace (workload.FormatTrace bytes). Everything the
-//     service reports — job status, cluster metrics, the drain
-//     summary — is a pure function of that log, computed by replaying
-//     it through the same sched machinery cmd/snsched uses.
+//   - Determinism at the core. Each shard's sequencer appends its
+//     popped batch to the one request log under the service lock;
+//     wall clock decides only which batch takes the lock first, and
+//     the log records that order. The i-th merged job gets the
+//     deterministic virtual arrival i·spacing ms, so the merged log is
+//     exactly a workload trace (workload.FormatTrace bytes).
+//     Everything the service reports — job status, cluster metrics,
+//     the drain summary — is a pure function of that log, computed by
+//     replaying it through the same sched machinery cmd/snsched uses.
 //     Re-running a day of logged traffic therefore reproduces every
 //     per-job result byte-identically, whatever the shard count was.
 //
@@ -52,7 +51,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -290,7 +288,6 @@ type job struct {
 	shard  int
 	sub    int // global submission order
 	seq    int // request-log position; -1 while queued (guarded by Service.mu)
-	local  int // per-shard sequence number, assigned when popped
 }
 
 // Service is a concurrent job-submission front-end over one
@@ -298,19 +295,15 @@ type job struct {
 // use.
 //
 // Lock order: shard.mu before Service.mu, never the reverse. A shard
-// claims slots and hands records to the merger while holding its own
-// lock, so a drained shard queue means every one of its claimed slots
-// has reached the merger.
+// appends its popped batch to the request log while holding its own
+// lock, so a job that has left its shard queue is already in the log
+// by the time anyone else can take that shard's lock.
 type Service struct {
 	cfg    Config
 	est    *sched.Estimator
 	shards []*shard
 	lg     *slog.Logger
 	lgDbg  bool // Debug level enabled (checked once; gates hot-path logging)
-
-	// slots hands out dense global sequence slots; the merger flushes
-	// them in ascending order.
-	slots atomic.Int64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -320,7 +313,6 @@ type Service struct {
 	tenants []string       // tenants in first-seen order
 	pending int            // total queued across shards
 	subs    int            // global submission counter
-	reorder recordHeap     // merged-but-not-yet-dense records
 	log     []workload.TraceJob
 	byShard []shardTally
 
@@ -427,8 +419,8 @@ func New(cfg Config) (*Service, error) {
 
 // attachWAL opens (and recovers) the write-ahead log and seeds the
 // service with the recovered prefix: the merged log, per-shard and
-// per-tenant tallies, the slot counter, and the surviving idempotency
-// bindings, exactly as if the recovered jobs had just been sequenced.
+// per-tenant tallies and the surviving idempotency bindings, exactly
+// as if the recovered jobs had just been sequenced.
 // Runs from New, before any concurrency, so no locks are needed.
 func (s *Service) attachWAL() error {
 	w, rec, err := openWAL(s.cfg.WALDir, s.cfg.SpacingMS, s.cfg.SegmentBytes)
@@ -443,8 +435,7 @@ func (s *Service) attachWAL() error {
 			tenant = tenant[:cut]
 		}
 		sh := s.shardOf(tenant)
-		j := &job{tj: tj, tenant: tenant, shard: sh.idx, sub: i, seq: i, local: sh.local}
-		sh.local++
+		j := &job{tj: tj, tenant: tenant, shard: sh.idx, sub: i, seq: i}
 		if s.count[tenant] == 0 {
 			s.tenants = append(s.tenants, tenant)
 		}
@@ -473,7 +464,6 @@ func (s *Service) attachWAL() error {
 			s.idemOrder = append(s.idemOrder, e.Key)
 		}
 	}
-	s.slots.Store(int64(len(rec.Jobs)))
 	s.advanceWatermarkLocked()
 	if rec.Torn != nil {
 		s.lg.Warn("wal recovered with torn tail", "jobs", len(rec.Jobs),
@@ -784,13 +774,11 @@ func (s *Service) Status(id string) (*JobStatus, error) {
 			QueuePosition: pos, Seq: -1,
 		}, nil
 	}
-	// Sequenced between the two looks (or in the merge buffer).
+	// Sequenced between the two looks: a job leaves its shard queue
+	// only in sequenceLocked, which merges it before releasing sh.mu.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.seq >= 0 {
-		return s.sequencedStatusLocked(j), nil
-	}
-	return &JobStatus{ID: j.tj.ID, Tenant: j.tenant, State: StateQueued, Shard: j.shard, Seq: -1}, nil
+	return s.sequencedStatusLocked(j), nil
 }
 
 // Jobs returns every submitted job's status in submission order.
@@ -802,14 +790,23 @@ func (s *Service) Jobs() ([]*JobStatus, error) {
 	}
 	// Submission order is the deterministic listing order.
 	sort.Slice(all, func(i, k int) bool { return all[i].sub < all[k].sub })
+	// One replay answers every sequenced job. When it fails (res is
+	// nil), each job resolves on its own, exactly as Status does.
+	var res *sched.Result
+	if len(s.log) > 0 {
+		res, _ = s.resultLocked()
+	}
 	out := make([]*JobStatus, len(all))
 	var queuedIdx []int
 	for i, j := range all {
-		if j.seq >= 0 {
-			out[i] = s.sequencedStatusLocked(j)
-		} else {
+		switch {
+		case j.seq < 0:
 			out[i] = &JobStatus{ID: j.tj.ID, Tenant: j.tenant, State: StateQueued, Shard: j.shard, Seq: -1}
 			queuedIdx = append(queuedIdx, i)
+		case res != nil:
+			out[i] = s.statusLocked(j, res.Jobs[j.seq], nil)
+		default:
+			out[i] = s.sequencedStatusLocked(j)
 		}
 	}
 	s.mu.Unlock()

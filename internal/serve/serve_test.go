@@ -435,3 +435,87 @@ func TestReplayAppendFailureLatches(t *testing.T) {
 		t.Errorf("status %+v, want rejected with the latched reason", st)
 	}
 }
+
+// Jobs renders every sequenced job from one replay of the log. It
+// must list exactly what one Status call per job returns, in every
+// state the service can be in.
+func TestJobsMatchesStatus(t *testing.T) {
+	s := mustNew(t, Config{Manual: true, Shards: 2, SnapshotEvery: 2, SpacingMS: 1000})
+	for i := 0; i < 8; i++ {
+		req := small(fmt.Sprintf("t%d", i%3), fmt.Sprintf("j%d", i))
+		if i%4 == 3 {
+			req.Iterations = 400 // still running at the watermark
+		}
+		if i == 5 {
+			req.Batch = 4096 // fits no device: rejected up front
+		}
+		if _, err := s.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	match := func(when string) map[JobState]int {
+		t.Helper()
+		all, err := s.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != 8 {
+			t.Fatalf("%s: Jobs listed %d jobs, want 8", when, len(all))
+		}
+		states := map[JobState]int{}
+		for _, got := range all {
+			want, err := s.Status(got.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Jobs lists %+v, Status says %+v", when, got, want)
+			}
+			states[got.State]++
+		}
+		return states
+	}
+
+	if states := match("before any advance"); states[StateQueued] != 8 {
+		t.Errorf("before any advance: state counts %v, want 8 queued", states)
+	}
+
+	s.Advance(6)
+	s.mu.Lock()
+	finalized := 0
+	for i := range s.log {
+		if _, ok := s.inc.Finalized(i); ok {
+			finalized++
+		}
+	}
+	active := len(s.log) - finalized
+	s.mu.Unlock()
+	if finalized == 0 || active == 0 {
+		t.Fatalf("after 6 merges: %d finalized, %d active; the test needs both", finalized, active)
+	}
+	if states := match("finalized and active mixed"); states[StateQueued] != 2 {
+		t.Errorf("finalized and active mixed: state counts %v, want 2 queued", states)
+	}
+
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if states := match("after drain"); states[StateRejected] != 1 || states[StateScheduled] != 7 {
+		t.Errorf("after drain: state counts %v, want 1 rejected and 7 scheduled", states)
+	}
+
+	latched := errors.New("replay append failed")
+	s.mu.Lock()
+	s.incErr = latched
+	s.mu.Unlock()
+	if states := match("with a latched replay error"); states[StateRejected] != 8 {
+		t.Errorf("with a latched replay error: state counts %v, want 8 rejected", states)
+	}
+	st, err := s.Status("t0/j0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Reason != latched.Error() {
+		t.Errorf("with a latched replay error: reason %q, want %q", st.Reason, latched.Error())
+	}
+}

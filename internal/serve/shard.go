@@ -16,7 +16,6 @@ type shard struct {
 	ring    []string // tenants in first-seen order, the round-robin ring
 	rr      int      // ring cursor
 	pending int
-	local   int // next per-shard sequence number
 	stopped bool
 
 	batch []*job // scratch: jobs popped in one sequencing pass
@@ -54,10 +53,10 @@ func (sh *shard) position(j *job) int {
 
 // sequenceLocked pops up to max jobs (all pending when max <= 0) off
 // the shard round-robin — one job per tenant per turn, so no tenant
-// can starve the others — claims a dense block of global slots for
-// them, and hands them to the merger. Caller holds sh.mu; the slot
-// claim and the merge happen under it, so a drained shard has no
-// records in flight.
+// can starve the others — and merges them into the request log.
+// Caller holds sh.mu and the merge happens under it, so a job that
+// has left its shard queue is already in the log by the time anyone
+// else can take sh.mu.
 func (s *Service) sequenceLocked(sh *shard, max int) int {
 	n := 0
 	sh.batch = sh.batch[:0]
@@ -71,19 +70,16 @@ func (s *Service) sequenceLocked(sh *shard, max int) int {
 		j := q[0]
 		sh.queues[t] = q[1:]
 		sh.pending--
-		j.local = sh.local
-		sh.local++
 		sh.batch = append(sh.batch, j)
 		n++
 	}
 	if n == 0 {
 		return 0
 	}
-	// Claim a dense block of global slots. Slot order — never wall
-	// clock — is the total order of the merged log.
-	base := s.slots.Add(int64(n)) - int64(n)
+	// The batch takes its log positions under s.mu, in the critical
+	// section that appends it.
 	s.mu.Lock()
-	s.mergeLocked(sh, base)
+	s.mergeLocked(sh)
 	s.mu.Unlock()
 	return n
 }
