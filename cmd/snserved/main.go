@@ -14,17 +14,19 @@
 //
 //	snserved                                  # 2x K40c, packing policy, :8080
 //	snserved -addr 127.0.0.1:9090 -policy priority -devices 4
-//	snserved -shards 8                        # 8 per-tenant sequencer shards
+//	snserved -shards 8                        # 8 per-tenant admission shards
 //	snserved -snapshot-every 256              # advance the replay watermark less often
 //	snserved -log requests.trace              # export the replayable log at drain
 //	snserved -wal-dir wal/                    # durable WAL: every ack is fsynced first, survives kill -9; restart recovers
 //	snserved -exit-after-drain                # exit after an API drain (CI smoke)
 //
-// Tenants hash onto -shards independent sequencers; each appends its
-// batches to the one request log under the service lock, and every
-// result replayed from that log is deterministic regardless of the
-// shard count. Structured logs (tenant, shard, seq, state transitions)
-// go to stderr; -log-level debug traces every accept/sequence.
+// Tenants hash onto -shards admission partitions, each with its own
+// bounded queues and round-robin fairness; one sequencer pops every
+// shard in index order and appends the pass to the one request log,
+// and every result replayed from that log is deterministic regardless
+// of the shard count. Structured logs (tenant, shard, seq, state
+// transitions) go to stderr; -log-level debug traces every
+// accept/sequence.
 //
 // The API (all JSON unless noted):
 //
@@ -84,7 +86,7 @@ func main() {
 	flag.StringVar(&o.device, "device", "k40c", "device profile: k40c or titanxp")
 	flag.IntVar(&o.devices, "devices", 2, "number of GPUs in the cluster")
 	flag.StringVar(&o.policyArg, "policy", "packing", "scheduler policy: fifo, priority, packing or topo")
-	flag.IntVar(&o.shards, "shards", 1, "per-tenant sequencer shards (tenants hash onto shards; results stay deterministic)")
+	flag.IntVar(&o.shards, "shards", 1, "per-tenant admission shards (tenants hash onto shards; results stay deterministic)")
 	flag.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "bounded admission queue depth per shard")
 	flag.IntVar(&o.quota, "tenant-quota", 0, "max jobs per tenant over the service lifetime (0 = unlimited)")
 	flag.Int64Var(&o.spacingMS, "spacing", 1, "virtual arrival gap between sequenced jobs (ms)")

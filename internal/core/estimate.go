@@ -3,8 +3,7 @@ package core
 // Admission summaries: what a multi-tenant scheduler reads off a dry
 // run (Estimate) and the bridge from a job's program to the device
 // planner's tensor-granularity protocol (TensorDemands) — the job's
-// largest shareable functional shapes with byte width and next-use
-// distance.
+// largest shareable functional shapes and their sizes.
 
 import (
 	"sort"
@@ -43,8 +42,8 @@ type Estimate struct {
 	// planner treats as floor == peak (worst-case-in-isolation).
 	FloorBytes int64
 	// SpillBytes is the job's own per-iteration offload+prefetch
-	// traffic under its solo plan: its standing claim on the host link
-	// that co-tenant spill planning must budget around.
+	// traffic under its solo plan. It is reported only: the device
+	// planner prices spills from the floors it parks, not from this.
 	SpillBytes int64
 }
 
@@ -81,63 +80,38 @@ func shareableKind(k tensor.Kind) bool {
 // declared once — within one job, same-shape tensors can be live
 // concurrently and are NOT interchangeable, so only a single instance
 // per shape is offered for cross-job lifting (the conservative side of
-// the sharing model). NextUse is the shape's widest producer-to-last-
-// reader step distance: shapes idle for longer stretches are the better
-// lending candidates, and the planner's escalation order consults it.
+// the sharing model). Only tensors some step reads or writes count; a
+// recompute-dropped tensor is never materialized.
 // The result is sorted largest-first (ties by key) so truncation and
 // replay are deterministic.
 func TensorDemands(p *program.Program, topK int) []memplan.TensorDemand {
 	if p == nil || topK <= 0 {
 		return nil
 	}
-	firstStep := make(map[int]int)
-	lastStep := make(map[int]int)
-	touch := func(t *tensor.Tensor, si int) {
-		if !shareableKind(t.Kind) {
-			return
-		}
-		if _, ok := firstStep[t.ID]; !ok {
-			firstStep[t.ID] = si
-		}
-		lastStep[t.ID] = si
-	}
+	touched := make([]bool, p.Reg.Len())
 	for si := range p.Steps {
 		for _, t := range p.Steps[si].Reads {
-			touch(t, si)
+			touched[t.ID] = true
 		}
 		for _, t := range p.Steps[si].Writes {
-			touch(t, si)
+			touched[t.ID] = true
 		}
 	}
 
-	type agg struct {
-		bytes   int64
-		width   int
-		nextUse int
-	}
-	byKey := make(map[uint64]agg)
+	byKey := make(map[uint64]int64)
 	for _, t := range p.Reg.All() {
-		if !shareableKind(t.Kind) {
+		if !shareableKind(t.Kind) || !touched[t.ID] {
 			continue
 		}
-		if _, ok := firstStep[t.ID]; !ok {
-			continue // never touched by a step (e.g. recompute-dropped)
-		}
 		key := memplan.ShapeKey(t.Shape.N, t.Shape.C, t.Shape.H, t.Shape.W, tensor.ElemSize)
-		span := lastStep[t.ID] - firstStep[t.ID]
-		a, ok := byKey[key]
-		if !ok {
-			a = agg{bytes: t.Bytes(), width: tensor.ElemSize}
+		if _, ok := byKey[key]; !ok {
+			byKey[key] = t.Bytes()
 		}
-		if span > a.nextUse {
-			a.nextUse = span
-		}
-		byKey[key] = a
 	}
 
 	out := make([]memplan.TensorDemand, 0, len(byKey))
-	for key, a := range byKey {
-		out = append(out, memplan.TensorDemand{Key: key, Bytes: a.bytes, Width: a.width, NextUse: a.nextUse})
+	for key, b := range byKey {
+		out = append(out, memplan.TensorDemand{Key: key, Bytes: b})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {

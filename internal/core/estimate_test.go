@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/nnet"
 	"repro/internal/program"
-	"repro/internal/tensor"
 )
 
 func TestTensorDemandsShareableShapesOnly(t *testing.T) {
@@ -19,7 +18,7 @@ func TestTensorDemandsShareableShapesOnly(t *testing.T) {
 	}
 	seen := make(map[uint64]bool)
 	for i, d := range ds {
-		if d.Bytes <= 0 || d.Width != tensor.ElemSize {
+		if d.Bytes <= 0 {
 			t.Fatalf("entry %d malformed: %+v", i, d)
 		}
 		if seen[d.Key] {

@@ -21,7 +21,6 @@ type Native struct {
 	nextID int64
 	used   int64
 	peak   int64
-	stats  Stats
 }
 
 // NewNative returns a native-allocator model with the given capacity
@@ -47,7 +46,6 @@ func (a *Native) Alloc(n int64) (Allocation, error) {
 	}
 	need := (n + 255) / 256 * 256
 	if a.used+need > a.capacity {
-		a.stats.FailedAllocs++
 		return Allocation{}, fmt.Errorf("%w: need %d bytes, free %d",
 			ErrOutOfMemory, need, a.capacity-a.used)
 	}
@@ -58,8 +56,6 @@ func (a *Native) Alloc(n int64) (Allocation, error) {
 	if a.used > a.peak {
 		a.peak = a.used
 	}
-	a.stats.Allocs++
-	a.stats.BytesServed += need
 	return Allocation{ID: id, Addr: -1, Bytes: need}, nil
 }
 
@@ -71,7 +67,6 @@ func (a *Native) Free(id int64) error {
 	}
 	delete(a.allocd, id)
 	a.used -= size
-	a.stats.Frees++
 	return nil
 }
 
@@ -104,6 +99,3 @@ func (a *Native) Fragmentation() float64 { return 0 }
 
 // Live returns the number of live allocations.
 func (a *Native) Live() int { return len(a.allocd) }
-
-// Stats returns a copy of the activity counters.
-func (a *Native) Stats() Stats { return a.stats }

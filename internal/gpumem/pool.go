@@ -110,14 +110,6 @@ const maxGen = 1<<31 - 1
 // handle mints the ID of the allocation in row i.
 func handle(gen int64, i int) int64 { return gen<<32 | int64(i+1) }
 
-// Stats aggregates allocator activity for reporting.
-type Stats struct {
-	Allocs       int64
-	Frees        int64
-	FailedAllocs int64
-	BytesServed  int64
-}
-
 // Pool is the heap-based preallocated memory pool.
 type Pool struct {
 	capacity int64
@@ -130,9 +122,8 @@ type Pool struct {
 	spare []int32
 	live  int
 
-	used  int64
-	peak  int64
-	stats Stats
+	used int64
+	peak int64
 }
 
 // NewPool preallocates a pool of the given capacity (rounded down to a
@@ -156,7 +147,7 @@ func (p *Pool) Reset(capacity int64, opCost sim.Duration) {
 	p.slots, p.spare, p.live = p.slots[:0], p.spare[:0], 0
 	p.free = append(p.free[:0], span{addr: 0, size: capacity})
 	p.capacity, p.opCost = capacity, opCost
-	p.used, p.peak, p.stats = 0, 0, Stats{}
+	p.used, p.peak = 0, 0
 }
 
 func roundUp(n int64) int64 {
@@ -177,7 +168,6 @@ func (p *Pool) Alloc(n int64) (Allocation, error) {
 		k++
 	}
 	if k == len(p.free) {
-		p.stats.FailedAllocs++
 		return Allocation{}, &OOMError{Need: need, Free: p.capacity - p.used, Largest: p.LargestFree()}
 	}
 	f := &p.free[k]
@@ -201,8 +191,6 @@ func (p *Pool) Alloc(n int64) (Allocation, error) {
 	if p.used > p.peak {
 		p.peak = p.used
 	}
-	p.stats.Allocs++
-	p.stats.BytesServed += need
 	return Allocation{ID: handle(s.gen, i), Addr: addr, Bytes: need}, nil
 }
 
@@ -222,7 +210,6 @@ func (p *Pool) Free(id int64) error {
 	p.spare = append(p.spare, int32(i))
 	p.live--
 	p.used -= s.size
-	p.stats.Frees++
 
 	start, end := s.addr, s.addr+s.size
 	k := sort.Search(len(p.free), func(k int) bool { return p.free[k].addr > start })
@@ -292,9 +279,6 @@ func (p *Pool) Fragmentation() float64 {
 
 // Live returns the number of live allocations.
 func (p *Pool) Live() int { return p.live }
-
-// Stats returns a copy of the activity counters.
-func (p *Pool) Stats() Stats { return p.stats }
 
 // ResetPeak restarts peak tracking from the current usage, so callers
 // can measure per-phase high-water marks.

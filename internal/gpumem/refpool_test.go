@@ -27,9 +27,8 @@ type refPool struct {
 	gens   []int64 // per handle row: how often it was freed
 	rows   []int   // freed rows, latest last
 
-	used  int64
-	peak  int64
-	stats Stats
+	used int64
+	peak int64
 }
 
 func newRefPool(capacity int64, opCost sim.Duration) *refPool {
@@ -62,11 +61,8 @@ func (p *refPool) Alloc(n int64) (Allocation, error) {
 		if p.used > p.peak {
 			p.peak = p.used
 		}
-		p.stats.Allocs++
-		p.stats.BytesServed += need
 		return a, nil
 	}
-	p.stats.FailedAllocs++
 	return Allocation{}, &OOMError{Need: need, Free: p.capacity - p.used, Largest: p.LargestFree()}
 }
 
@@ -80,7 +76,6 @@ func (p *refPool) Free(id int64) error {
 	p.gens[row]++
 	p.rows = append(p.rows, row)
 	p.used -= s.size
-	p.stats.Frees++
 
 	i := sort.Search(len(p.free), func(i int) bool { return p.free[i].addr > s.addr })
 	p.free = append(p.free, span{})

@@ -67,14 +67,6 @@ type TensorDemand struct {
 	// interchangeable reservations of equal Bytes.
 	Key   uint64
 	Bytes int64
-	// Width is the element byte width (mixed-precision tensors with
-	// distinct widths never share a slab; the key covers it).
-	Width int
-	// NextUse is the reuse distance in program steps — how soon after
-	// materialization the shape is read again. Larger distances make
-	// better lending candidates; the planner's escalation order
-	// consults it.
-	NextUse int
 }
 
 // Demand is one job's declared memory demand on a device, extracted
@@ -87,12 +79,6 @@ type Demand struct {
 	// (persistent state).
 	PeakBytes  int64
 	FloorBytes int64
-	// SpillBytes is the job's own per-iteration offload+prefetch
-	// traffic under its solo plan — its standing claim on the host
-	// link.
-	SpillBytes int64
-	// IterTime is the solo iteration duration.
-	IterTime sim.Duration
 	// Tensors lists the job's largest shareable functional shapes.
 	Tensors []TensorDemand
 }
@@ -319,9 +305,6 @@ func validate(d Demand) error {
 	}
 	if d.FloorBytes < 0 || d.FloorBytes > d.PeakBytes {
 		return fmt.Errorf("memplan: job %s: floor %d outside [0, peak %d]", d.Job, d.FloorBytes, d.PeakBytes)
-	}
-	if d.SpillBytes < 0 {
-		return fmt.Errorf("memplan: job %s: negative spill traffic %d", d.Job, d.SpillBytes)
 	}
 	var tb int64
 	for _, td := range d.Tensors {

@@ -125,7 +125,7 @@ func TestCrossJobSharingLiftsCommonShapes(t *testing.T) {
 	k := ShapeKey(32, 64, 56, 56, 4)
 	mkBytes := func(job string, bytes int64) Demand {
 		d := demand(job, 6, 1)
-		d.Tensors = []TensorDemand{{Key: k, Bytes: bytes, Width: 4, NextUse: 3}}
+		d.Tensors = []TensorDemand{{Key: k, Bytes: bytes}}
 		return d
 	}
 	mk := func(job string) Demand { return mkBytes(job, 2*gib) }
@@ -285,7 +285,6 @@ func TestValidation(t *testing.T) {
 		{Job: "a"},                 // zero peak
 		{Job: "a", PeakBytes: -1},  // negative peak
 		demandWithFloor("a", 4, 5), // floor > peak
-		{Job: "a", PeakBytes: gib, SpillBytes: -1},
 		{Job: "a", PeakBytes: gib, Tensors: []TensorDemand{{Key: 1, Bytes: 0}}},
 		{Job: "a", PeakBytes: gib, Tensors: []TensorDemand{{Key: 1, Bytes: 2 * gib}}},
 	}
@@ -402,7 +401,7 @@ func genDemands(seed uint64) (capBytes, spillBytes int64, pool []Demand) {
 		d := Demand{Job: fmt.Sprintf("j%02d", next(40)), PeakBytes: peak, FloorBytes: int64(next(int(peak) + 1))}
 		budget := peak - d.FloorBytes
 		for k := next(4); k > 0; k-- {
-			td := TensorDemand{Key: uint64(1 + next(3)), Bytes: int64(1 + next(3)), Width: 4}
+			td := TensorDemand{Key: uint64(1 + next(3)), Bytes: int64(1 + next(3))}
 			if td.Bytes > budget {
 				break
 			}

@@ -455,8 +455,6 @@ func buildDemand(js *jobState, tds []memplan.TensorDemand) memplan.Demand {
 		Job:        plannerID(js),
 		PeakBytes:  js.est.PeakBytes,
 		FloorBytes: js.est.FloorBytes,
-		SpillBytes: js.est.SpillBytes,
-		IterTime:   js.est.IterTime,
 	}
 	if d.FloorBytes <= 0 || d.FloorBytes > d.PeakBytes {
 		d.FloorBytes = d.PeakBytes

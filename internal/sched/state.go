@@ -33,7 +33,7 @@ import (
 
 // snapMagic opens the header record; the version suffix gates layout
 // changes, and any other generation is refused, not converted.
-const snapMagic = "snsnap 3"
+const snapMagic = "snsnap 4"
 
 // ErrSnapshotValue reports a value a snapshot record cannot carry
 // exactly: a string that is not valid UTF-8 (encoding/json would
@@ -60,8 +60,8 @@ type snapHeader struct {
 // the iteration times once per distinct batch, so a schedule of
 // workload.MaxScheduleLen entries still makes a small record. The
 // estimate carries GradientBytes so a restored gang re-prices
-// identically after a preemption, and its floor and spill traffic so a
-// re-admitted job plans identically; LiveDone is the live completion
+// identically after a preemption, and its floor so a re-admitted job
+// plans identically; LiveDone is the live completion
 // sequence (the stale-completion guard).
 type snapJob struct {
 	ID, Network, Manager string
@@ -92,8 +92,8 @@ type snapJob struct {
 // snapDemand is the part of a memplan.Demand the job's estimate does
 // not already carry.
 type snapDemand struct {
-	FloorBytes, SpillBytes int64
-	Tensors                []memplan.TensorDemand `json:",omitempty"`
+	FloorBytes int64
+	Tensors    []memplan.TensorDemand `json:",omitempty"`
 }
 
 // snapDev is one device: the engine clock, the reservations and
@@ -194,7 +194,7 @@ func jobRecord(js *jobState) snapJob {
 		}
 	}
 	if js.demand.Job != "" {
-		r.Demand = &snapDemand{FloorBytes: js.demand.FloorBytes, SpillBytes: js.demand.SpillBytes, Tensors: js.demand.Tensors}
+		r.Demand = &snapDemand{FloorBytes: js.demand.FloorBytes, Tensors: js.demand.Tensors}
 	}
 	return r
 }
@@ -443,8 +443,6 @@ func restoreJob(ex *exec, i int, r snapJob) (*jobState, error) {
 			Job:        plannerID(js),
 			PeakBytes:  js.est.PeakBytes,
 			FloorBytes: r.Demand.FloorBytes,
-			SpillBytes: r.Demand.SpillBytes,
-			IterTime:   js.est.IterTime,
 			Tensors:    r.Demand.Tensors,
 		}
 	}

@@ -117,12 +117,15 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		MaxDelay:    50 * cfg.RetryDelay,
 	}
 
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		byShard   = map[int][]time.Duration{}
-		rep       LoadReport
-	)
+	// Each submission records its outcome in its own slot; the tally
+	// runs once every client is done.
+	type outcome struct {
+		st      *JobStatus
+		retries int
+		lat     time.Duration
+		err     error
+	}
+	outs := make([]outcome, cfg.Clients*cfg.JobsPerClient)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for ci := 0; ci < cfg.Clients; ci++ {
@@ -152,29 +155,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				}
 				t0 := time.Now()
 				st, retries, err := cfg.Target.SubmitRetry(req, pol)
-				lat := time.Since(t0)
-				var ae *APIError
-				mu.Lock()
-				rep.Retries += retries
-				switch {
-				case err == nil:
-					rep.Submitted++
-					latencies = append(latencies, lat)
-					byShard[st.Shard] = append(byShard[st.Shard], lat)
-					if st.Deduped {
-						rep.Deduped++
-					}
-				case errors.Is(err, ErrQuota):
-					rep.QuotaDenied++
-				case errors.Is(err, ErrQueueFull), cfg.Idempotent && !errors.As(err, &ae):
-					// Backpressure, or a transport failure the key made
-					// safe to retry, that outlasted every attempt.
-					rep.Failed++
-					rep.Exhausted++
-				default:
-					rep.Failed++
-				}
-				mu.Unlock()
+				outs[ci*cfg.JobsPerClient+k] = outcome{st, retries, time.Since(t0), err}
 				if cfg.ThinkTime > 0 && k+1 < cfg.JobsPerClient {
 					time.Sleep(cfg.ThinkTime)
 				}
@@ -182,7 +163,32 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		}(ci)
 	}
 	wg.Wait()
+	var rep LoadReport
 	rep.Elapsed = time.Since(start)
+	var latencies []time.Duration
+	byShard := map[int][]time.Duration{}
+	for _, o := range outs {
+		var ae *APIError
+		rep.Retries += o.retries
+		switch {
+		case o.err == nil:
+			rep.Submitted++
+			latencies = append(latencies, o.lat)
+			byShard[o.st.Shard] = append(byShard[o.st.Shard], o.lat)
+			if o.st.Deduped {
+				rep.Deduped++
+			}
+		case errors.Is(o.err, ErrQuota):
+			rep.QuotaDenied++
+		case errors.Is(o.err, ErrQueueFull), cfg.Idempotent && !errors.As(o.err, &ae):
+			// Backpressure, or a transport failure the key made safe to
+			// retry, that outlasted every attempt.
+			rep.Failed++
+			rep.Exhausted++
+		default:
+			rep.Failed++
+		}
+	}
 	if rep.Elapsed > 0 {
 		rep.Throughput = float64(rep.Submitted) / rep.Elapsed.Seconds()
 	}

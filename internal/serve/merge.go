@@ -1,24 +1,22 @@
 package serve
 
-// The merger appends each shard's sequencing batch to the one request
-// log. A shard's sequencer pops its batch under its own lock, then
-// takes the service lock and appends the batch in pop order: a job's
+// The merger appends each sequencing pass to the one request log, in
+// pop order: shards in index order, round-robin within each. A job's
 // log position is len(log), read in the critical section that appends
-// it, so the log is always dense. Wall clock decides only which
-// shard's batch takes the service lock first; the log records that
-// order, and everything replayed from the log is deterministic. With
-// one shard the merge is the identity and the service behaves exactly
-// like a single global sequencer.
+// it, so the log is always dense. Which submissions a pass finds queued
+// depends on wall clock; the log records the order, and everything
+// replayed from the log is deterministic. With one shard the pass is
+// exactly a single global round-robin sequencer.
 
 import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// mergeLocked appends sh's freshly popped batch to the request log in
-// pop order. Caller holds sh.mu and s.mu, in that order.
-func (s *Service) mergeLocked(sh *shard) {
-	for _, j := range sh.batch {
+// mergeLocked appends the freshly popped s.batch to the request log in
+// pop order. Caller holds s.mu.
+func (s *Service) mergeLocked() {
+	for _, j := range s.batch {
 		j.seq = len(s.log)
 		j.tj.ArrivalMS = int64(j.seq) * s.cfg.SpacingMS
 		s.log = append(s.log, j.tj)
@@ -31,8 +29,6 @@ func (s *Service) mergeLocked(sh *shard) {
 			}
 		}
 		s.queued[j.tenant]--
-		s.pending--
-		s.byShard[j.shard].sequenced++
 		if s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(j.tj)); err != nil {
 				// Cannot happen while the watermark invariant holds;
@@ -47,9 +43,8 @@ func (s *Service) mergeLocked(sh *shard) {
 		}
 	}
 	if s.wal != nil && s.walErr == nil {
-		// Group commit: one fsync covers the whole merge batch. Must
-		// run before the broadcast so a waiter that wakes with seq
-		// assigned is already durable.
+		// Group commit: one fsync covers the whole pass, so a waiter
+		// that wakes with seq assigned is already durable.
 		d, err := s.wal.commit()
 		s.durable = d
 		if err != nil {

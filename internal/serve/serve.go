@@ -8,16 +8,16 @@
 // deterministic core:
 //
 //   - Concurrency at the edge. Submit may be called from any number of
-//     goroutines (the HTTP handlers do). Tenants are partitioned onto
-//     shards; each shard owns a bounded set of per-tenant admission
-//     queues and its own sequencer, so shards admit traffic in
-//     parallel without sharing a lock. Within a shard no tenant can
-//     starve the others (round-robin fairness) and no tenant can
-//     exceed its lifetime quota.
-//   - Determinism at the core. Each shard's sequencer appends its
-//     popped batch to the one request log under the service lock;
-//     wall clock decides only which batch takes the lock first, and
-//     the log records that order. The i-th merged job gets the
+//     goroutines (the HTTP handlers do); request decoding and the
+//     dry-run validation run outside the lock, and everything else
+//     takes the one service lock. Tenants are partitioned onto shards;
+//     each shard owns a bounded set of per-tenant admission queues.
+//     Within a shard no tenant can starve the others (round-robin
+//     fairness) and no tenant can exceed its lifetime quota.
+//   - Determinism at the core. One sequencer pops every shard in
+//     index order and appends the pass to the request log; wall clock
+//     decides only which submissions a pass finds queued, and the log
+//     records that order. The i-th merged job gets the
 //     deterministic virtual arrival i·spacing ms, so the merged log is
 //     exactly a workload trace (workload.FormatTrace bytes).
 //     Everything the service reports — job status, cluster metrics,
@@ -109,8 +109,8 @@ type Config struct {
 	Cluster sched.Cluster
 	// Policy is the scheduler policy (default sched.Packing).
 	Policy sched.Policy
-	// Shards partitions tenants across independent sequencers
-	// (default 1). All of a tenant's jobs land on one shard, so
+	// Shards partitions tenants across admission queues (default 1).
+	// All of a tenant's jobs land on one shard, so
 	// per-tenant fairness and FIFO submission order are preserved;
 	// the shard count never changes the log format or the replay.
 	Shards int
@@ -152,7 +152,7 @@ type Config struct {
 	// watermark advances); nil discards them. Per-job events
 	// log at Debug, lifecycle transitions at Info/Warn.
 	Logger *slog.Logger
-	// Manual disables the background sequencer goroutines; callers
+	// Manual disables the background sequencer goroutine; callers
 	// step admission explicitly with Advance (tests do, to observe
 	// fairness deterministically).
 	Manual bool
@@ -212,7 +212,7 @@ type JobStatus struct {
 	ID     string   `json:"id"`
 	Tenant string   `json:"tenant"`
 	State  JobState `json:"state"`
-	// Shard is the sequencer shard the tenant maps to.
+	// Shard is the admission shard the tenant maps to.
 	Shard int `json:"shard"`
 	// QueuePosition is the 1-based position in the tenant's admission
 	// queue while queued.
@@ -243,7 +243,7 @@ type TenantStat struct {
 	Sequenced int `json:"sequenced"`
 }
 
-// ShardStat aggregates one sequencer shard in Metrics.
+// ShardStat aggregates one admission shard in Metrics.
 type ShardStat struct {
 	Tenants   int `json:"tenants"`
 	Queued    int `json:"queued"`
@@ -293,28 +293,26 @@ type job struct {
 // Service is a concurrent job-submission front-end over one
 // deterministic cluster scheduler. All methods are safe for concurrent
 // use.
-//
-// Lock order: shard.mu before Service.mu, never the reverse. A shard
-// appends its popped batch to the request log while holding its own
-// lock, so a job that has left its shard queue is already in the log
-// by the time anyone else can take that shard's lock.
 type Service struct {
-	cfg    Config
-	est    *sched.Estimator
-	shards []*shard
-	lg     *slog.Logger
-	lgDbg  bool // Debug level enabled (checked once; gates hot-path logging)
+	cfg   Config
+	est   *sched.Estimator
+	lg    *slog.Logger
+	lgDbg bool // Debug level enabled (checked once; gates hot-path logging)
 
+	// mu is the service's only lock: it guards every field below and
+	// the shards. cond wakes durable-ack and WaitSequenced waiters after
+	// each merge; work wakes the sequencer when Submit queues a job.
 	mu      sync.Mutex
 	cond    *sync.Cond
+	work    *sync.Cond
+	shards  []*shard
 	byID    map[string]*job
 	count   map[string]int // lifetime accepted per tenant
 	queued  map[string]int // currently queued per tenant
 	tenants []string       // tenants in first-seen order
-	pending int            // total queued across shards
 	subs    int            // global submission counter
 	log     []workload.TraceJob
-	byShard []shardTally
+	batch   []*job // scratch: the jobs one sequencing pass pops
 
 	// Durability (Config.WALDir). wal is the append handle; durable is
 	// the job-record count covered by the last fsync; walErr latches
@@ -337,8 +335,9 @@ type Service struct {
 	lastAdv int
 	incErr  error
 
+	// draining is set by Drain, which sequences every queued job in
+	// the same critical section: once set, nothing is queued.
 	draining bool
-	stopped  bool
 	drainCh  chan struct{}
 
 	// result memo: the replay of log[:resN].
@@ -348,14 +347,8 @@ type Service struct {
 	resErr error
 }
 
-// shardTally is the merger-side per-shard bookkeeping (guarded by
-// Service.mu).
-type shardTally struct {
-	sequenced int
-}
-
-// New constructs a Service and, unless cfg.Manual is set, starts one
-// sequencer goroutine per shard.
+// New constructs a Service and, unless cfg.Manual is set, starts the
+// sequencer goroutine.
 func New(cfg Config) (*Service, error) {
 	if cfg.Policy.Name == "" {
 		cfg.Policy = sched.Packing
@@ -388,10 +381,10 @@ func New(cfg Config) (*Service, error) {
 		count:   make(map[string]int),
 		queued:  make(map[string]int),
 		idem:    make(map[string]*job),
-		byShard: make([]shardTally, cfg.Shards),
 		drainCh: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.mu)
 	if cfg.Logger != nil {
 		s.lg = cfg.Logger
 	} else {
@@ -400,7 +393,7 @@ func New(cfg Config) (*Service, error) {
 	s.lgDbg = s.lg.Enabled(context.Background(), slog.LevelDebug)
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = newShard(i)
+		s.shards[i] = &shard{idx: i, queues: make(map[string][]*job)}
 	}
 	if cfg.WALDir != "" {
 		if err := s.attachWAL(); err != nil {
@@ -408,9 +401,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	if !cfg.Manual {
-		for _, sh := range s.shards {
-			go s.shardLoop(sh)
-		}
+		go s.sequencer()
 	}
 	s.lg.Info("service up", "shards", cfg.Shards, "queue_depth", cfg.QueueDepth,
 		"snapshot_every", cfg.SnapshotEvery, "policy", cfg.Policy.Name)
@@ -418,8 +409,8 @@ func New(cfg Config) (*Service, error) {
 }
 
 // attachWAL opens (and recovers) the write-ahead log and seeds the
-// service with the recovered prefix: the merged log, per-shard and
-// per-tenant tallies and the surviving idempotency bindings, exactly
+// service with the recovered prefix: the merged log, the per-tenant
+// tallies and the surviving idempotency bindings, exactly
 // as if the recovered jobs had just been sequenced.
 // Runs from New, before any concurrency, so no locks are needed.
 func (s *Service) attachWAL() error {
@@ -434,8 +425,7 @@ func (s *Service) attachWAL() error {
 		if cut := strings.IndexByte(tenant, '/'); cut >= 0 {
 			tenant = tenant[:cut]
 		}
-		sh := s.shardOf(tenant)
-		j := &job{tj: tj, tenant: tenant, shard: sh.idx, sub: i, seq: i}
+		j := &job{tj: tj, tenant: tenant, shard: s.shardOf(tenant).idx, sub: i, seq: i}
 		if s.count[tenant] == 0 {
 			s.tenants = append(s.tenants, tenant)
 		}
@@ -443,7 +433,6 @@ func (s *Service) attachWAL() error {
 		s.subs++
 		s.byID[tj.ID] = j
 		s.log = append(s.log, tj)
-		s.byShard[sh.idx].sequenced++
 		if s.incErr == nil {
 			if _, err := s.inc.Append(sched.JobFromTrace(tj)); err != nil {
 				s.incErr = err
@@ -491,62 +480,49 @@ func (s *Service) shardOf(tenant string) *shard {
 }
 
 // Submit validates and enqueues one job on its tenant's shard. The
-// dry-run validation runs outside every lock (the estimator memoizes
-// concurrently), so submissions of known shapes are cheap and
-// parallel. The returned status is StateQueued; rejection by the
+// dry-run validation runs before the service lock is taken (the
+// estimator memoizes concurrently), so submissions of known shapes are
+// cheap. The returned status is StateQueued; rejection by the
 // cluster's memory admission happens deterministically after
 // sequencing and shows up in Status.
 func (s *Service) Submit(req SubmitRequest) (*JobStatus, error) {
-	st, j, err := s.submit(req)
-	if err == nil && s.wal != nil && !s.cfg.Manual {
-		// Durable-synchronous ack: with a WAL attached, an accepted job
-		// is always eventually sequenced (Drain flushes every shard
-		// before stopping), so block until it is and the fsync
-		// covering it has run, then return the sequenced status.
-		// Manual mode cannot block:
-		// the caller is the one who must step Advance.
-		return s.awaitDurable(j, st.Deduped)
+	tj, tenant, err := s.validate(req)
+	if err != nil {
+		return nil, err
 	}
-	return st, err
-}
-
-// awaitDurable blocks until j is sequenced and durable and returns its
-// sequenced status. A latched WAL failure turns into an error: the
-// service can no longer promise the ack survives.
-func (s *Service) awaitDurable(j *job, deduped bool) (*JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for (j.seq < 0 || s.durable <= j.seq) && !s.stopped && s.walErr == nil {
+	st, j, err := s.submitLocked(req, tj, tenant)
+	if err != nil || s.wal == nil || s.cfg.Manual {
+		return st, err
+	}
+	// Durable-synchronous ack: with a WAL attached, an accepted job is
+	// always eventually sequenced (Drain sequences everything queued),
+	// so wait until it is and the fsync covering it has run, then
+	// return the sequenced status. Manual mode cannot wait: the caller
+	// is the one who must step Advance. A latched WAL failure turns
+	// into an error: the service can no longer promise the ack
+	// survives.
+	for (j.seq < 0 || s.durable <= j.seq) && s.walErr == nil {
 		s.cond.Wait()
 	}
 	if s.walErr != nil {
 		return nil, s.walErr
 	}
-	if j.seq < 0 {
-		// Only reachable if the service stopped without sequencing —
-		// which Drain's flush rules out; be defensive anyway.
-		return nil, ErrDraining
-	}
-	st := s.sequencedStatusLocked(j)
+	deduped := st.Deduped
+	st = s.sequencedStatusLocked(j)
 	st.Deduped = deduped
 	return st, nil
 }
 
-func (s *Service) submit(req SubmitRequest) (*JobStatus, *job, error) {
-	tj, tenant, err := s.validate(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	sh := s.shardOf(tenant)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.mu.Lock()
+// submitLocked applies the admission rules to a validated request and
+// queues it. Caller holds s.mu.
+func (s *Service) submitLocked(req SubmitRequest, tj workload.TraceJob, tenant string) (*JobStatus, *job, error) {
 	// Idempotent replay resolves before every other admission rule —
 	// including draining: a retry of an already-accepted submission is
 	// not new load, and must keep returning the original ack.
 	if req.IdempotencyKey != "" {
 		if j, ok := s.idem[req.IdempotencyKey]; ok {
-			defer s.mu.Unlock()
 			var st *JobStatus
 			if j.seq >= 0 {
 				st = s.sequencedStatusLocked(j)
@@ -558,7 +534,6 @@ func (s *Service) submit(req SubmitRequest) (*JobStatus, *job, error) {
 		}
 	}
 	if s.draining {
-		s.mu.Unlock()
 		return nil, nil, ErrDraining
 	}
 	if tj.ID == "" {
@@ -573,15 +548,13 @@ func (s *Service) submit(req SubmitRequest) (*JobStatus, *job, error) {
 		}
 	}
 	if _, dup := s.byID[tj.ID]; dup {
-		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %s", ErrDuplicateID, tj.ID)
 	}
 	if q := s.cfg.TenantQuota; q > 0 && s.count[tenant] >= q {
-		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: tenant %s at %d jobs", ErrQuota, tenant, q)
 	}
+	sh := s.shardOf(tenant)
 	if sh.pending >= s.cfg.QueueDepth {
-		s.mu.Unlock()
 		// The shard depth watermark: the retry hint scales with how
 		// loaded the shard is, so clients back off harder the deeper
 		// the backlog.
@@ -598,7 +571,6 @@ func (s *Service) submit(req SubmitRequest) (*JobStatus, *job, error) {
 	}
 	s.count[tenant]++
 	s.queued[tenant]++
-	s.pending++
 	s.byID[tj.ID] = j
 	if j.key != "" {
 		s.idem[j.key] = j
@@ -608,9 +580,8 @@ func (s *Service) submit(req SubmitRequest) (*JobStatus, *job, error) {
 			s.idemOrder = s.idemOrder[1:]
 		}
 	}
-	s.mu.Unlock()
-
-	pos := sh.enqueue(tenant, j)
+	pos := sh.enqueue(j)
+	s.work.Signal()
 	if s.lgDbg {
 		s.lg.Debug("job accepted", "tenant", tenant, "shard", sh.idx, "id", tj.ID, "queue_pos", pos)
 	}
@@ -712,78 +683,55 @@ func checkToken(field, v string) error {
 	return nil
 }
 
-// Advance sequences up to max pending jobs (all of them when max <= 0)
+// Advance sequences up to max queued jobs (all of them when max <= 0)
 // across the shards in index order and returns how many were
-// sequenced. Only useful with Config.Manual; the background sequencers
-// run the same code.
+// sequenced. Only useful with Config.Manual; the background sequencer
+// runs the same pass.
 func (s *Service) Advance(max int) int {
-	n := 0
-	for _, sh := range s.shards {
-		if max > 0 && n >= max {
-			break
-		}
-		m := 0
-		if max > 0 {
-			m = max - n
-		}
-		sh.mu.Lock()
-		n += s.sequenceLocked(sh, m)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sequenceLocked(max)
 }
 
-// shardLoop is one shard's background sequencer.
-func (s *Service) shardLoop(sh *shard) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for {
-		for sh.pending == 0 && !sh.stopped {
-			sh.cond.Wait()
+// sequencer is the background sequencing loop: it merges whatever is
+// queued, then sleeps until Submit queues more or Drain stops it.
+func (s *Service) sequencer() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.draining {
+		if s.sequenceLocked(0) == 0 {
+			s.work.Wait()
 		}
-		if sh.stopped {
-			return
-		}
-		s.sequenceLocked(sh, 0)
 	}
 }
 
 // Status returns one job's current status.
 func (s *Service) Status(id string) (*JobStatus, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.byID[id]
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	if j.seq >= 0 {
-		defer s.mu.Unlock()
 		return s.sequencedStatusLocked(j), nil
 	}
-	s.mu.Unlock()
+	return s.queuedStatusLocked(j), nil
+}
 
-	// Still queued: the position lives behind the shard's lock, which
-	// must be taken before (never while holding) s.mu.
-	sh := s.shards[j.shard]
-	sh.mu.Lock()
-	pos := sh.position(j)
-	sh.mu.Unlock()
-	if pos > 0 {
-		return &JobStatus{
-			ID: j.tj.ID, Tenant: j.tenant, State: StateQueued, Shard: j.shard,
-			QueuePosition: pos, Seq: -1,
-		}, nil
+// queuedStatusLocked renders a queued job at its queue position.
+// Caller holds s.mu.
+func (s *Service) queuedStatusLocked(j *job) *JobStatus {
+	return &JobStatus{
+		ID: j.tj.ID, Tenant: j.tenant, State: StateQueued, Shard: j.shard,
+		QueuePosition: s.shards[j.shard].position(j), Seq: -1,
 	}
-	// Sequenced between the two looks: a job leaves its shard queue
-	// only in sequenceLocked, which merges it before releasing sh.mu.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sequencedStatusLocked(j), nil
 }
 
 // Jobs returns every submitted job's status in submission order.
 func (s *Service) Jobs() ([]*JobStatus, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	all := make([]*job, 0, len(s.byID))
 	for _, j := range s.byID {
 		all = append(all, j)
@@ -797,26 +745,15 @@ func (s *Service) Jobs() ([]*JobStatus, error) {
 		res, _ = s.resultLocked()
 	}
 	out := make([]*JobStatus, len(all))
-	var queuedIdx []int
 	for i, j := range all {
 		switch {
 		case j.seq < 0:
-			out[i] = &JobStatus{ID: j.tj.ID, Tenant: j.tenant, State: StateQueued, Shard: j.shard, Seq: -1}
-			queuedIdx = append(queuedIdx, i)
+			out[i] = s.queuedStatusLocked(j)
 		case res != nil:
 			out[i] = s.statusLocked(j, res.Jobs[j.seq], nil)
 		default:
 			out[i] = s.sequencedStatusLocked(j)
 		}
-	}
-	s.mu.Unlock()
-	// Fill queue positions shard by shard, outside s.mu (lock order).
-	for _, i := range queuedIdx {
-		j := all[i]
-		sh := s.shards[j.shard]
-		sh.mu.Lock()
-		out[i].QueuePosition = sh.position(j)
-		sh.mu.Unlock()
 	}
 	return out, nil
 }
@@ -830,30 +767,28 @@ func (s *Service) Metrics() (*Metrics, error) {
 		Device:          s.cfg.Cluster.Device.Name,
 		Devices:         s.cfg.Cluster.Devices,
 		Capacity:        s.cfg.Cluster.Capacity(),
-		JobsQueued:      s.pending,
 		JobsSequenced:   len(s.log),
 		Draining:        s.draining,
 		SnapshotSeq:     s.lastAdv,
 		EstimatedShapes: s.est.Len(),
 		Tenants:         make(map[string]TenantStat, len(s.tenants)),
 	}
-	m.JobsAccepted = m.JobsQueued + m.JobsSequenced
+	if len(s.shards) > 1 {
+		m.Shards = make([]ShardStat, len(s.shards))
+	}
 	for _, t := range s.tenants {
 		st := TenantStat{Accepted: s.count[t], Queued: s.queued[t]}
 		st.Sequenced = st.Accepted - st.Queued
 		m.Tenants[t] = st
-	}
-	if len(s.shards) > 1 {
-		m.Shards = make([]ShardStat, len(s.shards))
-		for i := range s.byShard {
-			m.Shards[i].Sequenced = s.byShard[i].sequenced
-		}
-		for _, t := range s.tenants {
-			i := s.shardOf(t).idx
-			m.Shards[i].Tenants++
-			m.Shards[i].Queued += s.queued[t]
+		m.JobsQueued += st.Queued
+		if m.Shards != nil {
+			sh := &m.Shards[s.shardOf(t).idx]
+			sh.Tenants++
+			sh.Queued += st.Queued
+			sh.Sequenced += st.Sequenced
 		}
 	}
+	m.JobsAccepted = m.JobsQueued + m.JobsSequenced
 	snap, err := s.resultLocked()
 	if err != nil {
 		return nil, err
@@ -879,7 +814,7 @@ func (s *Service) WaitSequenced(n int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.log) < n && !s.stopped {
+	for len(s.log) < n && !s.draining {
 		left := time.Until(deadline)
 		if left <= 0 {
 			break
@@ -903,28 +838,13 @@ func (s *Service) WaitSequenced(n int, timeout time.Duration) int {
 // is idempotent; concurrent and later calls return the same result.
 func (s *Service) Drain() (*sched.Result, error) {
 	s.mu.Lock()
-	first := !s.draining
-	s.draining = true
-	s.mu.Unlock()
-	if first {
-		s.lg.Info("draining")
-	}
-
-	// Flush every shard. A shard's lock is held from pop through merge,
-	// so once a shard is drained here none of its jobs are in flight.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sequenceLocked(sh, 0)
-		sh.stopped = true
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
-	}
-
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.stopped {
-		s.stopped = true
+	if !s.draining {
+		s.lg.Info("draining")
+		s.sequenceLocked(0)
+		s.draining = true
 		s.cond.Broadcast()
+		s.work.Signal()
 		close(s.drainCh)
 		s.lg.Info("drained", "jobs", len(s.log))
 	}

@@ -36,38 +36,53 @@ func mustNew(t *testing.T, cfg Config) *Service {
 }
 
 // The sequencer drains tenants round-robin: a tenant that floods the
-// queue first cannot push another tenant's jobs behind its own.
+// queue first cannot push another tenant's jobs behind its own. With
+// several shards, Advance passes over the shards in index order and
+// round-robins inside each; its cap counts across the whole pass. The
+// tenants hash to shards 3 (alpha, beta), 2 (gamma) and 1 (delta,
+// epsilon) of four.
 func TestFairnessRoundRobinAcrossTenants(t *testing.T) {
-	s := mustNew(t, Config{Manual: true})
-	for k := 0; k < 4; k++ {
-		if _, err := s.Submit(small("alpha", fmt.Sprintf("a%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 4; k++ {
-		if _, err := s.Submit(small("beta", fmt.Sprintf("b%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.Advance(0); n != 8 {
-		t.Fatalf("Advance sequenced %d jobs, want 8", n)
-	}
-	trace, err := workload.ParseTrace(strings.NewReader(s.ReplayLog()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	for _, j := range trace {
-		order = append(order, j.ID)
-	}
-	want := []string{"alpha/a0", "beta/b0", "alpha/a1", "beta/b1", "alpha/a2", "beta/b2", "alpha/a3", "beta/b3"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("sequenced order %v, want round-robin %v", order, want)
-	}
-	for i, j := range trace {
-		if j.ArrivalMS != int64(i) {
-			t.Errorf("job %d arrival %dms, want %d (1ms spacing)", i, j.ArrivalMS, i)
-		}
+	jobs := map[string]int{"alpha": 3, "beta": 2, "gamma": 2, "delta": 1, "epsilon": 1}
+	for _, tc := range []struct {
+		shards int
+		want   []string
+	}{
+		{1, []string{"alpha/j0", "beta/j0", "gamma/j0", "delta/j0", "epsilon/j0", "alpha/j1", "beta/j1", "gamma/j1", "alpha/j2"}},
+		{4, []string{"delta/j0", "epsilon/j0", "gamma/j0", "gamma/j1", "alpha/j0", "beta/j0", "alpha/j1", "beta/j1", "alpha/j2"}},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			s := mustNew(t, Config{Manual: true, Shards: tc.shards})
+			for _, tenant := range []string{"alpha", "beta", "gamma", "delta", "epsilon"} {
+				for k := 0; k < jobs[tenant]; k++ {
+					if _, err := s.Submit(small(tenant, fmt.Sprintf("j%d", k))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// The first three jobs span two shards when there are four.
+			if n := s.Advance(3); n != 3 {
+				t.Fatalf("Advance(3) sequenced %d jobs, want 3", n)
+			}
+			if n := s.Advance(0); n != len(tc.want)-3 {
+				t.Fatalf("Advance(0) sequenced %d jobs, want %d", n, len(tc.want)-3)
+			}
+			trace, err := workload.ParseTrace(strings.NewReader(s.ReplayLog()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var order []string
+			for _, j := range trace {
+				order = append(order, j.ID)
+			}
+			if !reflect.DeepEqual(order, tc.want) {
+				t.Errorf("sequenced order %v, want %v", order, tc.want)
+			}
+			for i, j := range trace {
+				if j.ArrivalMS != int64(i) {
+					t.Errorf("job %d arrival %dms, want %d (1ms spacing)", i, j.ArrivalMS, i)
+				}
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // TestMultiShardReplayByteIdentical is the sharded variant of the
 // single-sequencer replay guarantee: traffic from many tenants spread
-// over 4 independent sequencers merges into one log whose offline
+// over 4 shards merges into one log whose offline
 // replay reproduces the drain result byte for byte.
 func TestMultiShardReplayByteIdentical(t *testing.T) {
 	s := mustNew(t, Config{Shards: 4, SnapshotEvery: 8})
