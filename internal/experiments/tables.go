@@ -142,16 +142,27 @@ func Table3() *metrics.Table {
 type Depth struct{ N3, Depth int }
 
 // MaxDepths runs the going-deeper capacity search (Table 4's metric)
-// on the K40c for every framework, in policy.All order and in
-// parallel, at the batch size with n3 bounded by maxN3.
+// on the K40c for every framework in parallel, at the batch size with
+// n3 bounded by maxN3. The searches start in reverse policy.All order,
+// so SuperNeurons', which costs several times the other four together,
+// starts first instead of queueing behind them on a small host. Rows
+// come back in policy.All order, and of several errors the first in
+// that order.
 func MaxDepths(batch, maxN3 int) ([]Depth, error) {
-	return par.MapErr(policy.All, 0, func(f policy.Framework) (Depth, error) {
-		n3, depth, err := policy.MaxDepth(f, hw.TeslaK40c, batch, maxN3)
-		if err != nil {
-			return Depth{}, fmt.Errorf("%s: %w", f.Name, err)
-		}
-		return Depth{n3, depth}, nil
+	fw := policy.All
+	rows := make([]Depth, len(fw))
+	errs := make([]error, len(fw))
+	par.For(len(fw), 0, func(i int) {
+		i = len(fw) - 1 - i
+		n3, depth, err := policy.MaxDepth(fw[i], hw.TeslaK40c, batch, maxN3)
+		rows[i], errs[i] = Depth{n3, depth}, err
 	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", fw[i].Name, err)
+		}
+	}
+	return rows, nil
 }
 
 // MaxBatches runs the going-wider capacity search (Table 5's metric)

@@ -403,3 +403,17 @@ func TestRebatchRejectsEmptyBatch(t *testing.T) {
 	}()
 	AlexNet(2).Rebatch(0)
 }
+
+// TestRestageMatchesBuild: a Table 4 network re-staged from one n3 to
+// the next equals a fresh build at that n3, node for node, name
+// included. The sequence is SuperNeurons' Table 4 probe order at batch
+// 16, then a shrink to a few blocks and a regrow, so it covers growing,
+// shrinking and keeping every stage-3 block but one.
+func TestRestageMatchesBuild(t *testing.T) {
+	for _, batch := range []int{1, 16} {
+		restage := ResNetTable4Restager(batch)
+		for _, n3 := range []int{1, 2, 145, 146, 1320, 1319, 1318, 1316, 1317, 3, 1} {
+			sameNet(t, fmt.Sprintf("re-staged to n3=%d at batch %d", n3, batch), restage(n3), ResNetTable4(batch, n3))
+		}
+	}
+}

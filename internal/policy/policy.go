@@ -128,10 +128,11 @@ func MaxBatch(f Framework, build nnet.BuilderFunc, d hw.DeviceSpec, hi int) (int
 
 // MaxDepth returns the deepest Table-4 ResNet (n1=6, n2=32, n4=6,
 // varying n3 in [1, maxN3]) the framework can train at the given
-// batch, as (n3, depth). Returns (0,0) if even n3=1 fails.
+// batch, as (n3, depth). Returns (0,0) if even n3=1 fails. The search
+// builds the network once and re-stages it to each later probe's n3
+// (nnet.ResNetTable4Restager); every probe still runs in full.
 func MaxDepth(f Framework, d hw.DeviceSpec, batch, maxN3 int) (int, int, error) {
-	build := func(n3 int) *nnet.Net { return nnet.ResNetTable4(batch, n3) }
-	n3, err := largestFitting(prober(f, d, build), maxN3, d.UsableBytes)
+	n3, err := largestFitting(prober(f, d, nnet.ResNetTable4Restager(batch)), maxN3, d.UsableBytes)
 	if err != nil || n3 == 0 {
 		return 0, 0, err
 	}

@@ -1,13 +1,17 @@
 package policy
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/nnet"
+	"repro/internal/par"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -249,6 +253,77 @@ func TestBatchSearchesBuildOnce(t *testing.T) {
 			if rows[i][j] != want {
 				t.Errorf("%s at %d: BatchSweep %v, a fresh build %v", f.Name, b, rows[i][j], want)
 			}
+		}
+	}
+}
+
+// TestDepthSearchReStages: MaxDepth, which re-stages one network per
+// search, answers Table 4 exactly as a search that builds a fresh
+// network per probe does.
+func TestDepthSearchReStages(t *testing.T) {
+	d := hw.TeslaK40c
+	want := map[string]int{"Caffe": 13, "MXNet": 145, "Torch": 34, "TensorFlow": 278, "SuperNeurons": 1316}
+	type answers struct{ n3, depth, fresh int }
+	res := par.Map(All, 0, func(f Framework) answers {
+		var a answers
+		var err error
+		if a.n3, a.depth, err = MaxDepth(f, d, 16, 2600); err != nil {
+			t.Errorf("%s: %v", f.Name, err)
+		}
+		fresh := prober(f, d, func(n3 int) *nnet.Net { return nnet.ResNetTable4(16, n3) })
+		if a.fresh, err = largestFitting(fresh, 2600, d.UsableBytes); err != nil {
+			t.Errorf("%s: fresh builds: %v", f.Name, err)
+		}
+		return a
+	})
+	for i, f := range All {
+		a := res[i]
+		if a.n3 != want[f.Name] || a.fresh != want[f.Name] || a.depth != nnet.ResNetDepth(6, 32, a.n3, 6) {
+			t.Errorf("%s: MaxDepth = (%d, %d), with a fresh build per probe %d, want n3 %d",
+				f.Name, a.n3, a.depth, a.fresh, want[f.Name])
+		}
+	}
+}
+
+// TestResultsOutliveReshaping pins the premise both search-time
+// re-shapes rest on: core.Run keeps no reference to the network, so a
+// probe's Result is unchanged when the search re-stages or re-batches
+// that network and runs the next probe on it.
+func TestResultsOutliveReshaping(t *testing.T) {
+	d := hw.TeslaK40c
+	probe := func(net *nnet.Net) (*core.Result, []byte) {
+		t.Helper()
+		r, _, err := run(SuperNeurons, net, d)
+		if err != nil || r == nil {
+			t.Fatalf("%s at batch %d: result %v, error %v", net.Name, net.Batch(), r, err)
+		}
+		js, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, js
+	}
+	restage := nnet.ResNetTable4Restager(16)
+	deep, deepJSON := probe(restage(12))
+	rebatch := rebatcher(nnet.ByName("ResNet50"))
+	wide, wideJSON := probe(rebatch(8))
+
+	probe(restage(3))
+	restage(20)
+	probe(rebatch(32))
+	rebatch(4)
+
+	for _, c := range []struct {
+		what   string
+		r      *core.Result
+		before []byte
+	}{{"re-staged", deep, deepJSON}, {"re-batched", wide, wideJSON}} {
+		after, err := json.Marshal(c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, c.before) {
+			t.Errorf("a probe's Result changed after its network was %s and probed again", c.what)
 		}
 	}
 }
