@@ -101,7 +101,10 @@ func runFlags(fs *flag.FlagSet) func(io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown framework %q", *framework)
 		}
-		cfg := fw.Config(dev)
+		cfg, err := fw.Config(dev)
+		if err != nil {
+			return err
+		}
 		if *poolGiB > 0 {
 			cfg.PoolBytes = int64(*poolGiB * float64(hw.GiB))
 		}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/policy"
 )
 
 // call runs snpaper with args and returns its exit status, stdout and
@@ -51,6 +53,11 @@ func TestRunWritesTraceAndCSV(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
+	// A framework naming an unknown manager fails with the manager
+	// error, not a zero Config.
+	all := policy.All
+	t.Cleanup(func() { policy.All = all })
+	policy.All = append(all[:len(all):len(all)], policy.Framework{Name: "Typo", Managers: []string{"does-not-exist"}})
 	for _, c := range []struct {
 		args []string
 		code int
@@ -58,6 +65,7 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{[]string{"run", "-device", "v100"}, 1, `unknown device "v100" (have k40c, titanxp)`},
 		{[]string{"run", "-framework", "Keras"}, 1, `unknown framework "Keras"`},
+		{[]string{"run", "-framework", "Typo"}, 1, `unknown memory manager "does-not-exist"`},
 		{[]string{"run", "-net", "LeNet"}, 1, "LeNet"},
 		{[]string{"run", "-net", "ResNet50", "-batch", "224", "-framework", "Caffe"}, 1, "out of memory"},
 		{[]string{"run", "-trace", filepath.Join(missing, "t.json")}, 1, "no such file"},

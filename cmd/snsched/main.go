@@ -33,7 +33,9 @@
 // 512); admission reserves the worst-case shape, so a ramping job can
 // never OOM its device mid-run. Multi-GPU jobs declare a gang size in
 // the trace's optional gpus=N field. -log-level emits the structured
-// admission/preemption/failure log on stderr.
+// admission/preemption/failure log on stderr for a single -policy;
+// with -policy all it is a usage error, since the policies replay in
+// parallel and their logs would interleave.
 package main
 
 import (
@@ -169,7 +171,7 @@ func main() {
 	flag.IntVar(&o.devices, "devices", 0, "number of GPUs in the cluster (default: the scenario's size)")
 	flag.StringVar(&o.device, "device", "k40c", "device profile: k40c or titanxp")
 	flag.StringVar(&o.policyArg, "policy", "all", "scheduler policy: fifo, priority, packing, topo or all")
-	flag.StringVar(&o.logLevel, "log-level", "", "structured scheduling log on stderr: debug, info, warn or error (default: off)")
+	flag.StringVar(&o.logLevel, "log-level", "", "structured scheduling log on stderr: debug, info, warn or error (default: off; needs a single -policy)")
 	flag.BoolVar(&dump, "dump-trace", false, "print the scenario's bundled trace in the trace-file format and exit")
 	flag.Parse()
 
@@ -192,6 +194,10 @@ func main() {
 }
 
 func run(o options, w io.Writer) error {
+	if o.logLevel != "" && o.policyArg == "all" {
+		return fmt.Errorf("-log-level needs a single -policy (%s): -policy all replays in parallel and would interleave the logs",
+			strings.Join(sched.PolicyNames(), ", "))
+	}
 	if o.scenario == "" {
 		o.scenario = "static"
 	}

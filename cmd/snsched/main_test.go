@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,6 +135,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{options{devices: 2, device: "nope", policyArg: "all"}, []string{"k40c", "titanxp"}},
 		{options{devices: 2, device: "k40c", policyArg: "nope"}, append(sched.PolicyNames(), "all")},
+		// -policy all replays in parallel, so its logs would interleave.
+		{options{devices: 2, device: "k40c", policyArg: "all", logLevel: "debug"}, sched.PolicyNames()},
 	} {
 		err := run(c.o, &bytes.Buffer{})
 		if err == nil {
@@ -144,6 +147,37 @@ func TestRunRejectsBadFlags(t *testing.T) {
 				t.Errorf("error %q does not name accepted value %q", err, v)
 			}
 		}
+	}
+}
+
+// With a single -policy, -log-level runs the replay and logs to
+// stderr.
+func TestLogLevelSinglePolicyLogs(t *testing.T) {
+	r, wr, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = wr
+	logged := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		logged <- b
+	}()
+	var out bytes.Buffer
+	runErr := run(options{devices: 2, device: "k40c", policyArg: "packing", logLevel: "debug"}, &out)
+	os.Stderr = stderr
+	wr.Close()
+	log := <-logged
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("-policy packing -log-level debug: %v", runErr)
+	}
+	if !strings.Contains(out.String(), "policy packing") {
+		t.Errorf("no packing schedule in the output:\n%s", out.String())
+	}
+	if bytes.Count(log, []byte("\n")) == 0 {
+		t.Error("-policy packing -log-level debug logged nothing")
 	}
 }
 

@@ -8,19 +8,11 @@ import (
 	"log"
 
 	superneurons "repro"
-	"repro/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	const batch = 256
-
-	// A synthetic ImageNet-like data source: the memory scheduler only
-	// needs geometry, but a real training loop feeds batches.
-	src, err := workload.NewSource("AlexNet", batch, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	net, err := superneurons.Build("AlexNet", batch)
 	if err != nil {
@@ -49,11 +41,6 @@ func main() {
 	}
 	fmt.Println("\n--- SuperNeurons runtime ---")
 	fmt.Print(superneurons.Summary(full))
-
-	for i := 0; i < 3; i++ {
-		b := src.Next()
-		fmt.Printf("iteration %d consumed batch %v (seed %x)\n", b.Index, b.Shape, b.Seed)
-	}
 
 	saving := 1 - float64(full.PeakResident)/float64(baseline.PeakResident)
 	fmt.Printf("\npeak memory saving: %.1f%% (%.0f MiB -> %.0f MiB, floor max(l_i) = %.0f MiB)\n",

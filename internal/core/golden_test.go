@@ -36,7 +36,7 @@ func goldenCases() []goldenCase {
 		batches [2]int
 	}{
 		{"AlexNet", nnet.AlexNet, [2]int{128, 1024}},
-		{"ResNet50", nnet.ResNet50Builder(), [2]int{32, 128}},
+		{"ResNet50", nnet.ByName("ResNet50"), [2]int{32, 128}},
 		{"VGG16", nnet.VGG16, [2]int{32, 128}},
 	}
 	var out []goldenCase

@@ -55,10 +55,10 @@ type runState struct {
 	rplan *recompute.Plan
 	uplan *utp.Plan
 
-	tl      *sim.Timeline
-	compute *sim.Engine
-	h2d     *sim.Engine
-	d2h     *sim.Engine
+	tl      sim.Timeline
+	compute sim.Engine
+	h2d     sim.Engine
+	d2h     sim.Engine
 
 	gpu gpumem.Allocator
 	// The Unified Tensor Pool's external memory spaces, filled in
@@ -115,12 +115,8 @@ type runState struct {
 func newRunState(a *runArena, p *program.Program, cfg Config) *runState {
 	rt := &runState{
 		a:   a,
-		tl:  sim.NewTimeline(),
 		res: &Result{},
 	}
-	rt.compute = rt.tl.NewEngine("compute")
-	rt.h2d = rt.tl.NewEngine("h2d")
-	rt.d2h = rt.tl.NewEngine("d2h")
 	if cfg.UseMemPool {
 		a.gpu.Reset(cfg.PoolBytes, cfg.Device.PoolOp)
 		rt.gpu = &a.gpu

@@ -46,7 +46,7 @@ func TestThroughputScalesSublinearly(t *testing.T) {
 	counts := []int{1, 2, 4, 8}
 	rs := make([]*Result, len(counts))
 	for i, k := range counts {
-		r, err := Run(nnet.ResNet50Builder(), 32, cfgFor(k, false))
+		r, err := Run(nnet.ByName("ResNet50"), 32, cfgFor(k, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +67,11 @@ func TestThroughputScalesSublinearly(t *testing.T) {
 }
 
 func TestOverlapHidesCommunication(t *testing.T) {
-	plain, err := Run(nnet.ResNet50Builder(), 32, cfgFor(4, false))
+	plain, err := Run(nnet.ByName("ResNet50"), 32, cfgFor(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlapped, err := Run(nnet.ResNet50Builder(), 32, cfgFor(4, true))
+	overlapped, err := Run(nnet.ByName("ResNet50"), 32, cfgFor(4, true))
 	if err != nil {
 		t.Fatal(err)
 	}

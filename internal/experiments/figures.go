@@ -154,7 +154,7 @@ func Fig10(runs []Fig10Result) string {
 		{paperFig10.Baseline, "-"},
 		{paperFig10.Liveness, paperFig10.LivenessStep},
 		{paperFig10.Offload, paperFig10.OffloadStep},
-		{paperFig10.Recompute, "lrn1 bwd"},
+		{paperFig10.Recompute, paperFig10.RecomputeStep},
 	}
 	for i, r := range runs {
 		t.Add(r.Name, metrics.MiB(r.Res.PeakResident),
@@ -239,7 +239,8 @@ func Fig12() string {
 		b.WriteString(rows.String())
 		b.WriteString("\n")
 	}
-	b.WriteString("paper: 203 img/s under a 3 GB pool vs 240 img/s under 5 GB (Fig 12c/d)\n")
+	fmt.Fprintf(&b, "paper: %.0f img/s under a 3 GB pool vs %.0f img/s under 5 GB (Fig 12c/d)\n",
+		paperFig12.Pool3GB, paperFig12.Pool5GB)
 	return b.String()
 }
 

@@ -46,6 +46,10 @@ var paperTable4 = map[string]int{
 	"Caffe": 148, "MXNet": 480, "Torch": 152, "TensorFlow": 592, "SuperNeurons": 1920,
 }
 
+// paperTable4SecondBest is the paper's second-deepest framework in
+// Table 4, the divisor of the reproduction's ratio column.
+const paperTable4SecondBest = "TensorFlow"
+
 // paperTable5 holds the largest trainable batch per framework per
 // network (12 GB K40); 0 marks the paper's N/A entries.
 var paperTable5 = map[string]map[string]int{
@@ -59,12 +63,16 @@ var paperTable5 = map[string]map[string]int{
 
 // paperFig10 holds the step-wise peaks of the AlexNet b=200 case study.
 var paperFig10 = struct {
-	Baseline, Liveness, Offload, Recompute float64
-	LivenessStep, OffloadStep              string
+	Baseline, Liveness, Offload, Recompute   float64
+	LivenessStep, OffloadStep, RecomputeStep string
 }{
 	Baseline: 2189.437, Liveness: 1489.355, Offload: 1132.155, Recompute: 886.385,
-	LivenessStep: "pool5 bwd", OffloadStep: "pool2 bwd",
+	LivenessStep: "pool5 bwd", OffloadStep: "pool2 bwd", RecomputeStep: "lrn1 bwd",
 }
+
+// paperFig12 holds AlexNet's img/s under a 3 GB and a 5 GB pool with
+// dynamic convolution workspaces (Fig 12c/d).
+var paperFig12 = struct{ Pool3GB, Pool5GB float64 }{203, 240}
 
 // table2Batch returns the Table 2 batch size convention (AlexNet 128,
 // rest 16); Fig 11 uses AlexNet 128 and 32 elsewhere, Fig 2 uses

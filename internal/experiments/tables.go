@@ -221,7 +221,7 @@ func Table4() *metrics.Table {
 	for i, f := range policy.All {
 		t.Add(f.Name, fmt.Sprint(rows[i].Depth), fmt.Sprint(rows[i].N3),
 			fmt.Sprint(paperTable4[f.Name]),
-			fmt.Sprintf("%.2f", float64(rows[i].Depth)/592)) // paper's 2nd best: TensorFlow 592
+			fmt.Sprintf("%.2f", float64(rows[i].Depth)/float64(paperTable4[paperTable4SecondBest])))
 	}
 	return t
 }

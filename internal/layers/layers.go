@@ -225,10 +225,6 @@ func (s *Spec) InBytes() int64 {
 	return n
 }
 
-// OutBytes is the forward output footprint — the l_i^f of the paper's
-// cost model.
-func (s *Spec) OutBytes() int64 { return s.Out.Bytes() }
-
 // ParamBytes returns the persistent parameter footprint (weights +
 // biases, or BN scale/shift plus running statistics).
 func (s *Spec) ParamBytes() int64 {

@@ -19,7 +19,7 @@ func TestConvGeometry(t *testing.T) {
 		t.Fatalf("conv1 out = %v, want %v", c.Out, want)
 	}
 	// Paper anchor: 221.56 MiB at batch 200.
-	mib := float64(c.OutBytes()) / (1 << 20)
+	mib := float64(c.Out.Bytes()) / (1 << 20)
 	if mib < 221.5 || mib > 221.6 {
 		t.Errorf("conv1 out = %.2f MiB, want 221.56", mib)
 	}

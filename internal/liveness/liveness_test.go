@@ -53,7 +53,7 @@ func TestLiveSetMonotonicity(t *testing.T) {
 	p := program.Build(nnet.AlexNet(2))
 	r := Analyze(p)
 	for id := 0; id < p.Reg.Len(); id++ {
-		for si := 0; si < p.NumSteps(); si++ {
+		for si := 0; si < len(p.Steps); si++ {
 			live := false
 			for _, l := range r.LiveAt(si) {
 				if l == id {

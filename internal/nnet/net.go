@@ -181,17 +181,6 @@ func (r *router) visit(nd *Node) {
 	}
 }
 
-// BackwardRoute returns the backward execution order: the exact
-// reverse of the forward route (the paper's Fig. 6 numbering).
-func (n *Net) BackwardRoute() []*Node {
-	fwd := n.Route()
-	bwd := make([]*Node, len(fwd))
-	for i, nd := range fwd {
-		bwd[len(fwd)-1-i] = nd
-	}
-	return bwd
-}
-
 // RouteDiagram renders the execution route with the paper's Fig. 6
 // numbering: every layer with its forward and backward step indices
 // and its predecessors, so fan/join scheduling can be inspected.

@@ -29,7 +29,3 @@ func ByName(name string) BuilderFunc {
 	}
 	return nil
 }
-
-// ResNet50Builder returns the ResNet-50 builder (a convenience for
-// call sites that need a BuilderFunc value).
-func ResNet50Builder() BuilderFunc { return ByName("ResNet50") }

@@ -31,56 +31,42 @@ import (
 	"repro/internal/par"
 )
 
-// Framework names a memory policy. Configs returns the runtime
-// configurations tried in order until one fits — TensorFlow's memory
+// Framework names a memory policy. Managers lists the internal/core
+// managers tried in order until one fits — TensorFlow's memory
 // optimizer, for instance, only inserts swap nodes when the plain
-// execution would not fit. Every configuration is an internal/core
-// manager's Config, so the comparisons run the managers' donor
-// policies rather than ad-hoc flag combinations.
+// execution would not fit. Routing every configuration through a
+// core manager makes the comparisons run the managers' donor policies
+// rather than ad-hoc flag combinations.
 type Framework struct {
-	Name    string
-	Configs func(d hw.DeviceSpec) []core.Config
+	Name     string
+	Managers []string
 }
 
-// Config returns the framework's primary (preferred) configuration.
-func (f Framework) Config(d hw.DeviceSpec) core.Config { return f.Configs(d)[0] }
-
-// managed returns a Configs func routing to the named core managers
-// in fallback order. The names are fixed at package level, so an
-// unknown one is a programming error and panics.
-func managed(managers ...string) func(d hw.DeviceSpec) []core.Config {
-	return func(d hw.DeviceSpec) []core.Config {
-		out := make([]core.Config, len(managers))
-		for i, m := range managers {
-			cfg, err := core.ManagerConfig(m, d)
-			if err != nil {
-				panic(err)
-			}
-			out[i] = cfg
-		}
-		return out
-	}
+// Config returns the framework's primary (preferred) configuration,
+// or core.ManagerConfig's error when the manager name is unknown.
+func (f Framework) Config(d hw.DeviceSpec) (core.Config, error) {
+	return core.ManagerConfig(f.Managers[0], d)
 }
 
 // Caffe keeps the whole network resident and caps each convolution's
 // workspace at its conservative 8 MiB default.
-var Caffe = Framework{Name: "Caffe", Configs: managed("caffe")}
+var Caffe = Framework{Name: "Caffe", Managers: []string{"caffe"}}
 
 // Torch is Caffe's policy plus in-place activations and a somewhat
 // larger static workspace cap.
-var Torch = Framework{Name: "Torch", Configs: managed("torch")}
+var Torch = Framework{Name: "Torch", Managers: []string{"torch"}}
 
 // MXNet runs liveness plus speed-centric recomputation with its 1 GiB
 // per-layer workspace default.
-var MXNet = Framework{Name: "MXNet", Configs: managed("mxnet")}
+var MXNet = Framework{Name: "MXNet", Managers: []string{"mxnet"}}
 
 // TensorFlow runs liveness, first without swapping; when the network
 // does not fit, its memory optimizer inserts pageable on-demand
 // swap-out/swap-in pairs for single-consumer tensors.
-var TensorFlow = Framework{Name: "TensorFlow", Configs: managed("tensorflow", "tensorflow-swap")}
+var TensorFlow = Framework{Name: "TensorFlow", Managers: []string{"tensorflow", "tensorflow-swap"}}
 
 // SuperNeurons is the paper's full runtime.
-var SuperNeurons = Framework{Name: "SuperNeurons", Configs: managed("superneurons")}
+var SuperNeurons = Framework{Name: "SuperNeurons", Managers: []string{"superneurons"}}
 
 // VDNN models Rhu et al.'s vDNN (§5): eager pinned offloading of every
 // sizable single-consumer tensor with prefetching — but no
@@ -88,7 +74,7 @@ var SuperNeurons = Framework{Name: "SuperNeurons", Configs: managed("superneuron
 // beyond a fixed cap. Its performance depends entirely on the
 // communication/computation ratio, which is the weakness on non-linear
 // networks the paper calls out.
-var VDNN = Framework{Name: "vDNN", Configs: managed("vdnn")}
+var VDNN = Framework{Name: "vDNN", Managers: []string{"vdnn"}}
 
 // All lists the frameworks in the paper's table order.
 var All = []Framework{Caffe, MXNet, Torch, TensorFlow, SuperNeurons}
@@ -105,9 +91,14 @@ func ByName(name string) (Framework, bool) {
 
 // run executes the framework's configurations in order until one
 // fits and returns its result and the index of the configuration; it
-// returns a nil result when all of them run out of memory.
+// returns a nil result when all of them run out of memory, and an
+// error for an unknown manager name.
 func run(f Framework, net *nnet.Net, d hw.DeviceSpec) (*core.Result, int, error) {
-	for i, cfg := range f.Configs(d) {
+	for i, m := range f.Managers {
+		cfg, err := core.ManagerConfig(m, d)
+		if err != nil {
+			return nil, 0, err
+		}
 		r, err := core.Run(net, cfg)
 		if err == nil {
 			return r, i, nil

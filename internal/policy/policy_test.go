@@ -3,7 +3,6 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -45,15 +44,37 @@ func TestTrainable(t *testing.T) {
 	}
 }
 
-// TestManagedPanicsOnUnknownName checks a misspelled manager name in
-// a Framework definition fails loudly instead of running a zero Config.
-func TestManagedPanicsOnUnknownName(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unknown memory manager") {
-			t.Errorf("recovered %v, want an unknown-manager panic", r)
+// TestFrameworksNameKnownManagers checks every bundled framework's
+// fallback chain resolves through core.ManagerConfig.
+func TestFrameworksNameKnownManagers(t *testing.T) {
+	known := make(map[string]bool)
+	for _, n := range core.Names() {
+		known[n] = true
+	}
+	for _, f := range append(append([]Framework(nil), All...), VDNN) {
+		if len(f.Managers) == 0 {
+			t.Errorf("%s names no manager", f.Name)
 		}
-	}()
-	managed("superneurons", "does-not-exist")(hw.TeslaK40c)
+		for _, m := range f.Managers {
+			if !known[m] {
+				t.Errorf("%s names unknown manager %q", f.Name, m)
+			}
+		}
+	}
+}
+
+// TestUnknownManagerIsAnError checks a misspelled manager name in a
+// Framework fails loudly instead of running a zero Config: Speed and
+// Config return core.ManagerConfig's error.
+func TestUnknownManagerIsAnError(t *testing.T) {
+	f := Framework{Name: "typo", Managers: []string{"does-not-exist"}}
+	net := nnet.ByName("AlexNet")(16)
+	if _, err := Speed(f, net, hw.TeslaK40c); err == nil || !strings.Contains(err.Error(), "unknown memory manager") {
+		t.Errorf("Speed error = %v, want an unknown-manager error", err)
+	}
+	if _, err := f.Config(hw.TeslaK40c); err == nil || !strings.Contains(err.Error(), "unknown memory manager") {
+		t.Errorf("Config error = %v, want an unknown-manager error", err)
+	}
 }
 
 func TestMaxBatchOrdering(t *testing.T) {

@@ -360,6 +360,3 @@ func (p *Program) LPeak() (bytes int64, step int) {
 func (p *Program) BaselineBytes() int64 {
 	return p.Reg.TotalBytes(tensor.Data, tensor.Grad)
 }
-
-// NumSteps returns the step count of one iteration.
-func (p *Program) NumSteps() int { return len(p.Steps) }

@@ -13,7 +13,7 @@ const mib = float64(1 << 20)
 func TestAlexNetProgramShape(t *testing.T) {
 	p := Build(nnet.AlexNet(200))
 	// 24 nodes (data + the paper's 23) -> 24 forward + 23 backward steps.
-	if got := p.NumSteps(); got != 47 {
+	if got := len(p.Steps); got != 47 {
 		t.Errorf("steps = %d, want 47", got)
 	}
 	// 24 forward outputs + 14 dX tensors (conv5, pool3, lrn2, fc3, softmax).
@@ -193,8 +193,8 @@ func TestAllArchitecturesLower(t *testing.T) {
 	for _, e := range nnet.Registry {
 		net := e.Build(2)
 		p := Build(net)
-		if p.NumSteps() != 2*len(net.Nodes)-1 {
-			t.Errorf("%s: steps = %d, want %d", e.Name, p.NumSteps(), 2*len(net.Nodes)-1)
+		if len(p.Steps) != 2*len(net.Nodes)-1 {
+			t.Errorf("%s: steps = %d, want %d", e.Name, len(p.Steps), 2*len(net.Nodes)-1)
 		}
 		// Every non-data node's backward reads a gradient.
 		for _, nd := range net.Nodes {

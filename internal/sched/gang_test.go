@@ -113,7 +113,7 @@ func TestGangTraceDeterministic(t *testing.T) {
 // format: format → parse → run matches run on the in-memory trace.
 func TestGangTraceFormatRoundTrip(t *testing.T) {
 	text := workload.FormatTrace(workload.GangTrace())
-	parsed, err := workload.ParseTraceLimit(bytes.NewReader([]byte(text)), workload.GangClusterDevices)
+	parsed, _, err := workload.ParseTraceEvents(bytes.NewReader([]byte(text)), workload.GangClusterDevices)
 	if err != nil {
 		t.Fatal(err)
 	}

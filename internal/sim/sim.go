@@ -67,29 +67,17 @@ func (e Event) DoneBy(now Time) bool { return e.at <= now }
 
 // Engine is a serially-executing resource: the GPU compute engine or a
 // DMA copy engine. Tasks submitted to an engine run one at a time in
-// submission order.
+// submission order. The zero Engine is idle at time zero.
 type Engine struct {
-	name   string
 	freeAt Time
 	busy   Duration
-	tasks  int
 }
-
-// NewEngine returns an idle engine. Most callers should use
-// Timeline.NewEngine so the engine participates in SyncAll.
-func NewEngine(name string) *Engine { return &Engine{name: name} }
-
-// Name returns the engine's name.
-func (e *Engine) Name() string { return e.name }
 
 // FreeAt returns the time at which the engine's queue drains.
 func (e *Engine) FreeAt() Time { return e.freeAt }
 
 // BusyTime returns the total virtual time the engine spent executing.
 func (e *Engine) BusyTime() Duration { return e.busy }
-
-// Tasks returns the number of tasks executed.
-func (e *Engine) Tasks() int { return e.tasks }
 
 // Submit enqueues a task issued at time issue with the given duration,
 // gated on deps. It returns the completion event.
@@ -109,26 +97,14 @@ func (e *Engine) Submit(issue Time, dur Duration, deps ...Event) Event {
 	end := start + Time(dur)
 	e.freeAt = end
 	e.busy += dur
-	e.tasks++
 	return Event{at: end}
 }
 
-// Timeline couples a host thread clock with a set of engines. The host
-// issues work at Now() and advances either by doing synchronous work
-// (Advance) or by blocking on events (Wait).
+// Timeline is the host thread's clock. The host issues work to engines
+// at Now() and advances either by doing synchronous work (Advance) or
+// by blocking on events (Wait). The zero Timeline is at time zero.
 type Timeline struct {
-	now     Time
-	engines []*Engine
-}
-
-// NewTimeline returns a timeline at time zero with no engines.
-func NewTimeline() *Timeline { return &Timeline{} }
-
-// NewEngine creates an engine registered with the timeline.
-func (t *Timeline) NewEngine(name string) *Engine {
-	e := NewEngine(name)
-	t.engines = append(t.engines, e)
-	return e
+	now Time
 }
 
 // Now returns the host thread's current virtual time.
@@ -149,31 +125,4 @@ func (t *Timeline) Wait(e Event) {
 	if e.at > t.now {
 		t.now = e.at
 	}
-}
-
-// WaitAll blocks the host until every event completes.
-func (t *Timeline) WaitAll(events ...Event) {
-	for _, e := range events {
-		t.Wait(e)
-	}
-}
-
-// SyncAll drains every registered engine, like cudaDeviceSynchronize,
-// and returns the resulting host time.
-func (t *Timeline) SyncAll() Time {
-	for _, e := range t.engines {
-		if e.freeAt > t.now {
-			t.now = e.freeAt
-		}
-	}
-	return t.now
-}
-
-// Utilization returns busy/elapsed for the engine over the timeline's
-// lifetime so far, in [0,1]. A timeline at time zero reports zero.
-func (t *Timeline) Utilization(e *Engine) float64 {
-	if t.now == 0 {
-		return 0
-	}
-	return float64(e.busy) / float64(t.now)
 }

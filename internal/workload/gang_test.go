@@ -9,7 +9,8 @@ import (
 // inputs, each error naming the offending line.
 func TestParseTraceGangField(t *testing.T) {
 	parse := func(body string, maxGPUs int) ([]TraceJob, error) {
-		return ParseTraceLimit(strings.NewReader(body), maxGPUs)
+		jobs, _, err := ParseTraceEvents(strings.NewReader(body), maxGPUs)
+		return jobs, err
 	}
 
 	jobs, err := parse("g 0 AlexNet 64 naive 1 2 gpus=4\nsingle 5 AlexNet 64 - 1 1\n", 8)

@@ -162,13 +162,3 @@ var DynamicSchedules = map[string]Schedule{
 	// adaptive-vs-frozen-plan ablation runs it on a shrunken pool).
 	"ramp50": {16, 32, 48, 48},
 }
-
-// DynamicScheduleNames lists the bundled schedules sorted by name.
-func DynamicScheduleNames() []string {
-	names := make([]string, 0, len(DynamicSchedules))
-	for n := range DynamicSchedules {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -93,12 +93,11 @@ func TestScheduleValidate(t *testing.T) {
 }
 
 func TestBundledDynamicSchedules(t *testing.T) {
-	names := DynamicScheduleNames()
-	if len(names) == 0 {
+	if len(DynamicSchedules) == 0 {
 		t.Fatal("no bundled dynamic schedules")
 	}
-	for _, n := range names {
-		if err := DynamicSchedules[n].Validate(); err != nil {
+	for n, s := range DynamicSchedules {
+		if err := s.Validate(); err != nil {
 			t.Errorf("bundled schedule %q invalid: %v", n, err)
 		}
 	}

@@ -45,25 +45,21 @@ type TraceJob struct {
 // field "gpus=N" declares a multi-GPU gang of N devices. Job IDs
 // must be unique: the scheduler, the serving layer and every per-job
 // report key on them. Every error names the offending line.
+// Fault-event lines are an error here: a caller that cannot deliver
+// faults (the serving layer's request log) must refuse such a trace
+// loudly rather than silently drop its failures; use ParseTraceEvents
+// to accept them.
 func ParseTrace(r io.Reader) ([]TraceJob, error) {
-	return ParseTraceLimit(r, 0)
-}
-
-// ParseTraceLimit is ParseTrace with a gang-size ceiling: a positive
-// maxGPUs rejects any job whose gpus=N exceeds it, naming the line —
-// so a trace replayed onto a known cluster fails at parse time, not
-// after hours of simulation. Zero means no ceiling. Fault-event lines
-// are an error here: a caller that cannot deliver faults (the serving
-// layer's request log) must refuse such a trace loudly rather than
-// silently drop its failures; use ParseTraceEvents to accept them.
-func ParseTraceLimit(r io.Reader, maxGPUs int) ([]TraceJob, error) {
-	jobs, _, err := parseTrace(r, maxGPUs, false)
+	jobs, _, err := parseTrace(r, 0, false)
 	return jobs, err
 }
 
-// ParseTraceEvents is ParseTraceLimit extended with the fault-event
-// syntax: alongside job lines, a trace may script device failures and
-// recoveries as
+// ParseTraceEvents is ParseTrace with a gang-size ceiling and the
+// fault-event syntax. A positive maxGPUs rejects any job whose gpus=N
+// exceeds it, naming the line — so a trace replayed onto a known
+// cluster fails at parse time, not after hours of simulation. Zero
+// means no ceiling. Alongside job lines, a trace may script device
+// failures and recoveries as
 //
 //	fault fail dev=N at=T
 //	fault recover dev=N at=T

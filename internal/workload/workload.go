@@ -1,32 +1,11 @@
-// Package workload defines the synthetic training workloads of the
-// evaluation: canonical input geometries, the batch-size sweeps of the
-// paper's figures, and a deterministic synthetic ImageNet-like batch
-// source. The memory scheduler's decisions depend only on tensor
-// geometry, so the source generates batch descriptors (and, when
-// asked, deterministic pseudo-pixel payloads for end-to-end example
-// realism) rather than real JPEG data.
+// Package workload defines the training workloads of the evaluation:
+// the batch-size sweeps of the paper's figures, the bundled
+// dynamic-batch schedules, and the multi-tenant job traces (gang,
+// co-tenant and fault) with their parser, formatter and durable record
+// framing. The memory scheduler's decisions depend only on tensor
+// geometry and dependencies, so a workload names networks and batch
+// sizes and carries no pixel data.
 package workload
-
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
-
-// InputShape returns the canonical per-network input geometry at the
-// given batch size.
-func InputShape(network string, batch int) (tensor.Shape, error) {
-	switch network {
-	case "AlexNet":
-		return tensor.Shape{N: batch, C: 3, H: 227, W: 227}, nil
-	case "InceptionV4":
-		return tensor.Shape{N: batch, C: 3, H: 299, W: 299}, nil
-	case "VGG16", "VGG19", "ResNet50", "ResNet101", "ResNet152", "DenseNet121":
-		return tensor.Shape{N: batch, C: 3, H: 224, W: 224}, nil
-	default:
-		return tensor.Shape{}, fmt.Errorf("workload: unknown network %q", network)
-	}
-}
 
 // Fig14Batches lists the batch sweeps of the paper's Fig. 14 per
 // network (its x-axes).
@@ -48,58 +27,4 @@ var Table5SearchLimit = map[string]int{
 	"ResNet50":    2048,
 	"ResNet101":   1024,
 	"ResNet152":   1024,
-}
-
-// Batch describes one synthetic training batch.
-type Batch struct {
-	Index int
-	Shape tensor.Shape
-	Seed  uint64
-}
-
-// Source deterministically yields synthetic batches for a network.
-type Source struct {
-	shape tensor.Shape
-	seed  uint64
-	next  int
-}
-
-// NewSource returns a batch source for the network at the batch size,
-// seeded for reproducibility.
-func NewSource(network string, batch int, seed uint64) (*Source, error) {
-	s, err := InputShape(network, batch)
-	if err != nil {
-		return nil, err
-	}
-	return &Source{shape: s, seed: seed}, nil
-}
-
-// Next returns the next batch descriptor.
-func (s *Source) Next() Batch {
-	b := Batch{Index: s.next, Shape: s.shape, Seed: splitmix(s.seed + uint64(s.next))}
-	s.next++
-	return b
-}
-
-// Pixels materializes the batch's deterministic pseudo-pixel payload
-// into dst (length must be Shape.Elems()); used by examples that want
-// an end-to-end training-loop feel. The generator is splitmix64 over
-// the element index, scaled to [0,1).
-func (b Batch) Pixels(dst []float32) error {
-	if int64(len(dst)) != b.Shape.Elems() {
-		return fmt.Errorf("workload: dst has %d elements, want %d", len(dst), b.Shape.Elems())
-	}
-	state := b.Seed
-	for i := range dst {
-		state = splitmix(state)
-		dst[i] = float32(state>>40) / float32(1<<24)
-	}
-	return nil
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -2,26 +2,9 @@ package workload
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/nnet"
 )
-
-func TestInputShapesMatchBuilders(t *testing.T) {
-	for _, e := range nnet.Registry {
-		s, err := InputShape(e.Name, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		net := e.Build(4)
-		if net.Input.L.Out != s {
-			t.Errorf("%s: workload shape %v != builder shape %v", e.Name, s, net.Input.L.Out)
-		}
-	}
-	if _, err := InputShape("nope", 1); err == nil {
-		t.Error("unknown network must error")
-	}
-}
 
 func TestFig14SweepsAreSortedAndCovered(t *testing.T) {
 	for name, batches := range Fig14Batches {
@@ -38,56 +21,5 @@ func TestFig14SweepsAreSortedAndCovered(t *testing.T) {
 		if nnet.ByName(name) == nil {
 			t.Errorf("search limit for unknown network %q", name)
 		}
-	}
-}
-
-func TestSourceDeterminism(t *testing.T) {
-	s1, err := NewSource("AlexNet", 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := NewSource("AlexNet", 2, 42)
-	for i := 0; i < 3; i++ {
-		b1, b2 := s1.Next(), s2.Next()
-		if b1 != b2 {
-			t.Fatalf("batch %d differs: %+v vs %+v", i, b1, b2)
-		}
-		if b1.Index != i {
-			t.Errorf("batch index = %d, want %d", b1.Index, i)
-		}
-	}
-	s3, _ := NewSource("AlexNet", 2, 43)
-	if s3.Next().Seed == func() uint64 { s, _ := NewSource("AlexNet", 2, 42); return s.Next().Seed }() {
-		t.Error("different seeds must yield different batches")
-	}
-}
-
-func TestPixels(t *testing.T) {
-	src, _ := NewSource("AlexNet", 1, 7)
-	b := src.Next()
-	dst := make([]float32, b.Shape.Elems())
-	if err := b.Pixels(dst); err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range dst {
-		if v < 0 || v >= 1 {
-			t.Fatalf("pixel %v out of [0,1)", v)
-		}
-		sum += float64(v)
-	}
-	mean := sum / float64(len(dst))
-	if mean < 0.45 || mean > 0.55 {
-		t.Errorf("pixel mean = %.3f, want ~0.5", mean)
-	}
-	if err := b.Pixels(make([]float32, 3)); err == nil {
-		t.Error("wrong-size dst must error")
-	}
-}
-
-func TestSplitmixAvalancheProperty(t *testing.T) {
-	f := func(x uint64) bool { return splitmix(x) != splitmix(x+1) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -171,7 +171,7 @@ func BucketSchedule(reps int, batches ...int) BatchSchedule {
 }
 
 // DynamicSchedules returns the bundled dynamic-batch schedules by
-// name (see workload.DynamicScheduleNames for the list).
+// name.
 func DynamicSchedules() map[string]BatchSchedule { return workload.DynamicSchedules }
 
 // RunDynamic simulates a dynamic-shape training run of the named
