@@ -110,14 +110,6 @@ type Config struct {
 	// persistent state). The paper's step-wise profiles cover only
 	// forward+backward, so this defaults off.
 	SGDUpdate bool
-
-	// AutotuneConv models cuDNN-find style algorithm selection: on a
-	// layer's first encounter (or when the workspace budget band
-	// changes) the runtime executes every memory-feasible convolution
-	// algorithm once and caches the winner — "the runtime benchmarks
-	// all the memory-feasible convolution algorithms to pick up the
-	// fastest one" (§3.5). Off, selection is instantaneous.
-	AutotuneConv bool
 }
 
 // SuperNeurons returns the full configuration of the paper's system on

@@ -472,36 +472,6 @@ func TestSGDUpdatePhase(t *testing.T) {
 	}
 }
 
-func TestAutotuneConvergesAndCaches(t *testing.T) {
-	// First iteration pays the cudnnFind-style probes; later
-	// iterations reuse the cache, and the chosen algorithms match the
-	// instantaneous selector's (our timing model is noise-free).
-	base := SuperNeurons(hw.TitanXP)
-	base.TensorCache = false
-	instant := mustRun(t, nnet.AlexNet(64), base)
-
-	tuned := base
-	tuned.AutotuneConv = true
-	tuned.Iterations = 2
-	r := mustRun(t, nnet.AlexNet(64), tuned)
-	// The reported (last) iteration runs from cache: same choices,
-	// nearly the same time as the instantaneous selector.
-	for i := range instant.Steps {
-		if instant.Steps[i].Algo != r.Steps[i].Algo {
-			t.Errorf("step %s: autotuned %v vs instantaneous %v",
-				instant.Steps[i].Label, r.Steps[i].Algo, instant.Steps[i].Algo)
-		}
-	}
-
-	oneIter := tuned
-	oneIter.Iterations = 1
-	first := mustRun(t, nnet.AlexNet(64), oneIter)
-	if first.IterTime <= r.IterTime {
-		t.Errorf("first (probing) iteration %v must exceed steady state %v",
-			first.IterTime, r.IterTime)
-	}
-}
-
 func TestPrefetchLowersIterTime(t *testing.T) {
 	// §3.3.1: prefetching one checkpoint ahead overlaps the H2D copies
 	// with backward compute; without it every offloaded tensor is

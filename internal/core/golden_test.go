@@ -25,10 +25,10 @@ type goldenCase struct {
 
 // goldenCases is the result-equivalence battery: every manager ×
 // AlexNet/ResNet50/VGG16 × two batches, traced so the span names the
-// runtime builds (offload, fetch, replay, evict, autotune) enter the
-// hash. The upper batches push most managers into swapping,
-// recomputation or OOM on a K40c. Two extra cases reach the spans no
-// manager row does: evictions under a shrunk pool, and autotuning.
+// runtime builds (offload, fetch, replay, evict) enter the hash. The
+// upper batches push most managers into swapping, recomputation or
+// OOM on a K40c. One extra case reaches the span no manager row does:
+// evictions under a shrunk pool.
 func goldenCases() []goldenCase {
 	nets := []struct {
 		name    string
@@ -56,12 +56,8 @@ func goldenCases() []goldenCase {
 	}
 	evict := SuperNeurons(hw.TeslaK40c)
 	evict.PoolBytes, evict.CollectTrace = 2200*hw.MiB, true
-	autotune := SuperNeurons(hw.TeslaK40c)
-	autotune.AutotuneConv, autotune.CollectTrace = true, true
 	out = append(out,
-		goldenCase{"superneurons-2200MiB/AlexNet/300", func() *nnet.Net { return nnet.AlexNet(300) }, evict},
-		goldenCase{"custom-autotune/AlexNet/64", func() *nnet.Net { return nnet.AlexNet(64) }, autotune},
-	)
+		goldenCase{"superneurons-2200MiB/AlexNet/300", func() *nnet.Net { return nnet.AlexNet(300) }, evict})
 	return out
 }
 

@@ -104,10 +104,6 @@ type runState struct {
 	needs     []segNeed
 	keep      map[int]bool
 	freeAfter []*tensor.Tensor
-	// algoCache holds autotuned convolution choices per step index,
-	// keyed with the workspace budget they were tuned under. It
-	// belongs to the bound program.
-	algoCache map[int]tunedAlgo
 }
 
 // newRunState builds the state for one run in arena a, resetting its
@@ -212,7 +208,6 @@ func (rt *runState) bind(p *program.Program, cfg Config) {
 
 	rt.deps, rt.needs, rt.freeAfter = rt.deps[:0], rt.needs[:0], rt.freeAfter[:0]
 	clear(rt.keep)
-	clear(rt.algoCache)
 }
 
 // rebind retargets the run at a new program (a new input shape) and

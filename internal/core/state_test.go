@@ -58,23 +58,3 @@ func TestRebindRefusesPendingOffload(t *testing.T) {
 		t.Fatalf("rebind after the offload drained: %v", err)
 	}
 }
-
-// The autotune cache is keyed by step index, so it belongs to one
-// program: a rebind must start it empty.
-func TestRebindDropsAutotuneCache(t *testing.T) {
-	cfg := SuperNeurons(hw.TeslaK40c)
-	cfg.AutotuneConv = true
-	rt, next := rebindFixture(t, cfg)
-	if err := rt.run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.algoCache) == 0 {
-		t.Fatal("test premise: the autotuned run cached no choice")
-	}
-	if err := rt.rebind(next, rt.cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.algoCache) != 0 {
-		t.Errorf("rebind kept %d autotuned choices of the outgoing program", len(rt.algoCache))
-	}
-}

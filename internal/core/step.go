@@ -45,7 +45,9 @@ func (rt *runState) runStep(si int) error {
 	}
 
 	// Dynamic convolution workspace (§3.5): the fastest algorithm that
-	// fits the bytes left after the functional tensors.
+	// fits the bytes left after the functional tensors. Selection costs
+	// no time: the timing model is noise-free, so a cudnnFind-style
+	// probe of every feasible algorithm would pick this same one.
 	var wsAlloc gpumem.Allocation
 	var wsBytes int64
 	algo := layers.Algo{Kind: layers.AlgoImplicitGEMM, Speedup: 1.0}
@@ -57,7 +59,7 @@ func (rt *runState) runStep(si int) error {
 			if rt.cfg.WorkspaceLimit > 0 && rt.cfg.WorkspaceLimit < budget {
 				budget = rt.cfg.WorkspaceLimit
 			}
-			algo = rt.selectAlgo(st, budget)
+			algo = st.Node.L.BestAlgoWithin(budget)
 			if algo.Workspace > 0 {
 				a, err := rt.gpu.Alloc(algo.Workspace)
 				if err != nil {

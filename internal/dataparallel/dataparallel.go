@@ -27,22 +27,7 @@ type Config struct {
 	// PerGPU configures each replica's runtime.
 	PerGPU core.Config
 	// Interconnect carries the gradient exchange (PCIe P2P when zero).
-	// When Gang is set it is derived from Topology instead.
 	Interconnect hw.LinkSpec
-	// Gang optionally names the concrete device indices of the
-	// replicas; with a Topology it prices the exchange by the slowest
-	// pairwise link in the gang (a ring moves every byte across every
-	// hop, so the worst wire sets the collective's speed).
-	Gang []int
-	// Topology classifies device pairs into interconnect tiers when
-	// Gang is set.
-	Topology hw.Topology
-	// Buckets splits the gradient into that many ring all-reduces
-	// (DefaultBuckets when 0). Bucketing is what makes overlap
-	// possible — a bucket can start reducing as soon as its gradients
-	// exist — at the price of one extra per-step link latency per
-	// bucket.
-	Buckets int
 	// OverlapComm overlaps the all-reduce with the tail of the
 	// backward pass (bucketed gradient exchange); without it the
 	// exchange serializes after the iteration.
@@ -87,12 +72,11 @@ const DefaultBuckets = 8
 // `buckets` independent ring all-reduces; each moves 2(k-1)/k of its
 // bucket across every link with a per-step setup latency, so more
 // buckets cost more latency but expose earlier overlap opportunities.
+// buckets must be at least 1; a message smaller than buckets bytes is
+// split into one-byte buckets.
 func GangAllReduce(link hw.LinkSpec, bytes int64, k, buckets int) sim.Duration {
 	if k <= 1 || bytes <= 0 {
 		return 0
-	}
-	if buckets <= 0 {
-		buckets = 1
 	}
 	if int64(buckets) > bytes {
 		buckets = int(bytes)
@@ -148,16 +132,8 @@ func Run(build nnet.BuilderFunc, perGPUBatch int, cfg Config) (*Result, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("dataparallel: need at least one replica, got %d", cfg.Replicas)
 	}
-	if len(cfg.Gang) > 0 {
-		// A placed gang is priced by its slowest pairwise wire.
-		cfg.Interconnect = cfg.Topology.WithDefaults().SlowestLink(cfg.Gang)
-	}
 	if cfg.Interconnect.BytesPerSec == 0 {
 		cfg.Interconnect = hw.PCIeP2P
-	}
-	buckets := cfg.Buckets
-	if buckets <= 0 {
-		buckets = DefaultBuckets
 	}
 	net := build(perGPUBatch)
 	rep, err := core.Run(net, cfg.PerGPU)
@@ -165,7 +141,7 @@ func Run(build nnet.BuilderFunc, perGPUBatch int, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dataparallel: replica: %w", err)
 	}
 	grad := net.ParamBytes()
-	ar := GangAllReduce(cfg.Interconnect, grad, cfg.Replicas, buckets)
+	ar := GangAllReduce(cfg.Interconnect, grad, cfg.Replicas, DefaultBuckets)
 	exposed := ExposedAllReduce(ar, rep.IterTime, cfg.OverlapComm && cfg.Replicas > 1)
 	iter := rep.IterTime + exposed
 	res := &Result{

@@ -101,6 +101,16 @@ func TestFasterInterconnectScalesBetter(t *testing.T) {
 		t.Errorf("faster link must scale better: %.3f vs %.3f",
 			rFast.ScalingEfficiency, rSlow.ScalingEfficiency)
 	}
+	// A zero Interconnect defaults to PCIe P2P.
+	unset := cfgFor(8, false)
+	unset.Interconnect = hw.LinkSpec{}
+	rUnset, err := Run(nnet.VGG16, 16, unset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rUnset.AllReduceTime != rFast.AllReduceTime {
+		t.Errorf("zero interconnect priced %v, want PCIe P2P's %v", rUnset.AllReduceTime, rFast.AllReduceTime)
+	}
 }
 
 func TestInvalidReplicaCount(t *testing.T) {

@@ -189,7 +189,7 @@ func TestPoolMatchesReferenceErrors(t *testing.T) {
 	if pe3 == nil || re3 == nil || pe3.Error() != re3.Error() {
 		t.Fatalf("stale-free errors diverged: %v vs %v", pe3, re3)
 	}
-	live, used := p.Live(), p.Used()
+	live, used := p.live, p.Used()
 	assertSameView(t, p, r)
 	if err := p.Free(b.ID); err != nil {
 		t.Fatalf("B was not live after the stale free: %v", err)
@@ -197,8 +197,8 @@ func TestPoolMatchesReferenceErrors(t *testing.T) {
 	if err := r.Free(b.ID); err != nil {
 		t.Fatalf("reference: B was not live after the stale free: %v", err)
 	}
-	if p.Live() != live-1 || p.Used() != used-BlockSize {
-		t.Fatalf("freeing B: live %d used %d, want %d and %d", p.Live(), p.Used(), live-1, used-BlockSize)
+	if p.live != live-1 || p.Used() != used-BlockSize {
+		t.Fatalf("freeing B: live %d used %d, want %d and %d", p.live, p.Used(), live-1, used-BlockSize)
 	}
 	if pe4, re4 := p.Free(b.ID), r.Free(b.ID); pe4 == nil || re4 == nil || pe4.Error() != re4.Error() {
 		t.Fatalf("double-free errors diverged: %v vs %v", pe4, re4)

@@ -96,6 +96,3 @@ func (a *Native) ResetPeak() { a.peak = a.used }
 // Fragmentation reports 0: the native model never fragments (capacity
 // is its only limit).
 func (a *Native) Fragmentation() float64 { return 0 }
-
-// Live returns the number of live allocations.
-func (a *Native) Live() int { return len(a.allocd) }

@@ -277,9 +277,6 @@ func (p *Pool) Fragmentation() float64 {
 	return 1 - float64(p.LargestFree())/float64(free)
 }
 
-// Live returns the number of live allocations.
-func (p *Pool) Live() int { return p.live }
-
 // ResetPeak restarts peak tracking from the current usage, so callers
 // can measure per-phase high-water marks.
 func (p *Pool) ResetPeak() { p.peak = p.used }

@@ -23,14 +23,14 @@ func TestPoolBasicAllocFree(t *testing.T) {
 	if a.Bytes != BlockSize {
 		t.Errorf("rounded size = %d, want %d", a.Bytes, BlockSize)
 	}
-	if p.Used() != BlockSize || p.Live() != 1 {
-		t.Errorf("used=%d live=%d after one alloc", p.Used(), p.Live())
+	if p.Used() != BlockSize || p.live != 1 {
+		t.Errorf("used=%d live=%d after one alloc", p.Used(), p.live)
 	}
 	if err := p.Free(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if p.Used() != 0 || p.Live() != 0 {
-		t.Errorf("used=%d live=%d after free", p.Used(), p.Live())
+	if p.Used() != 0 || p.live != 0 {
+		t.Errorf("used=%d live=%d after free", p.Used(), p.live)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -172,8 +172,12 @@ func TestNativeAllocFree(t *testing.T) {
 	if a.Bytes != 1024 { // 256-byte granularity
 		t.Errorf("native rounded to %d, want 1024", a.Bytes)
 	}
-	if n.Used() != 1024 || n.Live() != 1 {
+	if n.Used() != 1024 || len(n.allocd) != 1 {
 		t.Error("native accounting wrong after alloc")
+	}
+	// The native model never fragments: every free byte is allocatable.
+	if n.MaxAlloc() != 1<<20-1024 || n.Fragmentation() != 0 {
+		t.Errorf("native max alloc %d, fragmentation %v", n.MaxAlloc(), n.Fragmentation())
 	}
 	if err := n.Free(a.ID); err != nil {
 		t.Fatal(err)
@@ -241,7 +245,7 @@ func TestNativeMaxAlloc(t *testing.T) {
 	if err := n.Free(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if n.Live() != 0 {
+	if len(n.allocd) != 0 {
 		t.Error("live count wrong")
 	}
 }
@@ -352,9 +356,9 @@ func TestPoolResetMatchesNew(t *testing.T) {
 		}
 	}
 	if p.Used() != fresh.Used() || p.Peak() != fresh.Peak() ||
-		p.Live() != fresh.Live() || p.FreeSpans() != fresh.FreeSpans() || p.AllocCost() != fresh.AllocCost() {
+		p.live != fresh.live || p.FreeSpans() != fresh.FreeSpans() || p.AllocCost() != fresh.AllocCost() {
 		t.Errorf("reset pool accounting differs from a new pool's: used %d/%d, peak %d/%d, live %d/%d, spans %d/%d",
-			p.Used(), fresh.Used(), p.Peak(), fresh.Peak(), p.Live(), fresh.Live(), p.FreeSpans(), fresh.FreeSpans())
+			p.Used(), fresh.Used(), p.Peak(), fresh.Peak(), p.live, fresh.live, p.FreeSpans(), fresh.FreeSpans())
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)

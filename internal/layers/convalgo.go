@@ -47,8 +47,10 @@ type Algo struct {
 	Speedup   float64 // compute-efficiency multiplier vs implicit GEMM
 }
 
-// ConvAlgos returns the algorithms available for this convolution,
-// ordered from slowest to fastest. It panics on non-conv layers.
+// convAlgoSet returns the algorithms available for this convolution,
+// ordered from slowest to fastest, in a fixed-size array — at most one
+// per AlgoKind — so per-step algorithm selection in the executor's hot
+// loop allocates nothing. It panics on non-conv layers.
 //
 // Availability mirrors cuDNN:
 //   - implicit GEMM: always, zero workspace;
@@ -58,17 +60,9 @@ type Algo struct {
 //     activation footprint (input+output tile transforms);
 //   - FFT: stride-1 kernels of size ≥5, workspace = padded complex
 //     spectra of input, output and filters.
-func (s *Spec) ConvAlgos() []Algo {
-	set, n := s.convAlgoSet()
-	return append([]Algo(nil), set[:n]...)
-}
-
-// convAlgoSet fills a fixed-size array with the available algorithms —
-// at most one per AlgoKind — so per-step algorithm selection in the
-// executor's hot loop allocates nothing.
 func (s *Spec) convAlgoSet() (set [4]Algo, n int) {
 	if s.Type != Conv {
-		panic("layers: ConvAlgos on non-conv layer")
+		panic("layers: conv algorithms of a non-conv layer")
 	}
 	in := s.In[0]
 	set[0] = Algo{Kind: AlgoImplicitGEMM, Workspace: 0, Speedup: 1.0}

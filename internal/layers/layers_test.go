@@ -173,7 +173,8 @@ func TestConvAlgosAvailability(t *testing.T) {
 
 	kinds := func(s Spec) map[AlgoKind]Algo {
 		m := make(map[AlgoKind]Algo)
-		for _, a := range s.ConvAlgos() {
+		set, n := s.convAlgoSet()
+		for _, a := range set[:n] {
 			m[a.Kind] = a
 		}
 		return m
@@ -240,11 +241,11 @@ func TestWorkspaceSpeedsUpConv(t *testing.T) {
 func TestConvAlgosOnNonConvPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ConvAlgos on non-conv must panic")
+			t.Fatal("convAlgoSet on non-conv must panic")
 		}
 	}()
 	p := NewPool("p", tensor.Shape{N: 1, C: 1, H: 4, W: 4}, 2, 2, 0, false)
-	p.ConvAlgos()
+	p.convAlgoSet()
 }
 
 func TestTypeString(t *testing.T) {

@@ -319,11 +319,6 @@ func validate(d Demand) error {
 	return nil
 }
 
-// Member reports whether job is currently planned on this device —
-// the membership probe an elastic gang shrink runs on every surviving
-// member before committing to the smaller gang.
-func (p *Planner) Member(job string) bool { return p.find(job) >= 0 }
-
 // find returns the member index of job, or -1.
 func (p *Planner) find(job string) int {
 	i, ok := p.search(job)
@@ -425,9 +420,6 @@ func (p *Planner) SpillUsed() int64 { return p.state.spillUsed }
 // SharedSavedBytes is the capacity cross-job slab sharing avoided
 // reserving twice.
 func (p *Planner) SharedSavedBytes() int64 { return p.state.sharedSaved }
-
-// Tenants is the member count.
-func (p *Planner) Tenants() int { return len(p.members) }
 
 // Grant returns the current grant for a member.
 func (p *Planner) Grant(job string) (Grant, bool) {

@@ -114,8 +114,8 @@ func TestSpillPoolExhaustionRejects(t *testing.T) {
 	if _, err := p.Admit(demand("b", 6, 3)); err == nil {
 		t.Fatal("admit should refuse when the spill pool is too small")
 	}
-	if p.Tenants() != 1 || p.SpillUsed() != 0 {
-		t.Fatalf("failed admit mutated the plan: tenants=%d spill=%d", p.Tenants(), p.SpillUsed())
+	if len(p.members) != 1 || p.SpillUsed() != 0 {
+		t.Fatalf("failed admit mutated the plan: tenants=%d spill=%d", len(p.members), p.SpillUsed())
 	}
 }
 
@@ -317,39 +317,6 @@ func demandWithFloor(job string, peakGiB, floorGiB int64) Demand {
 	return Demand{Job: job, PeakBytes: peakGiB * gib, FloorBytes: floorGiB * gib}
 }
 
-// Member is the elastic-shrink membership probe: true exactly for jobs
-// currently planned on the device, through admission and release.
-func TestMember(t *testing.T) {
-	p := mustPlanner(t, 12, 16)
-	if p.Member("a") {
-		t.Error("empty planner claims a member")
-	}
-	if _, err := p.Admit(demand("a", 7, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Admit(demand("b", 3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Member("a") || !p.Member("b") {
-		t.Error("admitted jobs not reported as members")
-	}
-	if p.Member("c") {
-		t.Error("never-admitted job reported as member")
-	}
-	if g, ok := p.Grant("c"); ok || p.SwapPenalty("c") != 0 {
-		t.Errorf("never-admitted job has a grant: %+v", g)
-	}
-	if err := p.Release("a"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Member("a") {
-		t.Error("released job still a member")
-	}
-	if !p.Member("b") {
-		t.Error("release of a evicted b's membership")
-	}
-}
-
 // TestRequirementCanFallWhenJobJoins pins why R(S) is no lower bound
 // for R(S ∪ {j}): a joining job can push the planner to spill a large
 // floor it kept resident before, and the spill lowers every other
@@ -467,7 +434,10 @@ func TestProbesMatchFreshPlanner(t *testing.T) {
 		name := fmt.Sprintf("seed %d", seed)
 
 		// Headroom: the members plus a job that is not one of them.
-		if !p.Member(cand.Job) {
+		if p.find(cand.Job) < 0 {
+			if g, ok := p.Grant(cand.Job); ok || p.SwapPenalty(cand.Job) != 0 {
+				t.Fatalf("%s: non-member %s has a grant: %+v", name, cand.Job, g)
+			}
 			got, ok := p.Headroom(cand)
 			set := append(slices.Clone(members), cand)
 			if q := freshPlanner(t, capBytes, spillBytes, set); q != nil {

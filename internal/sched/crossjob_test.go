@@ -305,7 +305,7 @@ func TestCrossJobIncrementalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := inc.Clone()
+	clone := &Incremental{ex: inc.ex.clone(), mark: inc.mark}
 	for i := range jobs {
 		jr, err := inc.JobResult(i)
 		if err != nil {

@@ -165,7 +165,7 @@ func (e *exec) failVictim(js *jobState, di int, now sim.Time) {
 	}
 	js.restores++
 	survivors := withoutDev(js.gang, di)
-	if len(js.gang) > 1 && len(survivors) > 0 && !js.marked && e.canShrink(js, survivors) {
+	if len(js.gang) > 1 && len(survivors) > 0 && !js.marked {
 		e.shrinkGang(js, di, survivors, now)
 		return
 	}
@@ -180,23 +180,6 @@ func (e *exec) failVictim(js *jobState, di int, now sim.Time) {
 		e.lg.Info("job requeued after device failure", "job", js.ID, "device", di,
 			"t", int64(now), "completed", js.Iterations-js.remaining, "remaining", js.remaining)
 	}
-}
-
-// canShrink re-probes the surviving members before committing to the
-// smaller gang. The survivors' reservations are already held, so
-// isolated admission always passes; under CrossJob each survivor's
-// planner must still carry the member (the memplan membership probe),
-// keeping the shrink rule honest as planners evolve.
-func (e *exec) canShrink(js *jobState, survivors []int) bool {
-	if !e.crossjob {
-		return true
-	}
-	for _, g := range survivors {
-		if !e.planners[g].Member(js.demand.Job) {
-			return false
-		}
-	}
-	return true
 }
 
 // shrinkGang is the elastic path: the gang keeps its reservations on

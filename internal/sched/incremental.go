@@ -106,14 +106,6 @@ func (inc *Incremental) Finalized(i int) (JobResult, bool) {
 	return inc.ex.jobResult(i), true
 }
 
-// Clone deep-copies the paused replay. Finalized job states are
-// shared (the event loop never touches them again); everything still
-// in motion is copied, so advancing one copy never disturbs the
-// other.
-func (inc *Incremental) Clone() *Incremental {
-	return &Incremental{ex: inc.ex.clone(), mark: inc.mark}
-}
-
 // JobResult drains a clone to completion and returns job i's outcome
 // alone. Unlike Result it never assembles the full per-job slice, so a
 // single status query costs the active-suffix replay plus O(1)

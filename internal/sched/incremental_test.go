@@ -650,9 +650,9 @@ func FuzzRestoreIncremental(f *testing.F) {
 		if bad := summaryMismatch(restored.ex); bad != "" {
 			t.Fatalf("restored preemption summary: %s", bad)
 		}
-		if c := restored.Clone(); !slices.Equal(c.ex.free, rebuiltFree(c.ex)) {
-			t.Fatalf("cloned free-capacity summary %v, rebuild gives %v", c.ex.free, rebuiltFree(c.ex))
-		} else if bad := summaryMismatch(c.ex); bad != "" {
+		if c := restored.ex.clone(); !slices.Equal(c.free, rebuiltFree(c)) {
+			t.Fatalf("cloned free-capacity summary %v, rebuild gives %v", c.free, rebuiltFree(c))
+		} else if bad := summaryMismatch(c); bad != "" {
 			t.Fatalf("cloned preemption summary: %s", bad)
 		}
 		// Decoded strings are valid UTF-8 and decoded floats finite, so

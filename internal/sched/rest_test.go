@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/memplan"
 	"repro/internal/workload"
 )
 
@@ -59,12 +60,47 @@ func summaryMismatch(e *exec) string {
 	return ""
 }
 
+// plannerMismatch rebuilds every CrossJob device planner from scratch —
+// a fresh planner admitting the device's residents — and describes the
+// first difference from e's in the requirement, the spill use or a
+// resident's grant, or returns "". An elastic gang shrink relies on it:
+// each surviving member's planner still plans the job.
+func plannerMismatch(e *exec) string {
+	if !e.crossjob {
+		return ""
+	}
+	for di, d := range e.devs {
+		fresh, err := memplan.New(e.cap, e.spillCap, spillLink)
+		if err != nil {
+			return err.Error()
+		}
+		for _, r := range d.resident {
+			if _, err := fresh.Admit(r.demand); err != nil {
+				return fmt.Sprintf("gpu%d: re-admitting %s: %v", di, r.ID, err)
+			}
+		}
+		pl := e.planners[di]
+		if pl.Requirement() != fresh.Requirement() || pl.SpillUsed() != fresh.SpillUsed() {
+			return fmt.Sprintf("gpu%d requirement %d spill %d, rebuild gives %d and %d",
+				di, pl.Requirement(), pl.SpillUsed(), fresh.Requirement(), fresh.SpillUsed())
+		}
+		for _, r := range d.resident {
+			got, ok := pl.Grant(r.demand.Job)
+			if want, _ := fresh.Grant(r.demand.Job); !ok || got != want {
+				return fmt.Sprintf("gpu%d grant of %s is %+v (member %v), rebuild gives %+v", di, r.ID, got, ok, want)
+			}
+		}
+	}
+	return ""
+}
+
 // stepAtRest replays jobs one event at a time and fails at the first
 // event after which the admission pass is not at rest — the condition
 // that lets the event loop skip the pass at boundaries that vacate
-// nothing — or the free-capacity or preemption summary differs from a
-// rebuild. The stepped replay must also equal the batch run, so the
-// checks themselves are proven observation-only.
+// nothing — or the free-capacity summary, the preemption summary or a
+// CrossJob device planner differs from a rebuild. The stepped replay
+// must also equal the batch run, so the checks themselves are proven
+// observation-only.
 func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, jobs []Job) *Result {
 	t.Helper()
 	e, err := newExec(c, p, est)
@@ -93,6 +129,10 @@ func stepAtRest(t *testing.T, name string, c Cluster, p Policy, est *Estimator, 
 		}
 		if bad := summaryMismatch(e); bad != "" {
 			t.Fatalf("%s: preemption summary after event %d (t=%d class=%d job=%d dev=%d): %s",
+				name, n, int64(ev.at), ev.class, ev.job, ev.dev, bad)
+		}
+		if bad := plannerMismatch(e); bad != "" {
+			t.Fatalf("%s: device planner after event %d (t=%d class=%d job=%d dev=%d): %s",
 				name, n, int64(ev.at), ev.class, ev.job, ev.dev, bad)
 		}
 	}
@@ -211,10 +251,13 @@ func TestAdmissionAtRestGenerated(t *testing.T) {
 				seen["preempted"] += j.Preemptions
 				seen["restored"] += j.Restores
 				seen["shrunk"] += j.Shrinks
+				if c.CrossJob {
+					seen["crossjob shrink"] += j.Shrinks
+				}
 			}
 		}
 	}
-	for _, k := range []string{"crossjob", "gang", "rejected", "preempted", "restored", "shrunk"} {
+	for _, k := range []string{"crossjob", "gang", "rejected", "preempted", "restored", "shrunk", "crossjob shrink"} {
 		if seen[k] == 0 {
 			t.Errorf("no generated trace exercised %s (%v)", k, seen)
 		}

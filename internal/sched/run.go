@@ -21,7 +21,7 @@ import (
 // from-scratch replay.
 //
 // Events are plain data, not closures, for two reasons. First, a
-// paused execution can be deep-copied (Incremental.Clone) and
+// paused execution can be deep-copied (exec.clone) and
 // serialized (AppendSnapshot) only if its in-flight events are
 // re-materializable; a closure capturing the original run's structs is
 // neither. Second, events carry an explicit (time, class, sequence)

@@ -291,11 +291,6 @@ func validate(c Cluster, p Policy) error {
 	return c.Faults.Validate(c.Devices)
 }
 
-// Estimator exposes the scheduler's dry-run memo, so callers replaying
-// several policies over one cluster can share it (see
-// NewSchedulerWithEstimator).
-func (s *Scheduler) Estimator() *Estimator { return s.est }
-
 // NewSchedulerWithEstimator is NewScheduler with a caller-provided
 // estimate memo, letting policy comparisons over the same cluster pay
 // for each distinct job shape's dry run once.

@@ -241,10 +241,10 @@ func TestEstimatorScopedPerScheduler(t *testing.T) {
 	if _, err := s1.Run(JobsFromTrace(workload.DefaultTrace())); err != nil {
 		t.Fatal(err)
 	}
-	if s1.Estimator().Len() == 0 {
+	if s1.est.Len() == 0 {
 		t.Error("scheduler's own estimator not populated by its run")
 	}
-	if n := s2.Estimator().Len(); n != 0 {
+	if n := s2.est.Len(); n != 0 {
 		t.Errorf("second cluster's estimator holds %d entries without running anything", n)
 	}
 }
@@ -313,11 +313,11 @@ func TestDynamicJobWorstCaseAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := s.Estimator().Estimate("AlexNet", 128, "naive", testCluster().Device)
+	small, err := s.est.Estimate("AlexNet", 128, "naive", testCluster().Device)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := s.Estimator().Estimate("AlexNet", 512, "naive", testCluster().Device)
+	big, err := s.est.Estimate("AlexNet", 512, "naive", testCluster().Device)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,7 +295,7 @@ func (c *Client) Submit(req SubmitRequest) (*JobStatus, error) {
 
 // RetryPolicy shapes SubmitRetry's backoff: capped exponential with
 // full jitter, honoring the server's Retry-After hint, bounded by an
-// attempt cap and an overall deadline.
+// attempt cap.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of submit attempts (default 5).
 	MaxAttempts int
@@ -305,9 +305,6 @@ type RetryPolicy struct {
 	// MaxDelay caps one backoff step and the honored Retry-After hint
 	// (default 2s), so a pathological hint cannot stall the client.
 	MaxDelay time.Duration
-	// Deadline bounds the whole retry sequence; 0 means attempts-only.
-	// The client never starts a sleep that would cross the deadline.
-	Deadline time.Duration
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -349,13 +346,9 @@ func (p RetryPolicy) backoff(attempt int, hint time.Duration) time.Duration {
 // replayed submission safe.
 // Validation, quota, duplicate-id and draining errors fail fast. It
 // returns the status, how many retries were spent, and the last error
-// when attempts or the deadline ran out.
+// when attempts ran out.
 func (c *Client) SubmitRetry(req SubmitRequest, pol RetryPolicy) (*JobStatus, int, error) {
 	pol = pol.withDefaults()
-	var deadline time.Time
-	if pol.Deadline > 0 {
-		deadline = time.Now().Add(pol.Deadline)
-	}
 	retries := 0
 	for attempt := 0; ; attempt++ {
 		st, err := c.Submit(req)
@@ -378,11 +371,7 @@ func (c *Client) SubmitRetry(req SubmitRequest, pol RetryPolicy) (*JobStatus, in
 		if attempt+1 >= pol.MaxAttempts {
 			return nil, retries, err
 		}
-		sleep := pol.backoff(attempt, hint)
-		if !deadline.IsZero() && time.Now().Add(sleep).After(deadline) {
-			return nil, retries, err
-		}
-		time.Sleep(sleep)
+		time.Sleep(pol.backoff(attempt, hint))
 		retries++
 	}
 }

@@ -27,12 +27,11 @@ type LoadConfig struct {
 	// SubmitRetries caps the retries of one submission after
 	// backpressure (default 50) — backpressure, not failure. Each
 	// submission goes through Client.SubmitRetry with
-	// RetryPolicy{MaxAttempts: SubmitRetries+1, BaseDelay: RetryDelay,
-	// MaxDelay: 50·RetryDelay} (RetryDelay defaults to 2ms, so a
-	// Retry-After hint is capped at 100ms). A submission that runs out
-	// of attempts counts as both Failed and Exhausted.
+	// RetryPolicy{MaxAttempts: SubmitRetries+1, BaseDelay: 2ms,
+	// MaxDelay: 100ms}, so a Retry-After hint is capped at 100ms. A
+	// submission that runs out of attempts counts as both Failed and
+	// Exhausted.
 	SubmitRetries int
-	RetryDelay    time.Duration
 	// Idempotent attaches a deterministic IdempotencyKey to every
 	// submission and retries transport failures too (a replayed
 	// submission dedupes server-side instead of double-sequencing), so
@@ -44,6 +43,10 @@ type LoadConfig struct {
 	// Drain drains the service after all submissions.
 	Drain bool
 }
+
+// loadBaseDelay seeds the load generator's backoff after a refused
+// submission.
+const loadBaseDelay = 2 * time.Millisecond
 
 // LoadReport is RunLoad's outcome: counts, wall-clock throughput and
 // submission latency percentiles. A submission's latency spans its
@@ -108,13 +111,10 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.SubmitRetries <= 0 {
 		cfg.SubmitRetries = 50
 	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 2 * time.Millisecond
-	}
 	pol := RetryPolicy{
 		MaxAttempts: cfg.SubmitRetries + 1,
-		BaseDelay:   cfg.RetryDelay,
-		MaxDelay:    50 * cfg.RetryDelay,
+		BaseDelay:   loadBaseDelay,
+		MaxDelay:    50 * loadBaseDelay,
 	}
 
 	// Each submission records its outcome in its own slot; the tally

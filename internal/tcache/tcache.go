@@ -192,13 +192,3 @@ func (c *Cache) Evicted(t *tensor.Tensor) {
 	c.stats.Evictions++
 	c.stats.EvictedBytes += t.Bytes()
 }
-
-// Tensors returns the cached tensors from MRU to LRU (for tests and
-// debugging).
-func (c *Cache) Tensors() []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 0, c.n)
-	for id := c.front; id != none; id = c.entries[id].next {
-		out = append(out, c.entries[id].t)
-	}
-	return out
-}

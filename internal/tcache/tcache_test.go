@@ -38,12 +38,12 @@ func TestLRUOrderAndTouch(t *testing.T) {
 	c.In(ts[0])
 	c.In(ts[1])
 	c.In(ts[2]) // MRU..LRU = 2,1,0
-	got := c.Tensors()
+	got := mruOrder(c)
 	if got[0] != ts[2] || got[2] != ts[0] {
 		t.Fatal("insertion order broken")
 	}
 	c.Check(ts[0]) // touch 0 -> MRU
-	got = c.Tensors()
+	got = mruOrder(c)
 	if got[0] != ts[0] || got[2] != ts[1] {
 		t.Fatal("touch must move to MRU")
 	}
@@ -148,7 +148,7 @@ func TestVictimOrderProperty(t *testing.T) {
 			return true
 		}
 		// Victims must appear in reverse (LRU-first) order of the list.
-		all := c.Tensors()
+		all := mruOrder(c)
 		idx := make(map[int]int)
 		for i, x := range all {
 			idx[x.ID] = i
@@ -216,7 +216,7 @@ func TestResetMatchesNew(t *testing.T) {
 	c.Check(ts[3])
 	c.Evicted(ts[0])
 	c.Reset()
-	if c.Len() != 0 || c.Stats() != (Stats{}) || len(c.Tensors()) != 0 || c.Contains(ts[1]) {
+	if c.Len() != 0 || c.Stats() != (Stats{}) || len(mruOrder(c)) != 0 || c.Contains(ts[1]) {
 		t.Fatalf("reset cache holds %d tensors, stats %+v", c.Len(), c.Stats())
 	}
 	fresh := New()
@@ -226,8 +226,17 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	c.Check(ts[2])
 	fresh.Check(ts[2])
-	got, want := c.Tensors(), fresh.Tensors()
+	got, want := mruOrder(c), mruOrder(fresh)
 	if !reflect.DeepEqual(got, want) || c.Stats() != fresh.Stats() {
 		t.Fatalf("reset cache order %v stats %+v, a new cache %v %+v", got, c.Stats(), want, fresh.Stats())
 	}
+}
+
+// mruOrder returns the cached tensors from MRU to LRU.
+func mruOrder(c *Cache) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, 0, c.n)
+	for id := c.front; id != none; id = c.entries[id].next {
+		out = append(out, c.entries[id].t)
+	}
+	return out
 }

@@ -412,7 +412,7 @@ type (
 	LoadReport = serve.LoadReport
 	// RetryPolicy shapes ServeClient.SubmitRetry: capped exponential
 	// backoff with full jitter, honoring Retry-After, bounded by an
-	// attempt cap and a deadline.
+	// attempt cap.
 	RetryPolicy = serve.RetryPolicy
 	// RecoveredLog is what a service rebuilt from its write-ahead log
 	// (ServeConfig.WALDir): the merged-log prefix, the surviving
