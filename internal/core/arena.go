@@ -21,10 +21,13 @@ import (
 // preallocated-pool argument (Table 2) applied to the simulator itself.
 //
 // An arena is owned by one run at a time. Nothing that outlives the
-// run may point into it: the Result, its step profiles and trace, and
-// the step labels are allocated fresh, and the network stays the
-// caller's. Everything an arena holds is overwritten by the next
-// lowering and bind, so no state leaks from one run into the next.
+// run may point into it: the Result and its trace are allocated fresh,
+// Run copies the step profiles out and renders their labels into one
+// buffer per Result, and the network stays the caller's. Measure skips
+// that copy-out, so a warm arena's steps-free run allocates nothing
+// per step or per layer. Everything an arena holds is overwritten by
+// the next lowering and bind, so no state leaks from one run into the
+// next.
 type runArena struct {
 	prog  program.Program
 	live  liveness.Result

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -149,5 +154,122 @@ func TestArenaReusesTensorCache(t *testing.T) {
 			t.Errorf("second run: %d hits %d evictions, first run %d and %d",
 				rt.res.CacheHits, rt.res.Evictions, first.CacheHits, first.Evictions)
 		}
+	}
+}
+
+// allocsPerRun returns the mean number of heap objects and bytes f
+// allocates per call, after one warm-up call, in the way
+// testing.AllocsPerRun counts objects (GOMAXPROCS 1) and with the
+// garbage collector off while it measures, so a GC cycle's own runtime
+// allocations are not counted against f.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// A steps-free run on a warm arena allocates nothing per step or per
+// layer: a Table 4 ResNet makes as many allocations, of as many bytes,
+// at n3 = 8 as at n3 = 128.
+func TestMeasureAllocsIndependentOfDepth(t *testing.T) {
+	cfg := SuperNeurons(hw.TeslaK40c)
+	shallow, deep := nnet.ResNetTable4(16, 8), nnet.ResNetTable4(16, 128)
+	a := new(runArena)
+	measure := func(net *nnet.Net) func() {
+		return func() {
+			if _, err := a.measure(net, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	measure(deep)() // size the arena for the deeper net
+	so, sb := allocsPerRun(5, measure(shallow))
+	do, db := allocsPerRun(5, measure(deep))
+	if so != do || sb != db {
+		t.Errorf("steps-free run allocations: %.0f objects of %.0f bytes at n3=8, %.0f of %.0f at n3=128; want equal",
+			so, sb, do, db)
+	}
+}
+
+// TestMeasureMatchesRun holds the steps-free run to Run: for every
+// registry net under every manager, traced and untraced, plus one
+// out-of-memory cell, Measure returns Run's Result with Steps nil, or
+// Run's error word for word.
+func TestMeasureMatchesRun(t *testing.T) {
+	oom := mustManager("naive")
+	cells := append(arenaCells(), arenaCell{name: "naive/AlexNet/1024", net: nnet.AlexNet(1024), cfg: oom})
+	for _, c := range cells {
+		for _, traced := range []bool{false, true} {
+			cfg := c.cfg
+			cfg.CollectTrace = traced
+			want := outcome(Run(c.net, cfg))
+			got := outcome(Measure(c.net, cfg))
+			if want.res != nil {
+				if len(want.res.Steps) == 0 {
+					t.Fatalf("%s: Run returned no step profiles", c.name)
+				}
+				want.res.Steps = nil
+			}
+			if got.res != nil && got.res.Steps != nil {
+				t.Errorf("%s (traced %v): Measure returned %d step profiles, want nil", c.name, traced, len(got.res.Steps))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (traced %v): Measure differs from Run (err %q, want %q)", c.name, traced, got.err, want.err)
+			}
+		}
+	}
+	if _, err := Measure(nnet.AlexNet(1024), oom); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("the out-of-memory cell returned %v, want out of memory", err)
+	}
+}
+
+// TestStepLabelsOutliveArenas extends the arena invariant to step
+// labels, which a run renders at copy-out rather than taking from its
+// lowering: a kept Result's labels and JSON are unchanged after 50 and
+// more runs of other nets, steps-free and not, pass through the pooled
+// arenas on par workers.
+func TestStepLabelsOutliveArenas(t *testing.T) {
+	cfg := SuperNeurons(hw.TeslaK40c)
+	cfg.CollectTrace = true
+	kept, err := Run(nnet.ByName("ResNet50")(16), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, len(kept.Steps))
+	for i, st := range kept.Steps {
+		labels[i] = strings.Clone(st.Label)
+	}
+	before, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cells := arenaCells()
+	if len(cells) < 50 {
+		t.Fatalf("only %d cells, want at least 50", len(cells))
+	}
+	par.Map(cells, 0, func(c arenaCell) error {
+		if len(c.net.Nodes)%2 == 0 {
+			_, err := Measure(c.net, c.cfg)
+			return err
+		}
+		_, err := Run(c.net, c.cfg)
+		return err
+	})
+
+	for i, st := range kept.Steps {
+		if st.Label != labels[i] {
+			t.Fatalf("step %d's label changed from %q to %q", i, labels[i], st.Label)
+		}
+	}
+	if after, err := json.Marshal(kept); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the kept Result's JSON changed after other runs (err %v)", err)
 	}
 }

@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/gpumem"
 	"repro/internal/nnet"
@@ -29,28 +30,53 @@ import (
 var ErrOutOfMemory = gpumem.ErrOutOfMemory
 
 // Run simulates cfg.Iterations training iterations of net and returns
-// the profile of the last one. The run draws its buffers from a
-// pooled arena and gives them back when it returns; the Result never
-// points into them.
+// the profile of the last one, its step profiles included. The run
+// draws its buffers from a pooled arena and gives them back when it
+// returns; the Result never points into them.
 func Run(net *nnet.Net, cfg Config) (*Result, error) {
 	a := arenas.Get().(*runArena)
 	defer arenas.Put(a)
 	return a.run(net, cfg)
 }
 
-// run is Run in arena a.
+// Measure is Run for callers that read no step profile: it runs
+// exactly what Run runs and returns the same Result with Steps nil.
+// It skips only the copy-out of the step profiles and the rendering of
+// their labels, so a capacity probe allocates nothing per step or per
+// layer.
+func Measure(net *nnet.Net, cfg Config) (*Result, error) {
+	a := arenas.Get().(*runArena)
+	defer arenas.Put(a)
+	rt, err := a.measure(net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rt.res, nil
+}
+
+// run is Run in arena a: the measured run plus the copy-out of its
+// last iteration's step profiles.
 func (a *runArena) run(net *nnet.Net, cfg Config) (*Result, error) {
+	rt, err := a.measure(net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rt.res.Steps = rt.copySteps()
+	return rt.res, nil
+}
+
+// measure lowers net into arena a and runs it under cfg.
+func (a *runArena) measure(net *nnet.Net, cfg Config) (*runState, error) {
 	cfg = cfg.withDefaults()
 	rt := newRunState(a, a.lower(net, cfg), cfg)
 	if err := rt.run(); err != nil {
 		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
-	return rt.res, nil
+	return rt, nil
 }
 
 // run allocates the persistent state, which lives on the GPU for the
-// whole run, executes every iteration, and copies the last
-// iteration's step profiles out of the arena into the Result.
+// whole run, and executes every iteration.
 func (rt *runState) run() error {
 	if err := rt.ensurePersistent(); err != nil {
 		return err
@@ -60,8 +86,35 @@ func (rt *runState) run() error {
 			return err
 		}
 	}
-	rt.res.Steps = slices.Clone(rt.steps)
 	return nil
+}
+
+// copySteps copies the last iteration's step profiles out of the arena
+// and renders the labels of the program's steps, which the step loop
+// leaves empty, into one buffer shared by the copies.
+func (rt *runState) copySteps() []StepProfile {
+	steps := slices.Clone(rt.steps)
+	n := 0
+	for i := range steps {
+		if si := steps[i].Index; si < len(rt.p.Steps) {
+			n += len(rt.p.Steps[si].Node.Name()) + len(" fwd")
+		}
+	}
+	var labels strings.Builder
+	labels.Grow(n)
+	for i := range steps {
+		si := steps[i].Index
+		if si >= len(rt.p.Steps) {
+			continue // the SGD update, labelled by runUpdate
+		}
+		st := &rt.p.Steps[si]
+		from := labels.Len()
+		labels.WriteString(st.Node.Name())
+		labels.WriteByte(' ')
+		labels.WriteString(st.Phase.String())
+		steps[i].Label = labels.String()[from:]
+	}
+	return steps
 }
 
 func (rt *runState) runIteration() error {

@@ -94,7 +94,7 @@ func (rt *runState) issueOffload(t *tensor.Tensor) {
 	dur := rt.hostLinks[pool].TransferTime(t.Bytes())
 	s.offEv = rt.d2h.Submit(rt.tl.Now(), dur)
 	s.offPending = true
-	rt.spanFor("d2h", "offload", t.Name, s.offEv, dur)
+	rt.spanFor("d2h", "offload", t.Layer, t.Suffix, s.offEv, dur)
 	rt.pendingOff = append(rt.pendingOff, t.ID)
 	rt.res.OffloadBytes += t.Bytes()
 }
@@ -159,7 +159,7 @@ func (rt *runState) fetch(t *tensor.Tensor) error {
 	dur := rt.hostLinks[s.hostPool].TransferTime(t.Bytes())
 	s.inflight = rt.h2d.Submit(rt.tl.Now(), dur)
 	s.inflightValid = true
-	rt.spanFor("h2d", "fetch", t.Name, s.inflight, dur)
+	rt.spanFor("h2d", "fetch", t.Layer, t.Suffix, s.inflight, dur)
 	rt.res.PrefetchBytes += t.Bytes()
 	if rt.cache != nil {
 		rt.cache.In(t)

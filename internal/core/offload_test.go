@@ -124,7 +124,7 @@ func TestPrefetchAllocFailureToleratedAndCounted(t *testing.T) {
 		t.Fatal("host alloc failed")
 	}
 	rt.ts[id].host, rt.ts[id].hostPool, rt.ts[id].onHost = ha, pool, true
-	rt.uplan.PrefetchAt = map[int][]int{0: {id}}
+	rt.uplan.PrefetchAt[0] = []int{id}
 
 	if err := rt.prefetch(0); err != nil {
 		t.Fatalf("allocation-pressure prefetch failure must be tolerated, got %v", err)

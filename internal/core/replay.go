@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/program"
 	"repro/internal/recompute"
@@ -58,18 +59,6 @@ func (rt *runState) replayFor(st *program.Step) ([]*tensor.Tensor, error) {
 		}
 	}
 	rt.needs = needs
-	var keep map[int]bool
-	if len(needs) > 0 {
-		if rt.keep == nil {
-			rt.keep = make(map[int]bool, len(st.Reads))
-		} else {
-			clear(rt.keep)
-		}
-		keep = rt.keep
-		for _, t := range st.Reads {
-			keep[t.ID] = true
-		}
-	}
 	for _, n := range needs {
 		if !n.seg.UseMemoryCentric {
 			// Speed-centric: replay the whole segment once; later
@@ -86,7 +75,7 @@ func (rt *runState) replayFor(st *program.Step) ([]*tensor.Tensor, error) {
 			// Memory-centric: replay only the needed prefix, freeing
 			// the chain behind the replay front (streaming), and free
 			// the rest immediately after this step.
-			if err := rt.replayMembers(n.seg, n.maxPos, &rt.freeAfter, keep); err != nil {
+			if err := rt.replayMembers(n.seg, n.maxPos, &rt.freeAfter, st.Reads); err != nil {
 				return nil, err
 			}
 		}
@@ -96,11 +85,13 @@ func (rt *runState) replayFor(st *program.Step) ([]*tensor.Tensor, error) {
 
 // replayMembers re-runs the forward of segment members [0..upTo],
 // ensuring each replay's own inputs are resident first. In streaming
-// (memory-centric) mode — keep != nil — inputs behind the replay front
-// are freed as soon as the next member has consumed them, unless the
-// triggering step itself needs them, so the replay's transient
-// footprint never exceeds two members plus the backward working set.
-func (rt *runState) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[]*tensor.Tensor, keep map[int]bool) error {
+// (memory-centric) mode — freeAfter != nil — inputs behind the replay
+// front are freed as soon as the next member has consumed them, unless
+// the triggering step itself reads them (keep, its Reads), so the
+// replay's transient footprint never exceeds two members plus the
+// backward working set. A step reads a handful of tensors, so keep is
+// scanned rather than indexed.
+func (rt *runState) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[]*tensor.Tensor, keep []*tensor.Tensor) error {
 	for i := 0; i <= upTo; i++ {
 		m := seg.Members[i]
 		out := rt.p.Out[m.ID]
@@ -137,13 +128,13 @@ func (rt *runState) replayMembers(seg *recompute.Segment, upTo int, freeAfter *[
 		}
 		dur := m.L.FwdTime(rt.cfg.Device, 1.0)
 		ev := rt.compute.Submit(rt.tl.Now(), dur, deps...)
-		rt.spanFor("compute", "replay", m.Name(), ev, dur)
+		rt.spanFor("compute", "replay", m.Name(), "", ev, dur)
 		rt.tl.Wait(ev)
 		rt.res.ExtraForwards++
 		for _, pr := range m.Prev {
 			in := rt.p.Out[pr.ID]
 			in.Locked = false
-			if keep == nil || keep[in.ID] || in == out {
+			if freeAfter == nil || in == out || slices.Contains(keep, in) {
 				continue
 			}
 			// Streaming free: the input is recoverable either from its

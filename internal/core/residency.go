@@ -138,7 +138,7 @@ func (rt *runState) evict(t *tensor.Tensor) {
 		s.onHost = true
 		dur := rt.hostLinks[pool].TransferTime(t.Bytes())
 		ev := rt.d2h.Submit(rt.tl.Now(), dur)
-		rt.spanFor("d2h", "evict", t.Name, ev, dur)
+		rt.spanFor("d2h", "evict", t.Layer, t.Suffix, ev, dur)
 		// The reused memory must not be overwritten before the copy
 		// drains; the synchronous wait is the eviction's cost.
 		if ev.At() > rt.tl.Now() {

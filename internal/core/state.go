@@ -42,8 +42,9 @@ type tstate struct {
 // and the scratch buffers of the step loop. It corresponds to the
 // paper's runtime context. Its methods are the runtime's mechanisms —
 // residency (residency.go), the offload engine (offload.go),
-// recomputation replays (replay.go) and the workspace tuner
-// (workspace.go) — and cfg's technique flags decide which engage.
+// recomputation replays (replay.go) and the step loop with its
+// workspace selection (step.go) — and cfg's technique flags decide
+// which engage.
 type runState struct {
 	// a holds the run's reusable buffers; ts, owner, segReplayed,
 	// dropAt, the pools and the analyses below live in it.
@@ -92,17 +93,17 @@ type runState struct {
 	pendingOff []int
 
 	res *Result
-	// steps holds the current iteration's step profiles in the arena;
-	// a finished run copies the last iteration's into res.Steps.
+	// steps holds the current iteration's step profiles in the arena,
+	// with empty labels; Run copies the last iteration's into
+	// res.Steps and renders their labels (copySteps).
 	steps []StepProfile
 
 	// Scratch reused across steps so the hot loop does not allocate.
 	// deps holds the transfer events a kernel waits on; it is consumed
 	// (Engine.Submit copies the values out) before the next fill.
-	// needs, keep and freeAfter are replayFor's per-step working set.
+	// needs and freeAfter are replayFor's per-step working set.
 	deps      []sim.Event
 	needs     []segNeed
-	keep      map[int]bool
 	freeAfter []*tensor.Tensor
 }
 
@@ -207,7 +208,6 @@ func (rt *runState) bind(p *program.Program, cfg Config) {
 	}
 
 	rt.deps, rt.needs, rt.freeAfter = rt.deps[:0], rt.needs[:0], rt.freeAfter[:0]
-	clear(rt.keep)
 }
 
 // rebind retargets the run at a new program (a new input shape) and
@@ -298,11 +298,13 @@ func (rt *runState) span(lane, name string, end sim.Event, dur sim.Duration) {
 	})
 }
 
-// spanFor records a span named "verb subject". The name is built only
-// when tracing is enabled, so an untraced run pays nothing for it.
-func (rt *runState) spanFor(lane, verb, subject string, end sim.Event, dur sim.Duration) {
+// spanFor records a span named "verb subject" followed by suffix
+// (e.g. "replay conv1", or "fetch conv1" and ".y"). The name is built
+// only when tracing is enabled, so an untraced run pays nothing for
+// it.
+func (rt *runState) spanFor(lane, verb, subject, suffix string, end sim.Event, dur sim.Duration) {
 	if rt.cfg.CollectTrace {
-		rt.span(lane, verb+" "+subject, end, dur)
+		rt.span(lane, verb+" "+subject+suffix, end, dur)
 	}
 }
 

@@ -91,7 +91,9 @@ func (rt *runState) runStep(si int) error {
 	if kernelStart > floor {
 		rt.res.StallTime += sim.Duration(kernelStart - floor)
 	}
-	rt.span("compute", st.Label(), ev, dur)
+	if rt.cfg.CollectTrace {
+		rt.span("compute", st.Label(), ev, dur)
+	}
 	rt.tl.Wait(ev)
 
 	if wsBytes > 0 {
@@ -121,9 +123,10 @@ func (rt *runState) runStep(si int) error {
 		}
 	}
 
+	// The label stays empty: a run that returns its step profiles
+	// renders the labels at copy-out (copySteps).
 	rt.steps = append(rt.steps, StepProfile{
 		Index:             si,
-		Label:             st.Label(),
 		Phase:             st.Phase,
 		ResidentBytes:     rt.resBytes,
 		LiveTensors:       rt.resCount,

@@ -37,7 +37,8 @@ type Config struct {
 // Result summarizes one data-parallel iteration.
 type Result struct {
 	Replicas int
-	// Replica is the per-GPU profile (identical across GPUs).
+	// Replica is the per-GPU profile (identical across GPUs), without
+	// step profiles: its Steps is nil.
 	Replica *core.Result
 	// GradientBytes is the per-replica gradient volume exchanged.
 	GradientBytes int64
@@ -136,7 +137,7 @@ func Run(build nnet.BuilderFunc, perGPUBatch int, cfg Config) (*Result, error) {
 		cfg.Interconnect = hw.PCIeP2P
 	}
 	net := build(perGPUBatch)
-	rep, err := core.Run(net, cfg.PerGPU)
+	rep, err := core.Measure(net, cfg.PerGPU)
 	if err != nil {
 		return nil, fmt.Errorf("dataparallel: replica: %w", err)
 	}

@@ -47,9 +47,9 @@ func Fig2() *metrics.Table {
 		}
 		cfg := core.SuperNeurons(hw.TitanXP)
 		cfg.PoolBytes = 96 * hw.GiB // isolate the workspace effect from capacity
-		fast := must(core.Run(nnet.ByName(name)(b), cfg))
+		fast := must(core.Measure(nnet.ByName(name)(b), cfg))
 		cfg.DynamicWorkspace = false
-		slow := must(core.Run(nnet.ByName(name)(b), cfg))
+		slow := must(core.Measure(nnet.ByName(name)(b), cfg))
 		return row{mem / gib, (mem + float64(maxWS)) / gib, fast.Throughput / slow.Throughput}
 	})
 	for i, name := range nets {
@@ -191,9 +191,9 @@ func Fig11() *metrics.Table {
 	rows := par.Map(paperNets, 0, func(name string) row {
 		b := fig11Batch(name)
 		cfg := core.SuperNeurons(hw.TeslaK40c)
-		cached := must(core.Run(nnet.ByName(name)(b), cfg))
+		cached := must(core.Measure(nnet.ByName(name)(b), cfg))
 		cfg.TensorCache = false
-		eager := must(core.Run(nnet.ByName(name)(b), cfg))
+		eager := must(core.Measure(nnet.ByName(name)(b), cfg))
 		return row{eager.Throughput, cached.Throughput}
 	})
 	for i, name := range paperNets {

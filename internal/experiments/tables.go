@@ -75,7 +75,7 @@ func Table1() *metrics.Table {
 			{recompute.MemoryCentric, aMem, ref.MemExtra, ref.MemPeak},
 			{recompute.CostAware, aCA, ref.CAExtra, ref.CAPeak},
 		} {
-			r := must(core.Run(c.build(), recomputeEvalConfig(hw.TeslaK40c, s.strat)))
+			r := must(core.Measure(c.build(), recomputeEvalConfig(hw.TeslaK40c, s.strat)))
 			t.Add(c.name, s.strat.String(),
 				fmt.Sprint(s.analytic), fmt.Sprint(s.paperExtra),
 				fmt.Sprint(r.ExtraForwards),
@@ -96,9 +96,9 @@ func Table2() *metrics.Table {
 		cfg := core.SuperNeurons(hw.TeslaK40c)
 		cfg.TensorCache = false // eager UTP: the §4.1.2 pool study setting
 		b := table2Batch(name)
-		rPool := must(core.Run(nnet.ByName(name)(b), cfg))
+		rPool := must(core.Measure(nnet.ByName(name)(b), cfg))
 		cfg.UseMemPool = false
-		rCUDA := must(core.Run(nnet.ByName(name)(b), cfg))
+		rCUDA := must(core.Measure(nnet.ByName(name)(b), cfg))
 		return row{rCUDA.Throughput, rPool.Throughput}
 	})
 	for i, name := range paperNets {
@@ -123,9 +123,9 @@ func Table3() *metrics.Table {
 	rows := par.Map(paperTable3.Batches, 0, func(b int) row {
 		cfg := core.SuperNeurons(hw.TeslaK40c)
 		cfg.TensorCache = false
-		rEager := must(core.Run(nnet.AlexNet(b), cfg))
+		rEager := must(core.Measure(nnet.AlexNet(b), cfg))
 		cfg = core.SuperNeurons(hw.TeslaK40c)
-		rCache := must(core.Run(nnet.AlexNet(b), cfg))
+		rCache := must(core.Measure(nnet.AlexNet(b), cfg))
 		return row{float64(rEager.TotalTraffic()) / gib, float64(rCache.TotalTraffic()) / gib}
 	})
 	for i, b := range paperTable3.Batches {

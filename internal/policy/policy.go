@@ -99,7 +99,7 @@ func run(f Framework, net *nnet.Net, d hw.DeviceSpec) (*core.Result, int, error)
 		if err != nil {
 			return nil, 0, err
 		}
-		r, err := core.Run(net, cfg)
+		r, err := core.Measure(net, cfg)
 		if err == nil {
 			return r, i, nil
 		}

@@ -22,9 +22,7 @@
 package program
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/layers"
 	"repro/internal/nnet"
@@ -59,21 +57,11 @@ type Step struct {
 	// appearing in both (in-place gradient) is listed once in each.
 	Reads  []*tensor.Tensor
 	Writes []*tensor.Tensor
-
-	// label caches Label()'s result: the step loop asks for it on every
-	// step of every iteration, so it is rendered once at lowering.
-	label string
 }
 
-// Label renders e.g. "conv1 fwd" for profiles. Steps built by the
-// lowering carry a precomputed label; hand-rolled test steps fall back
-// to rendering on demand.
-func (s *Step) Label() string {
-	if s.label != "" {
-		return s.label
-	}
-	return fmt.Sprintf("%s %s", s.Node.Name(), s.Phase)
-}
+// Label renders e.g. "conv1 fwd" for profiles. The lowering stores no
+// text, so every call allocates; call it only where text is produced.
+func (s *Step) Label() string { return s.Node.Name() + " " + s.Phase.String() }
 
 // Program is the lowered execution plan for one training iteration.
 type Program struct {
@@ -123,13 +111,13 @@ func BuildWith(net *nnet.Net, opts Options) *Program { return BuildInto(new(Prog
 // BuildInto lowers the network into p, reusing the backing arrays of
 // whatever p held before; a zero Program is the empty case. Every
 // per-layer object lives in one of a fixed number of backing arrays:
-// tensors in the registry's slab, every step's Reads and Writes in one
-// access arena, and every tensor name and step label in one string
-// buffer. The name buffer is always fresh, because the labels outlive
-// the program in run profiles; the other arrays are reallocated only
-// when p's are too small, so lowering into a reused p of at least this
-// size allocates no per-layer storage. The previous lowering's steps
-// and tensors are overwritten and must not be used afterwards.
+// tensors in the registry's slab and every step's Reads and Writes in
+// one access arena. The lowering renders no text: a tensor carries its
+// layer's name and a constant suffix (".y" or ".dx"), and a step's
+// label is rendered by Label on demand. The arrays are reallocated
+// only when p's are too small, so lowering into a reused p of at least
+// this size allocates nothing. The previous lowering's steps and
+// tensors are overwritten and must not be used afterwards.
 func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
 	n := len(net.Nodes)
 	if p.Reg == nil {
@@ -152,38 +140,23 @@ func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
 	p.route = net.AppendRoute(slices.Grow(p.route[:0], n), p.FwdStep)
 	route := p.route
 
-	// Size the tensor slab, the name buffer and the access arena up
-	// front. The arena bound counts a backward step as its gradient
-	// read, its input reads, its output read and one write.
-	tensors, nameBytes, accesses := 0, 0, 0
+	// Size the tensor slab and the access arena up front. The arena
+	// bound counts a backward step as its gradient read, its input
+	// reads, its output read and one write.
+	tensors, accesses := 0, 0
 	for _, nd := range route {
-		name := len(nd.Name())
-		nameBytes += name + len(" fwd")
 		accesses += len(nd.Prev) + 1
 		if !(opts.InPlaceAct && inPlaceEligible(nd)) {
 			tensors++
-			nameBytes += name + len(".y")
 		}
 		if nd.L.AllocatesDX() {
 			tensors++
-			nameBytes += name + len(".dx")
 		}
 		if len(nd.Prev) > 0 {
-			nameBytes += name + len(" bwd")
 			accesses += len(nd.Prev) + 3
 		}
 	}
 	p.Reg.Grow(tensors)
-	var names strings.Builder
-	names.Grow(nameBytes)
-	// join returns a+b as a substring of the shared buffer. Strings
-	// already returned stay valid even if the buffer has to grow.
-	join := func(a, b string) string {
-		from := names.Len()
-		names.WriteString(a)
-		names.WriteString(b)
-		return names.String()[from:]
-	}
 	arena := slices.Grow(p.access[:0], accesses)
 	// carve returns the arena entries appended since from, capped so an
 	// append by any caller reallocates instead of overwriting the next
@@ -202,7 +175,7 @@ func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
 			p.Out[nd.ID] = p.Out[nd.Prev[0].ID]
 			continue
 		}
-		p.Out[nd.ID] = p.Reg.New(join(nd.Name(), ".y"), tensor.Data, nd.L.Out)
+		p.Out[nd.ID] = p.Reg.New(nd.Name(), ".y", tensor.Data, nd.L.Out)
 	}
 	// Create dX tensors in backward order, resolving output-gradient
 	// aliases in the same pass: the gradient with respect to a node's
@@ -215,7 +188,7 @@ func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
 		if nd.L.AllocatesDX() {
 			// dX matches the (first) input shape; for multi-input
 			// layers that allocate (none today) this would extend.
-			p.DX[nd.ID] = p.Reg.New(join(nd.Name(), ".dx"), tensor.Grad, nd.L.In[0])
+			p.DX[nd.ID] = p.Reg.New(nd.Name(), ".dx", tensor.Grad, nd.L.In[0])
 		}
 		if len(nd.Next) > 0 { // the loss layer's gradient originates there
 			c := nd.Next[0]
@@ -230,7 +203,7 @@ func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
 
 	// Forward steps.
 	for _, nd := range route {
-		st := Step{Index: len(p.Steps), Node: nd, Phase: Forward, label: join(nd.Name(), " fwd")}
+		st := Step{Index: len(p.Steps), Node: nd, Phase: Forward}
 		from := len(arena)
 		for _, pr := range nd.Prev {
 			arena = append(arena, p.Out[pr.ID])
@@ -251,7 +224,7 @@ func BuildInto(p *Program, net *nnet.Net, opts Options) *Program {
 		if len(nd.Prev) == 0 {
 			continue
 		}
-		st := Step{Index: len(p.Steps), Node: nd, Phase: Backward, label: join(nd.Name(), " bwd")}
+		st := Step{Index: len(p.Steps), Node: nd, Phase: Backward}
 		from := len(arena)
 		if g := p.GradOut[nd.ID]; g != nil {
 			arena = append(arena, g)

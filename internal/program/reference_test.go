@@ -10,7 +10,7 @@ import (
 )
 
 // referenceBuild is the straightforward lowering BuildWith replaced:
-// one allocation per tensor, name, label and access list, and output
+// one allocation per tensor, full tensor name and access list, and output
 // gradients resolved by a recursive walk down the consumer graph. It is
 // the oracle the arena lowering must reproduce exactly.
 func referenceBuild(net *nnet.Net, opts Options) *Program {
@@ -30,12 +30,12 @@ func referenceBuild(net *nnet.Net, opts Options) *Program {
 			p.Out[nd.ID] = p.Out[nd.Prev[0].ID]
 			continue
 		}
-		p.Out[nd.ID] = p.Reg.New(nd.Name()+".y", tensor.Data, nd.L.Out)
+		p.Out[nd.ID] = p.Reg.New(nd.Name()+".y", "", tensor.Data, nd.L.Out)
 	}
 	for i := len(route) - 1; i >= 0; i-- {
 		nd := route[i]
 		if nd.L.AllocatesDX() {
-			p.DX[nd.ID] = p.Reg.New(nd.Name()+".dx", tensor.Grad, nd.L.In[0])
+			p.DX[nd.ID] = p.Reg.New(nd.Name()+".dx", "", tensor.Grad, nd.L.In[0])
 		}
 	}
 	for _, nd := range route {
@@ -44,7 +44,6 @@ func referenceBuild(net *nnet.Net, opts Options) *Program {
 	p.PersistentBytes = 2*net.ParamBytes() + net.AuxBytes()
 	for _, nd := range route {
 		st := Step{Index: len(p.Steps), Node: nd, Phase: Forward}
-		st.label = st.Node.Name() + " " + st.Phase.String()
 		for _, pr := range nd.Prev {
 			st.Reads = append(st.Reads, p.Out[pr.ID])
 		}
@@ -61,7 +60,6 @@ func referenceBuild(net *nnet.Net, opts Options) *Program {
 			continue
 		}
 		st := Step{Index: len(p.Steps), Node: nd, Phase: Backward}
-		st.label = st.Node.Name() + " " + st.Phase.String()
 		if g := p.GradOut[nd.ID]; g != nil {
 			st.Reads = append(st.Reads, g)
 		}
@@ -155,7 +153,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 			for id, g := range got.Reg.All() {
 				w := want.Reg.Get(id)
-				if g.ID != id || g.Name != w.Name || g.Kind != w.Kind || g.Shape != w.Shape {
+				if g.ID != id || g.Name() != w.Name() || g.Kind != w.Kind || g.Shape != w.Shape {
 					t.Errorf("%s: tensor %d = %v, reference %v", name, id, g, w)
 				}
 			}
@@ -227,7 +225,7 @@ func TestBuildAllocsIndependentOfDepth(t *testing.T) {
 }
 
 // Lowering into a Program that held a larger network gives the
-// program a fresh lowering gives, and allocates only the name buffer.
+// program a fresh lowering gives, and allocates nothing.
 func TestBuildIntoReusesArrays(t *testing.T) {
 	small, large := nnet.ResNetTable4(16, 1), nnet.ResNetTable4(16, 64)
 	p := BuildWith(large, Options{})
@@ -236,7 +234,7 @@ func TestBuildIntoReusesArrays(t *testing.T) {
 			t.Fatalf("%+v: lowering into a used Program differs from a fresh lowering", opts)
 		}
 	}
-	if allocs := allocsPerRun(5, func() { BuildInto(p, small, Options{}) }); allocs != 1 {
-		t.Errorf("lowering into a used Program made %.0f allocations, want 1 (the name buffer)", allocs)
+	if allocs := allocsPerRun(5, func() { BuildInto(p, small, Options{}) }); allocs != 0 {
+		t.Errorf("lowering into a used Program made %.0f allocations, want 0", allocs)
 	}
 }

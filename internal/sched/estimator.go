@@ -113,7 +113,7 @@ func DryRun(network string, batch int, manager string, d hw.DeviceSpec) (core.Es
 		return core.Estimate{}, fmt.Errorf("sched: %w", err)
 	}
 	net := b(batch)
-	r, err := core.Run(net, cfg)
+	r, err := core.Measure(net, cfg)
 	if err != nil {
 		return core.Estimate{}, err
 	}

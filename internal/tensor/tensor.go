@@ -70,10 +70,16 @@ func (k Kind) String() string {
 // the graph structure (who produces and consumes it) lives in
 // internal/nnet.
 type Tensor struct {
-	ID    int
-	Name  string
-	Shape Shape
-	Kind  Kind
+	ID int
+	// Layer and Suffix make up the tensor's name, Layer+Suffix (e.g.
+	// "conv1" and ".y"): the owning layer's name and a constant suffix
+	// for what the tensor holds. The two are shared strings, so
+	// registering a tensor renders no text; Name renders the whole name
+	// where text is produced.
+	Layer  string
+	Suffix string
+	Shape  Shape
+	Kind   Kind
 
 	// Locked marks the tensor as pinned by an in-flight computation so
 	// the LRU tensor cache may not evict it (Alg. 2 of the paper).
@@ -83,9 +89,12 @@ type Tensor struct {
 // Bytes returns the tensor's storage footprint.
 func (t *Tensor) Bytes() int64 { return t.Shape.Bytes() }
 
+// Name renders the tensor's full name, e.g. "conv1.y".
+func (t *Tensor) Name() string { return t.Layer + t.Suffix }
+
 // String renders a compact description.
 func (t *Tensor) String() string {
-	return fmt.Sprintf("t%d[%s %s %s]", t.ID, t.Name, t.Kind, t.Shape)
+	return fmt.Sprintf("t%d[%s%s %s %s]", t.ID, t.Layer, t.Suffix, t.Kind, t.Shape)
 }
 
 // Registry creates tensors with unique IDs. The zero value is ready to
@@ -116,10 +125,11 @@ func (r *Registry) Reset() {
 	r.slab = r.slab[:0]
 }
 
-// New registers a tensor of the given kind and shape.
-func (r *Registry) New(name string, k Kind, s Shape) *Tensor {
+// New registers a tensor of the given kind and shape, named
+// layer+suffix.
+func (r *Registry) New(layer, suffix string, k Kind, s Shape) *Tensor {
 	if !s.Valid() {
-		panic(fmt.Sprintf("tensor: invalid shape %v for %q", s, name))
+		panic(fmt.Sprintf("tensor: invalid shape %v for %q", s, layer+suffix))
 	}
 	var t *Tensor
 	if len(r.slab) < cap(r.slab) {
@@ -128,7 +138,9 @@ func (r *Registry) New(name string, k Kind, s Shape) *Tensor {
 	} else {
 		t = new(Tensor)
 	}
-	*t = Tensor{ID: len(r.tensors), Name: name, Shape: s, Kind: k}
+	// Field by field: a composite literal would be built on the stack
+	// and block-copied into the slab.
+	t.ID, t.Layer, t.Suffix, t.Shape, t.Kind, t.Locked = len(r.tensors), layer, suffix, s, k, false
 	r.tensors = append(r.tensors, t)
 	return t
 }

@@ -70,10 +70,23 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// A tensor's name is its layer's name plus its suffix, rendered only
+// when asked for.
+func TestTensorNameAndString(t *testing.T) {
+	var r Registry
+	tn := r.New("conv1", ".dx", Grad, Shape{2, 3, 4, 5})
+	if got := tn.Name(); got != "conv1.dx" {
+		t.Errorf("Name = %q, want conv1.dx", got)
+	}
+	if got := tn.String(); got != "t0[conv1.dx grad 2x3x4x5]" {
+		t.Errorf("String = %q", got)
+	}
+}
+
 func TestRegistryIDs(t *testing.T) {
 	var r Registry
-	a := r.New("a", Data, Shape{1, 1, 1, 1})
-	b := r.New("b", Grad, Shape{1, 2, 3, 4})
+	a := r.New("a", ".y", Data, Shape{1, 1, 1, 1})
+	b := r.New("b", ".dx", Grad, Shape{1, 2, 3, 4})
 	if a.ID != 0 || b.ID != 1 {
 		t.Errorf("IDs = %d,%d, want 0,1", a.ID, b.ID)
 	}
@@ -89,13 +102,13 @@ func TestRegistryIDs(t *testing.T) {
 // falls back to single allocations, and no pointer handed out moves.
 func TestRegistryGrowKeepsPointersStable(t *testing.T) {
 	var r Registry
-	first := r.New("before", Data, Shape{1, 1, 1, 1})
+	first := r.New("before", ".y", Data, Shape{1, 1, 1, 1})
 	r.Grow(2)
 	var got []*Tensor
 	for i := 0; i < 5; i++ {
-		got = append(got, r.New("t", Grad, Shape{1, 1, 1, i + 1}))
+		got = append(got, r.New("t", ".dx", Grad, Shape{1, 1, 1, i + 1}))
 	}
-	if r.Get(0) != first || first.Name != "before" {
+	if r.Get(0) != first || first.Name() != "before.y" {
 		t.Error("Grow disturbed a tensor registered before it")
 	}
 	for i, tn := range got {
@@ -108,7 +121,7 @@ func TestRegistryGrowKeepsPointersStable(t *testing.T) {
 			var r Registry
 			r.Grow(n)
 			for i := 0; i < n; i++ {
-				r.New("t", Data, Shape{1, 1, 1, 1})
+				r.New("t", ".y", Data, Shape{1, 1, 1, 1})
 			}
 		})
 	}
@@ -124,7 +137,7 @@ func TestRegistryResetReusesSlab(t *testing.T) {
 	var r Registry
 	r.Grow(8)
 	for i := 0; i < 8; i++ {
-		r.New("old", Data, Shape{1, 1, 1, 8})
+		r.New("old", ".y", Data, Shape{1, 1, 1, 8})
 	}
 	first := r.Get(0)
 	r.Reset()
@@ -135,7 +148,7 @@ func TestRegistryResetReusesSlab(t *testing.T) {
 		r.Reset()
 		r.Grow(6)
 		for i := 0; i < 6; i++ {
-			r.New("new", Grad, Shape{1, 1, 1, i + 1})
+			r.New("new", ".dx", Grad, Shape{1, 1, 1, i + 1})
 		}
 	}); allocs != 0 {
 		t.Errorf("refilling a reset registry made %.0f allocations, want 0", allocs)
@@ -144,7 +157,7 @@ func TestRegistryResetReusesSlab(t *testing.T) {
 		t.Fatalf("after refill: %d tensors, first %p, want 6 in the old slab at %p", r.Len(), r.Get(0), first)
 	}
 	for i, tn := range r.All() {
-		if tn.ID != i || tn.Name != "new" || tn.Kind != Grad || tn.Shape.W != i+1 || tn.Locked {
+		if tn.ID != i || tn.Name() != "new.dx" || tn.Kind != Grad || tn.Shape.W != i+1 || tn.Locked {
 			t.Errorf("tensor %d after Reset: %v (locked %v)", i, tn, tn.Locked)
 		}
 	}
@@ -157,14 +170,14 @@ func TestRegistryInvalidShapePanics(t *testing.T) {
 		}
 	}()
 	var r Registry
-	r.New("bad", Data, Shape{})
+	r.New("bad", ".y", Data, Shape{})
 }
 
 func TestTotalBytes(t *testing.T) {
 	var r Registry
-	r.New("d", Data, Shape{1, 1, 1, 256})  // 1 KiB
-	r.New("g", Grad, Shape{1, 1, 1, 512})  // 2 KiB
-	r.New("p", Param, Shape{1, 1, 1, 256}) // 1 KiB
+	r.New("d", ".y", Data, Shape{1, 1, 1, 256})  // 1 KiB
+	r.New("g", ".dx", Grad, Shape{1, 1, 1, 512}) // 2 KiB
+	r.New("p", "", Param, Shape{1, 1, 1, 256})   // 1 KiB
 	if got := r.TotalBytes(); got != 4096 {
 		t.Errorf("TotalBytes() = %d, want 4096", got)
 	}
@@ -183,7 +196,7 @@ func TestBytesProperty(t *testing.T) {
 		s := Shape{int(n%16) + 1, int(c%64) + 1, int(h%32) + 1, int(w%32) + 1}
 		want := int64(s.N) * int64(s.C) * int64(s.H) * int64(s.W) * ElemSize
 		var r Registry
-		tt := r.New("x", Data, s)
+		tt := r.New("x", ".y", Data, s)
 		return s.Bytes() == want && tt.Bytes() == want
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -81,12 +81,13 @@ type Plan struct {
 	// tensor resident again (directly, or as the replay seed of a
 	// recomputation segment). -1 if never needed again.
 	FirstBwdNeed []int
-	// PrefetchAt[stepIndex] lists tensor IDs whose prefetch is
-	// triggered when the executor reaches that backward step: the
-	// latest CONV backward step that strictly precedes the tensor's
-	// first backward need. Tensors with no earlier CONV trigger are
-	// fetched on demand.
-	PrefetchAt map[int][]int
+	// PrefetchAt[stepIndex] lists, in ascending order, the tensor IDs
+	// whose prefetch is triggered when the executor reaches that
+	// backward step: the latest CONV backward step that strictly
+	// precedes the tensor's first backward need. It has one list per
+	// step; a step with an empty list triggers nothing. Tensors with no
+	// earlier CONV trigger are fetched on demand.
+	PrefetchAt [][]int
 
 	// convBwd lists the CONV backward steps in ascending order.
 	convBwd []int
@@ -99,19 +100,21 @@ func BuildPlan(p *program.Program, mode Mode, rp *recompute.Plan) *Plan {
 	return BuildPlanInto(new(Plan), p, mode, rp)
 }
 
-// BuildPlanInto is BuildPlan into pl, reusing the arrays and the
-// PrefetchAt map of whatever pl held before; a zero Plan is the empty
-// case. The previous plan is overwritten.
+// BuildPlanInto is BuildPlan into pl, reusing the arrays of whatever
+// pl held before, PrefetchAt's per-step lists included; a zero Plan is
+// the empty case. Planning into a pl that held a plan at least this
+// large allocates nothing. The previous plan is overwritten.
 func BuildPlanInto(pl *Plan, p *program.Program, mode Mode, rp *recompute.Plan) *Plan {
 	nT := p.Reg.Len()
 	pl.OffloadTensor = slices.Grow(pl.OffloadTensor[:0], nT)[:nT]
 	clear(pl.OffloadTensor)
 	pl.LastFwdRead = slices.Grow(pl.LastFwdRead[:0], nT)[:nT]
 	pl.FirstBwdNeed = slices.Grow(pl.FirstBwdNeed[:0], nT)[:nT]
-	if pl.PrefetchAt == nil {
-		pl.PrefetchAt = make(map[int][]int)
+	nS := len(p.Steps)
+	pl.PrefetchAt = slices.Grow(pl.PrefetchAt[:0], nS)[:nS]
+	for i := range pl.PrefetchAt {
+		pl.PrefetchAt[i] = pl.PrefetchAt[i][:0]
 	}
-	clear(pl.PrefetchAt)
 	for i := range pl.LastFwdRead {
 		pl.LastFwdRead[i] = -1
 		pl.FirstBwdNeed[i] = -1

@@ -1,7 +1,8 @@
 package utp
 
 import (
-	"reflect"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/layers"
@@ -130,7 +131,13 @@ func TestPrefetchTriggersPrecedeNeeds(t *testing.T) {
 		p := program.Build(net)
 		rp := recompute.BuildPlan(p, recompute.CostAware)
 		pl := BuildPlan(p, OffloadConv, rp)
+		if len(pl.PrefetchAt) != len(p.Steps) {
+			t.Fatalf("%s: PrefetchAt has %d steps, the program %d", net.Name, len(pl.PrefetchAt), len(p.Steps))
+		}
 		for trigger, ids := range pl.PrefetchAt {
+			if len(ids) == 0 {
+				continue // not a trigger
+			}
 			st := &p.Steps[trigger]
 			if st.Phase != program.Backward || st.Node.L.Type != layers.Conv {
 				t.Errorf("%s: prefetch trigger %d is not a CONV backward step", net.Name, trigger)
@@ -243,9 +250,39 @@ func TestPrefetchAtMatchesLinearScan(t *testing.T) {
 		rp := recompute.BuildPlan(p, recompute.CostAware)
 		for _, mode := range []Mode{OffloadConv, OffloadConvAndKept, OffloadSwapAll} {
 			pl := BuildPlan(p, mode, rp)
-			if want := refPrefetchAt(p, pl); !reflect.DeepEqual(pl.PrefetchAt, want) {
-				t.Errorf("%s %s: PrefetchAt diverges from the linear scan", net.Name, mode)
+			if len(pl.PrefetchAt) != len(p.Steps) {
+				t.Fatalf("%s %s: PrefetchAt has %d steps, the program %d", net.Name, mode, len(pl.PrefetchAt), len(p.Steps))
+			}
+			want := refPrefetchAt(p, pl)
+			for si, ids := range pl.PrefetchAt {
+				if !slices.Equal(ids, want[si]) {
+					t.Errorf("%s %s: step %d triggers %v, the linear scan %v", net.Name, mode, si, ids, want[si])
+				}
 			}
 		}
+	}
+}
+
+// Planning into a Plan that held a larger program's plan gives the
+// plan a fresh BuildPlan gives, and allocates nothing.
+func TestBuildPlanIntoReusesArrays(t *testing.T) {
+	large, small := program.Build(nnet.ResNetTable4(16, 40)), program.Build(nnet.ResNetTable4(16, 2))
+	rpLarge, rpSmall := recompute.BuildPlan(large, recompute.CostAware), recompute.BuildPlan(small, recompute.CostAware)
+	pl := BuildPlan(large, OffloadConvAndKept, rpLarge)
+	for _, mode := range []Mode{OffloadConv, OffloadConvAndKept, OffloadSwapAll} {
+		got, want := BuildPlanInto(pl, small, mode, rpSmall), BuildPlan(small, mode, rpSmall)
+		if !slices.Equal(got.OffloadTensor, want.OffloadTensor) || !slices.Equal(got.LastFwdRead, want.LastFwdRead) ||
+			!slices.Equal(got.FirstBwdNeed, want.FirstBwdNeed) || len(got.PrefetchAt) != len(want.PrefetchAt) {
+			t.Fatalf("%s: planning into a used Plan differs from a fresh plan", mode)
+		}
+		for si := range want.PrefetchAt {
+			if !slices.Equal(got.PrefetchAt[si], want.PrefetchAt[si]) {
+				t.Errorf("%s: step %d triggers %v in a used Plan, %v in a fresh one", mode, si, got.PrefetchAt[si], want.PrefetchAt[si])
+			}
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(5, func() { BuildPlanInto(pl, small, OffloadConvAndKept, rpSmall) }); allocs != 0 {
+		t.Errorf("planning into a used Plan made %.0f allocations, want 0", allocs)
 	}
 }
